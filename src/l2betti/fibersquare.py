@@ -3,9 +3,27 @@
 The fiber square of A/B and C/B is the algebra of A-C-bimodular
 endomorphisms of A (x)_B C generated by the operators
 (u * v)(a (x) c) = a u (x) v c over pairs of unitaries with matching
-conjugation action on B.  The vector 1 (x) 1 is tracial and separating for
-it, so the algebra is built by saturating the evaluations T(1 (x) 1) and
-the structure constants are read off through them.
+conjugation action on B.  The algebra is built by saturating the
+evaluations T(1 (x) 1), and the structure constants are read off through
+them.  That evaluation at 1 (x) 1 is injective on bimodular operators is
+certified by three exact checks, not assumed:
+
+1. 1 (x) 1 is cyclic: each basis vector of the quotient, represented by
+   a_i (x) c_j, equals a_i . (1 (x) 1) . c_j.  A bimodular S with
+   S(1 (x) 1) = 0 therefore vanishes.
+2. Every final basis operator commutes with both outer actions and
+   evaluates to its basis vector.
+3. Every admitted pair has a B-central evaluation xi = [u (x) v]:
+   b . xi = xi . b for each basis element b of B.  Since the balancing
+   relations span the radical (certified in tensor.append_level), the map
+   a (x) c -> a . xi . c is then well defined and bimodular, and it is the
+   pair operator u * v.
+
+Hence a pair whose evaluation is dependent equals the combination of basis
+operators its evaluation names, and T_i T_j = sum_k c_k T_k with c the
+coordinates of T_i(T_j(1 (x) 1)): neither needs an operator product or an
+entrywise comparison.  The adjoint closure and the tracial *-algebra axioms
+are still checked directly.
 """
 
 from __future__ import annotations
@@ -21,7 +39,7 @@ from .linalg import (
     Echelon, GMatrix, HermitianForm, adjoint_wrt, invert, kernel_basis,
     vec_axpy, vec_dot, vec_eq,
 )
-from .scalars import ONE, ZERO
+from .scalars import ONE
 from .tensor import Level, append_level, extension_base_level, same_algebra
 
 
@@ -47,6 +65,29 @@ class BalancedTensor:
     def pair(self, u, v):
         return vec_dot(u, self.gram.apply(v))
 
+    def central_defects(self):
+        """lambda_b - rho_b for each basis element b of B; a vector is
+        B-central when all of them kill it."""
+        if not hasattr(self, "_defects"):
+            lvl = self.level
+            self._defects = [
+                lvl.left_act_vec(self.extA.embed.column(k)).sub(
+                    lvl.right_act_vec(self.extC.embed.column(k)))
+                for k in range(self.extA.sub.dim)]
+        return self._defects
+
+
+def _tensor_class(lvl: Level, d2: int, u: dict, v: dict) -> dict:
+    """The class of u (x) v in a two-factor level whose right factor has
+    dimension d2."""
+    amb = {}
+    for i, a in u.items():
+        for j, c in v.items():
+            x = a * c
+            if not x.is_zero():
+                amb[i * d2 + j] = x
+    return lvl.quotient.project(amb)
+
 
 def balanced_tensor(extA: Extension, extC: Extension,
                     check_forms=True) -> BalancedTensor:
@@ -61,13 +102,7 @@ def balanced_tensor(extA: Extension, extC: Extension,
     base = extension_base_level(extA)
     lvl = append_level(base, extC)
     A, C = extA.alg, extC.alg
-    d2 = C.dim
-
-    one_amb = {}
-    for i, ci in A.unit.items():
-        for j, cj in C.unit.items():
-            one_amb[i * d2 + j] = ci * cj
-    one_one = lvl.quotient.project(one_amb)
+    one_one = _tensor_class(lvl, C.dim, A.unit, C.unit)
     gram = lvl.scalar_gram()
 
     if check_forms:
@@ -81,24 +116,34 @@ def balanced_tensor(extA: Extension, extC: Extension,
 
 
 def _check_inner_product_expressions(extA: Extension, extC: Extension):
+    """The three expressions agree on every basis quadruple (a, b, c, d).
+
+    tr_B(E(d b*) x) = tr_C(b* x d) and tr_B(y E(a* c)) = tr_A(c y a*) are
+    linear in x, y in B, so checking them on a basis of B covers every
+    quadruple, at dim_B * (dim_A^2 + dim_C^2) products.
+    """
     A, C, B = extA.alg, extC.alg, extA.sub
+    basis_b = [{k: ONE} for k in range(B.dim)]
+    for b in range(C.dim):
+        sb = C.star({b: ONE})
+        for d in range(C.dim):
+            edb = extC.expectation_sub(C.mul({d: ONE}, sb))       # E(d b*) in B
+            for k, x in enumerate(basis_b):
+                if B.trace(B.mul(edb, x)) != C.trace(
+                        C.mul(sb, C.mul(extC.embed.column(k), {d: ONE}))):
+                    raise AssertionError(
+                        "inner product expressions disagree at C basis (%d,%d), "
+                        "B basis %d" % (b, d, k))
     for a in range(A.dim):
         sa = A.star({a: ONE})
         for c in range(A.dim):
-            eac = extA.expectation_sub(A.mul(sa, {c: ONE}))       # E(a*c) in B
-            eac_A = extA.embed.apply(eac)
-            eac_C = extC.embed.apply(eac)
-            for b in range(C.dim):
-                sb = C.star({b: ONE})
-                for d in range(C.dim):
-                    edb = extC.expectation_sub(C.mul({d: ONE}, sb))  # E(d b*)
-                    v1 = B.trace(B.mul(edb, eac))
-                    v2 = C.trace(C.mul(sb, C.mul(eac_C, {d: ONE})))
-                    v3 = A.trace(A.mul({c: ONE}, A.mul(extA.embed.apply(edb), sa)))
-                    if not (v1 == v2 == v3):
-                        raise AssertionError(
-                            "inner product expressions disagree at (%d,%d,%d,%d)"
-                            % (a, b, c, d))
+            eac = extA.expectation_sub(A.mul(sa, {c: ONE}))       # E(a* c) in B
+            for k, y in enumerate(basis_b):
+                if B.trace(B.mul(y, eac)) != A.trace(
+                        A.mul({c: ONE}, A.mul(extA.embed.column(k), sa))):
+                    raise AssertionError(
+                        "inner product expressions disagree at A basis (%d,%d), "
+                        "B basis %d" % (a, c, k))
 
 
 def s_condition(extA: Extension, extC: Extension, u: dict, v: dict,
@@ -132,49 +177,37 @@ def s_condition(extA: Extension, extC: Extension, u: dict, v: dict,
 
 
 def pair_operator(bt: BalancedTensor, u: dict, v: dict, check=True) -> GMatrix:
-    """The endomorphism a (x) c -> a u (x) v c on the balanced tensor."""
+    """The endomorphism a (x) c -> a u (x) v c on the balanced tensor.
+
+    With check, its evaluation [u (x) v] is verified to be B-central, which
+    makes the map well defined and bimodular (see the module docstring).
+    """
     A, C = bt.extA.alg, bt.extC.alg
     d2 = C.dim
     lvl = bt.level
+    if check and not _is_central(bt, _tensor_class(lvl, d2, u, v)):
+        raise AssertionError("pair operator: evaluation at 1(x)1 is not B-central")
     cols = []
-    for q in range(lvl.dim):
-        (i, j) = divmod(lvl.quotient.keep[q], d2)
-        au = A.mul({i: ONE}, u)
-        vc = C.mul(v, {j: ONE})
-        amb = {}
-        for i2, c1 in au.items():
-            for j2, c2 in vc.items():
-                amb[i2 * d2 + j2] = amb.get(i2 * d2 + j2, ZERO) + c1 * c2
-        cols.append(lvl.quotient.project({k: x for k, x in amb.items() if not x.is_zero()}))
-    op = GMatrix.from_cols(lvl.dim, cols)
-    if check:
-        _check_well_defined(bt, u, v)
-        _check_bimodular(bt, op)
-    return op
+    for k in lvl.quotient.keep:
+        i, j = divmod(k, d2)
+        cols.append(_tensor_class(lvl, d2, A.mul({i: ONE}, u), C.mul(v, {j: ONE})))
+    return GMatrix.from_cols(lvl.dim, cols)
 
 
-def _check_well_defined(bt: BalancedTensor, u: dict, v: dict):
-    """The ambient map must send the form radical into itself."""
+def _is_central(bt: BalancedTensor, xi: dict) -> bool:
+    """b . xi == xi . b for every basis element b of B."""
+    return not any(defect.apply(xi) for defect in bt.central_defects())
+
+
+def _check_cyclic(bt: BalancedTensor):
     lvl = bt.level
-    A, C = bt.extA.alg, bt.extC.alg
-    d2 = C.dim
-    for piv in lvl.quotient.ech.pivots:
-        rvec = lvl.quotient.ech.pivots[piv]
-        amb = {}
-        for k, coef in rvec.items():
-            i, j = divmod(k, d2)
-            au = A.mul({i: ONE}, u)
-            vc = C.mul(v, {j: ONE})
-            for i2, c1 in au.items():
-                for j2, c2 in vc.items():
-                    kk = i2 * d2 + j2
-                    val = amb.get(kk, ZERO) + coef * c1 * c2
-                    if val.is_zero():
-                        amb.pop(kk, None)
-                    else:
-                        amb[kk] = val
-        if lvl.quotient.project(amb):
-            raise AssertionError("operator is not well defined on the quotient")
+    d2 = bt.extC.alg.dim
+    for q, k in enumerate(lvl.quotient.keep):
+        i, j = divmod(k, d2)
+        moved = lvl.left_act(i).apply(lvl.right_act(j).apply(bt.one_one))
+        if not vec_eq(moved, {q: ONE}):
+            raise AssertionError(
+                "1(x)1 is not cyclic: basis vector %d is not a_i.(1(x)1).c_j" % q)
 
 
 def _check_bimodular(bt: BalancedTensor, op: GMatrix):
@@ -234,7 +267,8 @@ class FiberSquareAlgebra(TracialStarAlgebra):
             # spot check against the trace definition on the first basis pair
             if self.dim:
                 direct = self.trace(self.mul(self.star({0: ONE}), {0: ONE}))
-                assert direct == g.entry(0, 0)
+                if direct != g.entry(0, 0):
+                    raise AssertionError("GNS gram disagrees with the trace")
             self._gram = g
         return self._gram
 
@@ -242,12 +276,7 @@ class FiberSquareAlgebra(TracialStarAlgebra):
         return self.ops[k]
 
     def op_of(self, vec: dict) -> GMatrix:
-        out = GMatrix.zero(self.tensor.dim, self.tensor.dim)
-        for k, c in vec.items():
-            m = self.ops[k]
-            for j in range(self.tensor.dim):
-                vec_axpy(out.col[j], c, m.col[j])
-        return out
+        return _combination(self.ops, vec, self.tensor.dim)
 
     def eval_of(self, vec: dict) -> dict:
         out = {}
@@ -265,54 +294,39 @@ def _flatten(op: GMatrix) -> dict:
     return out
 
 
-def _matches_combination(op: GMatrix, ops, coeffs) -> bool:
-    """op == sum coeffs[k] ops[k], compared column by column."""
-    for j in range(op.cols):
-        acc = {}
-        for k, c in coeffs.items():
-            vec_axpy(acc, c, ops[k].col[j])
-        if not vec_eq(acc, op.col[j]):
-            return False
-    return True
+def _combination(ops, coeffs: dict, n: int) -> GMatrix:
+    """sum coeffs[k] ops[k] for n x n operators."""
+    out = GMatrix.zero(n, n)
+    for k, c in coeffs.items():
+        for j in range(n):
+            vec_axpy(out.col[j], c, ops[k].col[j])
+    return out
 
 
-def fiber_square(extA: Extension, extC: Extension, pairs,
-                 dim_bound=None, name=None, check_ops=True,
-                 tensor=None, variant=False) -> FiberSquareAlgebra:
-    """Generate the fiber square from unitary pairs and saturate the span.
+def _saturate(bt: BalancedTensor, pairs, bound: int, variant=False):
+    """Basis operators and their evaluations at 1 (x) 1, in generation order.
 
-    pairs: iterable of ((name_u, u), (name_v, v)); pairs failing the
-    matching condition are skipped.  The span is saturated under products
-    and adjoints.  The evaluation at 1 (x) 1 indexes the basis; that it is
-    separating is verified exactly: every generated operator whose
-    evaluation is dependent must equal the corresponding combination of the
-    basis operators, entry by entry.
+    Returns (ops, evals, names); a product-born operator is named "prod".
+    Pairs failing the matching condition are skipped, and so are pairs
+    admitted by the variant reading whose evaluation is not B-central.  An
+    admitted pair whose evaluation is dependent builds no operator.
     """
-    bt = tensor if tensor is not None else balanced_tensor(extA, extC)
+    extA, extC = bt.extA, bt.extC
     A, C = extA.alg, extC.alg
-    bound = dim_bound if dim_bound is not None else bt.dim * bt.dim
-
+    lvl = bt.level
     evals = SpanBasis()
     ops = []
     names = []
 
-    def try_add(op, nm):
-        ev = op.apply(bt.one_one)
-        if evals.add(ev):
-            ops.append(op)
-            names.append(nm)
-            if len(ops) > bound:
-                raise RuntimeError(
-                    "fiber square saturation exceeded the dimension bound %d" % bound)
-            return True
-        c = evals.coords(ev)
-        if not _matches_combination(op, ops, c):
-            raise AssertionError(
-                "evaluation at 1(x)1 is not separating: operator %s escapes" % nm)
-        return False
+    def keep(op, nm):
+        ops.append(op)
+        names.append(nm)
+        if len(ops) > bound:
+            raise RuntimeError(
+                "fiber square saturation exceeded the dimension bound %d" % bound)
 
-    ident = GMatrix.identity(bt.dim)
-    try_add(ident, "1*1")
+    if evals.add(bt.one_one):
+        keep(GMatrix.identity(bt.dim), "1*1")
 
     seen_pairs = set()
     todo = []
@@ -327,12 +341,18 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
         seen_pairs.add(key)
         if not s_condition(extA, extC, u, v, variant=variant):
             continue
-        op = pair_operator(bt, u, v, check=False)
-        if try_add(op, "%s*%s" % (nu, nv)) and check_ops:
-            # exact well-definedness and bimodularity for every basis operator
-            _check_well_defined(bt, u, v)
-            _check_bimodular(bt, op)
+        nm = "%s*%s" % (nu, nv)
+        xi = _tensor_class(lvl, C.dim, u, v)
+        if not _is_central(bt, xi):
+            if variant:
+                # the alternative reading does not imply centrality, and
+                # without it a (x) c -> a u (x) v c is not defined on the quotient
+                continue
+            raise AssertionError("pair %s: evaluation at 1(x)1 is not B-central" % nm)
+        if evals.add(xi):
+            keep(pair_operator(bt, u, v, check=False), nm)
 
+    # T_a T_b evaluates to T_a(ev_b); only a new evaluation needs the product
     frontier = list(range(len(ops)))
     while frontier:
         new = []
@@ -340,47 +360,61 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
         for i in range(current):
             for j in frontier:
                 for a, b in ((i, j), (j, i)):
-                    ev = ops[a].apply(evals.vectors[b])
-                    if not evals.contains(ev):
-                        prod = ops[a].mul(ops[b])
-                        if try_add(prod, "prod"):
-                            new.append(len(ops) - 1)
+                    if evals.add(ops[a].apply(evals.vectors[b])):
+                        keep(ops[a].mul(ops[b]), "prod")
+                        new.append(len(ops) - 1)
         frontier = new
+    return ops, evals, names
+
+
+def fiber_square(extA: Extension, extC: Extension, pairs,
+                 dim_bound=None, name=None,
+                 tensor=None, variant=False) -> FiberSquareAlgebra:
+    """Generate the fiber square from unitary pairs and saturate the span.
+
+    pairs: iterable of ((name_u, u), (name_v, v)); pairs failing the
+    matching condition are skipped.  The span is saturated under products
+    and adjoints, and evaluation at 1 (x) 1 indexes the basis.  That this
+    evaluation is injective on bimodular operators is certified exactly
+    (module docstring): 1 (x) 1 is cyclic, every admitted pair has a
+    B-central evaluation, and every final basis operator is bimodular and
+    evaluates to its basis vector.  Dependent pairs and products are then
+    determined by their evaluations and are not compared entry by entry.
+    """
+    bt = tensor if tensor is not None else balanced_tensor(extA, extC)
+    bound = dim_bound if dim_bound is not None else bt.dim * bt.dim
+
+    _check_cyclic(bt)
+    ops, evals, names = _saturate(bt, pairs, bound, variant)
 
     # canonical re-basis along the echelon rows of the evaluations: the
     # operators become sparser and coordinate extraction much cheaper
     can = canonicalized_span(evals.vectors)
-    assert can.dim == len(ops)
-    new_ops = []
-    for vec in can.vectors:
-        c = evals.coords(vec)
-        op = GMatrix.zero(bt.dim, bt.dim)
-        for k, x in c.items():
-            for j in range(bt.dim):
-                vec_axpy(op.col[j], x, ops[k].col[j])
-        new_ops.append(op)
-    pair_names = list(names)
-    ops = new_ops
+    if can.dim != len(ops):
+        raise AssertionError("canonical re-basis changed the dimension")
+    ops = [_combination(ops, evals.coords(vec), bt.dim) for vec in can.vectors]
     evals = can
-    names = ["E%d" % k for k in range(len(ops))]
-
     dim = len(ops)
-    # structure constants through the separating vector, with full operator
-    # closure verified entrywise
+    for k, op in enumerate(ops):
+        _check_bimodular(bt, op)
+        if not vec_eq(op.apply(bt.one_one), evals.vectors[k]):
+            raise AssertionError(
+                "basis operator %d does not evaluate to its basis vector" % k)
+
+    # structure constants through the separating vector
     mult = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
             c = evals.coords(ops[i].apply(evals.vectors[j]))
-            assert c is not None, "product escapes the saturated span"
+            if c is None:
+                raise AssertionError("product escapes the saturated span")
             mult[i][j] = c
-            if not _matches_combination(ops[i].mul(ops[j]), ops, c):
-                raise AssertionError("operator span is not closed under products")
     gram_inv = bt.gram_inv()
     star = []
     for i in range(dim):
         adj = adjoint_wrt(HermitianForm(bt.gram, check=False), ops[i], gram_inv)
         c = evals.coords(adj.apply(bt.one_one))
-        if c is None or not _matches_combination(adj, ops, c):
+        if c is None or adj != _combination(ops, c, bt.dim):
             raise AssertionError("span is not closed under adjoints")
         star.append(c)
     trace = {}
@@ -391,12 +425,12 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
     unit = evals.coords(bt.one_one)
 
     fsq = FiberSquareAlgebra(
-        bt, ops, [dict(v) for v in evals.vectors], names,
+        bt, ops, [dict(v) for v in evals.vectors], ["E%d" % k for k in range(dim)],
         labels=["T%d" % k for k in range(dim)], mult=mult, star=star,
         trace=trace, unit=unit,
         name=name or ("%s*%s" % (extA.alg.name, extC.alg.name)),
         operator_backed=True)
-    fsq.generator_names = pair_names
+    fsq.generator_names = names
     rep = validate_algebra(fsq)
     if not rep.ok:
         raise AssertionError("fiber square is not a tracial *-algebra: %s"
@@ -409,10 +443,7 @@ def b_invariant_subspace(bt: BalancedTensor) -> GMatrix:
     lvl = bt.level
     dim_b = bt.extA.sub.dim
     stacked = GMatrix.zero(lvl.dim * dim_b, lvl.dim)
-    for k in range(dim_b):
-        lam = lvl.left_act_vec(bt.extA.embed.column(k))
-        rho = lvl.right_act_vec(bt.extC.embed.column(k))
-        d = lam.sub(rho)
+    for k, d in enumerate(bt.central_defects()):
         for j in range(lvl.dim):
             for i, x in d.col[j].items():
                 stacked.col[j][i + k * lvl.dim] = x
@@ -479,7 +510,8 @@ def canonical_pairs(extA: Extension, extC: Extension = None, variant=False):
 
 def scalar_base_pairs(ext: Extension):
     """For B = scalars every (u, 1) and (1, v) qualifies; products fill in."""
-    assert ext.sub.dim == 1
+    if ext.sub.dim != 1:
+        raise AssertionError("scalar base pairs need B = scalars")
     one = ("1", dict(ext.alg.unit))
     fam = ext.alg.unitary_family
     return [((nm, u), one) for nm, u in fam] + [(one, (nm, v)) for nm, v in fam]
@@ -524,23 +556,22 @@ def groupoid_fiber_square(ext: Extension, dim_bound=None):
     lvl = bt.level
     d2 = ext.alg.dim
 
-    cols = []
     gi = {a: k for k, a in enumerate(g.elements)}
+    env_span = SpanBasis()
     for (a, b) in env.elements:
-        amb = {gi[a] * d2 + gi[b]: ONE}
-        vec = lvl.quotient.project(amb)
-        assert vec, "enveloping basis vector dies in the balanced tensor"
-        cols.append(vec)
-    menv = GMatrix.from_cols(lvl.dim, cols)
+        vec = _tensor_class(lvl, d2, {gi[a]: ONE}, {gi[b]: ONE})
+        if not vec:
+            raise AssertionError("enveloping basis vector dies in the balanced tensor")
+        if not env_span.add(vec):
+            raise AssertionError("enveloping vectors are dependent")
 
     inv = b_invariant_subspace(bt)
-    env_span = SpanBasis()
-    for c in menv.col:
-        assert env_span.add(c), "enveloping vectors are dependent"
     for j in range(inv.cols):
-        assert env_span.contains(inv.column(j)), \
-            "invariant vector outside the enveloping span"
-    assert inv.cols == len(env.elements)
+        if not env_span.contains(inv.column(j)):
+            raise AssertionError("invariant vector outside the enveloping span")
+    if inv.cols != len(env.elements):
+        raise AssertionError("invariant subspace has dimension %d, not |G^e| = %d"
+                             % (inv.cols, len(env.elements)))
 
     if fsq.dim != len(env.elements):
         raise ValueError(
@@ -550,7 +581,8 @@ def groupoid_fiber_square(ext: Extension, dim_bound=None):
     phi_cols = []
     for k in range(fsq.dim):
         c = env_span.coords(fsq.evals[k])
-        assert c is not None, "evaluation escapes C[G^e]"
+        if c is None:
+            raise AssertionError("evaluation escapes C[G^e]")
         phi_cols.append(c)
     phi = GMatrix.from_cols(len(env.elements), phi_cols)
 

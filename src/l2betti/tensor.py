@@ -278,22 +278,26 @@ def append_level(prev: Level, ext2: Extension, check_balancing=True) -> Level:
 
     if dim_b == 1:
         quot = Quotient(amb, [])
-        rad_cols = kernel_basis(gram)
-        assert rad_cols.cols == 0, "unexpected degeneracy over the scalars"
+        if kernel_basis(gram).cols != 0:
+            raise AssertionError("unexpected degeneracy over the scalars")
     else:
         rad = kernel_basis(gram)
         quot = Quotient(amb, rad.col)
         if check_balancing:
+            # the fiber square's separating-vector certificate rests on this:
+            # the radical is exactly the span of the balancing relations
+            right_b = [prev.right_act_vec(ext2.embed.column(k)) for k in range(dim_b)]
+            left_b = [[A2.mul(ext2.embed.column(k), {a: ONE}) for a in range(d2)]
+                      for k in range(dim_b)]
             bal = Echelon()
             for v in range(prev.dim):
                 for k in range(dim_b):
-                    moved = prev.right_act_vec(ext2.embed.column(k)).col[v]
+                    moved = right_b[k].col[v]
                     for a in range(d2):
                         rel = {}
                         for w, c in moved.items():
                             rel[pidx(w, a)] = c
-                        prod = A2.mul(ext2.embed.column(k), {a: ONE})
-                        for c2, coef in prod.items():
+                        for c2, coef in left_b[k][a].items():
                             key = pidx(v, c2)
                             val = rel.get(key, ZERO) - coef
                             if val.is_zero():
@@ -305,8 +309,10 @@ def append_level(prev: Level, ext2: Extension, check_balancing=True) -> Level:
                         if gram.apply(rel):
                             raise AssertionError("balancing relation escapes the radical")
                         bal.insert(rel)
-            assert bal.rank == rad.cols, \
-                "balancing relations do not span the radical (%d vs %d)" % (bal.rank, rad.cols)
+            if bal.rank != rad.cols:
+                raise AssertionError(
+                    "balancing relations do not span the radical (%d vs %d)"
+                    % (bal.rank, rad.cols))
 
     # descended B-valued gram on the chosen representatives
     bgram = {}

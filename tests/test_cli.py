@@ -175,6 +175,18 @@ def test_console_entry_point():
     assert r.returncode == 0
 
 
+def test_fiber_square_report_unchanged_under_python_optimize():
+    # -O strips assert statements: no check or side effect may live in one
+    outs = []
+    for flags in ([], ["-O"]):
+        r = subprocess.run([sys.executable] + flags +
+                           ["-m", "l2betti.cli", "fiber-square", cpath("pair3.json")],
+                           capture_output=True, cwd=ROOT)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_betti_weighted_sum_document(capsys):
     code, out = run_cli(["betti", cpath("sum_half_m2_half_cc2.json"),
                          "--N", "2"], capsys)

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import l2betti.fibersquare as fs
+import l2betti.tensor as tensor_mod
 from l2betti.algebras import (
-    conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
-    distinct_triple_sign_cocycle, full_extension, group_algebra,
-    matrix_algebra, trivial_extension, twisted_convolution, weighted_sum,
+    SpanBasis, conditional_expectation, convolution_algebra,
+    diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, full_extension,
+    group_algebra, matrix_algebra, trivial_extension, twisted_convolution,
+    weighted_sum,
 )
 from l2betti.fibersquare import (
     balanced_tensor, b_invariant_subspace, canonical_pairs,
@@ -231,3 +234,155 @@ def test_s_condition_variant_reading_differs():
     f1 = fiber_square(ext, ext, printed)
     f2 = fiber_square(ext, ext, alternative, variant=True)
     assert f1.dim == f2.dim == 9
+
+
+# ---------------------------------------------------------------------------
+# the separating-vector certificate: oracle and fault injection
+
+
+def cs3_ext():
+    table, unit, els = symmetric_table(3)
+    return trivial_extension(group_algebra(table, unit, elements=els,
+                                           name="CS3"))
+
+
+def pair3_ext():
+    return convolution_algebra(pair_relation(uniform_space(3)))
+
+
+ORACLE_CASES = {
+    "CC2/C": lambda: cgroup_ext(2),
+    "M2/diag": m2_diag_extension,
+    "pair(3)": pair3_ext,
+    "CS3/C": cs3_ext,
+}
+
+
+def admitted_pairs(ext, pairs):
+    """The pairs fiber_square admits: each given pair and its starred pair
+    that pass the matching condition."""
+    A = ext.alg
+    out = []
+    for (_, u), (_, v) in pairs:
+        for uu, vv in ((u, v), (A.star(u), A.star(v))):
+            if s_condition(ext, ext, uu, vv):
+                out.append((uu, vv))
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_CASES))
+def test_identities_read_off_the_cyclic_vector_hold_entrywise(label):
+    # the certificate replaces these comparisons; here they run in full
+    ext = ORACLE_CASES[label]()
+    pairs = default_pairs(ext)
+    fsq = fiber_square(ext, ext, pairs)
+    bt = fsq.tensor
+    for i in range(fsq.dim):
+        for j in range(fsq.dim):
+            assert fsq.ops[i].mul(fsq.ops[j]) == fsq.op_of(fsq.mult[i][j])
+    span = SpanBasis()
+    for ev in fsq.evals:
+        assert span.add(ev)
+    admitted = admitted_pairs(ext, pairs)
+    assert admitted
+    for u, v in admitted:
+        op = pair_operator(bt, u, v)
+        coeffs = span.coords(op.apply(bt.one_one))
+        assert coeffs is not None
+        assert op == fsq.op_of(coeffs)
+
+
+def bump_entry(op, skip_cols=()):
+    """Turn the first zero entry of op outside skip_cols into 1, in place."""
+    for j in range(op.cols):
+        if j in skip_cols:
+            continue
+        for i in range(op.rows):
+            if i not in op.col[j]:
+                op.col[j][i] = ONE
+                return
+    raise AssertionError("operator has no zero entry")
+
+
+def corrupt_after_saturation(monkeypatch, chosen, corrupt):
+    """Corrupt the first generated basis operator whose name passes chosen,
+    before the canonical re-basis and the certificate see it."""
+    original = fs._saturate
+
+    def saturate(bt, *args, **kwargs):
+        ops, evals, names = original(bt, *args, **kwargs)
+        k = next(k for k, nm in enumerate(names) if chosen(nm))
+        ops[k] = corrupt(ops[k], bt)
+        return ops, evals, names
+
+    monkeypatch.setattr(fs, "_saturate", saturate)
+
+
+def bumped_off_one_one(op, bt):
+    # a column outside the support of 1(x)1 leaves T(1(x)1) unchanged, so
+    # only the bimodularity check can see this corruption
+    bump_entry(op, skip_cols=bt.one_one)
+    return op
+
+
+def test_fault_pair_born_operator_entry_is_caught(monkeypatch):
+    ext = m2_diag_extension()
+    corrupt_after_saturation(monkeypatch,
+                             lambda nm: nm not in ("1*1", "prod"),
+                             bumped_off_one_one)
+    with pytest.raises(AssertionError, match="does not commute"):
+        fiber_square(ext, ext, default_pairs(ext))
+
+
+def test_fault_product_born_operator_entry_is_caught(monkeypatch):
+    ext = cs3_ext()
+    corrupt_after_saturation(monkeypatch, lambda nm: nm == "prod",
+                             bumped_off_one_one)
+    with pytest.raises(AssertionError, match="does not commute"):
+        fiber_square(ext, ext, default_pairs(ext))
+
+
+def test_fault_basis_operator_with_wrong_evaluation_is_caught(monkeypatch):
+    # 2 T is still bimodular; only its evaluation at 1(x)1 is wrong
+    ext = m2_diag_extension()
+    corrupt_after_saturation(monkeypatch,
+                             lambda nm: nm not in ("1*1", "prod"),
+                             lambda op, bt: op.scale(2))
+    with pytest.raises(AssertionError, match="does not evaluate"):
+        fiber_square(ext, ext, default_pairs(ext))
+
+
+def test_fault_one_one_entry_is_caught():
+    # over the scalars every extra entry of 1(x)1 moves some a.(1(x)1).c
+    ext = cgroup_ext(2)
+    bt = balanced_tensor(ext, ext)
+    q = next(q for q in range(bt.dim) if q not in bt.one_one)
+    bt.one_one = dict(bt.one_one)
+    bt.one_one[q] = ONE
+    with pytest.raises(AssertionError, match="not cyclic"):
+        fiber_square(ext, ext, default_pairs(ext), tensor=bt)
+
+
+def test_fault_mismatched_pair_admitted_is_caught(monkeypatch):
+    ext = m2_diag_extension()
+    swap = {ext.alg.index("e12"): ONE, ext.alg.index("e21"): ONE}
+    unit = dict(ext.alg.unit)
+    monkeypatch.setattr(fs, "s_condition", lambda *args, **kwargs: True)
+    pairs = default_pairs(ext) + [(("swap", swap), ("1", unit))]
+    with pytest.raises(AssertionError, match="not B-central"):
+        fiber_square(ext, ext, pairs)
+    with pytest.raises(AssertionError, match="not B-central"):
+        pair_operator(balanced_tensor(ext, ext), swap, unit)
+
+
+def test_fault_radical_column_dropped_is_caught(monkeypatch):
+    original = tensor_mod.kernel_basis
+
+    def short_kernel(m):
+        k = original(m)
+        return GMatrix.from_cols(k.rows, k.col[:-1]) if k.cols else k
+
+    monkeypatch.setattr(tensor_mod, "kernel_basis", short_kernel)
+    ext = m2_diag_extension()
+    with pytest.raises(AssertionError, match="do not span the radical"):
+        balanced_tensor(ext, ext)
