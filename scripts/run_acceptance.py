@@ -17,15 +17,25 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "corpus")
 PY = [sys.executable, "-m", "l2betti.cli"]
+# the package is imported from src/, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+
+
+def fail(what, out="", err=""):
+    print("FAILED: %s" % what)
+    if out:
+        print(out)
+    if err:
+        print(err)
+    sys.exit(1)
 
 
 def run(args, expect=0):
-    r = subprocess.run(PY + args, capture_output=True, text=True, cwd=ROOT)
+    r = subprocess.run(PY + args, capture_output=True, text=True, cwd=ROOT,
+                       env=ENV)
     if r.returncode != expect:
-        print("FAILED (%d): l2betti %s" % (r.returncode, " ".join(args)))
-        print(r.stdout)
-        print(r.stderr)
-        sys.exit(1)
+        fail("(%d) l2betti %s" % (r.returncode, " ".join(args)), r.stdout, r.stderr)
     return r.stdout
 
 
@@ -46,13 +56,15 @@ def main():
         out = run(["betti", os.path.join(CORPUS, name + ".json"),
                    "--both", "--N", "3"])
         rep = json.loads(out)
-        assert rep["equal"], name
+        if not rep["equal"]:
+            fail("the two pipelines disagree on %s" % name, out)
         print("betti agree on %-16s beta = %s" % (name, rep["sauer"]))
 
     for inst in sorted(glob.glob(os.path.join(CORPUS, "verify_*.json"))):
         out = run(["verify", inst])
         rep = json.loads(out)
-        assert rep["passed"], inst
+        if not rep["passed"]:
+            fail("%s did not pass" % inst, out)
         print("verified %-38s lhs = rhs = %s"
               % (os.path.basename(inst), rep["lhs"]))
 
@@ -61,7 +73,9 @@ def main():
         for out in (a, b):
             run(["betti", os.path.join(CORPUS, "pair3.json"), "--both",
                  "--N", "3", "--out", out])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            if fa.read() != fb.read():
+                fail("reports differ across reruns of pair3")
         print("reports are byte-identical across reruns")
 
     print("corpus run complete")

@@ -138,7 +138,8 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
     adj = cover.adjoint()
     w_cols = [gsolve(adj.column(j)) for j in range(adj.cols)]
     w = GMatrix.from_cols(k * fdim, w_cols)
-    assert rank(w) == module.dim
+    if rank(w) != module.dim:
+        raise AssertionError("kernel complement does not have the module's rank")
 
     def g_apply(v):
         out = {}
@@ -184,9 +185,11 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
         s = small_solver.solve(t)
         pe = w.apply(s)                            # P e_i
         val = vec_dot(e_i, g_apply(pe))
-        assert val.is_real(), "dimension pairing is not real"
+        if not val.is_real():
+            raise AssertionError("dimension pairing is not real")
         total += val.re
-    assert total >= 0
+    if total < 0:
+        raise AssertionError("von Neumann dimension is negative")
     return total
 
 
@@ -259,7 +262,9 @@ def betti_hochschild(ext: Extension, N: int, fsq: FiberSquareAlgebra = None,
             if seed is not None:
                 ok = generator_independence_check(fsq, mod, values[-1], seed)
                 checked = ok if checked is None else (checked and ok)
-                assert ok, "dimension moved under a reshuffled generating set"
+                if not ok:
+                    raise AssertionError(
+                        "dimension moved under a reshuffled generating set")
     meta = {
         "weak_closure": "finite dimensional: W*(A) = A",
         "fiber_square_dim": fsq.dim,
@@ -366,7 +371,8 @@ def verify_compression(ext: Extension, p: dict, N: int = 2,
 
     ep = ext.expectation_sub(p)
     denom_g = ext.sub.trace(ext.sub.mul(ep, ep))
-    assert denom_g.is_real()
+    if not denom_g.is_real():
+        raise AssertionError("tr_B(E(p)^2) is not real")
     denom = denom_g.re
     comp = compression(ext, p)
     lhs = betti_hochschild(comp, N)

@@ -4,9 +4,21 @@ Chain spaces come in two flavors: free spaces on groupoid tuples (the five
 geometric families) and coinvariant quotients of balanced tensor powers
 (bar, Hochschild and the square-coefficient complex).  Homology is computed
 exactly, either by sparse elimination or, for large degrees of complexes
-carrying a verified contracting homotopy, through the split-certificate:
-once d h + h d = 1 is checked at the relevant degrees, e = d h is a
-verified idempotent whose trace pins every rank without elimination.
+carrying a verified contracting homotopy, through the split-certificate.
+
+Each identity is verified once, where it is cheapest, and the others are
+read off it:
+
+- verify_presimplicial checks pi_i pi_j = pi_{j-1} pi_i on the face
+  matrices.  The boundary d_n = sum_i (-1)^i pi_i is summed from those
+  same matrices, so d_n d_{n+1} = 0 cancels term by term; boundary()
+  checks d o d directly only above the verified degree.
+- ContractingHomotopy.verify checks d h + h d = 1 and remembers the degrees
+  it proved against which boundary; it re-proves nothing for that boundary.
+- In the split certificate, d h + h d = 1 at degree n and d o d = 0 give
+  e d_{n+1} = d_{n+1} for e = d_{n+1} h_n, hence e e = e: e is an
+  idempotent with image ker d_n = im d_{n+1}, and its trace pins every
+  rank without elimination.
 """
 
 from __future__ import annotations
@@ -37,9 +49,10 @@ class ChainComplex:
     def N(self):
         return len(self.dims) - 1
 
-    def check_d_squared(self):
+    def check_d_squared(self, above=1):
+        """d_n d_{n+1} = 0 for every degree n + 1 > above."""
         for n in sorted(self.d):
-            if n + 1 not in self.d:
+            if n + 1 not in self.d or n + 1 <= above:
                 continue
             lo, hi = self.d[n], self.d[n + 1]
             for c in hi.col:
@@ -56,19 +69,30 @@ class ContractingHomotopy:
     aug: GMatrix               # degree 0 -> target
     aug_section: GMatrix       # target -> degree 0
     verified_upto: int = -1
+    verified_chain: ChainComplex = field(default=None, repr=False, compare=False)
 
     def verify(self, chain: ChainComplex, upto: int):
-        if not self.aug.mul(chain.d[1]).is_zero():
-            raise AssertionError("augmentation does not kill the boundary")
-        if self.aug.mul(self.aug_section) != GMatrix.identity(self.aug.rows):
-            raise AssertionError("augmentation section is not a section")
-        idm = chain.d[1].mul(self.h[0]).add(self.aug_section.mul(self.aug))
-        if idm != GMatrix.identity(chain.dims[0]):
-            raise AssertionError("homotopy identity fails at degree 0")
-        for n in range(1, upto + 1):
+        """Check the augmentation and d h + h d = 1 at degrees 0..upto.
+
+        Degrees already proved against this same chain object are not
+        checked again; against any other chain everything is re-proved.
+        """
+        if chain is not self.verified_chain:
+            self.verified_chain = None
+            self.verified_upto = -1
+        if self.verified_upto < 0 <= upto:
+            if not self.aug.mul(chain.d[1]).is_zero():
+                raise AssertionError("augmentation does not kill the boundary")
+            if self.aug.mul(self.aug_section) != GMatrix.identity(self.aug.rows):
+                raise AssertionError("augmentation section is not a section")
+            idm = chain.d[1].mul(self.h[0]).add(self.aug_section.mul(self.aug))
+            if idm != GMatrix.identity(chain.dims[0]):
+                raise AssertionError("homotopy identity fails at degree 0")
+        for n in range(max(self.verified_upto + 1, 1), upto + 1):
             lhs = chain.d[n + 1].mul(self.h[n]).add(self.h[n - 1].mul(chain.d[n]))
             if lhs != GMatrix.identity(chain.dims[n]):
                 raise AssertionError("homotopy identity fails at degree %d" % n)
+        self.verified_chain = chain
         self.verified_upto = max(self.verified_upto, upto)
         return True
 
@@ -88,6 +112,9 @@ class PresimplicialModule:
         self.name = name
         self.meta = meta or {}
         self._chain = None
+        # the faces satisfy the presimplicial identities up to this degree;
+        # below degree 2 there are none
+        self.presimplicial_upto = 1
         self._action_cache = {}
         self._gram_cache = {}
 
@@ -111,9 +138,15 @@ class PresimplicialModule:
 
     def verify_presimplicial(self, upto=None):
         upto = self.N if upto is None else upto
-        for n in range(2, upto + 1):
+        for n in range(self.presimplicial_upto + 1, upto + 1):
             fs = self.faces[n]
             lower = self.faces[n - 1]
+            if len(fs) != n + 1 or len(lower) != n:
+                # the d o d cancellation in boundary() pairs off n + 1 faces
+                # at degree n with n faces at degree n - 1
+                raise AssertionError(
+                    "degree %d has %d faces over %d, not %d over %d in %s"
+                    % (n, len(fs), len(lower), n + 1, n, self.name))
             for j in range(1, len(fs)):
                 for i in range(j):
                     lhs = lower[i].mul(fs[j])
@@ -122,9 +155,18 @@ class PresimplicialModule:
                         raise AssertionError(
                             "presimplicial identity fails at degree %d (%d,%d) in %s"
                             % (n, i, j, self.name))
+        self.presimplicial_upto = max(self.presimplicial_upto, upto)
         return True
 
     def boundary(self) -> ChainComplex:
+        """d_n = sum_i (-1)^i pi_i, with d o d = 0 checked where the faces
+        are not already verified.
+
+        Where pi_i pi_j = pi_{j-1} pi_i holds at degree n + 1 (checked by
+        verify_presimplicial on these same face matrices), the terms of
+        d_n d_{n+1} cancel in pairs, so only degrees above that are
+        checked directly.
+        """
         if self._chain is None:
             d = {}
             for n in range(1, self.N + 1):
@@ -135,7 +177,7 @@ class PresimplicialModule:
                         vec_axpy(acc.col[j], s, f.col[j])
                 d[n] = acc
             self._chain = ChainComplex(list(self.dims), d)
-            self._chain.check_d_squared()
+            self._chain.check_d_squared(self.presimplicial_upto)
         return self._chain
 
 
@@ -306,7 +348,8 @@ def _chain_gram(level: Level, coq: Quotient) -> GMatrix:
             for i, x in d.col[j].items():
                 stacked.col[j][i + k * level.dim] = x
     inv = kernel_basis(stacked)
-    assert inv.cols == coq.dim, "invariants do not match coinvariants"
+    if inv.cols != coq.dim:
+        raise AssertionError("invariants do not match coinvariants")
     psi_cols = [coq.project(inv.column(j)) for j in range(inv.cols)]
     psi = GMatrix.from_cols(coq.dim, psi_cols)
     from .linalg import invert
@@ -465,20 +508,13 @@ def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int,
     h = {}
     for n in range(0, N):
         ins = tower.insert_unit(n, base_insert)
-        h[n] = _descend_between(ins, coqs[n], coqs[n + 1])
+        h[n] = _descend(ins, coqs[n], coqs[n + 1])
     homotopy = ContractingHomotopy(h, aug, sec)
     homotopy.verify(out.boundary(), max(N - 1, 0))
     out.homotopy = homotopy
     out.ab_quot = ab_quot
     out.meta["coefficients"] = "balanced square; weak closure trivial at finite dimension"
     return out
-
-
-def _descend_between(m: GMatrix, src_q: Quotient, dst_q: Quotient) -> GMatrix:
-    cols = []
-    for q in range(src_q.dim):
-        cols.append(dst_q.project(m.apply(src_q.section({q: ONE}))))
-    return GMatrix.from_cols(dst_q.dim, cols)
 
 
 def contracting_homotopy(kind: str, ext: Extension, N: int,
@@ -663,7 +699,8 @@ class HomologyModule:
         ech = Echelon(track=True)
         for j in range(self.basis.cols):
             piv, _ = ech.insert(self.basis.column(j))
-            assert piv is not None
+            if piv is None:
+                raise AssertionError("homology basis is linearly dependent")
         gram = p.gram(n)
         gb = [gram.apply(self.basis.column(j)) for j in range(self.basis.cols)]
         out = []
@@ -710,10 +747,12 @@ def homology(p: PresimplicialModule, n: int, method="auto",
     """H_n as the subspace ker d_n orthogonal to im d_{n+1}.
 
     method "elimination" computes kernels and images by sparse exact
-    elimination; "split" uses the verified contracting homotopy: with
-    d h + h d = 1 checked at degrees n-1 and n and d o d = 0, the map
-    e = d_{n+1} h_n is a verified idempotent with image exactly
-    ker d_n = im d_{n+1}, so tr(e) pins both ranks and H_n = 0.
+    elimination; "split" uses the verified contracting homotopy.  There
+    d h + h d = 1 is verified at degrees 0..n and d o d = 0 is implied by
+    the verified face identities (or checked by boundary()).  Together
+    they imply that e = d_{n+1} h_n is idempotent, with image exactly
+    ker d_n = im d_{n+1}, so tr(e) pins both ranks and H_n = 0; e e = e
+    is therefore not checked, and e is not even formed.
     """
     if n + 1 > p.N:
         raise ValueError("homology at degree %d needs spaces up to %d" % (n, n + 1))
@@ -731,20 +770,25 @@ def homology(p: PresimplicialModule, n: int, method="auto",
         if p.homotopy is None:
             raise ValueError("split method needs a contracting homotopy")
         p.homotopy.verify(chain, n)
-        e = d_hi.mul(p.homotopy.h[n])
-        if e.mul(e) != e:
-            raise AssertionError("split certificate is not idempotent")
+        # e = d_{n+1} h_n is idempotent without checking e e = e: d h + h d
+        # = 1 at degree n (just verified) and d_n d_{n+1} = 0 (verified by
+        # boundary()) give e d_{n+1} = d_{n+1} - h_{n-1} d_n d_{n+1} =
+        # d_{n+1}, so e e = (e d_{n+1}) h_n = e.  Only its trace is needed,
+        # sum_j sum_k d[j, k] h[k, j], so e itself is never formed.
         tr = ZERO
-        for j in range(e.cols):
-            x = e.col[j].get(j)
-            if x is not None:
-                tr = tr + x
-        assert tr.is_real() and tr.re.denominator == 1
+        for j, hcol in enumerate(p.homotopy.h[n].col):
+            for k, x in hcol.items():
+                y = d_hi.col[k].get(j)
+                if y is not None:
+                    tr = tr + y * x
+        if not (tr.is_real() and tr.re.denominator == 1):
+            raise AssertionError("split certificate has a non-integral trace")
         r_hi = int(tr.re)
         ker_dim = r_hi                      # ker d_n = im e
         r_lo = p.dims[n] - ker_dim
         dim_h = ker_dim - r_hi
-        assert dim_h == 0
+        if dim_h != 0:
+            raise AssertionError("split certificate leaves homology")
         return HomologyModule(n, 0, None, r_lo, r_hi, "split", p)
 
     # elimination
@@ -764,7 +808,9 @@ def homology(p: PresimplicialModule, n: int, method="auto",
     m = im.adjoint().mul(gk)        # (im)^* G ker
     sol = kernel_basis(m)
     basis = ker.mul(sol)
-    assert basis.cols == dim_h
+    if basis.cols != dim_h:
+        raise AssertionError("homology basis has %d vectors, not %d"
+                             % (basis.cols, dim_h))
     return HomologyModule(n, dim_h, basis, r_lo, r_hi, "elimination", p)
 
 

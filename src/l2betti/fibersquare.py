@@ -11,8 +11,12 @@ certified by three exact checks, not assumed:
 1. 1 (x) 1 is cyclic: each basis vector of the quotient, represented by
    a_i (x) c_j, equals a_i . (1 (x) 1) . c_j.  A bimodular S with
    S(1 (x) 1) = 0 therefore vanishes.
-2. Every final basis operator commutes with both outer actions and
-   evaluates to its basis vector.
+2. Every final basis operator T is bimodular and evaluates to its basis
+   vector.  Bimodularity is checked by columns: xi = T(1 (x) 1) is
+   B-central, and the column of T at e_q = a_i . (1 (x) 1) . c_j equals
+   a_i . xi . c_j.  As in 3, a B-central xi makes a (x) c -> a . xi . c a
+   well-defined bimodular map, and by 1 it agrees with T on a basis, so T
+   is that map; no operator product is formed.
 3. Every admitted pair has a B-central evaluation xi = [u (x) v]:
    b . xi = xi . b for each basis element b of B.  Since the balancing
    relations span the radical (certified in tensor.append_level), the map
@@ -210,16 +214,29 @@ def _check_cyclic(bt: BalancedTensor):
                 "1(x)1 is not cyclic: basis vector %d is not a_i.(1(x)1).c_j" % q)
 
 
-def _check_bimodular(bt: BalancedTensor, op: GMatrix):
+def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
+    """Check that op is bimodular, column by column; return op(1 (x) 1).
+
+    The evaluation xi = op(1 (x) 1) must be B-central, and column q of op,
+    the image of e_q = a_i . (1 (x) 1) . c_j, must equal a_i . xi . c_j.
+    A B-central xi makes S: a (x) c -> a . xi . c a well-defined bimodular
+    map (module docstring, check 3), and with 1 (x) 1 cyclic (_check_cyclic)
+    S(e_q) = a_i . xi . c_j, so op agrees with S on a basis and is S.
+    """
     lvl = bt.level
-    for a in range(bt.extA.alg.dim):
-        lam = lvl.left_act(a)
-        if op.mul(lam) != lam.mul(op):
-            raise AssertionError("operator does not commute with the left action")
-    for c in range(bt.extC.alg.dim):
-        rho = lvl.right_act(c)
-        if op.mul(rho) != rho.mul(op):
-            raise AssertionError("operator does not commute with the right action")
+    d2 = bt.extC.alg.dim
+    xi = op.apply(bt.one_one)
+    if not _is_central(bt, xi):
+        raise AssertionError(
+            "operator does not commute with the actions of B: "
+            "its evaluation at 1(x)1 is not B-central")
+    for q, k in enumerate(lvl.quotient.keep):
+        i, j = divmod(k, d2)
+        if not vec_eq(op.col[q], lvl.left_act(i).apply(lvl.right_act(j).apply(xi))):
+            raise AssertionError(
+                "operator does not commute with the outer actions: "
+                "column %d is not a_i.T(1(x)1).c_j" % q)
+    return xi
 
 
 def star_operator(bt: BalancedTensor, u: dict, v: dict, check=True,
@@ -396,8 +413,7 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
     evals = can
     dim = len(ops)
     for k, op in enumerate(ops):
-        _check_bimodular(bt, op)
-        if not vec_eq(op.apply(bt.one_one), evals.vectors[k]):
+        if not vec_eq(_check_bimodular(bt, op), evals.vectors[k]):
             raise AssertionError(
                 "basis operator %d does not evaluate to its basis vector" % k)
 

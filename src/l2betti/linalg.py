@@ -67,7 +67,9 @@ def vec_sub(u: dict, v: dict) -> dict:
 
 
 def vec_eq(u: dict, v: dict) -> bool:
-    return vec_sub(u, v) == {}
+    # GScalar equality is exact, so equal dicts are equal vectors; only a
+    # mismatch, possibly a stored zero on either side, needs the difference
+    return u == v or not any(vec_sub(u, v).values())
 
 
 def vec_dot(u: dict, v: dict) -> GScalar:
@@ -130,15 +132,6 @@ class GMatrix:
     def from_cols(rows, cols_list):
         return GMatrix(rows, len(cols_list), [dict(c) for c in cols_list])
 
-    @staticmethod
-    def from_entries(rows, cols, entries):
-        m = GMatrix(rows, cols)
-        for (i, j), x in entries.items():
-            x = gs(x)
-            if not x.is_zero():
-                m.col[j][i] = x
-        return m
-
     # -- access
 
     def entry(self, i, j) -> GScalar:
@@ -158,7 +151,8 @@ class GMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return all(vec_eq(a, b) for a, b in zip(self.col, other.col))
+        return self.col == other.col or \
+            all(vec_eq(a, b) for a, b in zip(self.col, other.col))
 
     def __hash__(self):
         raise TypeError("GMatrix is not hashable")
@@ -209,14 +203,6 @@ class GMatrix:
             for i, x in c.items():
                 out.col[i][j] = x.conj()
         return out
-
-    def hstack(self, other):
-        assert self.rows == other.rows
-        return GMatrix(self.rows, self.cols + other.cols,
-                       [dict(c) for c in self.col] + [dict(c) for c in other.col])
-
-    def to_dense(self):
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def __repr__(self):
         return "GMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz())
@@ -318,9 +304,6 @@ class Echelon:
             return None
         return combo
 
-    def basis_rows(self):
-        return [self.pivots[p] for p in sorted(self.pivots)]
-
 
 # ---------------------------------------------------------------------------
 # rank / kernel / solvers
@@ -368,13 +351,6 @@ def invert(M: GMatrix) -> GMatrix:
         assert x is not None
         cols.append(x)
     return GMatrix.from_cols(M.rows, cols)
-
-
-def column_space_echelon(M: GMatrix) -> Echelon:
-    ech = Echelon()
-    for c in M.col:
-        ech.insert(c)
-    return ech
 
 
 class LinearSolver:

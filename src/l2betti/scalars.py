@@ -76,7 +76,7 @@ class GScalar:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_real(self):
         return self.im == 0

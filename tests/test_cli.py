@@ -175,12 +175,18 @@ def test_console_entry_point():
     assert r.returncode == 0
 
 
-def test_fiber_square_report_unchanged_under_python_optimize():
+@pytest.mark.parametrize("args", [
+    ["fiber-square", "pair3.json"],
+    # degree 2 of CS3/C takes the split path
+    ["homology", "cs3.json", "--N", "3"],
+    ["betti", "pair3.json", "--both", "--N", "3"],
+], ids=lambda args: "-".join(args[:2]))
+def test_report_unchanged_under_python_optimize(args):
     # -O strips assert statements: no check or side effect may live in one
     outs = []
     for flags in ([], ["-O"]):
-        r = subprocess.run([sys.executable] + flags +
-                           ["-m", "l2betti.cli", "fiber-square", cpath("pair3.json")],
+        r = subprocess.run([sys.executable] + flags + ["-m", "l2betti.cli", args[0],
+                            cpath(args[1])] + args[2:],
                            capture_output=True, cwd=ROOT)
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)

@@ -269,3 +269,85 @@ def test_theta_iso_with_isotropy_and_blocks():
     th2 = theta_iso(p, 3)
     assert all(th2.checks.values())
     assert th2.lhs_dims == th2.rhs_dims
+
+
+# ---------------------------------------------------------------------------
+# checks that stand in for removed ones: fault injection
+
+
+def test_fault_descended_face_entry_is_caught_by_presimplicial(monkeypatch):
+    # boundary() skips d o d where the faces are verified, so a corrupt
+    # face must be caught by verify_presimplicial itself
+    import l2betti.complexes as cx
+    original = cx._descend
+    calls = []
+
+    def descend(m, src_q, dst_q):
+        out = original(m, src_q, dst_q)
+        calls.append(None)
+        if len(calls) == 5:              # the wrap face at degree 2
+            x = out.col[0].get(0)
+            out.col[0][0] = ONE if x is None else x + ONE
+        return out
+
+    monkeypatch.setattr(cx, "_descend", descend)
+    with pytest.raises(AssertionError, match="presimplicial identity fails"):
+        plain_hochschild_complex(m2_diag_ext(), 2)
+
+
+def test_fault_unverified_faces_breaking_d_squared_are_caught():
+    from l2betti.complexes import PresimplicialModule
+    one = GMatrix.identity(1)
+    zero = GMatrix.zero(1, 1)
+    # d_1 = 1 and d_2 = 1: the faces were never verified, so boundary()
+    # checks d o d itself
+    p = PresimplicialModule([1, 1, 1], [None, [one, zero], [one, zero, zero]],
+                            name="broken")
+    with pytest.raises(AssertionError, match="d o d != 0 at degree 2"):
+        p.boundary()
+
+
+def test_verified_faces_of_the_wrong_count_are_rejected():
+    from l2betti.complexes import PresimplicialModule
+    one = GMatrix.identity(1)
+    zero = GMatrix.zero(1, 1)
+    # two faces at degree 2 meet the one identity pi_0 pi_1 = pi_0 pi_0, yet
+    # d_1 d_2 = 1: the d o d cancellation needs n + 1 faces at degree n
+    p = PresimplicialModule([1, 1, 1], [None, [zero, one], [one, zero]],
+                            name="short")
+    with pytest.raises(AssertionError, match="degree 2 has 2 faces"):
+        p.verify_presimplicial()
+
+
+def corrupted_homotopy(hom, n, d_hi):
+    """A copy of hom with one entry of h[n] moved by 1 in a row that d_{n+1}
+    does not kill."""
+    from l2betti.complexes import ContractingHomotopy
+    h = dict(hom.h)
+    m = GMatrix.from_cols(h[n].rows, h[n].col)
+    row = next(k for k in range(d_hi.cols) if d_hi.col[k])
+    x = m.col[0].get(row)
+    m.col[0][row] = ONE if x is None else x + ONE
+    h[n] = m
+    return ContractingHomotopy(h, hom.aug, hom.aug_section)
+
+
+def test_fault_homotopy_entry_is_caught_by_split_homology():
+    # e e = e is not checked; a wrong h must fail d h + h d = 1 instead
+    bar = bar_complex(c2_ext(), 3)
+    chain = bar.boundary()
+    bar.homotopy = corrupted_homotopy(bar.homotopy, 1, chain.d[2])
+    with pytest.raises(AssertionError, match="homotopy identity fails at degree 1"):
+        homology(bar, 1, method="split")
+
+
+def test_homotopy_verify_reverifies_against_another_chain():
+    bar = bar_complex(c2_ext(), 3)
+    chain = bar.boundary()
+    hom = bar.homotopy
+    assert hom.verified_upto == 2 and hom.verified_chain is chain
+    assert hom.verify(chain, 2)
+    other = ChainComplex(list(chain.dims), dict(chain.d))
+    other.d[2] = chain.d[2].scale(2)
+    with pytest.raises(AssertionError, match="homotopy identity fails at degree 1"):
+        hom.verify(other, 2)

@@ -386,3 +386,25 @@ def test_fault_radical_column_dropped_is_caught(monkeypatch):
     ext = m2_diag_extension()
     with pytest.raises(AssertionError, match="do not span the radical"):
         balanced_tensor(ext, ext)
+
+
+def test_fault_operator_with_non_central_evaluation_is_caught():
+    # CS3 over itself: 1(x)1 is the basis vector [t (x) t] of a transposition
+    # t, and xi = [t (x) 1] satisfies t . xi . t = xi, so the operator with
+    # columns a_i . xi . c_j evaluates to xi; it passes the column check,
+    # and only the centrality of xi rules it out
+    ext = full_extension(cs3_ext().alg)
+    bt = balanced_tensor(ext, ext)
+    lvl, d2 = bt.level, ext.alg.dim
+    (q0,) = bt.one_one
+    t = lvl.quotient.keep[q0] // d2
+    xi = fs._tensor_class(lvl, d2, {t: ONE}, ext.alg.unit)
+    assert not fs._is_central(bt, xi)
+    cols = []
+    for k in lvl.quotient.keep:
+        i, j = divmod(k, d2)
+        cols.append(lvl.left_act(i).apply(lvl.right_act(j).apply(xi)))
+    op = GMatrix.from_cols(bt.dim, cols)
+    assert vec_eq(op.apply(bt.one_one), xi)
+    with pytest.raises(AssertionError, match="does not commute.*not B-central"):
+        fs._check_bimodular(bt, op)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from l2betti.linalg import (
     Echelon, GMatrix, HermitianForm, adjoint_wrt, invert, kernel_basis,
-    orth_projection, radical, rank, solve, vec_dot,
+    orth_projection, radical, rank, solve, vec_dot, vec_eq,
 )
 from l2betti.scalars import GScalar, ONE, ZERO, gs, parse_scalar
 
@@ -231,3 +231,17 @@ def test_orth_projection_diagonal_extraction():
         vec_axpy(res, gs(-1), img)
         for b in (m2.index("e11"), m2.index("e22")):
             assert vec_dot({b: ONE}, gram.apply(res)).is_zero()
+
+
+def test_equality_ignores_stored_zeros():
+    # equal dicts settle equality at once; a stored zero only makes the
+    # dicts differ, so the comparison falls back to the difference
+    half = gs(Fraction(1, 2))
+    assert vec_eq({0: half, 3: ZERO}, {0: half})
+    assert vec_eq({0: half}, {0: half, 3: ZERO})
+    assert not vec_eq({0: half}, {0: gs(Fraction(1, 3))})
+    assert not vec_eq({0: half, 1: ONE}, {0: half})
+    assert GScalar(0, 0).is_zero() and not GScalar(0, 1).is_zero()
+    a = GMatrix.from_cols(2, [{0: ONE, 1: ZERO}, {}])
+    assert a == GMatrix.from_cols(2, [{0: ONE}, {}])
+    assert a != GMatrix.from_cols(2, [{0: ONE}, {1: ONE}])
