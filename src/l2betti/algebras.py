@@ -88,9 +88,6 @@ class TracialStarAlgebra:
     def index(self, label):
         return self._index[label]
 
-    def basis_vec(self, k):
-        return {k: ONE}
-
     def mul(self, u: dict, v: dict) -> dict:
         out = {}
         for i, a in u.items():
@@ -127,22 +124,12 @@ class TracialStarAlgebra:
             self._gram = g
         return self._gram
 
-    def is_monomial(self) -> bool:
-        return all(len(self.mult[i][j]) <= 1
-                   for i in range(self.dim) for j in range(self.dim))
-
     def is_unitary(self, u: dict) -> bool:
         return (vec_eq(self.mul(self.star(u), u), self.unit)
                 and vec_eq(self.mul(u, self.star(u)), self.unit))
 
     def is_projection(self, p: dict) -> bool:
         return vec_eq(self.star(p), p) and vec_eq(self.mul(p, p), p)
-
-    def left_mult_matrix(self, u: dict) -> GMatrix:
-        return GMatrix(self.dim, self.dim, [self.mul(u, {j: ONE}) for j in range(self.dim)])
-
-    def right_mult_matrix(self, u: dict) -> GMatrix:
-        return GMatrix(self.dim, self.dim, [self.mul({j: ONE}, u) for j in range(self.dim)])
 
     def center_basis(self):
         """Basis of the center, via the kernel of all commutator maps."""
@@ -365,7 +352,8 @@ def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
     gram = alg.gns_gram()
     proj = orth_projection(HermitianForm(gram, check=False), embed)
     expect_cols = [span.coords(proj.column(j)) for j in range(alg.dim)]
-    assert all(c is not None for c in expect_cols)
+    if any(c is None for c in expect_cols):
+        raise AssertionError("orthogonal projection leaves the subalgebra")
     expect = GMatrix.from_cols(dim_b, expect_cols)
     ext = Extension(alg, sub, embed, expect, name=name, provenance=provenance)
     if validate:
@@ -855,7 +843,9 @@ def compression(ext: Extension, p: dict, name=None) -> Extension:
     for k in range(ext.sub.dim):
         v = A.mul(p, A.mul(ext.embed.column(k), p))
         c = span.coords(v)
-        assert c is not None
+        if c is None:
+            raise AssertionError("pBp leaves the compressed algebra at %s"
+                                 % ext.sub.labels[k])
         if sub_span.add(c):
             sub_vecs.append(c)
     out = conditional_expectation(comp_alg, sub_vecs,
@@ -864,8 +854,9 @@ def compression(ext: Extension, p: dict, name=None) -> Extension:
     # tr_{A_p}(pxp) * tr_A(p) == tr_A(pxp), exactly, for every basis x
     for j in range(A.dim):
         v = A.mul(p, A.mul({j: ONE}, p))
-        c = span.coords(v)
-        assert comp_alg.trace(c) * tp == A.trace(v)
+        if comp_alg.trace(span.coords(v)) * tp != A.trace(v):
+            raise AssertionError("compressed trace is not tr(pxp)/tr(p) at %s"
+                                 % A.labels[j])
     out.compression_data = (ext, p, span)
     return out
 
@@ -882,6 +873,9 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
     into A (as .normalizer_embedding).
     """
     A = ext.alg
+    b_span = Echelon()
+    for c in ext.embed.col:
+        b_span.insert(c)
     gens = []
     for item in unitaries:
         nm, u = item if isinstance(item, tuple) else ("u%d" % len(gens), item)
@@ -891,7 +885,7 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
         for k in range(ext.sub.dim):
             bk = ext.embed.column(k)
             conj = A.mul(u, A.mul(bk, us))
-            if not _in_span(ext.embed, conj):
+            if not b_span.contains(conj):
                 raise ValueError("generator %s does not normalize B: witness %s"
                                  % (nm, ext.sub.labels[k]))
         gens.append((nm, u))
@@ -957,13 +951,6 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
                                   provenance=("normalizer", ext, gens))
     out.normalizer_embedding = GMatrix.from_cols(A.dim, span.vectors)
     return out
-
-
-def _in_span(m: GMatrix, v: dict) -> bool:
-    ech = Echelon()
-    for c in m.col:
-        ech.insert(c)
-    return ech.contains(v)
 
 
 def groupoid_algebra_map(phi_mapping: dict, ext_dom: Extension,

@@ -19,11 +19,13 @@ from .algebras import (
 )
 from .complexes import geometric_complex, homology, l2_complex
 from .fibersquare import (
-    FiberSquareAlgebra, canonical_pairs, default_pairs, fiber_square,
-    groupoid_fiber_square, projection_pair_trace_identity,
+    FiberSquareAlgebra, canonical_pairs, fiber_square_of,
+    projection_pair_trace_identity,
 )
 from .groupoids import FiniteGroupoid
-from .linalg import Echelon, GMatrix, LinearSolver, rank, vec_axpy, vec_dot, vec_eq
+from .linalg import (
+    Echelon, GMatrix, LinearSolver, combination, rank, vec_dot, vec_eq,
+)
 from .scalars import ONE
 
 
@@ -35,23 +37,15 @@ class FiniteModule:
     dim: int
     actions: list
 
-    def act_vec(self, avec: dict) -> GMatrix:
-        out = GMatrix.zero(self.dim, self.dim)
-        for k, c in avec.items():
-            m = self.actions[k]
-            for j in range(self.dim):
-                vec_axpy(out.col[j], c, m.col[j])
-        return out
-
     def validate(self):
         alg = self.algebra
-        ident = GMatrix.identity(self.dim)
-        if self.act_vec(alg.unit) != ident:
+        act = self.actions.__getitem__
+        if combination(self.dim, alg.unit, act) != GMatrix.identity(self.dim):
             raise ValueError("unit does not act as the identity")
         for i in range(alg.dim):
             for j in range(alg.dim):
                 lhs = self.actions[i].mul(self.actions[j])
-                rhs = self.act_vec(alg.mul({i: ONE}, {j: ONE}))
+                rhs = combination(self.dim, alg.mul({i: ONE}, {j: ONE}), act)
                 if lhs != rhs:
                     raise ValueError("action breaks structure constants at (%d,%d)"
                                      % (i, j))
@@ -85,6 +79,18 @@ def free_module(alg: TracialStarAlgebra, k: int = 1) -> FiniteModule:
                     m.col[blk * alg.dim + j][blk * alg.dim + i] = x
         acts.append(m)
     return FiniteModule(alg, alg.dim * k, acts)
+
+
+def _blockwise(f, v: dict, fdim: int) -> dict:
+    """Apply f to each block of fdim coordinates of v."""
+    blocks = {}
+    for idx, x in v.items():
+        blocks.setdefault(idx // fdim, {})[idx % fdim] = x
+    out = {}
+    for blk, sub in blocks.items():
+        for r, x in f(sub).items():
+            out[blk * fdim + r] = x
+    return out
 
 
 def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
@@ -123,34 +129,14 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
     # the complement of ker(cover) under the block trace form is
     # G^{-1} colspace(cover*)
     solver = LinearSolver(gram_a)
-
-    def gsolve(v):
-        out = {}
-        blocks = {}
-        for idx, x in v.items():
-            blocks.setdefault(idx // fdim, {})[idx % fdim] = x
-        for blk, sub in blocks.items():
-            s = solver.solve(sub)
-            for r, x in s.items():
-                out[blk * fdim + r] = x
-        return out
-
     adj = cover.adjoint()
-    w_cols = [gsolve(adj.column(j)) for j in range(adj.cols)]
+    w_cols = [_blockwise(solver.solve, adj.column(j), fdim) for j in range(adj.cols)]
     w = GMatrix.from_cols(k * fdim, w_cols)
     if rank(w) != module.dim:
         raise AssertionError("kernel complement does not have the module's rank")
 
     def g_apply(v):
-        out = {}
-        blocks = {}
-        for idx, x in v.items():
-            blocks.setdefault(idx // fdim, {})[idx % fdim] = x
-        for blk, sub in blocks.items():
-            s = gram_a.apply(sub)
-            for r, x in s.items():
-                out[blk * fdim + r] = x
-        return out
+        return _blockwise(gram_a.apply, v, fdim)
 
     # the complement of the kernel is a submodule: G (a . w) stays inside
     # the row space of the cover for every basis a, so the realizing
@@ -160,17 +146,7 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
         row_ech.insert(adj.column(j))
     for a in range(fdim):
         for j in range(w.cols):
-            moved = {}
-            blocks = {}
-            for idx, x in w.column(j).items():
-                blocks.setdefault(idx // fdim, {})[idx % fdim] = x
-            for blk, sub in blocks.items():
-                img = alg.mul({a: ONE}, sub)
-                for r, x in img.items():
-                    key = blk * fdim + r
-                    val = moved.get(key)
-                    moved[key] = x if val is None else val + x
-            moved = {kk: vv for kk, vv in moved.items() if not vv.is_zero()}
+            moved = _blockwise(lambda sub: alg.mul({a: ONE}, sub), w.column(j), fdim)
             if not row_ech.contains(g_apply(moved)):
                 raise AssertionError("kernel complement is not a submodule")
 
@@ -213,9 +189,6 @@ class BettiTable:
         return BettiTable([v * factor for v in self.values], self.pipeline,
                           self.N, dict(self.meta))
 
-    def render(self):
-        return ["%d: %s" % (n, v) for n, v in enumerate(self.values)]
-
 
 def homology_module(hm, coeff: TracialStarAlgebra) -> FiniteModule:
     if hm.dim == 0:
@@ -240,10 +213,7 @@ def betti_hochschild(ext: Extension, N: int, fsq: FiberSquareAlgebra = None,
                      seed: int = None) -> BettiTable:
     """Betti numbers through the square-coefficient Hochschild pipeline."""
     if fsq is None:
-        if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
-            fsq, _ = groupoid_fiber_square(ext)
-        else:
-            fsq = fiber_square(ext, ext, pairs or default_pairs(ext))
+        fsq, _ = fiber_square_of(ext, pairs)
     kw = {}
     if elimination_limit is not None:
         kw["elimination_limit"] = elimination_limit

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groupoids import MultiBundle, fiber_product, lusin_partition
-from .linalg import Echelon, GMatrix, kernel_basis
+from .linalg import Echelon, GMatrix, kernel_basis, rank
 from .scalars import ONE, ZERO, gs
 
 
@@ -100,10 +100,6 @@ class BalancedBundleTensor:
     section: GMatrix            # quotient -> ambient representatives
 
 
-def _pair_index(udim, a, b):
-    return a * 1 + b * udim  # column-major pairing (a, b) -> a + b*udim
-
-
 def balanced_bundle_tensor(cu: CModule, pi: str, cv: CModule, sigma: str):
     """Quotient of C[U] (x) C[V] by the radical of the induced form.
 
@@ -155,8 +151,10 @@ def balanced_bundle_tensor(cu: CModule, pi: str, cv: CModule, sigma: str):
     for c in rad.col:
         rad_ech.insert(c)
     for piv, row in ech.pivots.items():
-        assert rad_ech.contains(row), "balancing relation escapes the radical"
-    assert ech.rank == rad.cols, "balancing relations do not span the radical"
+        if not rad_ech.contains(row):
+            raise AssertionError("balancing relation escapes the radical")
+    if ech.rank != rad.cols:
+        raise AssertionError("balancing relations do not span the radical")
 
     keep = [k for k in range(amb) if gram.col[k]]
     proj = GMatrix.zero(len(keep), amb)
@@ -185,7 +183,8 @@ def star_iso(u: MultiBundle, pi: str, v: MultiBundle, sigma: str):
         a, b = k % cu.dim, k // cu.dim
         pair = (u.carrier[a], v.carrier[b])
         iso.col[q][fp.index(pair)] = c
-    assert rank_of(iso) == bt.quotient_dim == fp.dim, "star map is not bijective"
+    if not rank(iso) == bt.quotient_dim == fp.dim:
+        raise AssertionError("star map is not bijective")
 
     # inner-product preservation: base-valued products match entrywise
     shared = "L." + pi
@@ -206,15 +205,9 @@ def star_iso(u: MultiBundle, pi: str, v: MultiBundle, sigma: str):
                     if not val.is_zero():
                         lhs[x] = val
             rhs = cf.inner(shared, iso.col[q1], iso.col[q2])
-            assert lhs == rhs, "star map does not preserve the inner product"
+            if lhs != rhs:
+                raise AssertionError("star map does not preserve the inner product")
     return bt, fp, iso
-
-
-def rank_of(m: GMatrix) -> int:
-    ech = Echelon()
-    for c in m.col:
-        ech.insert(c)
-    return ech.rank
 
 
 def invariants_coinvariants(u: MultiBundle, pi: str, sigma: str):
@@ -245,7 +238,8 @@ def invariants_coinvariants(u: MultiBundle, pi: str, sigma: str):
             for i, x in d.col[j].items():
                 stacked.col[j][i + bi * dim] = x
     ker = kernel_basis(stacked)
-    assert ker.cols == len(inv_idx), "invariant space mismatch"
+    if ker.cols != len(inv_idx):
+        raise AssertionError("invariant space mismatch")
 
     # coinvariants: quotient by the span of the action differences
     ech = Echelon()
@@ -262,7 +256,8 @@ def invariants_coinvariants(u: MultiBundle, pi: str, sigma: str):
         for i, x in res.items():
             proj.col[j][pos[i]] = x
     psi = proj.mul(inv)
-    assert rank_of(psi) == len(keep) == inv.cols, "invariants -> coinvariants not bijective"
+    if not rank(psi) == len(keep) == inv.cols:
+        raise AssertionError("invariants -> coinvariants not bijective")
     return inv, proj, psi
 
 
@@ -279,6 +274,6 @@ def bundle_decomposition(u: MultiBundle, pi: str):
     for p in parts:
         cols = [{cu.index(x): ONE} for x in p]
         out.append((p, GMatrix.from_cols(cu.dim, cols)))
-    total = sum(m.cols for _, m in out)
-    assert total == cu.dim
+    if sum(m.cols for _, m in out) != cu.dim:
+        raise AssertionError("selection parts do not partition the carrier")
     return out

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .algebras import Extension, validate_algebra, validate_cocycle
 from .betti import betti_hochschild, betti_sauer, verify_theorem
 from .complexes import geometric_complex, homology, l2_complex, bar_complex
-from .fibersquare import groupoid_fiber_square, fiber_square, default_pairs
+from .fibersquare import fiber_square_of
 from .fileio import (
     InputError, as_extension, cocycle_from_doc, load_path, render_plain,
     render_structured,
@@ -163,11 +163,7 @@ def cmd_homology(config: RunConfig) -> int:
         p = geometric_complex(obj, kind, config.N)
     elif kind == "l2":
         ext = as_extension(obj)
-        if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
-            fsq, _ = groupoid_fiber_square(ext)
-        else:
-            fsq = fiber_square(ext, ext, default_pairs(ext))
-        p = l2_complex(ext, fsq, config.N)
+        p = l2_complex(ext, fiber_square_of(ext)[0], config.N)
     elif kind == "algebra-bar":
         ext = as_extension(obj)
         p = bar_complex(ext, config.N)
@@ -200,12 +196,10 @@ def cmd_fiber_square(config: RunConfig) -> int:
     obj = load_path(path)
     ext = as_extension(obj)
     report = {"command": "fiber-square", "input": path}
-    if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
-        fsq, iso = groupoid_fiber_square(ext)
+    fsq, iso = fiber_square_of(ext)
+    if iso is not None:
         report["enveloping_elements"] = len(iso.env.elements)
         report["enveloping_checks"] = {k: bool(v) for k, v in iso.checks.items()}
-    else:
-        fsq = fiber_square(ext, ext, default_pairs(ext))
     report["dimension"] = fsq.dim
     report["trace"] = [render_scalar(fsq.trace_table[k])
                        if k in fsq.trace_table else "0"

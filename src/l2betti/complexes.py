@@ -26,16 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import Extension, convolution_algebra
-from .fibersquare import FiberSquareAlgebra
+from .fibersquare import FiberSquareAlgebra, fiber_square_of
 from .groupoids import (
     FiniteGroupoid, geometric_carrier, geometric_face, enveloping,
 )
-from .linalg import Echelon, GMatrix, kernel_basis, vec_axpy, vec_dot
+from .linalg import Echelon, GMatrix, invert, kernel_basis, vec_axpy, vec_dot
 from .scalars import MINUS_ONE, ONE, ZERO, gs
-from .tensor import (
-    Level, Quotient, Tower, algebra_tower, base_prepend_matrix,
-    extension_base_level,
-)
+from .tensor import Level, Quotient, Tower, algebra_tower, extension_base_level
 
 ELIMINATION_LIMIT = 2500
 
@@ -301,29 +298,16 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
 # algebraic complexes over a tower
 
 
+def _defect_cols(level: Level):
+    return [c for d in level.central_defects() for c in d.col if c]
+
+
 def _coinv_quotient(level: Level) -> Quotient:
-    ext = level.left_ext
-    if ext.sub.dim == 1:
-        return Quotient.identity(level.dim)
-    cols = []
-    for k in range(ext.sub.dim):
-        bvecA = ext.embed.column(k)
-        lam = level.left_act_vec(bvecA)
-        rho = level.right_act_vec(level.right_ext.embed.column(k))
-        d = lam.sub(rho)
-        cols.extend([c for c in d.col if c])
-    return Quotient(level.dim, cols)
-
-
-def _coinv_generators(level: Level):
-    ext = level.left_ext
-    gens = []
-    for k in range(ext.sub.dim):
-        lam = level.left_act_vec(ext.embed.column(k))
-        rho = level.right_act_vec(level.right_ext.embed.column(k))
-        d = lam.sub(rho)
-        gens.extend([c for c in d.col if c])
-    return gens
+    """The quotient by the span of lambda_b - rho_b.  Over the scalars the
+    defects vanish, and they are not even formed."""
+    if level.sub.dim == 1:
+        return Quotient(level.dim, [])
+    return Quotient(level.dim, _defect_cols(level))
 
 
 def _descend(m: GMatrix, src_q: Quotient, dst_q: Quotient) -> GMatrix:
@@ -337,22 +321,10 @@ def _chain_gram(level: Level, coq: Quotient) -> GMatrix:
     """Transport of the level form to the coinvariants via the invariants."""
     if coq.is_identity:
         return level.scalar_gram()
-    ext = level.left_ext
-    dim_b = ext.sub.dim
-    stacked = GMatrix.zero(level.dim * dim_b, level.dim)
-    for k in range(dim_b):
-        lam = level.left_act_vec(ext.embed.column(k))
-        rho = level.right_act_vec(level.right_ext.embed.column(k))
-        d = lam.sub(rho)
-        for j in range(level.dim):
-            for i, x in d.col[j].items():
-                stacked.col[j][i + k * level.dim] = x
-    inv = kernel_basis(stacked)
+    inv = level.invariants()
     if inv.cols != coq.dim:
         raise AssertionError("invariants do not match coinvariants")
-    psi_cols = [coq.project(inv.column(j)) for j in range(inv.cols)]
-    psi = GMatrix.from_cols(coq.dim, psi_cols)
-    from .linalg import invert
+    psi = GMatrix.from_cols(coq.dim, [coq.project(c) for c in inv.col])
     section = inv.mul(invert(psi))
     g = level.scalar_gram()
     return section.adjoint().mul(g.mul(section))
@@ -383,7 +355,7 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
 
     if check_descent and ext.sub.dim > 1:
         for n in range(1, N + 1):
-            gens = _coinv_generators(levels[n])
+            gens = _defect_cols(levels[n])
             maps = [levels[n].join(bd + i) for i in range(n)] + [levels[n].wrap()]
             for m in maps:
                 for w in gens:
@@ -401,16 +373,7 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
             if n == 0:
                 m = coeff_action(k)
             else:
-                inner = extended_op(n - 1, k)
-                lvl = levels[n]
-                cols = []
-                for q in range(lvl.dim):
-                    (v, b) = lvl._unpair(lvl.quotient.keep[q])
-                    amb = {}
-                    for w, coef in inner.col[v].items():
-                        amb[lvl._pidx(w, b)] = coef
-                    cols.append(lvl.quotient.project(amb))
-                m = GMatrix.from_cols(lvl.dim, cols)
+                m = levels[n].lift(extended_op(n - 1, k), levels[n])
             ext_ops[(n, k)] = m
             return m
 
@@ -447,63 +410,28 @@ def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int,
     its operator action.  Carries the insert-a-unit contracting homotopy
     and the wrap augmentation onto A/[B, A].
     """
-    bt = fsq.tensor
-    out = hochschild_complex(ext, bt.level, N, coeff=fsq,
+    sq = fsq.tensor.level
+    out = hochschild_complex(ext, sq, N, coeff=fsq,
                              coeff_action=lambda k: fsq.ops[k],
                              name="L2(%s)" % ext.name,
                              check_descent=check_descent)
     tower = out.tower
     coqs = out.coinv
-    levels = out.levels
 
-    A = ext.alg
-    comm_cols = []
-    for k in range(ext.sub.dim):
-        bk = ext.embed.column(k)
-        for j in range(A.dim):
-            c = A.mul(bk, {j: ONE})
-            vec_axpy(c, MINUS_ONE, A.mul({j: ONE}, bk))
-            if c:
-                comm_cols.append(c)
-    ab_quot = Quotient(A.dim, comm_cols)
-
-    d2 = ext.alg.dim
-    sq = bt.level
-
-    aug = GMatrix.zero(ab_quot.dim, coqs[0].dim)
-    for q in range(coqs[0].dim):
-        m_vec = coqs[0].section({q: ONE})
-        out_vec = {}
-        for mi, c in m_vec.items():
-            (i, j) = divmod(sq.quotient.keep[mi], d2)
-            vec_axpy(out_vec, c, A.mul({j: ONE}, {i: ONE}))
-        for r, x in ab_quot.project(out_vec).items():
-            if not x.is_zero():
-                aug.col[q][r] = x
-
-    sec = GMatrix.zero(coqs[0].dim, ab_quot.dim)
-    for r in range(ab_quot.dim):
-        a_idx = ab_quot.keep[r]
-        amb = {}
-        for u, c in A.unit.items():
-            amb[a_idx * d2 + u] = c
-        sec.col[r] = coqs[0].project(sq.quotient.project(amb))
+    # the augmentation a (x) c -> c a onto A/[B, A] is the wrap of the
+    # square; its section is a -> a (x) 1
+    unit = ext.alg.unit
+    ab_quot = _coinv_quotient(sq.prev)
+    aug = _descend(sq.wrap(), coqs[0], ab_quot)
+    sec = GMatrix.from_cols(coqs[0].dim, [
+        coqs[0].project(sq.tensor_class({a: ONE}, unit)) for a in ab_quot.keep])
 
     # a_0 (x) a_1 (x) ... -> a_0 (x) 1 (x) a_1 (x) ...: the unit is inserted
     # inside the square coefficient, pushing its second slot outward
     lvl1 = tower.level(1)
-    base_insert_cols = []
-    for q in range(sq.dim):
-        (i, j) = divmod(sq.quotient.keep[q], d2)
-        sq_part = {}
-        for u, c in A.unit.items():
-            sq_part[i * d2 + u] = c
-        sq_vec = sq.quotient.project(sq_part)
-        amb = {}
-        for v, c in sq_vec.items():
-            amb[lvl1._pidx(v, j)] = c
-        base_insert_cols.append(lvl1.quotient.project(amb))
-    base_insert = GMatrix.from_cols(lvl1.dim, base_insert_cols)
+    base_insert = GMatrix.from_cols(lvl1.dim, [
+        lvl1.tensor_class(sq.tensor_class({i: ONE}, unit), {j: ONE})
+        for i, j in sq.reps])
 
     h = {}
     for n in range(0, N):
@@ -525,12 +453,7 @@ def contracting_homotopy(kind: str, ext: Extension, N: int,
         p = bar_complex(ext, N)
     elif kind == "acyclic":
         if fsq is None:
-            from .fibersquare import default_pairs, fiber_square, \
-                groupoid_fiber_square
-            if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
-                fsq, _ = groupoid_fiber_square(ext)
-            else:
-                fsq = fiber_square(ext, ext, default_pairs(ext))
+            fsq, _ = fiber_square_of(ext)
         p = l2_complex(ext, fsq, N)
     else:
         raise ValueError("no contracting homotopy for kind %r" % kind)
@@ -550,7 +473,9 @@ def bar_complex(ext: Extension, N: int):
     for n in range(1, N + 1):
         faces.append([levels[n].join(i) for i in range(n + 1)])
 
-    bp = base_prepend_matrix(tower)
+    lvl1 = tower.level(1)
+    bp = GMatrix.from_cols(lvl1.dim, [lvl1.tensor_class(ext.alg.unit, {a: ONE})
+                                      for a in range(ext.alg.dim)])
     aug = tower.level(1).join(0)
     h = {}
     for n in range(0, N):
@@ -574,101 +499,45 @@ def bar_complex(ext: Extension, N: int):
 # comparison isomorphisms between geometric and algebraic complexes
 
 
-def _fold_tuple_class(ext: Extension, tower: Tower, t, start_level=0):
-    """Class of delta_{t0} (x) ... (x) delta_{tk} inside the tower."""
-    g = ext.provenance[1]
-    gi = {a: k for k, a in enumerate(g.elements)}
-    if start_level == 0:
-        vec = {gi[t[0]]: ONE}
-        rest = t[1:]
-    else:
-        lvl = tower.base
-        d2 = ext.alg.dim
-        amb = {gi[t[0]] * d2 + gi[t[1]]: ONE}
-        vec = lvl.quotient.project(amb)
-        rest = t[2:]
-    k = 0
-    for a in rest:
-        k += 1
-        lvl = tower.level(k)
-        amb = {}
-        for v, c in vec.items():
-            amb[lvl._pidx(v, gi[a])] = c
-        vec = lvl.quotient.project(amb)
+def _fold_tuple_class(ext: Extension, tower: Tower, t):
+    """Class of delta_{t0} (x) ... (x) delta_{tk} inside the tower.
+
+    The base of depth d takes the first d + 1 letters."""
+    gi = {a: k for k, a in enumerate(ext.provenance[1].elements)}
+    levels = [tower.base]
+    while levels[0].prev is not None:
+        levels.insert(0, levels[0].prev)
+    levels += [tower.level(k) for k in range(1, len(t) - len(levels) + 1)]
+    vec = {gi[t[0]]: ONE}
+    for lvl, a in zip(levels[1:], t[1:]):
+        vec = lvl.tensor_class(vec, {gi[a]: ONE})
     return vec
 
 
-def bar_comparison(ext: Extension, geo: PresimplicialModule,
-                   alg_bar: PresimplicialModule, N: int):
-    """Degreewise isomorphism from the geometric bar complex onto the
-    algebraic one, commuting with all faces."""
-    tower = alg_bar.tower
+def geometric_comparison(ext: Extension, geo: PresimplicialModule,
+                         alg: PresimplicialModule, N: int):
+    """Degreewise isomorphism from a geometric complex onto the algebraic
+    complex over the same tower, commuting with all faces: bar onto bar,
+    cyclic onto Hochschild, square tuples onto the square-coefficient
+    complex.  Tuple classes are projected to the coinvariants exactly when
+    the algebraic complex carries them."""
+    coinv = getattr(alg, "coinv", None)
+    what = "comparison %s -> %s" % (geo.name, alg.name)
     isos = []
     for n in range(N + 1):
-        cols = [_fold_tuple_class(ext, tower, t, start_level=0)
-                for t in geo.labels[n]]
-        m = GMatrix.from_cols(alg_bar.dims[n], cols)
-        if geo.dims[n] != alg_bar.dims[n]:
-            raise AssertionError("bar dimensions differ at degree %d" % n)
+        cols = [_fold_tuple_class(ext, alg.tower, t) for t in geo.labels[n]]
+        if coinv is not None:
+            cols = [coinv[n].project(c) for c in cols]
+        m = GMatrix.from_cols(alg.dims[n], cols)
+        if geo.dims[n] != alg.dims[n]:
+            raise AssertionError("%s: dimensions differ at degree %d" % (what, n))
         if kernel_basis(m).cols != 0:
-            raise AssertionError("bar comparison is not injective at degree %d" % n)
+            raise AssertionError("%s is not injective at degree %d" % (what, n))
         isos.append(m)
     for n in range(1, N + 1):
         for i in range(n + 1):
-            lhs = isos[n - 1].mul(geo.face(n, i))
-            rhs = alg_bar.face(n, i).mul(isos[n])
-            if lhs != rhs:
-                raise AssertionError("bar comparison breaks face (%d,%d)" % (n, i))
-    return isos
-
-
-def cyclic_comparison(ext: Extension, geo: PresimplicialModule,
-                      hh: PresimplicialModule, N: int):
-    """Geometric cyclic complex onto the Hochschild complex of A over B."""
-    tower = hh.tower
-    isos = []
-    for n in range(N + 1):
-        cols = []
-        for t in geo.labels[n]:
-            vec = _fold_tuple_class(ext, tower, t, start_level=0)
-            cols.append(hh.coinv[n].project(vec))
-        m = GMatrix.from_cols(hh.dims[n], cols)
-        if geo.dims[n] != hh.dims[n]:
-            raise AssertionError("cyclic dimensions differ at degree %d" % n)
-        if kernel_basis(m).cols != 0:
-            raise AssertionError("cyclic comparison not injective at degree %d" % n)
-        isos.append(m)
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            lhs = isos[n - 1].mul(geo.face(n, i))
-            rhs = hh.face(n, i).mul(isos[n])
-            if lhs != rhs:
-                raise AssertionError("cyclic comparison breaks face (%d,%d)" % (n, i))
-    return isos
-
-
-def acyclic_comparison(ext: Extension, geo: PresimplicialModule,
-                       l2: PresimplicialModule, N: int):
-    """Geometric square-coefficient complex onto the algebraic one."""
-    tower = l2.tower
-    isos = []
-    for n in range(N + 1):
-        cols = []
-        for t in geo.labels[n]:
-            vec = _fold_tuple_class(ext, tower, t, start_level=1)
-            cols.append(l2.coinv[n].project(vec))
-        m = GMatrix.from_cols(l2.dims[n], cols)
-        if geo.dims[n] != l2.dims[n]:
-            raise AssertionError("square-coefficient dimensions differ at degree %d" % n)
-        if kernel_basis(m).cols != 0:
-            raise AssertionError("comparison not injective at degree %d" % n)
-        isos.append(m)
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            lhs = isos[n - 1].mul(geo.face(n, i))
-            rhs = l2.face(n, i).mul(isos[n])
-            if lhs != rhs:
-                raise AssertionError("comparison breaks face (%d,%d)" % (n, i))
+            if isos[n - 1].mul(geo.face(n, i)) != alg.face(n, i).mul(isos[n]):
+                raise AssertionError("%s breaks face (%d,%d)" % (what, n, i))
     return isos
 
 

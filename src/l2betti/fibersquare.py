@@ -40,8 +40,8 @@ from .algebras import (
 )
 from .groupoids import FiniteGroupoid, enveloping
 from .linalg import (
-    Echelon, GMatrix, HermitianForm, adjoint_wrt, invert, kernel_basis,
-    vec_axpy, vec_dot, vec_eq,
+    Echelon, GMatrix, HermitianForm, adjoint_wrt, combination, invert,
+    kernel_basis, vec_dot, vec_eq,
 )
 from .scalars import ONE
 from .tensor import Level, append_level, extension_base_level, same_algebra
@@ -69,29 +69,6 @@ class BalancedTensor:
     def pair(self, u, v):
         return vec_dot(u, self.gram.apply(v))
 
-    def central_defects(self):
-        """lambda_b - rho_b for each basis element b of B; a vector is
-        B-central when all of them kill it."""
-        if not hasattr(self, "_defects"):
-            lvl = self.level
-            self._defects = [
-                lvl.left_act_vec(self.extA.embed.column(k)).sub(
-                    lvl.right_act_vec(self.extC.embed.column(k)))
-                for k in range(self.extA.sub.dim)]
-        return self._defects
-
-
-def _tensor_class(lvl: Level, d2: int, u: dict, v: dict) -> dict:
-    """The class of u (x) v in a two-factor level whose right factor has
-    dimension d2."""
-    amb = {}
-    for i, a in u.items():
-        for j, c in v.items():
-            x = a * c
-            if not x.is_zero():
-                amb[i * d2 + j] = x
-    return lvl.quotient.project(amb)
-
 
 def balanced_tensor(extA: Extension, extC: Extension,
                     check_forms=True) -> BalancedTensor:
@@ -106,7 +83,7 @@ def balanced_tensor(extA: Extension, extC: Extension,
     base = extension_base_level(extA)
     lvl = append_level(base, extC)
     A, C = extA.alg, extC.alg
-    one_one = _tensor_class(lvl, C.dim, A.unit, C.unit)
+    one_one = lvl.tensor_class(A.unit, C.unit)
     gram = lvl.scalar_gram()
 
     if check_forms:
@@ -187,27 +164,21 @@ def pair_operator(bt: BalancedTensor, u: dict, v: dict, check=True) -> GMatrix:
     makes the map well defined and bimodular (see the module docstring).
     """
     A, C = bt.extA.alg, bt.extC.alg
-    d2 = C.dim
     lvl = bt.level
-    if check and not _is_central(bt, _tensor_class(lvl, d2, u, v)):
+    if check and not _is_central(bt, lvl.tensor_class(u, v)):
         raise AssertionError("pair operator: evaluation at 1(x)1 is not B-central")
-    cols = []
-    for k in lvl.quotient.keep:
-        i, j = divmod(k, d2)
-        cols.append(_tensor_class(lvl, d2, A.mul({i: ONE}, u), C.mul(v, {j: ONE})))
-    return GMatrix.from_cols(lvl.dim, cols)
+    return GMatrix.from_cols(lvl.dim, [
+        lvl.tensor_class(A.mul({i: ONE}, u), C.mul(v, {j: ONE})) for i, j in lvl.reps])
 
 
 def _is_central(bt: BalancedTensor, xi: dict) -> bool:
     """b . xi == xi . b for every basis element b of B."""
-    return not any(defect.apply(xi) for defect in bt.central_defects())
+    return not any(defect.apply(xi) for defect in bt.level.central_defects())
 
 
 def _check_cyclic(bt: BalancedTensor):
     lvl = bt.level
-    d2 = bt.extC.alg.dim
-    for q, k in enumerate(lvl.quotient.keep):
-        i, j = divmod(k, d2)
+    for q, (i, j) in enumerate(lvl.reps):
         moved = lvl.left_act(i).apply(lvl.right_act(j).apply(bt.one_one))
         if not vec_eq(moved, {q: ONE}):
             raise AssertionError(
@@ -224,14 +195,12 @@ def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
     S(e_q) = a_i . xi . c_j, so op agrees with S on a basis and is S.
     """
     lvl = bt.level
-    d2 = bt.extC.alg.dim
     xi = op.apply(bt.one_one)
     if not _is_central(bt, xi):
         raise AssertionError(
             "operator does not commute with the actions of B: "
             "its evaluation at 1(x)1 is not B-central")
-    for q, k in enumerate(lvl.quotient.keep):
-        i, j = divmod(k, d2)
+    for q, (i, j) in enumerate(lvl.reps):
         if not vec_eq(op.col[q], lvl.left_act(i).apply(lvl.right_act(j).apply(xi))):
             raise AssertionError(
                 "operator does not commute with the outer actions: "
@@ -289,17 +258,8 @@ class FiberSquareAlgebra(TracialStarAlgebra):
             self._gram = g
         return self._gram
 
-    def action_matrix(self, k: int) -> GMatrix:
-        return self.ops[k]
-
     def op_of(self, vec: dict) -> GMatrix:
-        return _combination(self.ops, vec, self.tensor.dim)
-
-    def eval_of(self, vec: dict) -> dict:
-        out = {}
-        for k, c in vec.items():
-            vec_axpy(out, c, self.evals[k])
-        return out
+        return combination(self.tensor.dim, vec, self.ops.__getitem__)
 
 
 def _flatten(op: GMatrix) -> dict:
@@ -308,15 +268,6 @@ def _flatten(op: GMatrix) -> dict:
     for j, c in enumerate(op.col):
         for i, x in c.items():
             out[j * n + i] = x
-    return out
-
-
-def _combination(ops, coeffs: dict, n: int) -> GMatrix:
-    """sum coeffs[k] ops[k] for n x n operators."""
-    out = GMatrix.zero(n, n)
-    for k, c in coeffs.items():
-        for j in range(n):
-            vec_axpy(out.col[j], c, ops[k].col[j])
     return out
 
 
@@ -330,7 +281,6 @@ def _saturate(bt: BalancedTensor, pairs, bound: int, variant=False):
     """
     extA, extC = bt.extA, bt.extC
     A, C = extA.alg, extC.alg
-    lvl = bt.level
     evals = SpanBasis()
     ops = []
     names = []
@@ -359,7 +309,7 @@ def _saturate(bt: BalancedTensor, pairs, bound: int, variant=False):
         if not s_condition(extA, extC, u, v, variant=variant):
             continue
         nm = "%s*%s" % (nu, nv)
-        xi = _tensor_class(lvl, C.dim, u, v)
+        xi = bt.level.tensor_class(u, v)
         if not _is_central(bt, xi):
             if variant:
                 # the alternative reading does not imply centrality, and
@@ -409,7 +359,8 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
     can = canonicalized_span(evals.vectors)
     if can.dim != len(ops):
         raise AssertionError("canonical re-basis changed the dimension")
-    ops = [_combination(ops, evals.coords(vec), bt.dim) for vec in can.vectors]
+    ops = [combination(bt.dim, evals.coords(vec), ops.__getitem__)
+           for vec in can.vectors]
     evals = can
     dim = len(ops)
     for k, op in enumerate(ops):
@@ -430,7 +381,7 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
     for i in range(dim):
         adj = adjoint_wrt(HermitianForm(bt.gram, check=False), ops[i], gram_inv)
         c = evals.coords(adj.apply(bt.one_one))
-        if c is None or adj != _combination(ops, c, bt.dim):
+        if c is None or adj != combination(bt.dim, c, ops.__getitem__):
             raise AssertionError("span is not closed under adjoints")
         star.append(c)
     trace = {}
@@ -454,21 +405,9 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
     return fsq
 
 
-def b_invariant_subspace(bt: BalancedTensor) -> GMatrix:
-    """Vectors with matching left and right B-actions; a faithful submodule."""
-    lvl = bt.level
-    dim_b = bt.extA.sub.dim
-    stacked = GMatrix.zero(lvl.dim * dim_b, lvl.dim)
-    for k, d in enumerate(bt.central_defects()):
-        for j in range(lvl.dim):
-            for i, x in d.col[j].items():
-                stacked.col[j][i + k * lvl.dim] = x
-    return kernel_basis(stacked)
-
-
 def check_invariants_faithful(fsq: FiberSquareAlgebra) -> bool:
     """Restriction of the algebra to the B-invariant vectors is injective."""
-    inv = b_invariant_subspace(fsq.tensor)
+    inv = fsq.tensor.level.invariants()
     ech = Echelon()
     cnt = 0
     for op in fsq.ops:
@@ -543,6 +482,14 @@ def default_pairs(ext: Extension, variant=False):
 # groupoid fiber squares and the enveloping identification
 
 
+def fiber_square_of(ext: Extension, pairs=None):
+    """The fiber square of ext over itself, and its enveloping
+    identification when ext comes from a groupoid (None otherwise)."""
+    if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
+        return groupoid_fiber_square(ext)
+    return fiber_square(ext, ext, pairs or default_pairs(ext)), None
+
+
 @dataclass
 class EnvelopingIso:
     groupoid: FiniteGroupoid
@@ -570,18 +517,17 @@ def groupoid_fiber_square(ext: Extension, dim_bound=None):
     env_ext = convolution_algebra(env)
     bt = fsq.tensor
     lvl = bt.level
-    d2 = ext.alg.dim
 
     gi = {a: k for k, a in enumerate(g.elements)}
     env_span = SpanBasis()
     for (a, b) in env.elements:
-        vec = _tensor_class(lvl, d2, {gi[a]: ONE}, {gi[b]: ONE})
+        vec = lvl.tensor_class({gi[a]: ONE}, {gi[b]: ONE})
         if not vec:
             raise AssertionError("enveloping basis vector dies in the balanced tensor")
         if not env_span.add(vec):
             raise AssertionError("enveloping vectors are dependent")
 
-    inv = b_invariant_subspace(bt)
+    inv = lvl.invariants()
     for j in range(inv.cols):
         if not env_span.contains(inv.column(j)):
             raise AssertionError("invariant vector outside the enveloping span")

@@ -301,10 +301,6 @@ def as_extension(obj) -> Extension:
 # reports
 
 
-def fractions_rendered(values):
-    return [str(Fraction(v)) for v in values]
-
-
 def render_structured(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"

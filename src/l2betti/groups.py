@@ -36,12 +36,3 @@ def klein_table():
             table[(x, y)] = els[idx[x] ^ idx[y]]
     return table, "e", els
 
-
-def group_table(name: str):
-    if name.startswith("C") and name[1:].isdigit():
-        return cyclic_table(int(name[1:]))
-    if name == "S3":
-        return symmetric_table(3)
-    if name in ("V4", "K4"):
-        return klein_table()
-    raise ValueError("unknown group %r" % name)

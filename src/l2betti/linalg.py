@@ -208,6 +208,16 @@ class GMatrix:
         return "GMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz())
 
 
+def combination(n: int, coeffs: dict, mat) -> GMatrix:
+    """sum_k coeffs[k] mat(k) for n x n matrices mat(k)."""
+    out = GMatrix.zero(n, n)
+    for k, c in coeffs.items():
+        m = mat(k)
+        for j in range(n):
+            vec_axpy(out.col[j], c, m.col[j])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # echelon bases
 

@@ -71,10 +71,6 @@ class GScalar:
             return self
         return GScalar(self.re, -self.im)
 
-    def norm2(self):
-        """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self):
         return not self.re and not self.im
 
@@ -126,10 +122,6 @@ def gs(x) -> GScalar:
     if isinstance(x, GScalar):
         return x
     return GScalar(x)
-
-
-def rat(p, q=1) -> GScalar:
-    return GScalar(Fraction(p, q))
 
 
 def parse_scalar(text: str) -> GScalar:

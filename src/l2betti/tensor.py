@@ -12,7 +12,7 @@ factors, and unit-insertion maps used by the contracting homotopies.
 from __future__ import annotations
 
 from .algebras import Extension, TracialStarAlgebra
-from .linalg import Echelon, GMatrix, kernel_basis, vec_axpy, vec_eq
+from .linalg import Echelon, GMatrix, combination, kernel_basis, vec_eq
 from .scalars import ONE, ZERO
 
 
@@ -44,16 +44,6 @@ class Quotient:
         self.pos = {k: q for q, k in enumerate(self.keep)}
         self.dim = len(self.keep)
 
-    @staticmethod
-    def identity(n):
-        q = Quotient.__new__(Quotient)
-        q.ambient_dim = n
-        q.ech = Echelon()
-        q.keep = list(range(n))
-        q.pos = {k: k for k in range(n)}
-        q.dim = n
-        return q
-
     @property
     def is_identity(self):
         return self.dim == self.ambient_dim
@@ -69,12 +59,16 @@ class Quotient:
             return dict(q)
         return {self.keep[i]: x for i, x in q.items()}
 
-    def kills(self, v: dict) -> bool:
-        return not self.project(v)
-
 
 class Level:
-    """One balanced tensor power, with its actions, forms and merge maps."""
+    """One balanced tensor power, with its actions, forms and merge maps.
+
+    An appended level is the quotient of prev (x) A2; its basis vector q is
+    the class of e_v (x) e_b for (v, b) = reps[q].  Every map between levels
+    is built from three primitives: tensor_class (the class of v (x) a),
+    lift (carry a map of the previous level through the last factor) and
+    central_defects / invariants (lambda_b - rho_b and their common kernel).
+    """
 
     def __init__(self, dim, left_ext, right_ext, bgram, labels=None,
                  prev=None, app_ext=None, quotient=None,
@@ -88,79 +82,76 @@ class Level:
         self.prev = prev
         self.app_ext = app_ext
         self.quotient = quotient
+        self.reps = (None if prev is None else
+                     [divmod(k, app_ext.alg.dim) for k in quotient.keep])
         self._base_right_mult = base_right_mult
         self._base_left_mult = base_left_mult
         self._right = {}
         self._left = {}
         self._join = {}
         self._scalar = None
-        self._prepend = None
-        self._insert0 = None
+        self._defects = None
+        self._invariants = None
 
-    # -- pairing of ambient indices for appended levels
+    # -- the tower primitives
 
-    def _pidx(self, v, a):
-        return v * self.app_ext.alg.dim + a
+    def tensor_class(self, v: dict, a: dict) -> dict:
+        """The class of v (x) a, for v in the previous level and a in the
+        appended algebra."""
+        d2 = self.app_ext.alg.dim
+        return self.quotient.project(
+            {i * d2 + j: x * y for i, x in v.items() for j, y in a.items()})
 
-    def _unpair(self, k):
-        d = self.app_ext.alg.dim
-        return k // d, k % d
+    def lift(self, inner: GMatrix, dst: "Level") -> GMatrix:
+        """v (x) b -> inner(v) (x) b, from this level into dst."""
+        return GMatrix.from_cols(
+            dst.dim, [dst.tensor_class(inner.col[v], {b: ONE}) for v, b in self.reps])
+
+    def central_defects(self) -> list:
+        """lambda_b - rho_b for each basis element b of B.  A vector is
+        B-central when all of them kill it; their columns span the
+        relations of the B-coinvariants."""
+        if self._defects is None:
+            self._defects = [
+                combination(self.dim, self.left_ext.embed.column(k), self.left_act).sub(
+                    combination(self.dim, self.right_ext.embed.column(k), self.right_act))
+                for k in range(self.sub.dim)]
+        return self._defects
+
+    def invariants(self) -> GMatrix:
+        """Basis of the B-central vectors: the common kernel of the defects."""
+        if self._invariants is None:
+            stacked = GMatrix.zero(self.dim * self.sub.dim, self.dim)
+            for k, d in enumerate(self.central_defects()):
+                for j, c in enumerate(d.col):
+                    for i, x in c.items():
+                        stacked.col[j][i + k * self.dim] = x
+            self._invariants = kernel_basis(stacked)
+        return self._invariants
 
     # -- actions
 
     def right_act(self, a_idx: int) -> GMatrix:
         m = self._right.get(a_idx)
-        if m is not None:
-            return m
-        if self.prev is None:
-            m = self._base_right_mult(a_idx)
-        else:
-            A2 = self.app_ext.alg
-            cols = []
-            for q in range(self.dim):
-                (v, b) = self._unpair(self.quotient.keep[q])
-                amb = {}
-                for c, coef in A2.mult[b][a_idx].items():
-                    amb[self._pidx(v, c)] = coef
-                cols.append(self.quotient.project(amb))
-            m = GMatrix.from_cols(self.dim, cols)
-        self._right[a_idx] = m
+        if m is None:
+            if self.prev is None:
+                m = self._base_right_mult(a_idx)
+            else:
+                mult = self.app_ext.alg.mult
+                m = GMatrix.from_cols(self.dim, [
+                    self.tensor_class({v: ONE}, mult[b][a_idx]) for v, b in self.reps])
+            self._right[a_idx] = m
         return m
 
     def left_act(self, a_idx: int) -> GMatrix:
         m = self._left.get(a_idx)
-        if m is not None:
-            return m
-        if self.prev is None:
-            m = self._base_left_mult(a_idx)
-        else:
-            lam = self.prev.left_act(a_idx)
-            cols = []
-            for q in range(self.dim):
-                (v, b) = self._unpair(self.quotient.keep[q])
-                amb = {}
-                for w, coef in lam.col[v].items():
-                    amb[self._pidx(w, b)] = coef
-                cols.append(self.quotient.project(amb))
-            m = GMatrix.from_cols(self.dim, cols)
-        self._left[a_idx] = m
+        if m is None:
+            if self.prev is None:
+                m = self._base_left_mult(a_idx)
+            else:
+                m = self.lift(self.prev.left_act(a_idx), self)
+            self._left[a_idx] = m
         return m
-
-    def right_act_vec(self, avec: dict) -> GMatrix:
-        out = GMatrix.zero(self.dim, self.dim)
-        for a, c in avec.items():
-            m = self.right_act(a)
-            for j in range(self.dim):
-                vec_axpy(out.col[j], c, m.col[j])
-        return out
-
-    def left_act_vec(self, avec: dict) -> GMatrix:
-        out = GMatrix.zero(self.dim, self.dim)
-        for a, c in avec.items():
-            m = self.left_act(a)
-            for j in range(self.dim):
-                vec_axpy(out.col[j], c, m.col[j])
-        return out
 
     # -- forms
 
@@ -188,33 +179,19 @@ class Level:
         k = self.depth()
         assert 0 <= j <= k - 1
         if j == k - 1:
-            cols = []
-            for q in range(self.dim):
-                (v, b) = self._unpair(self.quotient.keep[q])
-                cols.append(dict(self.prev.right_act(b).col[v]))
-            m = GMatrix.from_cols(self.prev.dim, cols)
+            m = GMatrix.from_cols(self.prev.dim, [
+                self.prev.right_act(b).col[v] for v, b in self.reps])
         else:
             # merge happens inside the prev part: (v (x) b) -> join(v) (x) b
-            inner = self.prev.join(j)
-            cols = []
-            for q in range(self.dim):
-                (v, b) = self._unpair(self.quotient.keep[q])
-                amb = {}
-                for w, coef in inner.col[v].items():
-                    amb[self.prev._pidx(w, b)] = coef
-                cols.append(self.prev.quotient.project(amb))
-            m = GMatrix.from_cols(self.prev.dim, cols)
+            m = self.lift(self.prev.join(j), self.prev)
         self._join[j] = m
         return m
 
     def wrap(self) -> GMatrix:
         """Move the last slot to act on the base slot from the left."""
         assert self.prev is not None
-        cols = []
-        for q in range(self.dim):
-            (v, b) = self._unpair(self.quotient.keep[q])
-            cols.append(dict(self.prev.left_act(b).col[v]))
-        return GMatrix.from_cols(self.prev.dim, cols)
+        return GMatrix.from_cols(self.prev.dim, [
+            self.prev.left_act(b).col[v] for v, b in self.reps])
 
 
 def extension_base_level(ext: Extension, labels_from_alg=True) -> Level:
@@ -286,7 +263,8 @@ def append_level(prev: Level, ext2: Extension, check_balancing=True) -> Level:
         if check_balancing:
             # the fiber square's separating-vector certificate rests on this:
             # the radical is exactly the span of the balancing relations
-            right_b = [prev.right_act_vec(ext2.embed.column(k)) for k in range(dim_b)]
+            right_b = [combination(prev.dim, ext2.embed.column(k), prev.right_act)
+                       for k in range(dim_b)]
             left_b = [[A2.mul(ext2.embed.column(k), {a: ONE}) for a in range(d2)]
                       for k in range(dim_b)]
             bal = Echelon()
@@ -327,15 +305,11 @@ def append_level(prev: Level, ext2: Extension, check_balancing=True) -> Level:
                 continue
             bgram.setdefault(qi, {})[qj] = bv
 
-    labels = None
+    lvl = Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
+                quotient=quot)
     if prev.labels is not None:
-        labels = []
-        for q in range(quot.dim):
-            v, a = quot.keep[q] // d2, quot.keep[q] % d2
-            labels.append(prev.labels[v] + (A2.labels[a],))
-
-    return Level(quot.dim, prev.left_ext, ext2, bgram, labels=labels,
-                 prev=prev, app_ext=ext2, quotient=quot)
+        lvl.labels = [prev.labels[v] + (A2.labels[a],) for v, a in lvl.reps]
+    return lvl
 
 
 class Tower:
@@ -364,25 +338,13 @@ class Tower:
         """
         nxt = self.level(k + 1)
         cur = self.level(k)
-        if k == 0:
-            if base_insert is not None:
-                return base_insert
-            cols = []
-            for q in range(cur.dim):
-                amb = {}
-                for u, c in self.ext.alg.unit.items():
-                    amb[nxt._pidx(q, u)] = c
-                cols.append(nxt.quotient.project(amb))
-            return GMatrix.from_cols(nxt.dim, cols)
-        inner = self.insert_unit(k - 1, base_insert)
-        cols = []
-        for q in range(cur.dim):
-            (v, b) = cur._unpair(cur.quotient.keep[q])
-            amb = {}
-            for w, coef in inner.col[v].items():
-                amb[nxt._pidx(w, b)] = coef
-            cols.append(nxt.quotient.project(amb))
-        return GMatrix.from_cols(nxt.dim, cols)
+        if k > 0:
+            return cur.lift(self.insert_unit(k - 1, base_insert), nxt)
+        if base_insert is not None:
+            return base_insert
+        unit = self.ext.alg.unit
+        return GMatrix.from_cols(nxt.dim, [nxt.tensor_class({q: ONE}, unit)
+                                           for q in range(cur.dim)])
 
     def prepend_unit(self, k: int, base_prepend: GMatrix) -> GMatrix:
         """1 (x) v for towers over an algebra base: level k -> level k+1.
@@ -392,30 +354,8 @@ class Tower:
         if k == 0:
             return base_prepend
         nxt = self.level(k + 1)
-        cur = self.level(k)
-        inner = self.prepend_unit(k - 1, base_prepend)
-        cols = []
-        for q in range(cur.dim):
-            (v, b) = cur._unpair(cur.quotient.keep[q])
-            amb = {}
-            for w, coef in inner.col[v].items():
-                amb[nxt._pidx(w, b)] = coef
-            cols.append(nxt.quotient.project(amb))
-        return GMatrix.from_cols(nxt.dim, cols)
+        return self.level(k).lift(self.prepend_unit(k - 1, base_prepend), nxt)
 
 
 def algebra_tower(ext: Extension, check_balancing=True) -> Tower:
     return Tower(extension_base_level(ext), ext, check_balancing)
-
-
-def base_prepend_matrix(tower: Tower) -> GMatrix:
-    """a -> class of 1 (x) a from the algebra base into level 1."""
-    lvl1 = tower.level(1)
-    A = tower.ext.alg
-    cols = []
-    for a in range(A.dim):
-        amb = {}
-        for u, c in A.unit.items():
-            amb[lvl1._pidx(u, a)] = c
-        cols.append(lvl1.quotient.project(amb))
-    return GMatrix.from_cols(lvl1.dim, cols)

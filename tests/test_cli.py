@@ -180,6 +180,8 @@ def test_console_entry_point():
     # degree 2 of CS3/C takes the split path
     ["homology", "cs3.json", "--N", "3"],
     ["betti", "pair3.json", "--both", "--N", "3"],
+    # compression checks its coinvariant coordinates and trace identity
+    ["verify", "verify_compression_m2_diag.json"],
 ], ids=lambda args: "-".join(args[:2]))
 def test_report_unchanged_under_python_optimize(args):
     # -O strips assert statements: no check or side effect may live in one

@@ -7,8 +7,8 @@ from l2betti.algebras import (
     group_algebra, matrix_algebra, trivial_extension,
 )
 from l2betti.complexes import (
-    ChainComplex, acyclic_comparison, bar_comparison, bar_complex,
-    cyclic_comparison, geometric_complex, homology, l2_complex,
+    ChainComplex, bar_complex, geometric_comparison, geometric_complex,
+    homology, l2_complex,
     plain_hochschild_complex, theta_iso,
 )
 from l2betti.fibersquare import default_pairs, fiber_square, groupoid_fiber_square
@@ -169,7 +169,7 @@ def test_bar_comparison_pair2():
     ext = convolution_algebra(g)
     geo = geometric_complex(g, "bar", 2)
     alg = bar_complex(ext, 2)
-    isos = bar_comparison(ext, geo, alg, 2)
+    isos = geometric_comparison(ext, geo, alg, 2)
     assert [m.rows for m in isos] == alg.dims[:3]
 
 
@@ -178,7 +178,7 @@ def test_cyclic_comparison_pair2():
     ext = convolution_algebra(g)
     geo = geometric_complex(g, "cyclic", 2)
     hh = plain_hochschild_complex(ext, 2)
-    isos = cyclic_comparison(ext, geo, hh, 2)
+    isos = geometric_comparison(ext, geo, hh, 2)
     assert [m.rows for m in isos] == hh.dims[:3]
 
 
@@ -200,7 +200,7 @@ def test_acyclic_comparison_pair2():
     fsq, _ = groupoid_fiber_square(ext)
     geo = geometric_complex(g, "acyclic", 2)
     l2 = l2_complex(ext, fsq, 2)
-    isos = acyclic_comparison(ext, geo, l2, 2)
+    isos = geometric_comparison(ext, geo, l2, 2)
     assert [m.rows for m in isos] == l2.dims[:3]
 
 

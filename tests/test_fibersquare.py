@@ -11,7 +11,7 @@ from l2betti.algebras import (
     weighted_sum,
 )
 from l2betti.fibersquare import (
-    balanced_tensor, b_invariant_subspace, canonical_pairs,
+    balanced_tensor, canonical_pairs,
     check_invariants_faithful, default_pairs, fiber_square,
     groupoid_fiber_square, operator_spans_equal, pair_operator,
     projection_pair_trace_identity, s_condition, star_operator,
@@ -213,7 +213,7 @@ def test_invariant_subspace_faithful():
     ext = convolution_algebra(pair_relation(uniform_space(2)))
     fsq, _ = groupoid_fiber_square(ext)
     assert check_invariants_faithful(fsq)
-    inv = b_invariant_subspace(fsq.tensor)
+    inv = fsq.tensor.level.invariants()
     assert inv.cols == 4
 
 
@@ -398,7 +398,7 @@ def test_fault_operator_with_non_central_evaluation_is_caught():
     lvl, d2 = bt.level, ext.alg.dim
     (q0,) = bt.one_one
     t = lvl.quotient.keep[q0] // d2
-    xi = fs._tensor_class(lvl, d2, {t: ONE}, ext.alg.unit)
+    xi = lvl.tensor_class({t: ONE}, ext.alg.unit)
     assert not fs._is_central(bt, xi)
     cols = []
     for k in lvl.quotient.keep:
