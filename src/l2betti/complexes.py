@@ -368,14 +368,19 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
         ext_ops = {}
 
         def extended_op(n, k):
-            if (n, k) in ext_ops:
-                return ext_ops[(n, k)]
-            if n == 0:
-                m = coeff_action(k)
-            else:
-                m = levels[n].lift(extended_op(n - 1, k), levels[n])
-            ext_ops[(n, k)] = m
-            return m
+            # lift up from the highest cached degree; a loop, not recursion,
+            # so the closure does not refer to itself and the cached
+            # matrices die with the complex instead of waiting for the
+            # cycle collector
+            m = n
+            while m >= 0 and (m, k) not in ext_ops:
+                m -= 1
+            if m < 0:
+                m = 0
+                ext_ops[(0, k)] = coeff_action(k)
+            for j in range(m + 1, n + 1):
+                ext_ops[(j, k)] = levels[j].lift(ext_ops[(j - 1, k)], levels[j])
+            return ext_ops[(n, k)]
 
         def action(n, k):
             return _descend(extended_op(n, k), coqs[n], coqs[n])

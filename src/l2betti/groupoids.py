@@ -320,7 +320,8 @@ def orbit_and_isotropy(g: FiniteGroupoid):
     for (x, y) in pairs:
         for (y2, z) in pairs:
             if y == y2:
-                assert (x, z) in elset, "orbit relation not transitive"
+                if (x, z) not in elset:
+                    raise AssertionError("orbit relation not transitive")
                 comp[((x, y), (y2, z))] = (x, z)
     units = {x: (x, x) for x in g.base.atoms}
     orbit = FiniteGroupoid(g.base, tuple(pairs), src, tgt, inv, comp, units,
@@ -339,8 +340,8 @@ def orbit_and_isotropy(g: FiniteGroupoid):
     for a in g.elements:
         r = rep[(g.target[a], g.source[a])]
         gamma = g.compose[(g.inverse[r], a)]
-        assert gamma in iso_set and g.compose[(r, gamma)] == a, \
-            "semidirect factorization failed at %r" % (a,)
+        if gamma not in iso_set or g.compose[(r, gamma)] != a:
+            raise AssertionError("semidirect factorization failed at %r" % (a,))
     return orbit, isotropy
 
 
@@ -385,12 +386,15 @@ class GroupoidMorphism:
         m = self.mapping
         for a in self.dom.elements:
             b = m[a]
-            assert self.dom.source[a] == self.cod.source[b], "source broken at %r" % (a,)
-            assert self.dom.target[a] == self.cod.target[b], "target broken at %r" % (a,)
-            assert m[self.dom.inverse[a]] == self.cod.inverse[b], "inverse broken at %r" % (a,)
+            if self.dom.source[a] != self.cod.source[b]:
+                raise AssertionError("source broken at %r" % (a,))
+            if self.dom.target[a] != self.cod.target[b]:
+                raise AssertionError("target broken at %r" % (a,))
+            if m[self.dom.inverse[a]] != self.cod.inverse[b]:
+                raise AssertionError("inverse broken at %r" % (a,))
         for (a, b), c in self.dom.compose.items():
-            assert self.cod.compose[(m[a], m[b])] == m[c], \
-                "composition broken at (%r,%r)" % (a, b)
+            if self.cod.compose[(m[a], m[b])] != m[c]:
+                raise AssertionError("composition broken at (%r,%r)" % (a, b))
         return True
 
 

@@ -4,13 +4,19 @@ Vectors are dicts {index: GScalar} holding only nonzero entries.  Matrices
 store their columns sparsely; everything is computed field-exactly with
 plain Gaussian elimination on sparse rows (pivot = least index, rows kept
 forward-reduced only), which is exact and fast enough at desk scale.
+
+Scalars are kept in normal form (see ``scalars``), so equal vectors are
+equal dicts: ``vec_eq`` and ``GMatrix.__eq__`` compare the dicts first and
+form a difference only on a mismatch.  Hot loops read the int fields
+``a``, ``b``, ``d`` of a scalar rather than its Fraction-valued ``re`` and
+``im``, so no Fraction is built here.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .scalars import GScalar, ZERO, ONE, gs
+from .scalars import GScalar, MINUS_ONE, ONE, ZERO, gs
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -42,27 +48,29 @@ def vec_axpy(out: dict, c: GScalar, v: dict) -> None:
     """out += c*v in place."""
     if c.is_zero():
         return
-    if c.re == 1 and c.im == 0:
+    # the int fields are read directly: this is the innermost loop of
+    # every matrix product and face descent
+    if c.a == 1 and not c.b and c.d == 1:
         for i, x in v.items():
             y = out.get(i)
             s = x if y is None else y + x
-            if s.is_zero():
-                out.pop(i, None)
-            else:
+            if s.a or s.b:
                 out[i] = s
+            else:
+                out.pop(i, None)
         return
     for i, x in v.items():
         y = out.get(i)
         s = c * x if y is None else y + c * x
-        if s.is_zero():
-            out.pop(i, None)
-        else:
+        if s.a or s.b:
             out[i] = s
+        else:
+            out.pop(i, None)
 
 
 def vec_sub(u: dict, v: dict) -> dict:
     out = dict(u)
-    vec_axpy(out, GScalar(-1), v)
+    vec_axpy(out, MINUS_ONE, v)
     return out
 
 
@@ -267,20 +275,14 @@ class Echelon:
             for k, x in row.items():
                 y = v.get(k)
                 s = -(c * x) if y is None else y - c * x
-                if s.is_zero():
-                    v.pop(k, None)
-                else:
+                if s.a or s.b:
                     v[k] = s
                     if k > p and k not in seen_done:
                         heapq.heappush(heap, k)
+                else:
+                    v.pop(k, None)
             if self.track:
-                for g, x in self.reps[p].items():
-                    y = combo.get(g)
-                    s = c * x if y is None else y + c * x
-                    if s.is_zero():
-                        combo.pop(g, None)
-                    else:
-                        combo[g] = s
+                vec_axpy(combo, c, self.reps[p])
         return v, combo
 
     def insert(self, v: dict):
@@ -421,7 +423,7 @@ class HermitianForm:
                             return False
                 return True
             d = work[piv][piv]
-            if not d.is_real() or d.re < 0:
+            if not d.is_real() or d.a < 0:
                 return False
             col = {i: x for i, x in work[piv].items() if i in alive}
             dinv = d.inverse()

@@ -1,113 +1,201 @@
-"""Exact Gaussian-rational scalars (elements of Q(i))."""
+"""Exact Gaussian-rational scalars (elements of Q(i)).
+
+A scalar (a + b*i)/d is held as three Python ints in normal form: d > 0 and
+gcd(a, b, d) = 1, so zero is (0, 0, 1).  Every operation returns its result
+in normal form, hence two scalars are equal exactly when their fields are,
+and equality, hashing and dict comparison (``linalg.vec_eq``) are exact
+field by field.  Most operands met in practice are Gaussian integers
+(d = 1), and the arithmetic takes a gcd-free path for them.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_new = object.__new__
 
 
 class GScalar:
-    """A Gaussian rational re + im*i with arbitrary-precision Fraction parts.
+    """A Gaussian rational (a + b*i)/d with arbitrary-precision int fields.
 
-    Immutable.  Conjugation is the involutive field automorphism fixing the
-    rational part.
+    Immutable and always normalised (d > 0, gcd(a, b, d) = 1).  ``re`` and
+    ``im`` give the parts as Fractions.  A real scalar equals and hashes
+    like the equal int or Fraction.  Conjugation is the involutive field
+    automorphism fixing the rational part.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        # re + im*i, each part an int, Fraction or GScalar
+        a1, b1, d1 = _fields(re)
+        a2, b2, d2 = _fields(im)
+        a, b, d = a1 * d2 - b2 * d1, b1 * d2 + a2 * d1, d1 * d2
+        g = gcd(a, b, d)
+        _set_a(self, a // g)
+        _set_b(self, b // g)
+        _set_d(self, d // g)
 
     def __setattr__(self, *a):
         raise AttributeError("GScalar is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def __add__(self, other):
-        return GScalar(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == 1 and f == 1:
+            z = _new(GScalar)
+            _set_a(z, self.a + other.a)
+            _set_b(z, self.b + other.b)
+            _set_d(z, 1)
+            return z
+        if d == f:
+            return _make(self.a + other.a, self.b + other.b, d)
+        return _make(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     def __sub__(self, other):
-        return GScalar(self.re - other.re, self.im - other.im)
+        d, f = self.d, other.d
+        if d == 1 and f == 1:
+            z = _new(GScalar)
+            _set_a(z, self.a - other.a)
+            _set_b(z, self.b - other.b)
+            _set_d(z, 1)
+            return z
+        if d == f:
+            return _make(self.a - other.a, self.b - other.b, d)
+        return _make(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __neg__(self):
-        return GScalar(-self.re, -self.im)
+        z = _new(GScalar)
+        _set_a(z, -self.a)
+        _set_b(z, -self.b)
+        _set_d(z, self.d)
+        return z
 
     def __mul__(self, other):
-        a, b = self.re, self.im
-        if b == 0:
+        a, b, d = self.a, self.b, self.d
+        c, e, f = other.a, other.b, other.d
+        if not b and d == 1:
             if a == 1:
                 return other
-            if a == -1:
-                return -other
-            d = other.im
-            if d == 0:
-                c = other.re
-                if c == 1:
-                    return self
-                return GScalar(a * c, _F0)
-            return GScalar(a * other.re, a * d)
-        c, d = other.re, other.im
-        if d == 0:
+            re, im, den = a * c, a * e, f
+        elif not e and f == 1:
             if c == 1:
                 return self
-            return GScalar(a * c, b * c)
-        return GScalar(a * c - b * d, a * d + b * c)
+            re, im, den = a * c, b * c, d
+        else:
+            re, im, den = a * c - b * e, a * e + b * c, d * f
+        if den != 1:
+            return _make(re, im, den)
+        z = _new(GScalar)
+        _set_a(z, re)
+        _set_b(z, im)
+        _set_d(z, 1)
+        return z
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def inverse(self):
-        a, b = self.re, self.im
-        if b == 0:
-            if a == 0:
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            if not a:
                 raise ZeroDivisionError("inverse of zero GScalar")
-            return GScalar(1 / a, _F0)
-        n = a * a + b * b
-        return GScalar(a / n, -b / n)
+            z = _new(GScalar)
+            if a < 0:
+                a, d = -a, -d
+            # gcd(a, d) = 1 already
+            _set_a(z, d)
+            _set_b(z, 0)
+            _set_d(z, a)
+            return z
+        return _make(d * a, -d * b, a * a + b * b)
 
     def conj(self):
-        if self.im == 0:
+        if not self.b:
             return self
-        return GScalar(self.re, -self.im)
+        z = _new(GScalar)
+        _set_a(z, self.a)
+        _set_b(z, -self.b)
+        _set_d(z, self.d)
+        return z
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_real(self):
-        return self.im == 0
+        return not self.b
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         if isinstance(other, GScalar):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return not self.b and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (not self.b and self.d == other.denominator
+                    and self.a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self.b:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return "GScalar(%s)" % self
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return "%si" % self.im
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return "%si" % im
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else "%si" % mag
-        return "%s%s%s" % (self.re, sign, istr)
+        return "%s%s%s" % (re, sign, istr)
+
+
+_set_a = GScalar.a.__set__
+_set_b = GScalar.b.__set__
+_set_d = GScalar.d.__set__
+
+
+def _fields(x):
+    """(a, b, d) of an int, Fraction or GScalar, d > 0."""
+    if type(x) is int:
+        return x, 0, 1
+    if isinstance(x, GScalar):
+        return x.a, x.b, x.d
+    f = x if type(x) is Fraction else Fraction(x)
+    return f.numerator, 0, f.denominator
+
+
+def _make(a, b, d):
+    """The GScalar (a + b i)/d for d > 0, reduced by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    z = _new(GScalar)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
 
 
 ZERO = GScalar(0)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -212,3 +213,15 @@ def test_fiber_square_plain_algebra_input(capsys):
 
 def test_bad_degree_cap_is_input_error():
     assert main(["betti", cpath("pair2.json"), "--N", "0"]) == 2
+
+
+def test_corpus_sweep_covers_every_corpus_document():
+    spec = importlib.util.spec_from_file_location(
+        "corpus_sweep", os.path.join(ROOT, "scripts", "corpus_sweep.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    cmds = sweep.commands()
+    assert len(cmds) == 89
+    named = {args[1] for args in cmds}
+    assert named == {"corpus/" + f for f in os.listdir(CORPUS) if f.endswith(".json")}
+    assert all(os.path.exists(os.path.join(ROOT, p)) for p in named)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,22 @@ def test_l2_complex_group_case_dimensions():
     assert l2.dims == [4, 8, 16, 32]
     hm = homology(l2, 0)
     assert hm.dim == 2  # A_B = A for B = C, and im d_1 halves it
+
+
+def test_l2_complex_is_freed_without_the_cycle_collector():
+    # the complex, its levels and its cached coefficient operators are
+    # released by reference counting alone once the complex is dropped
+    ext = m2_diag_ext()
+    fsq = fiber_square(ext, ext, default_pairs(ext))
+    gc.disable()
+    try:
+        l2 = l2_complex(ext, fsq, 2)
+        l2.action(2, 0)
+        ref = weakref.ref(l2.levels[2])
+        del l2
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_geometric_complexes_pair2_all_kinds():

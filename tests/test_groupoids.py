@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,6 +126,26 @@ def test_enveloping_of_relation_is_isomorphic():
     GroupoidMorphism(g, e, emb).check()
     assert len(e.elements) == len(g.elements)
     assert set(emb.values()) == set(e.elements)
+
+
+def test_broken_morphism_raises_under_python_optimize():
+    # -O strips assert statements; the morphism check must not live in one.
+    # Sending both elements of C2 to the generator keeps source, target and
+    # inverse but breaks composition.
+    code = "\n".join([
+        "from l2betti.groupoids import GroupoidMorphism, group_groupoid",
+        "from l2betti.groups import cyclic_table",
+        "table, unit, _ = cyclic_table(2)",
+        "g = group_groupoid(table, unit)",
+        "GroupoidMorphism(g, g, {a: 'g1' for a in g.elements}).check()",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 1
+    assert "AssertionError: composition broken at ('g0','g0')" in r.stderr
 
 
 def test_enveloping_of_group_is_square():
