@@ -65,6 +65,56 @@ def canonicalized_span(vectors) -> SpanBasis:
     return out
 
 
+def span_structure(span: SpanBasis, product, star, trace, unit):
+    """Structure constants of the *-algebra spanned by span.vectors.
+
+    product(i, j), star(i) and trace(i) give the ambient product, star and
+    trace of basis vectors i and j, and unit is the ambient unit.  Returns
+    (mult, star, trace, unit) in coordinates over span, trace holding the
+    nonzero values only.  A unit, star or product outside the span raises
+    ValueError naming the operation; stars are read before products.
+    """
+    def coords(v, failure):
+        c = span.coords(v)
+        if c is None:
+            raise ValueError("span " + failure)
+        return c
+
+    n = span.dim
+    unit_c = coords(unit, "does not contain the unit")
+    star_c = [coords(star(i), "is not star-closed") for i in range(n)]
+    mult = [[coords(product(i, j), "is not closed under multiplication")
+             for j in range(n)] for i in range(n)]
+    traces = {}
+    for i in range(n):
+        t = trace(i)
+        if not t.is_zero():
+            traces[i] = t
+    return mult, star_c, traces, unit_c
+
+
+def close_under_products(n: int, extend):
+    """Close a span under products, given that its first n basis vectors
+    generate it as an algebra and their span contains 1.
+
+    extend(g, k) adds the product of generator g (g < n) and basis vector k
+    to the span and returns whether the span grew.  Every word in the
+    generators is a generator times a shorter word, so multiplying on the
+    left by the generators, each round only the vectors new in the last
+    round, reaches the span of all words; that span contains 1 and is
+    closed under products.
+    """
+    size = n
+    frontier = range(n)
+    while frontier:
+        start = size
+        for k in frontier:
+            for g in range(n):
+                if extend(g, k):
+                    size += 1
+        frontier = range(start, size)
+
+
 class TracialStarAlgebra:
     """*-algebra with structure constants, star, and a normalized trace."""
 
@@ -323,30 +373,14 @@ def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
     span = SpanBasis()
     for v in sub_vectors:
         span.add(v)
-    if not span.contains(alg.unit):
-        raise ValueError("subalgebra does not contain the unit")
-    for v in list(span.vectors):
-        if not span.contains(alg.star(v)):
-            raise ValueError("subalgebra is not star-closed")
-    for u in list(span.vectors):
-        for v in list(span.vectors):
-            if not span.contains(alg.mul(u, v)):
-                raise ValueError("span is not closed under multiplication")
-
+    vecs = span.vectors
+    structure = span_structure(span, lambda i, j: alg.mul(vecs[i], vecs[j]),
+                               lambda i: alg.star(vecs[i]),
+                               lambda i: alg.trace(vecs[i]), alg.unit)
     dim_b = span.dim
     labels = sub_labels if sub_labels is not None else ["b%d" % k for k in range(dim_b)]
     assert len(labels) == dim_b
-    mult = [[span.coords(alg.mul(span.vectors[i], span.vectors[j]))
-             for j in range(dim_b)] for i in range(dim_b)]
-    star = [span.coords(alg.star(span.vectors[i])) for i in range(dim_b)]
-    trace = {}
-    for i in range(dim_b):
-        t = alg.trace(span.vectors[i])
-        if not t.is_zero():
-            trace[i] = t
-    unit = span.coords(alg.unit)
-    sub = TracialStarAlgebra(labels, mult, star, trace, unit,
-                             name=name.split("/")[-1])
+    sub = TracialStarAlgebra(labels, *structure, name=name.split("/")[-1])
 
     embed = GMatrix.from_cols(alg.dim, span.vectors)
     gram = alg.gns_gram()
@@ -381,15 +415,15 @@ def expectation_conjugation_report(ext: Extension, u: dict) -> dict:
     A = ext.alg
     us = A.star(u)
     standard = True
-    variant = True
+    swapped = True
     for j in range(A.dim):
         lhs = ext.expectation(A.mul(u, A.mul({j: ONE}, us)))
         mid = ext.expectation({j: ONE})
         if not vec_eq(lhs, A.mul(u, A.mul(mid, us))):
             standard = False
         if not vec_eq(lhs, A.mul(us, A.mul(mid, u))):
-            variant = False
-    return {"E(uau*)=uE(a)u*": standard, "E(uau*)=u*E(a)u": variant}
+            swapped = False
+    return {"E(uau*)=uE(a)u*": standard, "E(uau*)=u*E(a)u": swapped}
 
 
 # ---------------------------------------------------------------------------
@@ -810,44 +844,32 @@ def compression(ext: Extension, p: dict, name=None) -> Extension:
         raise ValueError("p has zero trace")
 
     span = SpanBasis()
-    cut_basis = []
     for j in range(A.dim):
-        v = A.mul(p, A.mul({j: ONE}, p))
-        if v and span.add(v):
-            cut_basis.append(v)
-    dimc = span.dim
-    labels = ["p%d" % k for k in range(dimc)]
-    mult = [[span.coords(A.mul(span.vectors[i], span.vectors[j]))
-             for j in range(dimc)] for i in range(dimc)]
-    star = [span.coords(A.star(span.vectors[i])) for i in range(dimc)]
+        span.add(A.mul(p, A.mul({j: ONE}, p)))
+    vecs = span.vectors
     tpi = tp.inverse()
-    trace = {}
-    for i in range(dimc):
-        t = A.trace(span.vectors[i]) * tpi
-        if not t.is_zero():
-            trace[i] = t
-    unit = span.coords(p)
-    comp_alg = TracialStarAlgebra(labels, mult, star, trace, unit,
-                                  name=(name or "p(%s)p" % A.name))
+    comp_alg = TracialStarAlgebra(
+        ["p%d" % k for k in range(span.dim)],
+        *span_structure(span, lambda i, j: A.mul(vecs[i], vecs[j]),
+                        lambda i: A.star(vecs[i]),
+                        lambda i: A.trace(vecs[i]) * tpi, p),
+        name=(name or "p(%s)p" % A.name))
     fam = []
     for nm, u in (A.unitary_family or []):
         c = span.coords(A.mul(p, A.mul(u, p)))
         if c is not None and comp_alg.is_unitary(c):
             fam.append(("p.%s" % nm, c))
     for root in FOURTH_ROOTS:
-        fam.append((str(root), vec_scale(root, unit)))
+        fam.append((str(root), vec_scale(root, comp_alg.unit)))
     comp_alg.unitary_family = fam
 
     sub_vecs = []
-    sub_span = SpanBasis()
     for k in range(ext.sub.dim):
-        v = A.mul(p, A.mul(ext.embed.column(k), p))
-        c = span.coords(v)
+        c = span.coords(A.mul(p, A.mul(ext.embed.column(k), p)))
         if c is None:
             raise AssertionError("pBp leaves the compressed algebra at %s"
                                  % ext.sub.labels[k])
-        if sub_span.add(c):
-            sub_vecs.append(c)
+        sub_vecs.append(c)
     out = conditional_expectation(comp_alg, sub_vecs,
                                   name=name or (ext.name + "|p"),
                                   provenance=("compression", ext, p))
@@ -857,7 +879,6 @@ def compression(ext: Extension, p: dict, name=None) -> Extension:
         if comp_alg.trace(span.coords(v)) * tp != A.trace(v):
             raise AssertionError("compressed trace is not tr(pxp)/tr(p) at %s"
                                  % A.labels[j])
-    out.compression_data = (ext, p, span)
     return out
 
 
@@ -869,8 +890,7 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
     """Smallest *-subalgebra containing B and the given normalizing unitaries.
 
     Each u must be unitary with u B u* = B; a witness is reported otherwise.
-    Returns the normalizing extension N/B together with the embedding of N
-    into A (as .normalizer_embedding).
+    Returns the normalizing extension N/B.
     """
     A = ext.alg
     b_span = Echelon()
@@ -891,41 +911,24 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
         gens.append((nm, u))
 
     grow = SpanBasis()
-    basis_vecs = []
     seeds = [ext.embed.column(k) for k in range(ext.sub.dim)]
     seeds += [u for _, u in gens] + [A.star(u) for _, u in gens]
     for v in seeds:
-        if grow.add(v):
-            basis_vecs.append(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(basis_vecs):
-            for w in list(basis_vecs):
-                prod = A.mul(v, w)
-                if grow.add(prod):
-                    basis_vecs.append(prod)
-                    changed = True
-    for v in list(basis_vecs):
-        s = A.star(v)
-        if grow.add(s):
-            basis_vecs.append(s)
+        grow.add(v)
+    # B and the u, u* span a star-closed generating set containing 1
+    close_under_products(grow.dim, lambda g, k: grow.add(
+        A.mul(grow.vectors[g], grow.vectors[k])))
 
     # re-basis along echelon rows: sparser vectors, deterministic order
     span = canonicalized_span(grow.vectors)
-    dimn = span.dim
-    labels = ["n%d" % k for k in range(dimn)]
-    mult = [[span.coords(A.mul(span.vectors[i], span.vectors[j]))
-             for j in range(dimn)] for i in range(dimn)]
-    star = [span.coords(A.star(span.vectors[i])) for i in range(dimn)]
-    trace = {}
-    for i in range(dimn):
-        t = A.trace(span.vectors[i])
-        if not t.is_zero():
-            trace[i] = t
-    unit = span.coords(A.unit)
-    nalg = TracialStarAlgebra(labels, mult, star, trace, unit,
-                              name=name or ("N(%s)" % ext.name))
+    vecs = span.vectors
+    nalg = TracialStarAlgebra(
+        ["n%d" % k for k in range(span.dim)],
+        *span_structure(span, lambda i, j: A.mul(vecs[i], vecs[j]),
+                        lambda i: A.star(vecs[i]), lambda i: A.trace(vecs[i]),
+                        A.unit),
+        name=name or ("N(%s)" % ext.name))
+    unit = nalg.unit
     fam = [(nm, span.coords(u)) for nm, u in gens]
     fam.append(("1", dict(unit)))
     for k in range(ext.sub.dim):
@@ -945,12 +948,10 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
                 fam.append(("w%d" % k, w))
     nalg.unitary_family = fam
     sub_in_n = [span.coords(ext.embed.column(k)) for k in range(ext.sub.dim)]
-    out = conditional_expectation(nalg, sub_in_n,
-                                  sub_labels=list(ext.sub.labels),
-                                  name=name or ("N/%s" % ext.sub.name),
-                                  provenance=("normalizer", ext, gens))
-    out.normalizer_embedding = GMatrix.from_cols(A.dim, span.vectors)
-    return out
+    return conditional_expectation(nalg, sub_in_n,
+                                   sub_labels=list(ext.sub.labels),
+                                   name=name or ("N/%s" % ext.sub.name),
+                                   provenance=("normalizer", ext, gens))
 
 
 def groupoid_algebra_map(phi_mapping: dict, ext_dom: Extension,

@@ -18,10 +18,7 @@ from .algebras import (
     normalizer_span, twisted_convolution, weighted_sum,
 )
 from .complexes import geometric_complex, homology, l2_complex
-from .fibersquare import (
-    FiberSquareAlgebra, canonical_pairs, fiber_square_of,
-    projection_pair_trace_identity,
-)
+from .fibersquare import fiber_square_of, projection_pair_trace_identity
 from .groupoids import FiniteGroupoid
 from .linalg import (
     Echelon, GMatrix, LinearSolver, combination, rank, vec_dot, vec_eq,
@@ -94,7 +91,7 @@ def _blockwise(f, v: dict, fdim: int) -> dict:
 
 
 def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
-                 generators=None, validate_module=False) -> Fraction:
+                 generators=None) -> Fraction:
     """Exact trace of the module's realizing projection in a free cover.
 
     Generators default to the module basis; the cover F^k -> M sends the
@@ -104,8 +101,6 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
     """
     if module.algebra is not alg:
         raise ValueError("module is over a different algebra")
-    if validate_module:
-        module.validate()
     gram_a = alg.gns_gram()
     if rank(gram_a) != alg.dim:
         raise ValueError("trace form is degenerate: algebra is not semisimple")
@@ -208,21 +203,15 @@ def generator_independence_check(alg, module, base_value, seed: int) -> bool:
     return vn_dimension(alg, module, generators=gens) == base_value
 
 
-def betti_hochschild(ext: Extension, N: int, fsq: FiberSquareAlgebra = None,
-                     pairs=None, elimination_limit=None,
-                     seed: int = None) -> BettiTable:
+def betti_hochschild(ext: Extension, N: int, seed: int = None) -> BettiTable:
     """Betti numbers through the square-coefficient Hochschild pipeline."""
-    if fsq is None:
-        fsq, _ = fiber_square_of(ext, pairs)
-    kw = {}
-    if elimination_limit is not None:
-        kw["elimination_limit"] = elimination_limit
+    fsq, _ = fiber_square_of(ext)
     l2 = l2_complex(ext, fsq, N)
     values = []
     methods = []
     checked = None
     for n in range(N):
-        hm = homology(l2, n, **kw)
+        hm = homology(l2, n)
         methods.append(hm.method)
         if hm.dim == 0:
             values.append(Fraction(0))
@@ -275,8 +264,7 @@ def betti_sauer(g: FiniteGroupoid, N: int, ext: Extension = None) -> BettiTable:
 def residual_betti(ext: Extension, generators, N: int) -> BettiTable:
     """Betti numbers of the normalizing extension N(A/B)/B."""
     next_ext = normalizer_span(ext, generators)
-    pairs = canonical_pairs(next_ext, next_ext)
-    table = betti_hochschild(next_ext, N, pairs=pairs)
+    table = betti_hochschild(next_ext, N)
     table.meta["residual_of"] = ext.name
     table.meta["normalizing_dim"] = next_ext.alg.dim
     table.pipeline = "residual"

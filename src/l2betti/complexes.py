@@ -332,7 +332,7 @@ def _chain_gram(level: Level, coq: Quotient) -> GMatrix:
 
 def hochschild_complex(ext: Extension, base_level: Level, N: int,
                        coeff=None, coeff_action=None,
-                       name="", check_descent=True) -> PresimplicialModule:
+                       name="") -> PresimplicialModule:
     """Chain spaces: coinvariants of base (x)_B A^{(x)n}; faces merge slots
     and wrap the last factor onto the base through the left action."""
     tower = Tower(base_level, ext)
@@ -353,7 +353,7 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
         row.append(_descend(lvl.wrap(), coqs[n], coqs[n - 1]))
         faces.append(row)
 
-    if check_descent and ext.sub.dim > 1:
+    if ext.sub.dim > 1:
         for n in range(1, N + 1):
             gens = _defect_cols(levels[n])
             maps = [levels[n].join(bd + i) for i in range(n)] + [levels[n].wrap()]
@@ -398,16 +398,13 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
     return out
 
 
-def plain_hochschild_complex(ext: Extension, N: int,
-                             check_descent=True) -> PresimplicialModule:
+def plain_hochschild_complex(ext: Extension, N: int) -> PresimplicialModule:
     """C_n(A/B) with coefficients in A itself."""
     return hochschild_complex(ext, extension_base_level(ext), N,
-                              name="HH(%s)" % ext.name,
-                              check_descent=check_descent)
+                              name="HH(%s)" % ext.name)
 
 
-def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int,
-               check_descent=True) -> PresimplicialModule:
+def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
     """Square-coefficient Hochschild complex, a module over the fiber square.
 
     At finite scale the weak closure of the fiber square is the fiber
@@ -418,8 +415,7 @@ def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int,
     sq = fsq.tensor.level
     out = hochschild_complex(ext, sq, N, coeff=fsq,
                              coeff_action=lambda k: fsq.ops[k],
-                             name="L2(%s)" % ext.name,
-                             check_descent=check_descent)
+                             name="L2(%s)" % ext.name)
     tower = out.tower
     coqs = out.coinv
 
@@ -445,21 +441,17 @@ def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int,
     homotopy = ContractingHomotopy(h, aug, sec)
     homotopy.verify(out.boundary(), max(N - 1, 0))
     out.homotopy = homotopy
-    out.ab_quot = ab_quot
     out.meta["coefficients"] = "balanced square; weak closure trivial at finite dimension"
     return out
 
 
-def contracting_homotopy(kind: str, ext: Extension, N: int,
-                         fsq=None) -> ContractingHomotopy:
+def contracting_homotopy(kind: str, ext: Extension, N: int) -> ContractingHomotopy:
     """Verified contracting homotopy of the bar or square-coefficient
     complex of an extension, with its augmentation."""
     if kind == "bar":
         p = bar_complex(ext, N)
     elif kind == "acyclic":
-        if fsq is None:
-            fsq, _ = fiber_square_of(ext)
-        p = l2_complex(ext, fsq, N)
+        p = l2_complex(ext, fiber_square_of(ext)[0], N)
     else:
         raise ValueError("no contracting homotopy for kind %r" % kind)
     p.homotopy.verify(p.boundary(), max(N - 1, 0))
@@ -616,8 +608,7 @@ def _image_basis(m: GMatrix) -> GMatrix:
     return GMatrix.from_cols(m.rows, cols)
 
 
-def homology(p: PresimplicialModule, n: int, method="auto",
-             elimination_limit=ELIMINATION_LIMIT) -> HomologyModule:
+def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
     """H_n as the subspace ker d_n orthogonal to im d_{n+1}.
 
     method "elimination" computes kernels and images by sparse exact
@@ -635,7 +626,7 @@ def homology(p: PresimplicialModule, n: int, method="auto",
     d_lo = chain.d.get(n)
 
     if method == "auto":
-        if p.homotopy is not None and n >= 1 and d_hi.cols > elimination_limit:
+        if p.homotopy is not None and n >= 1 and d_hi.cols > ELIMINATION_LIMIT:
             method = "split"
         else:
             method = "elimination"

@@ -24,10 +24,30 @@ certified by three exact checks, not assumed:
    pair operator u * v.
 
 Hence a pair whose evaluation is dependent equals the combination of basis
-operators its evaluation names, and T_i T_j = sum_k c_k T_k with c the
-coordinates of T_i(T_j(1 (x) 1)): neither needs an operator product or an
-entrywise comparison.  The adjoint closure and the tracial *-algebra axioms
-are still checked directly.
+operators its evaluation names, T_i T_j = sum_k c_k T_k with c the
+coordinates of T_i(T_j(1 (x) 1)), and the adjoint of T_i, once checked
+bimodular by columns, is the combination its evaluation names: none of them
+needs an operator product or an entrywise comparison.  The tracial
+*-algebra axioms are still checked directly.
+
+The pairs.  For unitaries u in A and v in C, the pair matches (u* x u =
+v x v* for every x in B, both sides in B) if and only if xi = [u (x) v] is
+B-central.  If y = u* x u = v x v* lies in B, then x u = u y and v x = y v,
+so x . xi = [u y (x) v] = [u (x) y v] = xi . x.  Conversely, multiplying
+x . xi = xi . x by u* on the left and v* on the right gives
+[u* x u (x) 1] = [1 (x) v x v*]; the balanced maps a (x) c -> (1 - E)(a) E(c)
+and a (x) c -> E(a) c send the two sides to (1 - E)(u* x u) and 0, and to
+E(u* x u) and v x v*, so u* x u lies in B and equals v x v*.  A mismatched
+pair therefore fails check 3 and raises.  The starred pair (u*, v*) of a
+matching pair matches too: x -> u* x u and x -> v x v* are the same
+automorphism of B, so their inverses x -> u x u* and x -> v* x v agree.
+
+The closure.  The pair-born operators, with the identity, span a
+star-closed set of generators (T_{u,v}* = T_{u*,v*}, and both pairs are
+admitted) whose span contains 1.  Every word in them is a generator times
+a shorter word, so the span is closed under products once it is closed
+under left multiplication by the generators, and only vectors new in the
+last round need multiplying (algebras.close_under_products).
 """
 
 from __future__ import annotations
@@ -36,7 +56,8 @@ from dataclasses import dataclass
 
 from .algebras import (
     Extension, SpanBasis, TracialStarAlgebra, canonicalized_span,
-    convolution_algebra, validate_algebra,
+    close_under_products, convolution_algebra, span_structure,
+    validate_algebra,
 )
 from .groupoids import FiniteGroupoid, enveloping
 from .linalg import (
@@ -70,11 +91,11 @@ class BalancedTensor:
         return vec_dot(u, self.gram.apply(v))
 
 
-def balanced_tensor(extA: Extension, extC: Extension,
-                    check_forms=True) -> BalancedTensor:
+def balanced_tensor(extA: Extension, extC: Extension) -> BalancedTensor:
     """The balanced tensor of two extensions of the same subalgebra.
 
-    With check_forms, the three expressions of the inner product
+    The form is checked positive definite on the quotient, and the three
+    expressions of the inner product
     tr_B(E(d b*) E(a* c)) = tr_C(b* E(a* c) d) = tr_A(c E(d b*) a*)
     are verified to agree on all basis quadruples.
     """
@@ -86,13 +107,12 @@ def balanced_tensor(extA: Extension, extC: Extension,
     one_one = lvl.tensor_class(A.unit, C.unit)
     gram = lvl.scalar_gram()
 
-    if check_forms:
-        form = HermitianForm(gram, check=True)
-        if not form.is_positive_semidefinite():
-            raise ValueError("balanced tensor form is not positive semidefinite")
-        if kernel_basis(gram).cols != 0:
-            raise ValueError("balanced tensor form is degenerate on the quotient")
-        _check_inner_product_expressions(extA, extC)
+    form = HermitianForm(gram, check=True)
+    if not form.is_positive_semidefinite():
+        raise ValueError("balanced tensor form is not positive semidefinite")
+    if kernel_basis(gram).cols != 0:
+        raise ValueError("balanced tensor form is degenerate on the quotient")
+    _check_inner_product_expressions(extA, extC)
     return BalancedTensor(extA, extC, lvl, one_one, gram)
 
 
@@ -127,34 +147,10 @@ def _check_inner_product_expressions(extA: Extension, extC: Extension):
                         "B basis %d" % (a, c, k))
 
 
-def s_condition(extA: Extension, extC: Extension, u: dict, v: dict,
-                variant=False) -> bool:
-    """Matching-conjugation condition for the pair (u, v).
-
-    As printed: u* x u == v x v* for every x in B.  The variant flag tests
-    the alternative reading u x u* == v x v*.
-    """
-    A, C = extA.alg, extC.alg
-    us = A.star(u)
-    vs = C.star(v)
-    for k in range(extA.sub.dim):
-        xA = extA.embed.column(k)
-        xC = extC.embed.column(k)
-        if variant:
-            lhs = A.mul(u, A.mul(xA, us))
-        else:
-            lhs = A.mul(us, A.mul(xA, u))
-        rhs = C.mul(v, C.mul(xC, vs))
-        lhs_b = extA.expectation_sub(lhs)
-        rhs_b = extC.expectation_sub(rhs)
-        if not vec_eq(lhs_b, rhs_b):
-            return False
-        # the conjugates must actually lie in B for the comparison to count
-        if not vec_eq(extA.embed.apply(lhs_b), lhs):
-            return False
-        if not vec_eq(extC.embed.apply(rhs_b), rhs):
-            return False
-    return True
+def s_condition(extA: Extension, extC: Extension, u: dict, v: dict) -> bool:
+    """Matching condition u* x u == v x v* in B, for every x in B."""
+    left = _sig(extA, u, "left")
+    return left is not None and left == _sig(extC, v, "right")
 
 
 def pair_operator(bt: BalancedTensor, u: dict, v: dict, check=True) -> GMatrix:
@@ -208,36 +204,29 @@ def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
     return xi
 
 
-def star_operator(bt: BalancedTensor, u: dict, v: dict, check=True,
-                  variant=False) -> GMatrix:
+def star_operator(bt: BalancedTensor, u: dict, v: dict) -> GMatrix:
     """pair_operator for a unitary pair satisfying the matching condition."""
     A, C = bt.extA.alg, bt.extC.alg
     if not A.is_unitary(u) or not C.is_unitary(v):
         raise ValueError("star operator requires unitaries")
-    if not s_condition(bt.extA, bt.extC, u, v, variant=variant):
-        # find a witness for the error report
-        for k in range(bt.extA.sub.dim):
-            xA = bt.extA.embed.column(k)
-            xC = bt.extC.embed.column(k)
-            us, vs = A.star(u), C.star(v)
-            lhs = A.mul(us, A.mul(xA, u)) if not variant else A.mul(u, A.mul(xA, us))
-            rhs = C.mul(v, C.mul(xC, vs))
-            if not vec_eq(bt.extA.expectation_sub(lhs), bt.extC.expectation_sub(rhs)):
-                raise ValueError("matching condition fails at subalgebra basis %s"
-                                 % bt.extA.sub.labels[k])
+    left, right = _sig(bt.extA, u, "left"), _sig(bt.extC, v, "right")
+    if left is None or right is None:
         raise ValueError("matching condition fails (conjugate leaves B)")
-    return pair_operator(bt, u, v, check=check)
+    if left != right:
+        k = next(k for k, (l, r) in enumerate(zip(left, right)) if l != r)
+        raise ValueError("matching condition fails at subalgebra basis %s"
+                         % bt.extA.sub.labels[k])
+    return pair_operator(bt, u, v)
 
 
 class FiberSquareAlgebra(TracialStarAlgebra):
     """Tracial *-algebra of bimodular operators with basis T_1..T_m."""
 
-    def __init__(self, tensor: BalancedTensor, ops, evals, names, **kw):
+    def __init__(self, tensor: BalancedTensor, ops, evals, *args, **kw):
         self.tensor = tensor
         self.ops = ops
         self.evals = evals
-        self.op_names = names
-        super().__init__(**kw)
+        super().__init__(*args, **kw)
 
     def gns_gram(self) -> GMatrix:
         # phi(T* S) = <T(1x1) | S(1x1)> since the star is the form adjoint
@@ -271,88 +260,70 @@ def _flatten(op: GMatrix) -> dict:
     return out
 
 
-def _saturate(bt: BalancedTensor, pairs, bound: int, variant=False):
+def _saturate(bt: BalancedTensor, pairs):
     """Basis operators and their evaluations at 1 (x) 1, in generation order.
 
     Returns (ops, evals, names); a product-born operator is named "prod".
-    Pairs failing the matching condition are skipped, and so are pairs
-    admitted by the variant reading whose evaluation is not B-central.  An
-    admitted pair whose evaluation is dependent builds no operator.
+    Each pair and its starred pair are admitted.  A pair must match; its
+    evaluation is checked B-central, which for unitaries is the same
+    (module docstring), so a mismatched pair raises.  An admitted pair whose
+    evaluation is dependent builds no operator.
     """
-    extA, extC = bt.extA, bt.extC
-    A, C = extA.alg, extC.alg
+    A, C = bt.extA.alg, bt.extC.alg
     evals = SpanBasis()
     ops = []
     names = []
-
-    def keep(op, nm):
-        ops.append(op)
-        names.append(nm)
-        if len(ops) > bound:
-            raise RuntimeError(
-                "fiber square saturation exceeded the dimension bound %d" % bound)
-
     if evals.add(bt.one_one):
-        keep(GMatrix.identity(bt.dim), "1*1")
+        ops.append(GMatrix.identity(bt.dim))
+        names.append("1*1")
 
     seen_pairs = set()
-    todo = []
     for (nu, u), (nv, v) in pairs:
-        todo.append(((nu, u), (nv, v)))
-        todo.append((("%s*" % nu, A.star(u)), ("%s*" % nv, C.star(v))))
-    for (nu, u), (nv, v) in todo:
-        key = (tuple(sorted((k, str(c)) for k, c in u.items())),
-               tuple(sorted((k, str(c)) for k, c in v.items())))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        if not s_condition(extA, extC, u, v, variant=variant):
-            continue
-        nm = "%s*%s" % (nu, nv)
-        xi = bt.level.tensor_class(u, v)
-        if not _is_central(bt, xi):
-            if variant:
-                # the alternative reading does not imply centrality, and
-                # without it a (x) c -> a u (x) v c is not defined on the quotient
+        for nm, uu, vv in (("%s*%s" % (nu, nv), u, v),
+                           ("%s**%s*" % (nu, nv), A.star(u), C.star(v))):
+            key = (tuple(sorted((k, str(c)) for k, c in uu.items())),
+                   tuple(sorted((k, str(c)) for k, c in vv.items())))
+            if key in seen_pairs:
                 continue
-            raise AssertionError("pair %s: evaluation at 1(x)1 is not B-central" % nm)
-        if evals.add(xi):
-            keep(pair_operator(bt, u, v, check=False), nm)
+            seen_pairs.add(key)
+            xi = bt.level.tensor_class(uu, vv)
+            if not _is_central(bt, xi):
+                raise AssertionError(
+                    "pair %s: evaluation at 1(x)1 is not B-central" % nm)
+            if evals.add(xi):
+                ops.append(pair_operator(bt, uu, vv, check=False))
+                names.append(nm)
 
-    # T_a T_b evaluates to T_a(ev_b); only a new evaluation needs the product
-    frontier = list(range(len(ops)))
-    while frontier:
-        new = []
-        current = len(ops)
-        for i in range(current):
-            for j in frontier:
-                for a, b in ((i, j), (j, i)):
-                    if evals.add(ops[a].apply(evals.vectors[b])):
-                        keep(ops[a].mul(ops[b]), "prod")
-                        new.append(len(ops) - 1)
-        frontier = new
+    # T_g T_k evaluates to T_g(ev_k); only a new evaluation needs the product
+    def extend(g, k):
+        if not evals.add(ops[g].apply(evals.vectors[k])):
+            return False
+        ops.append(ops[g].mul(ops[k]))
+        names.append("prod")
+        return True
+
+    close_under_products(len(ops), extend)
     return ops, evals, names
 
 
-def fiber_square(extA: Extension, extC: Extension, pairs,
-                 dim_bound=None, name=None,
-                 tensor=None, variant=False) -> FiberSquareAlgebra:
-    """Generate the fiber square from unitary pairs and saturate the span.
+def fiber_square(extA: Extension, extC: Extension, pairs, name=None,
+                 tensor=None) -> FiberSquareAlgebra:
+    """Generate the fiber square from matching unitary pairs and saturate.
 
-    pairs: iterable of ((name_u, u), (name_v, v)); pairs failing the
-    matching condition are skipped.  The span is saturated under products
-    and adjoints, and evaluation at 1 (x) 1 indexes the basis.  That this
+    pairs: iterable of ((name_u, u), (name_v, v)), each satisfying the
+    matching condition; a mismatched pair raises.  The span is closed under
+    products, and evaluation at 1 (x) 1 indexes the basis.  That this
     evaluation is injective on bimodular operators is certified exactly
     (module docstring): 1 (x) 1 is cyclic, every admitted pair has a
-    B-central evaluation, and every final basis operator is bimodular and
-    evaluates to its basis vector.  Dependent pairs and products are then
-    determined by their evaluations and are not compared entry by entry.
+    B-central evaluation, and every final basis operator and every adjoint
+    is bimodular, each basis operator evaluating to its basis vector.
+    Products, adjoints and dependent pairs are then determined by their
+    evaluations and are not compared entry by entry.
     """
     bt = tensor if tensor is not None else balanced_tensor(extA, extC)
-    bound = dim_bound if dim_bound is not None else bt.dim * bt.dim
 
     _check_cyclic(bt)
-    ops, evals, names = _saturate(bt, pairs, bound, variant)
+    ops, evals, _ = _saturate(bt, pairs)
 
     # canonical re-basis along the echelon rows of the evaluations: the
     # operators become sparser and coordinate extraction much cheaper
@@ -361,43 +332,24 @@ def fiber_square(extA: Extension, extC: Extension, pairs,
         raise AssertionError("canonical re-basis changed the dimension")
     ops = [combination(bt.dim, evals.coords(vec), ops.__getitem__)
            for vec in can.vectors]
-    evals = can
-    dim = len(ops)
+    vecs = can.vectors
     for k, op in enumerate(ops):
-        if not vec_eq(_check_bimodular(bt, op), evals.vectors[k]):
+        if not vec_eq(_check_bimodular(bt, op), vecs[k]):
             raise AssertionError(
                 "basis operator %d does not evaluate to its basis vector" % k)
 
-    # structure constants through the separating vector
-    mult = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            c = evals.coords(ops[i].apply(evals.vectors[j]))
-            if c is None:
-                raise AssertionError("product escapes the saturated span")
-            mult[i][j] = c
+    # structure constants through the separating vector; an adjoint checked
+    # bimodular is the combination its evaluation names
+    form = HermitianForm(bt.gram, check=False)
     gram_inv = bt.gram_inv()
-    star = []
-    for i in range(dim):
-        adj = adjoint_wrt(HermitianForm(bt.gram, check=False), ops[i], gram_inv)
-        c = evals.coords(adj.apply(bt.one_one))
-        if c is None or adj != combination(bt.dim, c, ops.__getitem__):
-            raise AssertionError("span is not closed under adjoints")
-        star.append(c)
-    trace = {}
-    for i in range(dim):
-        t = vec_dot(bt.one_one, bt.gram.apply(evals.vectors[i]))
-        if not t.is_zero():
-            trace[i] = t
-    unit = evals.coords(bt.one_one)
-
+    structure = span_structure(
+        can, lambda i, j: ops[i].apply(vecs[j]),
+        lambda i: _check_bimodular(bt, adjoint_wrt(form, ops[i], gram_inv)),
+        lambda i: vec_dot(bt.one_one, bt.gram.apply(vecs[i])), bt.one_one)
     fsq = FiberSquareAlgebra(
-        bt, ops, [dict(v) for v in evals.vectors], ["E%d" % k for k in range(dim)],
-        labels=["T%d" % k for k in range(dim)], mult=mult, star=star,
-        trace=trace, unit=unit,
-        name=name or ("%s*%s" % (extA.alg.name, extC.alg.name)),
+        bt, ops, [dict(v) for v in vecs], ["T%d" % k for k in range(len(ops))],
+        *structure, name=name or ("%s*%s" % (extA.alg.name, extC.alg.name)),
         operator_backed=True)
-    fsq.generator_names = names
     rep = validate_algebra(fsq)
     if not rep.ok:
         raise AssertionError("fiber square is not a tracial *-algebra: %s"
@@ -437,11 +389,11 @@ def _sig(ext: Extension, u: dict, side: str):
     return tuple(out)
 
 
-def canonical_pairs(extA: Extension, extC: Extension = None, variant=False):
+def canonical_pairs(extA: Extension, extC: Extension = None):
     """Unitary pairs from the canonical families, matched by conjugation.
 
-    For the printed condition u* x u = v x v*, u is grouped by its left
-    signature and v by its right signature.
+    For the condition u* x u = v x v*, u is grouped by its left signature
+    and v by its right signature.
     """
     extC = extC or extA
     fam_a = extA.alg.unitary_family
@@ -450,7 +402,7 @@ def canonical_pairs(extA: Extension, extC: Extension = None, variant=False):
         raise ValueError("extension has no canonical unitary family")
     left = {}
     for nm, u in fam_a:
-        s = _sig(extA, u, "right" if variant else "left")
+        s = _sig(extA, u, "left")
         if s is not None:
             left.setdefault(s, []).append((nm, u))
     out = []
@@ -472,22 +424,22 @@ def scalar_base_pairs(ext: Extension):
     return [((nm, u), one) for nm, u in fam] + [(one, (nm, v)) for nm, v in fam]
 
 
-def default_pairs(ext: Extension, variant=False):
+def default_pairs(ext: Extension):
     if ext.sub.dim == 1:
         return scalar_base_pairs(ext)
-    return canonical_pairs(ext, ext, variant=variant)
+    return canonical_pairs(ext, ext)
 
 
 # ---------------------------------------------------------------------------
 # groupoid fiber squares and the enveloping identification
 
 
-def fiber_square_of(ext: Extension, pairs=None):
+def fiber_square_of(ext: Extension):
     """The fiber square of ext over itself, and its enveloping
     identification when ext comes from a groupoid (None otherwise)."""
     if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
         return groupoid_fiber_square(ext)
-    return fiber_square(ext, ext, pairs or default_pairs(ext)), None
+    return fiber_square(ext, ext, default_pairs(ext)), None
 
 
 @dataclass
@@ -499,7 +451,7 @@ class EnvelopingIso:
     checks: dict
 
 
-def groupoid_fiber_square(ext: Extension, dim_bound=None):
+def groupoid_fiber_square(ext: Extension):
     """Fiber square of a groupoid (or twisted relation) extension.
 
     Generates from sign-dressed bisection unitaries, then identifies the
@@ -511,8 +463,7 @@ def groupoid_fiber_square(ext: Extension, dim_bound=None):
         raise ValueError("extension does not come from a groupoid")
     g = ext.provenance[1]
     pairs = canonical_pairs(ext, ext)
-    fsq = fiber_square(ext, ext, pairs, dim_bound=dim_bound,
-                       name="C[%s]^sq" % (g.name or "G"))
+    fsq = fiber_square(ext, ext, pairs, name="C[%s]^sq" % (g.name or "G"))
     env = enveloping(g)
     env_ext = convolution_algebra(env)
     bt = fsq.tensor

@@ -606,23 +606,24 @@ def bisections(g: FiniteGroupoid):
     """All subsets on which source and target are bijections onto the atoms.
 
     Exhaustive backtracking over target fibers; exponential but fine at desk
-    scale.
+    scale.  The search is depth first with an explicit stack, children
+    pushed in reverse so they pop in fiber order: the result keeps the order
+    of the recursive search, and no self-referencing closure is left for the
+    cycle collector.
     """
     atoms = list(g.base.atoms)
     fibers = [g.arrows(tgt=x) for x in atoms]
     out = []
-
-    def rec(k, used_sources, chosen):
+    stack = [(0, frozenset(), ())]
+    while stack:
+        k, used_sources, chosen = stack.pop()
         if k == len(atoms):
             out.append(frozenset(chosen))
-            return
-        for a in fibers[k]:
+            continue
+        for a in reversed(fibers[k]):
             s = g.source[a]
-            if s in used_sources:
-                continue
-            rec(k + 1, used_sources | {s}, chosen + [a])
-
-    rec(0, frozenset(), [])
+            if s not in used_sources:
+                stack.append((k + 1, used_sources | {s}, chosen + (a,)))
     return out
 
 

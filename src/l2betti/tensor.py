@@ -70,7 +70,7 @@ class Level:
     central_defects / invariants (lambda_b - rho_b and their common kernel).
     """
 
-    def __init__(self, dim, left_ext, right_ext, bgram, labels=None,
+    def __init__(self, dim, left_ext, right_ext, bgram,
                  prev=None, app_ext=None, quotient=None,
                  base_right_mult=None, base_left_mult=None):
         self.dim = dim
@@ -78,7 +78,6 @@ class Level:
         self.right_ext = right_ext          # extension acting on the right
         self.sub = left_ext.sub
         self.bgram = bgram                  # i -> {j -> b-coordinate vector}
-        self.labels = labels
         self.prev = prev
         self.app_ext = app_ext
         self.quotient = quotient
@@ -194,7 +193,7 @@ class Level:
             self.prev.left_act(b).col[v] for v, b in self.reps])
 
 
-def extension_base_level(ext: Extension, labels_from_alg=True) -> Level:
+def extension_base_level(ext: Extension) -> Level:
     """The algebra A of A/B as the one-factor level."""
     A = ext.alg
     bgram = {}
@@ -207,7 +206,6 @@ def extension_base_level(ext: Extension, labels_from_alg=True) -> Level:
                 row[j] = bv
         if row:
             bgram[i] = row
-    labels = [(l,) for l in A.labels] if labels_from_alg else None
 
     def base_right(a_idx):
         return GMatrix(A.dim, A.dim, [A.mul({j: ONE}, {a_idx: ONE}) for j in range(A.dim)])
@@ -215,11 +213,11 @@ def extension_base_level(ext: Extension, labels_from_alg=True) -> Level:
     def base_left(a_idx):
         return GMatrix(A.dim, A.dim, [A.mul({a_idx: ONE}, {j: ONE}) for j in range(A.dim)])
 
-    return Level(A.dim, ext, ext, bgram, labels=labels,
+    return Level(A.dim, ext, ext, bgram,
                  base_right_mult=base_right, base_left_mult=base_left)
 
 
-def append_level(prev: Level, ext2: Extension, check_balancing=True) -> Level:
+def append_level(prev: Level, ext2: Extension) -> Level:
     """prev (x)_B A2 as the radical quotient of prev (x) A2."""
     if not same_algebra(prev.sub, ext2.sub):
         raise ValueError("appended extension has a different base subalgebra")
@@ -260,37 +258,36 @@ def append_level(prev: Level, ext2: Extension, check_balancing=True) -> Level:
     else:
         rad = kernel_basis(gram)
         quot = Quotient(amb, rad.col)
-        if check_balancing:
-            # the fiber square's separating-vector certificate rests on this:
-            # the radical is exactly the span of the balancing relations
-            right_b = [combination(prev.dim, ext2.embed.column(k), prev.right_act)
-                       for k in range(dim_b)]
-            left_b = [[A2.mul(ext2.embed.column(k), {a: ONE}) for a in range(d2)]
-                      for k in range(dim_b)]
-            bal = Echelon()
-            for v in range(prev.dim):
-                for k in range(dim_b):
-                    moved = right_b[k].col[v]
-                    for a in range(d2):
-                        rel = {}
-                        for w, c in moved.items():
-                            rel[pidx(w, a)] = c
-                        for c2, coef in left_b[k][a].items():
-                            key = pidx(v, c2)
-                            val = rel.get(key, ZERO) - coef
-                            if val.is_zero():
-                                rel.pop(key, None)
-                            else:
-                                rel[key] = val
-                        if not rel:
-                            continue
-                        if gram.apply(rel):
-                            raise AssertionError("balancing relation escapes the radical")
-                        bal.insert(rel)
-            if bal.rank != rad.cols:
-                raise AssertionError(
-                    "balancing relations do not span the radical (%d vs %d)"
-                    % (bal.rank, rad.cols))
+        # the fiber square's separating-vector certificate rests on this:
+        # the radical is exactly the span of the balancing relations
+        right_b = [combination(prev.dim, ext2.embed.column(k), prev.right_act)
+                   for k in range(dim_b)]
+        left_b = [[A2.mul(ext2.embed.column(k), {a: ONE}) for a in range(d2)]
+                  for k in range(dim_b)]
+        bal = Echelon()
+        for v in range(prev.dim):
+            for k in range(dim_b):
+                moved = right_b[k].col[v]
+                for a in range(d2):
+                    rel = {}
+                    for w, c in moved.items():
+                        rel[pidx(w, a)] = c
+                    for c2, coef in left_b[k][a].items():
+                        key = pidx(v, c2)
+                        val = rel.get(key, ZERO) - coef
+                        if val.is_zero():
+                            rel.pop(key, None)
+                        else:
+                            rel[key] = val
+                    if not rel:
+                        continue
+                    if gram.apply(rel):
+                        raise AssertionError("balancing relation escapes the radical")
+                    bal.insert(rel)
+        if bal.rank != rad.cols:
+            raise AssertionError(
+                "balancing relations do not span the radical (%d vs %d)"
+                % (bal.rank, rad.cols))
 
     # descended B-valued gram on the chosen representatives
     bgram = {}
@@ -305,11 +302,8 @@ def append_level(prev: Level, ext2: Extension, check_balancing=True) -> Level:
                 continue
             bgram.setdefault(qi, {})[qj] = bv
 
-    lvl = Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
-                quotient=quot)
-    if prev.labels is not None:
-        lvl.labels = [prev.labels[v] + (A2.labels[a],) for v, a in lvl.reps]
-    return lvl
+    return Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
+                 quotient=quot)
 
 
 class Tower:
@@ -318,44 +312,30 @@ class Tower:
     All appended factors come from the same extension; levels are cached.
     """
 
-    def __init__(self, base: Level, ext: Extension, check_balancing=True):
+    def __init__(self, base: Level, ext: Extension):
         self.base = base
         self.ext = ext
-        self.check_balancing = check_balancing
         self.levels = [base]
 
     def level(self, k: int) -> Level:
         while len(self.levels) <= k:
-            self.levels.append(append_level(self.levels[-1], self.ext,
-                                            self.check_balancing))
+            self.levels.append(append_level(self.levels[-1], self.ext))
         return self.levels[k]
 
-    def insert_unit(self, k: int, base_insert: GMatrix = None) -> GMatrix:
+    def insert_unit(self, k: int, base_insert: GMatrix) -> GMatrix:
         """Insert a unit factor at the insertion slot: level k -> k+1.
 
-        base_insert realizes the insertion on the base (level 0 -> level 1);
-        the default appends a unit after a one-slot base.
-        """
-        nxt = self.level(k + 1)
-        cur = self.level(k)
-        if k > 0:
-            return cur.lift(self.insert_unit(k - 1, base_insert), nxt)
-        if base_insert is not None:
-            return base_insert
-        unit = self.ext.alg.unit
-        return GMatrix.from_cols(nxt.dim, [nxt.tensor_class({q: ONE}, unit)
-                                           for q in range(cur.dim)])
-
-    def prepend_unit(self, k: int, base_prepend: GMatrix) -> GMatrix:
-        """1 (x) v for towers over an algebra base: level k -> level k+1.
-
-        base_prepend gives a -> class of 1 (x) a from the base into level 1.
+        base_insert realizes the insertion on the base (level 0 -> level 1),
+        for instance a -> class of 1 (x) a for towers over an algebra base;
+        the higher levels carry it through their last factors.
         """
         if k == 0:
-            return base_prepend
+            return base_insert
         nxt = self.level(k + 1)
-        return self.level(k).lift(self.prepend_unit(k - 1, base_prepend), nxt)
+        return self.level(k).lift(self.insert_unit(k - 1, base_insert), nxt)
+
+    prepend_unit = insert_unit
 
 
-def algebra_tower(ext: Extension, check_balancing=True) -> Tower:
-    return Tower(extension_base_level(ext), ext, check_balancing)
+def algebra_tower(ext: Extension) -> Tower:
+    return Tower(extension_base_level(ext), ext)

@@ -225,3 +225,23 @@ def test_corpus_sweep_covers_every_corpus_document():
     named = {args[1] for args in cmds}
     assert named == {"corpus/" + f for f in os.listdir(CORPUS) if f.endswith(".json")}
     assert all(os.path.exists(os.path.join(ROOT, p)) for p in named)
+
+
+def test_every_tracer_span_target_resolves():
+    # benchmark/tracer.py wraps these names when a traced run installs it;
+    # a deleted or renamed target would break every traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "tracer", os.path.join(ROOT, "benchmark", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for ts in tracer.SPANS.values() for t in ts]
+    assert targets
+    for target in targets:
+        modname, attr = target.split(":")
+        module = importlib.import_module("l2betti." + modname)
+        if "." in attr:
+            # methods are patched through the class __dict__
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(module, cls_name)).get(meth)), target
+        else:
+            assert callable(getattr(module, attr, None)), target

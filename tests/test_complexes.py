@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from l2betti.complexes import (
 )
 from l2betti.fibersquare import default_pairs, fiber_square, groupoid_fiber_square
 from l2betti.groupoids import (
-    group_groupoid, pair_relation, trivial_groupoid, uniform_space,
+    bisections, group_groupoid, pair_relation, trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, kernel_basis, rank
@@ -138,6 +139,24 @@ def test_l2_complex_is_freed_without_the_cycle_collector():
         l2.action(2, 0)
         ref = weakref.ref(l2.levels[2])
         del l2
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_bisections_free_the_groupoid_without_the_cycle_collector():
+    # the search keeps the lexicographic order over the target fibers (it
+    # fixes the unitary family order), and it leaves no reference cycle, so
+    # the groupoid is released by reference counting alone
+    g = pair_relation(uniform_space(3))
+    fibers = [g.arrows(tgt=x) for x in g.base.atoms]
+    expected = [frozenset(c) for c in itertools.product(*fibers)
+                if len({g.source[a] for a in c}) == len(c)]
+    gc.disable()
+    try:
+        assert bisections(g) == expected
+        ref = weakref.ref(g)
+        del g
         assert ref() is None
     finally:
         gc.enable()

@@ -101,14 +101,18 @@ def test_s_condition_failure_witness():
 
 
 def test_fiber_square_group_algebra_full_tensor():
-    ext = cgroup_ext(2)
-    fsq = fiber_square(ext, ext, default_pairs(ext))
-    assert fsq.dim == 4  # |G|^2
-    # trace is phi(T) = <1(x)1 | T(1(x)1)>, faithful and tracial
-    for i in range(fsq.dim):
-        for j in range(fsq.dim):
-            assert fsq.trace(fsq.mul({i: ONE}, {j: ONE})) == \
-                fsq.trace(fsq.mul({j: ONE}, {i: ONE}))
+    # over the scalars the saturation must reach the whole enveloping
+    # algebra A (x) A^op, of dimension (dim A)^2
+    for label, build in (("CC2/C", lambda: cgroup_ext(2)), ("CS3/C", cs3_ext),
+                         ("M2/C", lambda: trivial_extension(matrix_algebra(2)))):
+        ext = build()
+        fsq = fiber_square(ext, ext, default_pairs(ext))
+        assert fsq.dim == ext.alg.dim ** 2, label
+        # trace is phi(T) = <1(x)1 | T(1(x)1)>, faithful and tracial
+        for i in range(fsq.dim):
+            for j in range(fsq.dim):
+                assert fsq.trace(fsq.mul({i: ONE}, {j: ONE})) == \
+                    fsq.trace(fsq.mul({j: ONE}, {i: ONE})), label
 
 
 def test_fiber_square_b_equals_a_gives_center():
@@ -218,21 +222,36 @@ def test_invariant_subspace_faithful():
 
 
 def test_s_condition_variant_reading_differs():
-    # the printed matching condition pairs a bisection with its inverse
-    # permutation; the alternative reading pairs it with itself.  Comparing
-    # the two pair sets on pair(3) shows they genuinely differ while both
-    # generate the same fiber square.
-    from l2betti.fibersquare import canonical_pairs
+    # the matching condition u* x u = v x v* pairs a bisection with its
+    # inverse permutation; the alternative reading u x u* = v x v* pairs it
+    # with itself.  On pair(3) the two pair sets genuinely differ.  The
+    # alternative set holds pairs whose evaluation is not B-central, which
+    # fiber_square refuses; its central pairs are matching pairs after all
+    # and generate the same fiber square.
     ext = convolution_algebra(pair_relation(uniform_space(3)))
-    printed = canonical_pairs(ext, ext, variant=False)
-    alternative = canonical_pairs(ext, ext, variant=True)
+    printed = canonical_pairs(ext, ext)
+    fam = ext.alg.unitary_family
+    by_right_sig = {}
+    for nm, u in fam:
+        s = fs._sig(ext, u, "right")
+        if s is not None:
+            by_right_sig.setdefault(s, []).append((nm, u))
+    alternative = [(named_u, (nv, v)) for nv, v in fam
+                   for named_u in by_right_sig.get(fs._sig(ext, v, "right"), ())]
 
     def keyset(pairs):
         return {(nu, nv) for (nu, _), (nv, _) in pairs}
 
     assert keyset(printed) != keyset(alternative)
+    with pytest.raises(AssertionError, match="not B-central"):
+        fiber_square(ext, ext, alternative)
+    bt = balanced_tensor(ext, ext)
+    central = [((nu, u), (nv, v)) for (nu, u), (nv, v) in alternative
+               if fs._is_central(bt, bt.level.tensor_class(u, v))]
+    assert 0 < len(central) < len(alternative)
+    assert all(s_condition(ext, ext, u, v) for (_, u), (_, v) in central)
     f1 = fiber_square(ext, ext, printed)
-    f2 = fiber_square(ext, ext, alternative, variant=True)
+    f2 = fiber_square(ext, ext, central)
     assert f1.dim == f2.dim == 9
 
 
@@ -350,6 +369,25 @@ def test_fault_basis_operator_with_wrong_evaluation_is_caught(monkeypatch):
                              lambda op, bt: op.scale(2))
     with pytest.raises(AssertionError, match="does not evaluate"):
         fiber_square(ext, ext, default_pairs(ext))
+
+
+def test_fault_adjoint_entry_is_caught(monkeypatch):
+    # an entry bumped in a column outside the support of 1(x)1 leaves the
+    # adjoint's evaluation unchanged, so only its bimodularity check, which
+    # stands in for comparing it with the combination its evaluation names,
+    # can see the corruption
+    ext = m2_diag_extension()
+    bt = balanced_tensor(ext, ext)
+    original = fs.adjoint_wrt
+
+    def corrupted_adjoint(*args):
+        adj = original(*args)
+        bump_entry(adj, skip_cols=bt.one_one)
+        return adj
+
+    monkeypatch.setattr(fs, "adjoint_wrt", corrupted_adjoint)
+    with pytest.raises(AssertionError, match="does not commute"):
+        fiber_square(ext, ext, default_pairs(ext), tensor=bt)
 
 
 def test_fault_one_one_entry_is_caught():
