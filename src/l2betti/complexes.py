@@ -30,7 +30,7 @@ from .fibersquare import FiberSquareAlgebra, fiber_square_of
 from .groupoids import (
     FiniteGroupoid, geometric_carrier, geometric_face, enveloping,
 )
-from .linalg import Echelon, GMatrix, invert, kernel_basis, vec_axpy, vec_dot
+from .linalg import Echelon, GMatrix, invert, kernel_basis, vec_axpy, vec_dot, vec_eq
 from .scalars import MINUS_ONE, ONE, ZERO, gs
 from .tensor import Level, Quotient, Tower, algebra_tower, extension_base_level
 
@@ -144,14 +144,16 @@ class PresimplicialModule:
                 raise AssertionError(
                     "degree %d has %d faces over %d, not %d over %d in %s"
                     % (n, len(fs), len(lower), n + 1, n, self.name))
+            # column by column, so neither product is stored
             for j in range(1, len(fs)):
                 for i in range(j):
-                    lhs = lower[i].mul(fs[j])
-                    rhs = lower[j - 1].mul(fs[i])
-                    if lhs != rhs:
-                        raise AssertionError(
-                            "presimplicial identity fails at degree %d (%d,%d) in %s"
-                            % (n, i, j, self.name))
+                    li, lj = lower[i], lower[j - 1]
+                    fi, fj = fs[i].col, fs[j].col
+                    for c in range(self.dims[n]):
+                        if not vec_eq(li.apply(fj[c]), lj.apply(fi[c])):
+                            raise AssertionError(
+                                "presimplicial identity fails at degree %d (%d,%d) in %s"
+                                % (n, i, j, self.name))
         self.presimplicial_upto = max(self.presimplicial_upto, upto)
         return True
 
@@ -311,6 +313,10 @@ def _coinv_quotient(level: Level) -> Quotient:
 
 
 def _descend(m: GMatrix, src_q: Quotient, dst_q: Quotient) -> GMatrix:
+    """m carried to the quotients; through two identities it is m itself,
+    shared with whatever cache holds it."""
+    if src_q.is_identity and dst_q.is_identity:
+        return m
     cols = []
     for q in range(src_q.dim):
         cols.append(dst_q.project(m.apply(src_q.section({q: ONE}))))

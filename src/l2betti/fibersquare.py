@@ -281,8 +281,7 @@ def _saturate(bt: BalancedTensor, pairs):
     for (nu, u), (nv, v) in pairs:
         for nm, uu, vv in (("%s*%s" % (nu, nv), u, v),
                            ("%s**%s*" % (nu, nv), A.star(u), C.star(v))):
-            key = (tuple(sorted((k, str(c)) for k, c in uu.items())),
-                   tuple(sorted((k, str(c)) for k, c in vv.items())))
+            key = (frozenset(uu.items()), frozenset(vv.items()))
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
@@ -294,9 +293,11 @@ def _saturate(bt: BalancedTensor, pairs):
                 ops.append(pair_operator(bt, uu, vv, check=False))
                 names.append(nm)
 
-    # T_g T_k evaluates to T_g(ev_k); only a new evaluation needs the product
+    # T_g T_k evaluates to T_g(ev_k); only a new evaluation needs the
+    # product.  ops[0] is 1 (1 (x) 1 is cyclic, so nonzero), whose products
+    # add nothing.
     def extend(g, k):
-        if not evals.add(ops[g].apply(evals.vectors[k])):
+        if g == 0 or not evals.add(ops[g].apply(evals.vectors[k])):
             return False
         ops.append(ops[g].mul(ops[k]))
         names.append("prod")
@@ -385,7 +386,7 @@ def _sig(ext: Extension, u: dict, side: str):
         b = ext.expectation_sub(conj)
         if not vec_eq(ext.embed.apply(b), conj):
             return None
-        out.append(tuple(sorted((i, str(c)) for i, c in b.items())))
+        out.append(frozenset(b.items()))
     return tuple(out)
 
 

@@ -168,8 +168,20 @@ class GMatrix:
     # -- arithmetic
 
     def apply(self, v: dict) -> dict:
-        out = {}
-        for j, c in v.items():
+        # the first term lands in an empty dict, so it is copied rather than
+        # accumulated; stored zeros are dropped as vec_axpy drops them
+        items = iter(v.items())
+        for j, c in items:
+            if c.a == 1 and not c.b and c.d == 1:
+                out = {i: x for i, x in self.col[j].items() if x.a or x.b}
+            elif c.a or c.b:
+                out = {i: c * x for i, x in self.col[j].items() if x.a or x.b}
+            else:
+                continue
+            break
+        else:
+            return {}
+        for j, c in items:
             vec_axpy(out, c, self.col[j])
         return out
 

@@ -12,7 +12,7 @@ factors, and unit-insertion maps used by the contracting homotopies.
 from __future__ import annotations
 
 from .algebras import Extension, TracialStarAlgebra
-from .linalg import Echelon, GMatrix, combination, kernel_basis, vec_eq
+from .linalg import Echelon, GMatrix, combination, kernel_basis, rank, vec_eq
 from .scalars import ONE, ZERO
 
 
@@ -48,15 +48,18 @@ class Quotient:
     def is_identity(self):
         return self.dim == self.ambient_dim
 
+    # on the identity both maps hand back the dict they are given, not a
+    # copy: every caller passes a fresh dict or copies the result
+
     def project(self, v: dict) -> dict:
         if self.is_identity:
-            return dict(v)
+            return v
         res, _ = self.ech.reduce(v)
         return {self.pos[i]: x for i, x in res.items()}
 
     def section(self, q: dict) -> dict:
         if self.is_identity:
-            return dict(q)
+            return q
         return {self.keep[i]: x for i, x in q.items()}
 
 
@@ -102,9 +105,15 @@ class Level:
             {i * d2 + j: x * y for i, x in v.items() for j, y in a.items()})
 
     def lift(self, inner: GMatrix, dst: "Level") -> GMatrix:
-        """v (x) b -> inner(v) (x) b, from this level into dst."""
-        return GMatrix.from_cols(
-            dst.dim, [dst.tensor_class(inner.col[v], {b: ONE}) for v, b in self.reps])
+        """v (x) b -> inner(v) (x) b, from this level into dst.
+
+        The class of w (x) e_b is the projection of w reindexed into the
+        b-th slot, so no product with 1 is formed."""
+        d2 = dst.app_ext.alg.dim
+        project = dst.quotient.project
+        return GMatrix(dst.dim, self.dim, [
+            project({i * d2 + b: x for i, x in inner.col[v].items()})
+            for v, b in self.reps])
 
     def central_defects(self) -> list:
         """lambda_b - rho_b for each basis element b of B.  A vector is
@@ -218,7 +227,8 @@ def extension_base_level(ext: Extension) -> Level:
 
 
 def append_level(prev: Level, ext2: Extension) -> Level:
-    """prev (x)_B A2 as the radical quotient of prev (x) A2."""
+    """prev (x)_B A2 as the radical quotient of prev (x) A2; over the
+    scalars the radical is certified empty and the level is prev (x) A2."""
     if not same_algebra(prev.sub, ext2.sub):
         raise ValueError("appended extension has a different base subalgebra")
     A2 = ext2.alg
@@ -237,7 +247,8 @@ def append_level(prev: Level, ext2: Extension) -> Level:
             if not s.is_zero():
                 sandwiches[(a, b)] = s
 
-    gram = GMatrix.zero(amb, amb)
+    # the ambient scalar Gram is formed only where a radical can exist
+    gram = GMatrix.zero(amb, amb) if dim_b > 1 else None
     amb_bgram = {}
     for v, row in prev.bgram.items():
         for w, bv in row.items():
@@ -247,14 +258,27 @@ def append_level(prev: Level, ext2: Extension) -> Level:
                     continue
                 i, j = pidx(v, a), pidx(w, b)
                 amb_bgram.setdefault(i, {})[j] = out
-                tr = ext2.sub_trace(out)
-                if not tr.is_zero():
-                    gram.col[j][i] = tr
+                if gram is not None:
+                    tr = ext2.sub_trace(out)
+                    if not tr.is_zero():
+                        gram.col[j][i] = tr
 
     if dim_b == 1:
+        # Over the scalars each sandwich is multiplication by the number
+        # h_ab = s_ab(1), so the ambient Gram tr(<v (x) a, w (x) b>) is
+        # G_prev[v, w] * h_ab: the Kronecker product G_prev (x) H.  As
+        # det(G (x) H) = det(G)^d2 det(H)^dim_prev, it is nondegenerate when
+        # H and G_prev are.  H is checked here, and G_prev by induction down
+        # to the base level, checked where it is first appended to.  The
+        # radical is empty and the level is the plain tensor product.
+        h = GMatrix.zero(d2, d2)
+        for (a, b), s in sandwiches.items():
+            h.col[b][a] = s.col[0][0]
+        if rank(h) != d2:
+            raise AssertionError("appended algebra has a degenerate trace form")
+        if prev.prev is None and rank(prev.scalar_gram()) != prev.dim:
+            raise AssertionError("base level has a degenerate scalar Gram")
         quot = Quotient(amb, [])
-        if kernel_basis(gram).cols != 0:
-            raise AssertionError("unexpected degeneracy over the scalars")
     else:
         rad = kernel_basis(gram)
         quot = Quotient(amb, rad.col)
@@ -290,17 +314,20 @@ def append_level(prev: Level, ext2: Extension) -> Level:
                 % (bal.rank, rad.cols))
 
     # descended B-valued gram on the chosen representatives
-    bgram = {}
-    posmap = quot.pos
-    for i, row in amb_bgram.items():
-        qi = posmap.get(i)
-        if qi is None:
-            continue
-        for j, bv in row.items():
-            qj = posmap.get(j)
-            if qj is None:
+    if quot.is_identity:
+        bgram = amb_bgram
+    else:
+        bgram = {}
+        posmap = quot.pos
+        for i, row in amb_bgram.items():
+            qi = posmap.get(i)
+            if qi is None:
                 continue
-            bgram.setdefault(qi, {})[qj] = bv
+            for j, bv in row.items():
+                qj = posmap.get(j)
+                if qj is None:
+                    continue
+                bgram.setdefault(qi, {})[qj] = bv
 
     return Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
                  quotient=quot)
