@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Compare two checkouts on one benchmark workload with alternating runs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seeds 3-7 [--seconds 40]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seeds 3-7
 
 PARENT and CHANGE are checkout roots.  For each seed the script runs
-``benchmark/run.py --workload W --seed S --seconds N --trace 0`` once in
-each checkout, one at a time, alternating which goes first so that neither
-side always runs on a warmer machine.  Each run's last output line is its
+``benchmark/run.py --workload W --seed S --trace 0`` once in each checkout,
+at the benchmark's own run length, one at a time, alternating which goes
+first so that neither side always runs on a warmer machine.  Each run's last output line is its
 JSON result.  For every end-to-end metric named in this checkout's
 ``BENCHMARK.json`` it prints both medians with their quartiles, the change
 in the medians, how many pairs the change won, and whether the gain in
@@ -31,9 +31,9 @@ def seed_range(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def run(label, checkout, workload, seed, seconds):
+def run(label, checkout, workload, seed):
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -61,7 +61,6 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=seed_range,
                     help="inclusive range such as 3-7, or one seed")
-    ap.add_argument("--seconds", type=int, default=40)
     args = ap.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent),
             "change": os.path.abspath(args.change)}
@@ -72,7 +71,7 @@ def main(argv=None):
     ok = True
     for k, seed in enumerate(args.seeds):
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        got = {lb: run(lb, dirs[lb], args.workload, seed, args.seconds) for lb in order}
+        got = {lb: run(lb, dirs[lb], args.workload, seed) for lb in order}
         pairs.append((got["parent"], got["change"]))
         ok = ok and all(r["correct"] for r in got.values())
 

@@ -314,20 +314,17 @@ def append_level(prev: Level, ext2: Extension) -> Level:
                 % (bal.rank, rad.cols))
 
     # descended B-valued gram on the chosen representatives
-    if quot.is_identity:
-        bgram = amb_bgram
-    else:
-        bgram = {}
-        posmap = quot.pos
-        for i, row in amb_bgram.items():
-            qi = posmap.get(i)
-            if qi is None:
+    bgram = {}
+    posmap = quot.pos
+    for i, row in amb_bgram.items():
+        qi = posmap.get(i)
+        if qi is None:
+            continue
+        for j, bv in row.items():
+            qj = posmap.get(j)
+            if qj is None:
                 continue
-            for j, bv in row.items():
-                qj = posmap.get(j)
-                if qj is None:
-                    continue
-                bgram.setdefault(qi, {})[qj] = bv
+            bgram.setdefault(qi, {})[qj] = bv
 
     return Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
                  quotient=quot)
