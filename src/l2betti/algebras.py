@@ -272,6 +272,9 @@ def validate_algebra(a: TracialStarAlgebra, check_associativity=None) -> Algebra
 # extensions
 
 
+_UNREAD = object()
+
+
 class Extension:
     """Tracial extension: ambient algebra, embedded subalgebra, expectation."""
 
@@ -285,6 +288,7 @@ class Extension:
         self.provenance = provenance
         self._sandwich_memo = {}
         self._sub_trace = [alg.trace(embed.column(k)) for k in range(sub.dim)]
+        self._grading = _UNREAD
 
     def iota(self, bvec: dict) -> dict:
         return self.embed.apply(bvec)
@@ -315,6 +319,52 @@ class Extension:
             m = GMatrix.from_cols(self.sub.dim, cols)
             self._sandwich_memo[key] = m
         return m
+
+    def grading(self):
+        """(t, s) with e_a = p_{t[a]} e_a p_{s[a]} for every basis vector
+        e_a of A, when the basis of B is its minimal projections p_x
+        (orthogonal projections summing to 1); None otherwise.  Read once
+        from the structure constants."""
+        if self._grading is _UNREAD:
+            self._grading = self._read_grading()
+        return self._grading
+
+    def _read_grading(self):
+        A, B = self.alg, self.sub
+        n = B.dim
+        if not vec_eq(B.unit, {x: ONE for x in range(n)}):
+            return None
+        for x in range(n):
+            if not vec_eq(B.star_table[x], {x: ONE}):
+                return None
+            for y in range(n):
+                if not vec_eq(B.mult[x][y], {x: ONE} if x == y else {}):
+                    return None
+        proj = [self.embed.column(x) for x in range(n)]
+
+        def support(products, ea):
+            # the one x with p_x e_a = e_a (or e_a p_x = e_a); every other
+            # product must vanish
+            hit = None
+            for x, v in enumerate(products):
+                if vec_eq(v, ea):
+                    if hit is not None:
+                        return None
+                    hit = x
+                elif not vec_eq(v, {}):
+                    return None
+            return hit
+
+        t, s = [], []
+        for a in range(A.dim):
+            ea = {a: ONE}
+            ta = support([A.mul(p, ea) for p in proj], ea)
+            sa = support([A.mul(ea, p) for p in proj], ea)
+            if ta is None or sa is None:
+                return None
+            t.append(ta)
+            s.append(sa)
+        return t, s
 
     def validate(self) -> AlgebraReport:
         bad = []

@@ -301,26 +301,32 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
 
 
 def _defect_cols(level: Level):
+    """Columns spanning the coinvariant relations.  On the graded path the
+    defects are diagonal, so the basis vectors with tl != sr span them."""
+    if level.sr is not None:
+        return [{q: ONE} for q, (t, s) in enumerate(zip(level.tl, level.sr)) if t != s]
     return [c for d in level.central_defects() for c in d.col if c]
 
 
 def _coinv_quotient(level: Level) -> Quotient:
-    """The quotient by the span of lambda_b - rho_b.  Over the scalars the
-    defects vanish, and they are not even formed."""
-    if level.sub.dim == 1:
-        return Quotient(level.dim, [])
-    return Quotient(level.dim, _defect_cols(level))
+    """The quotient by the span of lambda_b - rho_b.  On the graded path the
+    defects are diagonal, so it keeps the basis vectors with tl = sr."""
+    if level.sr is not None:
+        return Quotient(level.dim, level.central_coords())
+    return Quotient.of_span(level.dim, _defect_cols(level))
 
 
 def _descend(m: GMatrix, src_q: Quotient, dst_q: Quotient) -> GMatrix:
     """m carried to the quotients; through two identities it is m itself,
-    shared with whatever cache holds it."""
+    shared with whatever cache holds it, and from a coordinate quotient
+    its columns are read at the kept coordinates, shared the same way."""
     if src_q.is_identity and dst_q.is_identity:
         return m
-    cols = []
-    for q in range(src_q.dim):
-        cols.append(dst_q.project(m.apply(src_q.section({q: ONE}))))
-    return GMatrix.from_cols(dst_q.dim, cols)
+    if src_q.ech is None:
+        cols = [m.col[k] for k in src_q.keep]
+    else:
+        cols = [m.apply(src_q.section({q: ONE})) for q in range(src_q.dim)]
+    return GMatrix(dst_q.dim, src_q.dim, [dst_q.project(c) for c in cols])
 
 
 def _chain_gram(level: Level, coq: Quotient) -> GMatrix:
@@ -359,15 +365,14 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
         row.append(_descend(lvl.wrap(), coqs[n], coqs[n - 1]))
         faces.append(row)
 
-    if ext.sub.dim > 1:
-        for n in range(1, N + 1):
-            gens = _defect_cols(levels[n])
-            maps = [levels[n].join(bd + i) for i in range(n)] + [levels[n].wrap()]
-            for m in maps:
-                for w in gens:
-                    if coqs[n - 1].project(m.apply(w)):
-                        raise AssertionError(
-                            "face does not descend to coinvariants at degree %d" % n)
+    for n in range(1, N + 1):
+        gens = _defect_cols(levels[n])
+        maps = [levels[n].join(bd + i) for i in range(n)] + [levels[n].wrap()]
+        for m in maps:
+            for w in gens:
+                if coqs[n - 1].project(m.apply(w)):
+                    raise AssertionError(
+                        "face does not descend to coinvariants at degree %d" % n)
 
     action = None
     if coeff_action is not None:

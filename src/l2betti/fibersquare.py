@@ -19,9 +19,9 @@ certified by three exact checks, not assumed:
    is that map; no operator product is formed.
 3. Every admitted pair has a B-central evaluation xi = [u (x) v]:
    b . xi = xi . b for each basis element b of B.  Since the balancing
-   relations span the radical (certified in tensor.append_level), the map
-   a (x) c -> a . xi . c is then well defined and bimodular, and it is the
-   pair operator u * v.
+   relations span the radical (certified in tensor.append_level on either
+   path), the map a (x) c -> a . xi . c is then well defined and
+   bimodular, and it is the pair operator u * v.
 
 Hence a pair whose evaluation is dependent equals the combination of basis
 operators its evaluation names, T_i T_j = sum_k c_k T_k with c the

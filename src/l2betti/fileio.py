@@ -91,7 +91,12 @@ def groupoid_from_doc(doc: dict, location="groupoid") -> FiniteGroupoid:
         raise InputError(str(e), location + ".atoms")
     els = []
     src, tgt = {}, {}
-    for e in doc["elements"]:
+    for k, e in enumerate(doc["elements"]):
+        missing = [key for key in ("id", "source", "target")
+                   if not isinstance(e, dict) or key not in e]
+        if missing:
+            raise InputError("element %d has no field %r" % (k, missing[0]),
+                             location + ".elements")
         i = str(e["id"])
         if i in src:
             raise InputError("duplicate element id %r" % i, location + ".elements")
@@ -174,9 +179,15 @@ def extension_from_doc(doc: dict, location="algebra") -> Extension:
         mult[index[i]][index[j]] = _vec_from_pairs(pairs, index, location + ".mult")
     star = [{} for _ in range(dim)]
     for i, pairs in doc["star"]:
+        if i not in index:
+            raise InputError("star row mentions unknown label %r" % (i,),
+                             location + ".star")
         star[index[i]] = _vec_from_pairs(pairs, index, location + ".star")
     trace = {}
     for i, val in doc["trace"]:
+        if i not in index:
+            raise InputError("trace row mentions unknown label %r" % (i,),
+                             location + ".trace")
         trace[index[i]] = _scalar(val, location + ".trace")
     unit = _vec_from_pairs(doc["unit"], index, location + ".unit")
     fam = []

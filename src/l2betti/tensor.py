@@ -1,9 +1,26 @@
 """Balanced tensor products over the embedded subalgebra.
 
-A balanced product M (x)_B A is realized as the quotient of the plain
-tensor product by the radical of the induced hermitian form; the balancing
-relations (m.b) (x) a - m (x) (b.a) are checked to lie in the radical and to
-span it, which certifies that the quotient is the algebraic balanced tensor.
+A balanced product M (x)_B A is built on one of two paths.
+
+- Graded: when the basis of B is its minimal projections p_x and every
+  basis vector of A is p_t e p_s for exactly one pair (t, s)
+  (`Extension.grading`), the balanced tensor is spanned by the composable
+  pairs.  Every level records the left and right support (tl, sr) of each
+  basis vector; appending A keeps the pairs (v, a) with sr[v] = t(a), since
+  e_v (x) e_a = e_v p_x (x) e_a = e_v (x) p_x e_a = 0 for x = sr[v] != t(a).
+  The quotient drops coordinates, the defects lambda_b - rho_b are diagonal
+  and the coinvariants keep the basis vectors with tl = sr.  The
+  certificate, stated in `_graded_level`, is a blockwise Kronecker product:
+  per level each block of A's trace form is checked full rank and every
+  B-valued inner product is checked to sit at the right support; the base
+  Gram is checked where the base is first appended to.  Over the scalars
+  B = C1 is one minimal projection, so the graded path has one block and
+  the quotient is the identity.
+- Radical: otherwise the level is the quotient of the plain tensor product
+  by the radical of the induced hermitian form; the balancing relations
+  (m.b) (x) a - m (x) (b.a) are checked to lie in the radical and to span
+  it, which certifies that the quotient is the algebraic balanced tensor.
+
 Levels are built iteratively (append one factor at a time) and carry the
 B-valued inner product, the outer algebra actions, merge maps for adjacent
 factors, and unit-insertion maps used by the contracting homotopies.
@@ -13,7 +30,7 @@ from __future__ import annotations
 
 from .algebras import Extension, TracialStarAlgebra
 from .linalg import Echelon, GMatrix, combination, kernel_basis, rank, vec_eq
-from .scalars import ONE, ZERO
+from .scalars import MINUS_ONE, ONE, ZERO
 
 
 def same_algebra(b1: TracialStarAlgebra, b2: TracialStarAlgebra) -> bool:
@@ -32,17 +49,26 @@ def same_algebra(b1: TracialStarAlgebra, b2: TracialStarAlgebra) -> bool:
 
 
 class Quotient:
-    """V -> V/S with representatives at the non-pivot coordinates of S."""
+    """V -> V/S with representatives at the coordinates keep.
 
-    def __init__(self, ambient_dim: int, subspace_cols):
+    Without an echelon, S is spanned by the coordinates outside keep, so
+    project drops them and section reindexes.  Quotient.of_span takes any
+    S and keeps the non-pivot coordinates of its echelon basis."""
+
+    def __init__(self, ambient_dim: int, keep, ech=None):
         self.ambient_dim = ambient_dim
-        self.ech = Echelon()
+        self.ech = ech
+        self.keep = keep
+        self.pos = {k: q for q, k in enumerate(keep)}
+        self.dim = len(keep)
+
+    @classmethod
+    def of_span(cls, ambient_dim: int, subspace_cols) -> "Quotient":
+        ech = Echelon()
         for c in subspace_cols:
-            self.ech.insert(c)
-        pivset = set(self.ech.pivots)
-        self.keep = [k for k in range(ambient_dim) if k not in pivset]
-        self.pos = {k: q for q, k in enumerate(self.keep)}
-        self.dim = len(self.keep)
+            ech.insert(c)
+        return cls(ambient_dim,
+                   [k for k in range(ambient_dim) if k not in ech.pivots], ech)
 
     @property
     def is_identity(self):
@@ -54,8 +80,11 @@ class Quotient:
     def project(self, v: dict) -> dict:
         if self.is_identity:
             return v
+        pos = self.pos
+        if self.ech is None:
+            return {pos[i]: x for i, x in v.items() if i in pos}
         res, _ = self.ech.reduce(v)
-        return {self.pos[i]: x for i, x in res.items()}
+        return {pos[i]: x for i, x in res.items()}
 
     def section(self, q: dict) -> dict:
         if self.is_identity:
@@ -71,12 +100,16 @@ class Level:
     is built from three primitives: tensor_class (the class of v (x) a),
     lift (carry a map of the previous level through the last factor) and
     central_defects / invariants (lambda_b - rho_b and their common kernel).
+    On the graded path tl and sr hold the left and right support of each
+    basis vector; on the radical path they are None.
     """
 
     def __init__(self, dim, left_ext, right_ext, bgram,
                  prev=None, app_ext=None, quotient=None,
-                 base_right_mult=None, base_left_mult=None):
+                 base_right_mult=None, base_left_mult=None, tl=None, sr=None):
         self.dim = dim
+        self.tl = tl
+        self.sr = sr
         self.left_ext = left_ext            # extension acting on the left
         self.right_ext = right_ext          # extension acting on the right
         self.sub = left_ext.sub
@@ -118,23 +151,39 @@ class Level:
     def central_defects(self) -> list:
         """lambda_b - rho_b for each basis element b of B.  A vector is
         B-central when all of them kill it; their columns span the
-        relations of the B-coinvariants."""
+        relations of the B-coinvariants.  On the graded path b = p_x and
+        p_x e_q - e_q p_x = ([tl[q] = x] - [sr[q] = x]) e_q."""
         if self._defects is None:
-            self._defects = [
-                combination(self.dim, self.left_ext.embed.column(k), self.left_act).sub(
-                    combination(self.dim, self.right_ext.embed.column(k), self.right_act))
-                for k in range(self.sub.dim)]
+            if self.sr is None:
+                self._defects = [
+                    combination(self.dim, self.left_ext.embed.column(k), self.left_act).sub(
+                        combination(self.dim, self.right_ext.embed.column(k), self.right_act))
+                    for k in range(self.sub.dim)]
+            else:
+                self._defects = [GMatrix(self.dim, self.dim, [
+                    {q: ONE} if t == x != s else {q: MINUS_ONE} if s == x != t else {}
+                    for q, (t, s) in enumerate(zip(self.tl, self.sr))])
+                    for x in range(self.sub.dim)]
         return self._defects
+
+    def central_coords(self) -> list:
+        """On the graded path, the basis vectors with tl = sr: they span the
+        invariants and represent the coinvariants."""
+        return [q for q, (t, s) in enumerate(zip(self.tl, self.sr)) if t == s]
 
     def invariants(self) -> GMatrix:
         """Basis of the B-central vectors: the common kernel of the defects."""
         if self._invariants is None:
-            stacked = GMatrix.zero(self.dim * self.sub.dim, self.dim)
-            for k, d in enumerate(self.central_defects()):
-                for j, c in enumerate(d.col):
-                    for i, x in c.items():
-                        stacked.col[j][i + k * self.dim] = x
-            self._invariants = kernel_basis(stacked)
+            if self.sr is not None:
+                keep = self.central_coords()
+                self._invariants = GMatrix(self.dim, len(keep), [{q: ONE} for q in keep])
+            else:
+                stacked = GMatrix.zero(self.dim * self.sub.dim, self.dim)
+                for k, d in enumerate(self.central_defects()):
+                    for j, c in enumerate(d.col):
+                        for i, x in c.items():
+                            stacked.col[j][i + k * self.dim] = x
+                self._invariants = kernel_basis(stacked)
         return self._invariants
 
     # -- actions
@@ -145,9 +194,13 @@ class Level:
             if self.prev is None:
                 m = self._base_right_mult(a_idx)
             else:
+                # v (x) e_b . a is e_b a reindexed into slot v, then projected
                 mult = self.app_ext.alg.mult
-                m = GMatrix.from_cols(self.dim, [
-                    self.tensor_class({v: ONE}, mult[b][a_idx]) for v, b in self.reps])
+                d2 = self.app_ext.alg.dim
+                project = self.quotient.project
+                m = GMatrix(self.dim, self.dim, [
+                    project({v * d2 + c: x for c, x in mult[b][a_idx].items()})
+                    for v, b in self.reps])
             self._right[a_idx] = m
         return m
 
@@ -222,15 +275,102 @@ def extension_base_level(ext: Extension) -> Level:
     def base_left(a_idx):
         return GMatrix(A.dim, A.dim, [A.mul({a_idx: ONE}, {j: ONE}) for j in range(A.dim)])
 
+    tl, sr = ext.grading() or (None, None)
     return Level(A.dim, ext, ext, bgram,
-                 base_right_mult=base_right, base_left_mult=base_left)
+                 base_right_mult=base_right, base_left_mult=base_left, tl=tl, sr=sr)
 
 
 def append_level(prev: Level, ext2: Extension) -> Level:
-    """prev (x)_B A2 as the radical quotient of prev (x) A2; over the
-    scalars the radical is certified empty and the level is prev (x) A2."""
+    """prev (x)_B A2: the composable pairs when prev and ext2 are graded,
+    otherwise the radical quotient of prev (x) A2."""
     if not same_algebra(prev.sub, ext2.sub):
         raise ValueError("appended extension has a different base subalgebra")
+    grading = ext2.grading() if prev.sr is not None else None
+    if grading is None:
+        return _radical_level(prev, ext2)
+    return _graded_level(prev, ext2, *grading)
+
+
+def _check_supports(level: Level):
+    """Every <v, w>_B is a multiple of p_{sr[v]}, and sr[v] = sr[w]."""
+    sr = level.sr
+    for v, row in level.bgram.items():
+        x = sr[v]
+        for w, bv in row.items():
+            if sr[w] != x or len(bv) != 1 or x not in bv:
+                raise AssertionError(
+                    "B-valued form leaves the right support at (%d, %d)" % (v, w))
+
+
+def _graded_level(prev: Level, ext2: Extension, t, s) -> Level:
+    """prev (x)_B A2 on the pairs (v, a) with sr[v] = t(a).
+
+    Certificate.  Write <v, w>_B = c_vw p_x, with x = sr[v] = sr[w]
+    (_check_supports, run on every level).  For kept pairs t(a) = t(b) = x
+    and E(a^* c_vw p_x b) = c_vw E(a^* b), so the scalar Gram on the kept
+    pairs is the blockwise Kronecker product
+
+        (+)_x  (G_prev restricted to sr = x) / tr(p_x)  (x)  H_x,
+
+    H_x[a, b] = tr(E(a^* p_x b)) over t(a) = t(b) = x, read from the
+    sandwiches.  G_prev is block diagonal by sr and nondegenerate (checked
+    at the base, where it is first appended to, and by induction above
+    it), so each of its blocks is; each H_x is checked full rank here; so
+    the kept Gram is nondegenerate.  Every dropped pair is orthogonal to
+    everything (a^* p_x = 0 for t(a) != x) and is itself a balancing
+    relation, e_v (x) e_a = (e_v . p_x) (x) e_a - e_v (x) (p_x . e_a); the
+    balancing relations for b = p_y are ([sr[v] = y] - [t(a) = y]) times
+    those same coordinates.  So the radical is exactly the span of the
+    dropped coordinates and of the balancing relations: no ambient Gram,
+    kernel or relation echelon is formed.
+    """
+    d2 = ext2.alg.dim
+    by_t = [[] for _ in range(ext2.sub.dim)]
+    for a, x in enumerate(t):
+        by_t[x].append(a)
+
+    blocks = []         # x -> nonzero sandwiches (a, b, map) with t(a) = t(b) = x
+    for x, members in enumerate(by_t):
+        h = GMatrix.zero(len(members), len(members))
+        nz = []
+        for j, b in enumerate(members):
+            for i, a in enumerate(members):
+                sw = ext2.sandwich(a, b)
+                if sw.is_zero():
+                    continue
+                nz.append((a, b, sw))
+                hx = ext2.sub_trace(sw.col[x])
+                if not hx.is_zero():
+                    h.col[j][i] = hx
+        if rank(h) != len(members):
+            raise AssertionError("appended algebra has a degenerate trace form")
+        blocks.append(nz)
+    if prev.prev is None:
+        _check_supports(prev)
+        if rank(prev.scalar_gram()) != prev.dim:
+            raise AssertionError("base level has a degenerate scalar Gram")
+
+    keep = [v * d2 + a for v, x in enumerate(prev.sr) for a in by_t[x]]
+    quot = Quotient(prev.dim * d2, keep)
+    pos = quot.pos
+    bgram = {}
+    for v, row in prev.bgram.items():
+        nz = blocks[prev.sr[v]]
+        for w, bv in row.items():
+            for a, b, sw in nz:
+                out = sw.apply(bv)
+                if out:
+                    bgram.setdefault(pos[v * d2 + a], {})[pos[w * d2 + b]] = out
+    lvl = Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
+                quotient=quot, tl=[prev.tl[k // d2] for k in keep],
+                sr=[s[k % d2] for k in keep])
+    _check_supports(lvl)
+    return lvl
+
+
+def _radical_level(prev: Level, ext2: Extension) -> Level:
+    """prev (x)_B A2 as the quotient of prev (x) A2 by the radical of its
+    form, certified to be the span of the balancing relations."""
     A2 = ext2.alg
     d2 = A2.dim
     amb = prev.dim * d2
@@ -247,8 +387,7 @@ def append_level(prev: Level, ext2: Extension) -> Level:
             if not s.is_zero():
                 sandwiches[(a, b)] = s
 
-    # the ambient scalar Gram is formed only where a radical can exist
-    gram = GMatrix.zero(amb, amb) if dim_b > 1 else None
+    gram = GMatrix.zero(amb, amb)
     amb_bgram = {}
     for v, row in prev.bgram.items():
         for w, bv in row.items():
@@ -258,60 +397,42 @@ def append_level(prev: Level, ext2: Extension) -> Level:
                     continue
                 i, j = pidx(v, a), pidx(w, b)
                 amb_bgram.setdefault(i, {})[j] = out
-                if gram is not None:
-                    tr = ext2.sub_trace(out)
-                    if not tr.is_zero():
-                        gram.col[j][i] = tr
+                tr = ext2.sub_trace(out)
+                if not tr.is_zero():
+                    gram.col[j][i] = tr
 
-    if dim_b == 1:
-        # Over the scalars each sandwich is multiplication by the number
-        # h_ab = s_ab(1), so the ambient Gram tr(<v (x) a, w (x) b>) is
-        # G_prev[v, w] * h_ab: the Kronecker product G_prev (x) H.  As
-        # det(G (x) H) = det(G)^d2 det(H)^dim_prev, it is nondegenerate when
-        # H and G_prev are.  H is checked here, and G_prev by induction down
-        # to the base level, checked where it is first appended to.  The
-        # radical is empty and the level is the plain tensor product.
-        h = GMatrix.zero(d2, d2)
-        for (a, b), s in sandwiches.items():
-            h.col[b][a] = s.col[0][0]
-        if rank(h) != d2:
-            raise AssertionError("appended algebra has a degenerate trace form")
-        if prev.prev is None and rank(prev.scalar_gram()) != prev.dim:
-            raise AssertionError("base level has a degenerate scalar Gram")
-        quot = Quotient(amb, [])
-    else:
-        rad = kernel_basis(gram)
-        quot = Quotient(amb, rad.col)
-        # the fiber square's separating-vector certificate rests on this:
-        # the radical is exactly the span of the balancing relations
-        right_b = [combination(prev.dim, ext2.embed.column(k), prev.right_act)
-                   for k in range(dim_b)]
-        left_b = [[A2.mul(ext2.embed.column(k), {a: ONE}) for a in range(d2)]
-                  for k in range(dim_b)]
-        bal = Echelon()
-        for v in range(prev.dim):
-            for k in range(dim_b):
-                moved = right_b[k].col[v]
-                for a in range(d2):
-                    rel = {}
-                    for w, c in moved.items():
-                        rel[pidx(w, a)] = c
-                    for c2, coef in left_b[k][a].items():
-                        key = pidx(v, c2)
-                        val = rel.get(key, ZERO) - coef
-                        if val.is_zero():
-                            rel.pop(key, None)
-                        else:
-                            rel[key] = val
-                    if not rel:
-                        continue
-                    if gram.apply(rel):
-                        raise AssertionError("balancing relation escapes the radical")
-                    bal.insert(rel)
-        if bal.rank != rad.cols:
-            raise AssertionError(
-                "balancing relations do not span the radical (%d vs %d)"
-                % (bal.rank, rad.cols))
+    rad = kernel_basis(gram)
+    quot = Quotient.of_span(amb, rad.col)
+    # the fiber square's separating-vector certificate rests on this:
+    # the radical is exactly the span of the balancing relations
+    right_b = [combination(prev.dim, ext2.embed.column(k), prev.right_act)
+               for k in range(dim_b)]
+    left_b = [[A2.mul(ext2.embed.column(k), {a: ONE}) for a in range(d2)]
+              for k in range(dim_b)]
+    bal = Echelon()
+    for v in range(prev.dim):
+        for k in range(dim_b):
+            moved = right_b[k].col[v]
+            for a in range(d2):
+                rel = {}
+                for w, c in moved.items():
+                    rel[pidx(w, a)] = c
+                for c2, coef in left_b[k][a].items():
+                    key = pidx(v, c2)
+                    val = rel.get(key, ZERO) - coef
+                    if val.is_zero():
+                        rel.pop(key, None)
+                    else:
+                        rel[key] = val
+                if not rel:
+                    continue
+                if gram.apply(rel):
+                    raise AssertionError("balancing relation escapes the radical")
+                bal.insert(rel)
+    if bal.rank != rad.cols:
+        raise AssertionError(
+            "balancing relations do not span the radical (%d vs %d)"
+            % (bal.rank, rad.cols))
 
     # descended B-valued gram on the chosen representatives
     bgram = {}

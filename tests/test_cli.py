@@ -83,6 +83,28 @@ def test_validate_reports_invalid_groupoid(tmp_path, capsys):
     assert code == 2
 
 
+def test_groupoid_element_without_id_is_input_error(tmp_path, capsys):
+    doc = json.loads(open(cpath("pair2.json")).read())
+    del doc["elements"][1]["id"]
+    p = tmp_path / "no_id.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "groupoid.elements" in err and "'id'" in err
+    assert "Traceback" not in err
+
+
+def test_algebra_star_row_with_unknown_label_is_input_error(tmp_path, capsys):
+    doc = json.loads(open(cpath("m2_diag.json")).read())
+    doc["star"][0][0] = "nope"
+    p = tmp_path / "bad_star.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "algebra.star" in err and "'nope'" in err
+    assert "Traceback" not in err
+
+
 def test_betti_both_pipelines(capsys):
     code, out = run_cli(["betti", cpath("action_c2_swap.json"), "--both",
                          "--N", "3"], capsys)

@@ -31,6 +31,15 @@ def m2_diag_extension():
                                    sub_labels=["d1", "d2"], name="M2/diag")
 
 
+def m2_diag_sign_basis_extension():
+    """M2 over its diagonal, with B given in the basis {1, e11 - e22}: not a
+    basis of projections, so every level takes the radical path."""
+    m2 = matrix_algebra(2)
+    e11, e22 = m2.index("e11"), m2.index("e22")
+    return conditional_expectation(m2, [{e11: ONE, e22: ONE}, {e11: ONE, e22: -ONE}],
+                                   sub_labels=["1", "h"], name="M2/diag")
+
+
 def cgroup_ext(n):
     table, unit, els = cyclic_table(n)
     return trivial_extension(group_algebra(table, unit, elements=els,
@@ -421,7 +430,8 @@ def test_fault_radical_column_dropped_is_caught(monkeypatch):
         return GMatrix.from_cols(k.rows, k.col[:-1]) if k.cols else k
 
     monkeypatch.setattr(tensor_mod, "kernel_basis", short_kernel)
-    ext = m2_diag_extension()
+    ext = m2_diag_sign_basis_extension()
+    assert ext.grading() is None
     with pytest.raises(AssertionError, match="do not span the radical"):
         balanced_tensor(ext, ext)
 

@@ -194,14 +194,17 @@ def test_bar_boundary_kernel_against_oracle():
 
 def test_radical_of_balanced_form_m2_diagonal():
     # the form on M2 (x) M2 over the diagonal has an 8-dimensional radical
-    # spanned exactly by the balancing relations (16 - 8 survivors)
-    from l2betti.algebras import (conditional_expectation,
-                                  diagonal_subalgebra_vectors, matrix_algebra)
+    # spanned exactly by the balancing relations (16 - 8 survivors); the
+    # diagonal is given in the basis {1, e11 - e22}, which is not a basis of
+    # projections, so the level takes the radical path
+    from l2betti.algebras import conditional_expectation, matrix_algebra
     from l2betti.tensor import append_level, extension_base_level
 
     m2 = matrix_algebra(2)
-    ext = conditional_expectation(m2, diagonal_subalgebra_vectors(2),
-                                  sub_labels=["d1", "d2"], name="M2/diag")
+    e11, e22 = m2.index("e11"), m2.index("e22")
+    ext = conditional_expectation(m2, [{e11: ONE, e22: ONE}, {e11: ONE, e22: -ONE}],
+                                  sub_labels=["1", "h"], name="M2/diag")
+    assert ext.grading() is None
     base = extension_base_level(ext)
     lvl = append_level(base, ext)   # asserts balancing relations span inside
     assert lvl.quotient.ambient_dim == 16

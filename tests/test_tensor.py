@@ -1,18 +1,43 @@
-"""Tower levels: the scalar Kronecker certificate against the ambient Gram
-it replaces, and the reindexing lift against the tensor_class lift."""
+"""Tower levels: the graded path against the radical path it replaces on
+every corpus extension, the scalar Kronecker certificate against the
+ambient Gram, one fault per graded-path check, and the reindexing lift
+against the tensor_class lift."""
+
+import contextlib
+import io
+import os
 
 import pytest
 
+import l2betti.tensor as tensor_mod
 from l2betti.algebras import (
-    conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
-    group_algebra, matrix_algebra, trivial_extension,
+    Extension, SpanBasis, TracialStarAlgebra, conditional_expectation,
+    convolution_algebra, diagonal_subalgebra_vectors, group_algebra,
+    matrix_algebra, span_structure, trivial_extension,
 )
-from l2betti.complexes import ChainComplex
-from l2betti.groupoids import pair_relation, uniform_space
+from l2betti.betti import betti_hochschild
+from l2betti.cli import main
+from l2betti.complexes import ChainComplex, _coinv_quotient
+from l2betti.fileio import as_extension, load_path
+from l2betti.groupoids import FiniteGroupoid, pair_relation, uniform_space
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, kernel_basis
 from l2betti.scalars import ONE, ZERO, gs
 from l2betti.tensor import algebra_tower, append_level, extension_base_level
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpus")
+
+
+def corpus_extension_files():
+    """The corpus documents that define an extension: groupoids, algebras
+    and weighted sums."""
+    return sorted(f for f in os.listdir(CORPUS) if f.endswith(".json")
+                  and not f.startswith(("verify_", "cocycle_")))
+
+
+def corpus_extension(name):
+    return as_extension(load_path(os.path.join(CORPUS, name)))
 
 
 def group_ext(table, name):
@@ -133,3 +158,141 @@ def test_apply_drops_stored_zeros_of_the_first_column():
     chain = ChainComplex([1, 1, 1], {1: GMatrix(1, 1, [{0: ZERO}]),
                                      2: GMatrix(1, 1, [{0: ONE}])})
     assert chain.check_d_squared()
+
+
+# ---------------------------------------------------------------------------
+# the graded path against the radical path
+
+
+def tower_data(ext, N):
+    tower = algebra_tower(ext)
+    out = []
+    for k in range(N + 1):
+        lvl = tower.level(k)
+        out.append((None if lvl.quotient is None else lvl.quotient.keep, lvl.bgram,
+                    _coinv_quotient(lvl).keep, lvl.invariants()))
+    return out
+
+
+@pytest.mark.parametrize("name", corpus_extension_files())
+def test_graded_path_equals_radical_path_on_corpus(name, monkeypatch):
+    graded_ext = corpus_extension(name)
+    assert graded_ext.grading() is not None
+    assert algebra_tower(graded_ext).level(2).sr is not None
+    graded = tower_data(graded_ext, 2), betti_hochschild(graded_ext, 2)
+
+    monkeypatch.setattr(Extension, "grading", lambda self: None)
+    radical_ext = corpus_extension(name)
+    radical_level = algebra_tower(radical_ext).level(2)
+    assert radical_level.sr is None and radical_level.quotient.ech is not None
+    radical = tower_data(radical_ext, 2), betti_hochschild(radical_ext, 2)
+
+    for k, (g, r) in enumerate(zip(graded[0], radical[0])):
+        assert g[0] == r[0], "quotient keep differs at level %d" % k
+        assert g[1] == r[1], "descended B-valued Gram differs at level %d" % k
+        assert g[2] == r[2], "coinvariant keep differs at level %d" % k
+        assert g[3] == r[3], "invariants differ at level %d" % k
+    assert graded[1].values == radical[1].values
+    assert graded[1].meta == radical[1].meta
+
+
+def test_only_the_normalizer_takes_the_radical_path(monkeypatch):
+    # a silent fallback to the radical path shows up here: over the corpus
+    # verify instances and the groupoid Betti commands, only the
+    # normalizing extension N/LinfX is not graded
+    for name in corpus_extension_files():
+        assert corpus_extension(name).grading() is not None, name
+    graded, radical = [], []
+    original_graded, original_radical = tensor_mod._graded_level, tensor_mod._radical_level
+
+    def spy_graded(prev, ext2, t, s):
+        graded.append(ext2.name)
+        return original_graded(prev, ext2, t, s)
+
+    def spy_radical(prev, ext2):
+        radical.append(ext2.name)
+        return original_radical(prev, ext2)
+
+    monkeypatch.setattr(tensor_mod, "_graded_level", spy_graded)
+    monkeypatch.setattr(tensor_mod, "_radical_level", spy_radical)
+    commands = [["verify", os.path.join(CORPUS, f)] for f in sorted(os.listdir(CORPUS))
+                if f.startswith("verify_")]
+    commands += [["betti", os.path.join(CORPUS, f), "--both", "--N", "3"]
+                 for f in corpus_extension_files()
+                 if isinstance(load_path(os.path.join(CORPUS, f)), FiniteGroupoid)]
+    for args in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0, args
+    assert set(radical) == {"N/LinfX"}
+    assert len(set(graded)) >= 10
+
+
+def rebased_m2_diag():
+    """M2 over its diagonal in the basis e11, e22, e12 + e11, e21: the basis
+    of B is its minimal projections, but p_2 . (e12 + e11) . p_2 is neither
+    e12 + e11 nor 0 on the right, so the basis of A is not homogeneous."""
+    m2 = matrix_algebra(2)
+    e11, e12, e21, e22 = (m2.index(l) for l in ("e11", "e12", "e21", "e22"))
+    span = SpanBasis()
+    for v in ({e11: ONE}, {e22: ONE}, {e12: ONE, e11: ONE}, {e21: ONE}):
+        assert span.add(v)
+    vecs = span.vectors
+    alg = TracialStarAlgebra(
+        ["e11", "e22", "f12", "e21"],
+        *span_structure(span, lambda i, j: m2.mul(vecs[i], vecs[j]),
+                        lambda i: m2.star(vecs[i]), lambda i: m2.trace(vecs[i]),
+                        m2.unit),
+        name="M2'", unitary_family=[(nm, span.coords(u)) for nm, u in m2.unitary_family])
+    return conditional_expectation(alg, [{0: ONE}, {1: ONE}],
+                                   sub_labels=["d1", "d2"], name="M2'/diag")
+
+
+def test_fault_non_homogeneous_basis_falls_back_to_radical_path():
+    ext = rebased_m2_diag()
+    assert ext.grading() is None
+    lvl = algebra_tower(ext).level(2)
+    assert lvl.sr is None and lvl.quotient.ech is not None
+    assert lvl.dim == algebra_tower(m2_diag_ext()).level(2).dim
+    assert betti_hochschild(ext, 2).values == betti_hochschild(m2_diag_ext(), 2).values
+
+
+def test_fault_degenerate_trace_form_block_is_caught():
+    # M2 over its diagonal has two blocks, t = x; zeroing the sandwich of
+    # e12 with itself leaves the block of e11, e12 of rank 1
+    ext = m2_diag_ext()
+    e12 = ext.alg.index("e12")
+    base = extension_base_level(ext)
+    ext.sandwich(e12, e12)
+    ext._sandwich_memo[(e12, e12)] = GMatrix.zero(2, 2)
+    with pytest.raises(AssertionError, match="degenerate trace form"):
+        append_level(base, ext)
+
+
+def test_fault_wrong_right_support_is_caught(monkeypatch):
+    # a wrong s(e12) leaves every trace-form block intact; only the check
+    # that <v, w>_B sits at p_{sr[v]} sees it
+    ext = m2_diag_ext()
+    t, s = ext.grading()
+    wrong = list(s)
+    e12 = ext.alg.index("e12")
+    wrong[e12] = 1 - s[e12]
+    monkeypatch.setattr(ext, "grading", lambda: (t, wrong))
+    base = extension_base_level(ext)
+    assert base.sr == wrong
+    with pytest.raises(AssertionError, match="leaves the right support"):
+        append_level(base, ext)
+
+
+def test_fault_wrong_left_support_is_caught(monkeypatch):
+    # a wrong t(e12) puts e12 in the block of p_2, where its row of the
+    # trace form is tr((p_2 e12)^* b) = 0: that block check sees it
+    ext = m2_diag_ext()
+    t, s = ext.grading()
+    wrong = list(t)
+    e12 = ext.alg.index("e12")
+    wrong[e12] = 1 - t[e12]
+    monkeypatch.setattr(ext, "grading", lambda: (wrong, s))
+    base = extension_base_level(ext)
+    assert base.tl == wrong
+    with pytest.raises(AssertionError, match="degenerate trace form"):
+        append_level(base, ext)
