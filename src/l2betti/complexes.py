@@ -114,6 +114,7 @@ class PresimplicialModule:
         self.presimplicial_upto = 1
         self._action_cache = {}
         self._gram_cache = {}
+        self._face_maps = {}
 
     @property
     def N(self):
@@ -121,6 +122,22 @@ class PresimplicialModule:
 
     def face(self, n, i) -> GMatrix:
         return self.faces[n][i]
+
+    def face_map(self, n, i):
+        """Face (n, i) as an index map (GMatrix.index_map), or None when it
+        is not a 0/1 partial function matrix; computed once and shared by
+        the presimplicial check and the boundary.  The face must be
+        dims[n-1] x dims[n], so the maps of one degree have equal length."""
+        key = (n, i)
+        if key not in self._face_maps:
+            f = self.faces[n][i]
+            shape = (self.dims[n - 1], self.dims[n])
+            if (f.rows, f.cols) != shape or len(f.col) != f.cols:
+                raise AssertionError(
+                    "face (%d,%d) is %dx%d, not %dx%d in %s"
+                    % (n, i, f.rows, len(f.col), shape[0], shape[1], self.name))
+            self._face_maps[key] = f.index_map()
+        return self._face_maps[key]
 
     def action(self, n, k) -> GMatrix:
         key = (n, k)
@@ -144,16 +161,25 @@ class PresimplicialModule:
                 raise AssertionError(
                     "degree %d has %d faces over %d, not %d over %d in %s"
                     % (n, len(fs), len(lower), n + 1, n, self.name))
-            # column by column, so neither product is stored
             for j in range(1, len(fs)):
                 for i in range(j):
-                    li, lj = lower[i], lower[j - 1]
-                    fi, fj = fs[i].col, fs[j].col
-                    for c in range(self.dims[n]):
-                        if not vec_eq(li.apply(fj[c]), lj.apply(fi[c])):
-                            raise AssertionError(
-                                "presimplicial identity fails at degree %d (%d,%d) in %s"
-                                % (n, i, j, self.name))
+                    maps = (self.face_map(n - 1, i), self.face_map(n - 1, j - 1),
+                            self.face_map(n, i), self.face_map(n, j))
+                    if all(m is not None for m in maps):
+                        # pi_i pi_j and pi_{j-1} pi_i as composed index maps
+                        li, lj, mi, mj = maps
+                        holds = ([None if r is None else li[r] for r in mj] ==
+                                 [None if r is None else lj[r] for r in mi])
+                    else:
+                        # column by column, so neither product is stored
+                        li, lj = lower[i], lower[j - 1]
+                        fi, fj = fs[i].col, fs[j].col
+                        holds = all(vec_eq(li.apply(fj[c]), lj.apply(fi[c]))
+                                    for c in range(self.dims[n]))
+                    if not holds:
+                        raise AssertionError(
+                            "presimplicial identity fails at degree %d (%d,%d) in %s"
+                            % (n, i, j, self.name))
         self.presimplicial_upto = max(self.presimplicial_upto, upto)
         return True
 
@@ -169,6 +195,10 @@ class PresimplicialModule:
         if self._chain is None:
             d = {}
             for n in range(1, self.N + 1):
+                maps = [self.face_map(n, i) for i in range(len(self.faces[n]))]
+                if all(m is not None for m in maps):
+                    d[n] = _alternating_sum(self.dims[n - 1], self.dims[n], maps)
+                    continue
                 acc = GMatrix.zero(self.dims[n - 1], self.dims[n])
                 for i, f in enumerate(self.faces[n]):
                     s = ONE if i % 2 == 0 else MINUS_ONE
@@ -178,6 +208,20 @@ class PresimplicialModule:
             self._chain = ChainComplex(list(self.dims), d)
             self._chain.check_d_squared(self.presimplicial_upto)
         return self._chain
+
+
+def _alternating_sum(rows, cols, maps) -> GMatrix:
+    """sum_i (-1)^i pi_i for faces given as index maps, summed in ints."""
+    acc = [{} for _ in range(cols)]
+    for i, m in enumerate(maps):
+        s = 1 if i % 2 == 0 else -1
+        for col, r in zip(acc, m):
+            if r is not None:
+                col[r] = col.get(r, 0) + s
+    scalar = {k: gs(k) for k in range(-len(maps), len(maps) + 1)}
+    for c, col in enumerate(acc):
+        acc[c] = {r: scalar[k] for r, k in col.items() if k}
+    return GMatrix(rows, cols, acc)
 
 
 def boundary(p: PresimplicialModule) -> ChainComplex:

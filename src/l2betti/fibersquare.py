@@ -168,8 +168,13 @@ def pair_operator(bt: BalancedTensor, u: dict, v: dict, check=True) -> GMatrix:
 
 
 def _is_central(bt: BalancedTensor, xi: dict) -> bool:
-    """b . xi == xi . b for every basis element b of B."""
-    return not any(defect.apply(xi) for defect in bt.level.central_defects())
+    """b . xi == xi . b for every basis element b of B.  On a graded level
+    p_x e_q - e_q p_x = ([tl[q] = x] - [sr[q] = x]) e_q, so xi is central
+    exactly when tl[q] = sr[q] on its support."""
+    lvl = bt.level
+    if lvl.sr is not None:
+        return all(lvl.tl[q] == lvl.sr[q] for q, x in xi.items() if x.a or x.b)
+    return not any(defect.apply(xi) for defect in lvl.central_defects())
 
 
 def _check_cyclic(bt: BalancedTensor):
@@ -268,8 +273,13 @@ def _saturate(bt: BalancedTensor, pairs):
     evaluation is checked B-central, which for unitaries is the same
     (module docstring), so a mismatched pair raises.  An admitted pair whose
     evaluation is dependent builds no operator.
+
+    Every evaluation of a bimodular operator is B-central, so the span
+    cannot outgrow the invariants; once it fills them, every later
+    candidate is dependent and is neither reduced nor built.
     """
     A, C = bt.extA.alg, bt.extC.alg
+    bound = bt.level.invariants().cols
     evals = SpanBasis()
     ops = []
     names = []
@@ -289,7 +299,7 @@ def _saturate(bt: BalancedTensor, pairs):
             if not _is_central(bt, xi):
                 raise AssertionError(
                     "pair %s: evaluation at 1(x)1 is not B-central" % nm)
-            if evals.add(xi):
+            if evals.dim < bound and evals.add(xi):
                 ops.append(pair_operator(bt, uu, vv, check=False))
                 names.append(nm)
 
@@ -297,7 +307,8 @@ def _saturate(bt: BalancedTensor, pairs):
     # product.  ops[0] is 1 (1 (x) 1 is cyclic, so nonzero), whose products
     # add nothing.
     def extend(g, k):
-        if g == 0 or not evals.add(ops[g].apply(evals.vectors[k])):
+        if g == 0 or evals.dim == bound or \
+                not evals.add(ops[g].apply(evals.vectors[k])):
             return False
         ops.append(ops[g].mul(ops[k]))
         names.append("prod")

@@ -41,9 +41,32 @@ def _scalar(text, location):
         raise InputError("bad scalar %r (%s)" % (text, e), location)
 
 
+def _object(value, location):
+    """value, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise InputError("expected a JSON object", location)
+    return value
+
+
+def _list(value, location):
+    """value, which must be a JSON list."""
+    if not isinstance(value, list):
+        raise InputError("expected a JSON list", location)
+    return value
+
+
+def _rows(value, width, location):
+    """value, which must be a JSON list of lists of width entries each."""
+    for k, row in enumerate(_list(value, location)):
+        if not isinstance(row, list) or len(row) != width:
+            raise InputError("row %d is not a list of %d entries" % (k, width),
+                             location)
+    return value
+
+
 def _vec_from_pairs(pairs, index, location):
     out = {}
-    for label, coeff in pairs:
+    for label, coeff in _rows(pairs, 2, location):
         if label not in index:
             raise InputError("unknown basis label %r" % label, location)
         c = _scalar(coeff, location)
@@ -83,15 +106,16 @@ def groupoid_from_doc(doc: dict, location="groupoid") -> FiniteGroupoid:
     for key in ("atoms", "elements", "inverse", "compose", "units"):
         if key not in doc:
             raise InputError("missing field %r" % key, location)
-    atoms = tuple(str(a) for a, _ in doc["atoms"])
-    weights = {str(a): _frac(w, location + ".atoms") for a, w in doc["atoms"]}
+    atom_rows = _rows(doc["atoms"], 2, location + ".atoms")
+    atoms = tuple(str(a) for a, _ in atom_rows)
+    weights = {str(a): _frac(w, location + ".atoms") for a, w in atom_rows}
     try:
         base = FiniteMeasuredSpace(atoms, weights)
     except ValueError as e:
         raise InputError(str(e), location + ".atoms")
     els = []
     src, tgt = {}, {}
-    for k, e in enumerate(doc["elements"]):
+    for k, e in enumerate(_list(doc["elements"], location + ".elements")):
         missing = [key for key in ("id", "source", "target")
                    if not isinstance(e, dict) or key not in e]
         if missing:
@@ -108,22 +132,20 @@ def groupoid_from_doc(doc: dict, location="groupoid") -> FiniteGroupoid:
         tgt[i] = str(e["target"])
     elset = set(els)
     inv = {}
-    for a, b in doc["inverse"].items():
+    for a, b in _object(doc["inverse"], location + ".inverse").items():
         if a not in elset or b not in elset:
             raise InputError("inverse table mentions unknown element",
                              location + ".inverse")
         inv[a] = b
     comp = {}
-    for row in doc["compose"]:
-        if len(row) != 3:
-            raise InputError("composition rows are triples", location + ".compose")
+    for row in _rows(doc["compose"], 3, location + ".compose"):
         a, b, c = (str(x) for x in row)
         if not {a, b, c} <= elset:
             raise InputError("composition mentions unknown element %r" % (row,),
                              location + ".compose")
         comp[(a, b)] = c
     units = {}
-    for x, u in doc["units"].items():
+    for x, u in _object(doc["units"], location + ".units").items():
         if str(x) not in weights or u not in elset:
             raise InputError("unit table mentions unknown atom or element",
                              location + ".units")
@@ -167,37 +189,40 @@ def extension_from_doc(doc: dict, location="algebra") -> Extension:
     for key in ("basis", "mult", "star", "trace", "unit", "subalgebra"):
         if key not in doc:
             raise InputError("missing field %r" % key, location)
-    labels = [str(l) for l in doc["basis"]]
+    labels = [str(l) for l in _list(doc["basis"], location + ".basis")]
     index = {l: k for k, l in enumerate(labels)}
     dim = len(labels)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for row in doc["mult"]:
-        i, j, pairs = row
+    for k, (i, j, pairs) in enumerate(_rows(doc["mult"], 3, location + ".mult")):
         if i not in index or j not in index:
-            raise InputError("mult row mentions unknown label %r" % (row[:2],),
+            raise InputError("mult row mentions unknown label %r" % ([i, j],),
                              location + ".mult")
-        mult[index[i]][index[j]] = _vec_from_pairs(pairs, index, location + ".mult")
+        mult[index[i]][index[j]] = _vec_from_pairs(
+            pairs, index, "%s.mult[%d]" % (location, k))
     star = [{} for _ in range(dim)]
-    for i, pairs in doc["star"]:
+    for k, (i, pairs) in enumerate(_rows(doc["star"], 2, location + ".star")):
         if i not in index:
             raise InputError("star row mentions unknown label %r" % (i,),
                              location + ".star")
-        star[index[i]] = _vec_from_pairs(pairs, index, location + ".star")
+        star[index[i]] = _vec_from_pairs(pairs, index, "%s.star[%d]" % (location, k))
     trace = {}
-    for i, val in doc["trace"]:
+    for i, val in _rows(doc["trace"], 2, location + ".trace"):
         if i not in index:
             raise InputError("trace row mentions unknown label %r" % (i,),
                              location + ".trace")
         trace[index[i]] = _scalar(val, location + ".trace")
     unit = _vec_from_pairs(doc["unit"], index, location + ".unit")
     fam = []
-    for nm, pairs in doc.get("unitary_family", []):
-        fam.append((str(nm), _vec_from_pairs(pairs, index, location + ".unitary_family")))
+    family = _rows(doc.get("unitary_family", []), 2, location + ".unitary_family")
+    for k, (nm, pairs) in enumerate(family):
+        fam.append((str(nm), _vec_from_pairs(
+            pairs, index, "%s.unitary_family[%d]" % (location, k))))
     alg = TracialStarAlgebra(labels, mult, star, trace, unit,
                              name=str(doc.get("name", "A")),
                              unitary_family=fam)
-    sub_vectors = [_vec_from_pairs(pairs, index, location + ".subalgebra")
-                   for pairs in doc["subalgebra"]]
+    sub_vectors = [_vec_from_pairs(pairs, index, "%s.subalgebra[%d]" % (location, k))
+                   for k, pairs in enumerate(_list(doc["subalgebra"],
+                                                   location + ".subalgebra"))]
     try:
         return conditional_expectation(alg, sub_vectors,
                                        name=str(doc.get("name", "A/B")))
@@ -222,10 +247,7 @@ def cocycle_from_doc(doc: dict, relation: FiniteGroupoid,
     if "values" not in doc:
         raise InputError("missing field 'values'", location)
     vals = {}
-    for row in doc["values"]:
-        if len(row) != 4:
-            raise InputError("cocycle rows are [x, y, z, value]", location)
-        x, y, z, v = row
+    for x, y, z, v in _rows(doc["values"], 4, location + ".values"):
         vals[(str(x), str(y), str(z))] = _scalar(v, location)
     return TwoCocycle(relation, vals)
 

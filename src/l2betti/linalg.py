@@ -154,6 +154,22 @@ class GMatrix:
     def is_zero(self):
         return all(not c for c in self.col)
 
+    def index_map(self):
+        """This 0/1 partial function matrix as a list over its columns: the
+        row of the column's one entry, which equals ONE, or None for an
+        empty column.  None when some column holds two entries or another
+        value; stored zeros count as absent."""
+        out = []
+        for c in self.col:
+            row = None
+            for i, x in c.items():
+                if row is None and x.a == 1 and not x.b and x.d == 1:
+                    row = i
+                elif x.a or x.b:
+                    return None
+            out.append(row)
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, GMatrix):
             return NotImplemented

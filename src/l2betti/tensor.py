@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .algebras import Extension, TracialStarAlgebra
 from .linalg import Echelon, GMatrix, combination, kernel_basis, rank, vec_eq
-from .scalars import MINUS_ONE, ONE, ZERO
+from .scalars import ONE, ZERO
 
 
 def same_algebra(b1: TracialStarAlgebra, b2: TracialStarAlgebra) -> bool:
@@ -151,19 +151,13 @@ class Level:
     def central_defects(self) -> list:
         """lambda_b - rho_b for each basis element b of B.  A vector is
         B-central when all of them kill it; their columns span the
-        relations of the B-coinvariants.  On the graded path b = p_x and
-        p_x e_q - e_q p_x = ([tl[q] = x] - [sr[q] = x]) e_q."""
+        relations of the B-coinvariants.  Graded levels read both off tl
+        and sr instead (central_coords)."""
         if self._defects is None:
-            if self.sr is None:
-                self._defects = [
-                    combination(self.dim, self.left_ext.embed.column(k), self.left_act).sub(
-                        combination(self.dim, self.right_ext.embed.column(k), self.right_act))
-                    for k in range(self.sub.dim)]
-            else:
-                self._defects = [GMatrix(self.dim, self.dim, [
-                    {q: ONE} if t == x != s else {q: MINUS_ONE} if s == x != t else {}
-                    for q, (t, s) in enumerate(zip(self.tl, self.sr))])
-                    for x in range(self.sub.dim)]
+            self._defects = [
+                combination(self.dim, self.left_ext.embed.column(k), self.left_act).sub(
+                    combination(self.dim, self.right_ext.embed.column(k), self.right_act))
+                for k in range(self.sub.dim)]
         return self._defects
 
     def central_coords(self) -> list:

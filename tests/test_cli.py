@@ -105,6 +105,32 @@ def test_algebra_star_row_with_unknown_label_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _as_list(table):
+    return [[k, v] for k, v in table.items()]
+
+
+@pytest.mark.parametrize("document, field, mutate, location", [
+    ("pair2.json", "units", _as_list, "groupoid.units"),
+    ("pair2.json", "inverse", _as_list, "groupoid.inverse"),
+    ("m2_diag.json", "basis", lambda basis: 4, "algebra.basis"),
+    ("m2_diag.json", "mult", lambda rows: [rows[0][:2]] + rows[1:], "algebra.mult"),
+    ("pair2.json", "atoms", lambda rows: [rows[0] + ["x"]] + rows[1:], "groupoid.atoms"),
+    ("m2_diag.json", "star",
+     lambda rows: [[rows[0][0], [rows[0][1][0][:1]]]] + rows[1:], "algebra.star[0]"),
+], ids=["units-list", "inverse-list", "basis-number", "mult-row", "atoms-row",
+        "vector-pair-row"])
+def test_field_of_the_wrong_shape_is_input_error(tmp_path, capsys, document, field,
+                                                 mutate, location):
+    doc = json.loads(open(cpath(document)).read())
+    doc[field] = mutate(doc[field])
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and (location + ": ") in err
+    assert "Traceback" not in err
+
+
 def test_betti_both_pipelines(capsys):
     code, out = run_cli(["betti", cpath("action_c2_swap.json"), "--both",
                          "--N", "3"], capsys)

@@ -1,5 +1,8 @@
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -7,20 +10,31 @@ import pytest
 
 from l2betti.algebras import (
     conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
-    group_algebra, matrix_algebra, trivial_extension,
+    distinct_triple_sign_cocycle, group_algebra, matrix_algebra,
+    trivial_extension, twisted_convolution,
 )
 from l2betti.complexes import (
-    ChainComplex, bar_complex, geometric_comparison, geometric_complex,
-    homology, l2_complex,
-    plain_hochschild_complex, theta_iso,
+    ChainComplex, PresimplicialModule, bar_complex, geometric_comparison,
+    geometric_complex, homology, l2_complex, plain_hochschild_complex, theta_iso,
 )
-from l2betti.fibersquare import default_pairs, fiber_square, groupoid_fiber_square
+from l2betti.fibersquare import (
+    default_pairs, fiber_square, fiber_square_of, groupoid_fiber_square,
+)
+from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import (
     bisections, group_groupoid, pair_relation, trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, kernel_basis, rank
 from l2betti.scalars import ONE, gs
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TESTS)
+CORPUS = os.path.join(ROOT, "corpus")
+# every corpus document that is an extension or a groupoid on its own
+CORPUS_EXTENSIONS = sorted(
+    f for f in os.listdir(CORPUS)
+    if f.endswith(".json") and not f.startswith(("verify_", "cocycle_")))
 
 
 def c2_ext():
@@ -388,3 +402,114 @@ def test_homotopy_verify_reverifies_against_another_chain():
     other.d[2] = chain.d[2].scale(2)
     with pytest.raises(AssertionError, match="homotopy identity fails at degree 1"):
         hom.verify(other, 2)
+
+
+# ---------------------------------------------------------------------------
+# faces read as index maps, against the column-by-column loop
+
+
+def assert_index_path_agrees_with_column_loop(build, monkeypatch):
+    fast = build()
+    with monkeypatch.context() as m:
+        m.setattr(GMatrix, "index_map", lambda self: None)
+        slow = build()
+        assert slow.face_map(1, 0) is None
+        slow_d = slow.boundary().d
+    assert fast.face_map(1, 0) is not None
+    assert fast.dims == slow.dims
+    assert fast.presimplicial_upto == slow.presimplicial_upto == fast.N
+    assert fast.boundary().d == slow_d
+
+
+@pytest.mark.parametrize("name", CORPUS_EXTENSIONS)
+def test_index_path_agrees_with_column_loop_on_corpus(name, monkeypatch):
+    ext = as_extension(load_path(os.path.join(CORPUS, name)))
+    fsq, _ = fiber_square_of(ext)
+    assert_index_path_agrees_with_column_loop(lambda: l2_complex(ext, fsq, 3),
+                                              monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["nerve", "bar", "cyclic", "acyclic", "classifying"])
+def test_index_path_agrees_with_column_loop_on_geometric(kind, monkeypatch):
+    g = load_path(os.path.join(CORPUS, "action_c2_field.json"))
+    assert_index_path_agrees_with_column_loop(
+        lambda: geometric_complex(g, kind, 3), monkeypatch)
+
+
+def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
+    fallbacks = set()
+    original = PresimplicialModule.face_map
+
+    def face_map(self, n, i):
+        out = original(self, n, i)
+        if out is None:
+            fallbacks.add(self.name)
+        return out
+
+    monkeypatch.setattr(PresimplicialModule, "face_map", face_map)
+    assert len(CORPUS_EXTENSIONS) == 17
+    for name in CORPUS_EXTENSIONS:
+        ext = as_extension(load_path(os.path.join(CORPUS, name)))
+        l2_complex(ext, fiber_square_of(ext)[0], 3)
+    assert fallbacks == set()
+    # the spy sees a fallback: cocycle signs put -1 entries into the faces
+    g = pair_relation(uniform_space(3))
+    ext = twisted_convolution(g, distinct_triple_sign_cocycle(g))
+    l2 = l2_complex(ext, fiber_square_of(ext)[0], 2)
+    assert fallbacks == {l2.name}
+
+
+def with_faces(p, n, i, face, name):
+    """A fresh module with p's spaces and faces, face (n, i) replaced."""
+    faces = [None] + [list(row) for row in p.faces[1:]]
+    faces[n][i] = face
+    return PresimplicialModule(p.dims, faces, name=name)
+
+
+def moved_entry_fault():
+    """Move one entry of the 0/1 face (2,1) of the Hochschild complex of
+    M2/diag to a row with another pi_0, and verify: pi_0 pi_1 = pi_0 pi_0
+    fails in that column."""
+    p = plain_hochschild_complex(m2_diag_ext(), 2)
+    low, m = p.face_map(1, 0), p.face_map(2, 1)
+    c = next(c for c, r in enumerate(m) if r is not None)
+    r = next(r for r in range(p.dims[1]) if low[r] != low[m[c]])
+    f = p.faces[2][1]
+    cols = list(f.col)
+    cols[c] = {r: ONE}
+    moved = GMatrix(f.rows, f.cols, cols)
+    assert moved.index_map() is not None
+    with_faces(p, 2, 1, moved, "moved").verify_presimplicial()
+
+
+def test_fault_moved_face_entry_is_caught_on_the_index_path():
+    with pytest.raises(AssertionError,
+                       match=r"presimplicial identity fails at degree 2 \(0,1\) in moved"):
+        moved_entry_fault()
+
+
+def test_moved_face_entry_is_caught_under_python_optimize():
+    # -O strips assert statements; the index comparison must not live in one
+    code = ("import sys\n"
+            "print(sys.flags.optimize)\n"
+            "import test_complexes\n"
+            "test_complexes.moved_entry_fault()\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), TESTS]))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                       text=True, cwd=ROOT, env=env)
+    assert r.stdout == "1\n"
+    assert r.returncode == 1
+    assert r.stderr.rstrip().endswith(
+        "AssertionError: presimplicial identity fails at degree 2 (0,1) in moved")
+
+
+def test_face_one_column_short_is_rejected():
+    p = plain_hochschild_complex(m2_diag_ext(), 2)
+    f = p.faces[2][1]
+    short = GMatrix(f.rows, f.cols - 1, f.col[:-1])
+    message = r"face \(2,1\) is %dx%d, not %dx%d in short" % (
+        p.dims[1], p.dims[2] - 1, p.dims[1], p.dims[2])
+    with pytest.raises(AssertionError, match=message):
+        with_faces(p, 2, 1, short, "short").verify_presimplicial()
+    with pytest.raises(AssertionError, match=message):
+        with_faces(p, 2, 1, short, "short").boundary()

@@ -298,6 +298,27 @@ def admitted_pairs(ext, pairs):
     return out
 
 
+@pytest.mark.parametrize("label", sorted(ORACLE_CASES) + ["pair(4)"])
+def test_saturation_stopped_at_the_invariants_builds_the_same_basis(label):
+    # _saturate stops once the evaluations fill the B-central vectors; with
+    # the bound patched away it saturates to the end, and must find nothing
+    # more
+    if label == "pair(4)":
+        ext = convolution_algebra(pair_relation(uniform_space(4)))
+    else:
+        ext = ORACLE_CASES[label]()
+    pairs = default_pairs(ext)
+    bt = balanced_tensor(ext, ext)
+    ops, evals, names = fs._saturate(bt, pairs)
+    assert evals.dim == bt.level.invariants().cols
+
+    unbounded = balanced_tensor(ext, ext)
+    unbounded.level.invariants = lambda: GMatrix(unbounded.dim, float("inf"), [])
+    ops_u, evals_u, names_u = fs._saturate(unbounded, pairs)
+    assert evals_u.vectors == evals.vectors
+    assert ops_u == ops and names_u == names
+
+
 @pytest.mark.parametrize("label", sorted(ORACLE_CASES))
 def test_identities_read_off_the_cyclic_vector_hold_entrywise(label):
     # the certificate replaces these comparisons; here they run in full
