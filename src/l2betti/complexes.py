@@ -19,6 +19,12 @@ read off it:
   e d_{n+1} = d_{n+1} for e = d_{n+1} h_n, hence e e = e: e is an
   idempotent with image ker d_n = im d_{n+1}, and its trace pins every
   rank without elimination.
+
+Faces, boundaries and homotopies of monomial complexes (the geometric
+families, and Hochschild complexes over index levels, see `tensor`) are
+IndexMaps and IndexSums, and every identity above is checked on them in
+ints.  A GMatrix is built from them only where elimination or a
+comparison with a general matrix needs one.
 """
 
 from __future__ import annotations
@@ -30,17 +36,39 @@ from .fibersquare import FiberSquareAlgebra, fiber_square_of
 from .groupoids import (
     FiniteGroupoid, geometric_carrier, geometric_face, enveloping,
 )
-from .linalg import Echelon, GMatrix, invert, kernel_basis, vec_axpy, vec_dot, vec_eq
+from .linalg import (
+    Echelon, GMatrix, IndexMap, IndexSum, as_matrix, common_form, index_product,
+    index_trace, invert, kernel_basis, vec_add, vec_axpy, vec_dot, vec_eq,
+)
 from .scalars import MINUS_ONE, ONE, ZERO, gs
 from .tensor import Level, Quotient, Tower, algebra_tower, extension_base_level
 
 ELIMINATION_LIMIT = 2500
 
 
+def _sum_is_identity(dim: int, pairs) -> bool:
+    """sum_k outer_k inner_k == 1 on a space of dimension dim; each pair
+    comes from one common_form.  IndexSums are multiplied out into their
+    composites (index_product), whose remaining terms are summed in ints;
+    GMatrix products are formed column by column."""
+    for outer, inner in pairs:
+        if outer.rows != dim or inner.cols != dim or outer.cols != inner.rows:
+            return False
+    if isinstance(pairs[0][0], IndexSum):
+        return index_product(pairs, dim, dim).is_identity()
+    for c in range(dim):
+        acc = {}
+        for outer, inner in pairs:
+            acc = vec_add(acc, outer.apply(inner.column(c)))
+        if acc != {c: ONE}:
+            return False
+    return True
+
+
 @dataclass
 class ChainComplex:
     dims: list
-    d: dict            # n -> GMatrix, degree n -> n-1, for 1 <= n <= N
+    d: dict            # n -> GMatrix or IndexSum, degree n -> n-1, for 1 <= n <= N
 
     @property
     def N(self):
@@ -51,9 +79,9 @@ class ChainComplex:
         for n in sorted(self.d):
             if n + 1 not in self.d or n + 1 <= above:
                 continue
-            lo, hi = self.d[n], self.d[n + 1]
-            for c in hi.col:
-                if lo.apply(c):
+            lo, hi = common_form(self.d[n], self.d[n + 1])
+            for c in range(hi.cols):
+                if lo.apply(hi.column(c)):
                     raise AssertionError("d o d != 0 at degree %d" % (n + 1))
         return True
 
@@ -62,9 +90,9 @@ class ChainComplex:
 class ContractingHomotopy:
     """Degree-raising maps with d h + h d = 1 against an augmentation."""
 
-    h: dict                    # n -> GMatrix, degree n -> n+1
-    aug: GMatrix               # degree 0 -> target
-    aug_section: GMatrix       # target -> degree 0
+    h: dict                    # n -> map, degree n -> n+1
+    aug: object                # degree 0 -> target
+    aug_section: object        # target -> degree 0
     verified_upto: int = -1
     verified_chain: ChainComplex = field(default=None, repr=False, compare=False)
 
@@ -73,21 +101,25 @@ class ContractingHomotopy:
 
         Degrees already proved against this same chain object are not
         checked again; against any other chain everything is re-proved.
+        The maps may be GMatrix, IndexMap or IndexSum; when all of them are
+        index maps the identities are checked in ints (common_form).
         """
         if chain is not self.verified_chain:
             self.verified_chain = None
             self.verified_upto = -1
         if self.verified_upto < 0 <= upto:
-            if not self.aug.mul(chain.d[1]).is_zero():
+            aug, sec, d1, h0 = common_form(self.aug, self.aug_section, chain.d[1],
+                                           self.h[0])
+            if aug.cols != d1.rows or any(aug.apply(d1.column(c)) for c in range(d1.cols)):
                 raise AssertionError("augmentation does not kill the boundary")
-            if self.aug.mul(self.aug_section) != GMatrix.identity(self.aug.rows):
+            if not _sum_is_identity(aug.rows, [(aug, sec)]):
                 raise AssertionError("augmentation section is not a section")
-            idm = chain.d[1].mul(self.h[0]).add(self.aug_section.mul(self.aug))
-            if idm != GMatrix.identity(chain.dims[0]):
+            if not _sum_is_identity(chain.dims[0], [(d1, h0), (sec, aug)]):
                 raise AssertionError("homotopy identity fails at degree 0")
         for n in range(max(self.verified_upto + 1, 1), upto + 1):
-            lhs = chain.d[n + 1].mul(self.h[n]).add(self.h[n - 1].mul(chain.d[n]))
-            if lhs != GMatrix.identity(chain.dims[n]):
+            d_hi, h_n, h_lo, d_n = common_form(chain.d[n + 1], self.h[n],
+                                               self.h[n - 1], chain.d[n])
+            if not _sum_is_identity(chain.dims[n], [(d_hi, h_n), (h_lo, d_n)]):
                 raise AssertionError("homotopy identity fails at degree %d" % n)
         self.verified_chain = chain
         self.verified_upto = max(self.verified_upto, upto)
@@ -100,7 +132,7 @@ class PresimplicialModule:
     def __init__(self, dims, faces, coeff=None, action=None, gram=None,
                  labels=None, homotopy=None, name="", meta=None):
         self.dims = dims                  # list, degrees 0..N
-        self.faces = faces                # faces[n] = [GMatrix] for n >= 1
+        self.faces = faces                # faces[n] = [GMatrix or IndexMap], n >= 1
         self.coeff = coeff                # acting tracial algebra, or None
         self._action = action             # callable (n, k) -> GMatrix
         self._gram = gram                 # callable n -> GMatrix
@@ -120,23 +152,25 @@ class PresimplicialModule:
     def N(self):
         return len(self.dims) - 1
 
-    def face(self, n, i) -> GMatrix:
+    def face(self, n, i):
         return self.faces[n][i]
 
     def face_map(self, n, i):
-        """Face (n, i) as an index map (GMatrix.index_map), or None when it
-        is not a 0/1 partial function matrix; computed once and shared by
+        """Face (n, i) as an IndexMap: the face itself, or a GMatrix face
+        read by GMatrix.index_map; None when a GMatrix face has a column
+        with another entry than one 1 or -1.  Computed once and shared by
         the presimplicial check and the boundary.  The face must be
         dims[n-1] x dims[n], so the maps of one degree have equal length."""
         key = (n, i)
         if key not in self._face_maps:
             f = self.faces[n][i]
             shape = (self.dims[n - 1], self.dims[n])
-            if (f.rows, f.cols) != shape or len(f.col) != f.cols:
+            width = f.cols if isinstance(f, IndexMap) else len(f.col)
+            if (f.rows, f.cols) != shape or width != f.cols:
                 raise AssertionError(
                     "face (%d,%d) is %dx%d, not %dx%d in %s"
-                    % (n, i, f.rows, len(f.col), shape[0], shape[1], self.name))
-            self._face_maps[key] = f.index_map()
+                    % (n, i, f.rows, width, shape[0], shape[1], self.name))
+            self._face_maps[key] = f if isinstance(f, IndexMap) else f.index_map()
         return self._face_maps[key]
 
     def action(self, n, k) -> GMatrix:
@@ -166,14 +200,14 @@ class PresimplicialModule:
                     maps = (self.face_map(n - 1, i), self.face_map(n - 1, j - 1),
                             self.face_map(n, i), self.face_map(n, j))
                     if all(m is not None for m in maps):
-                        # pi_i pi_j and pi_{j-1} pi_i as composed index maps
+                        # pi_i pi_j and pi_{j-1} pi_i as composed index maps,
+                        # signs included
                         li, lj, mi, mj = maps
-                        holds = ([None if r is None else li[r] for r in mj] ==
-                                 [None if r is None else lj[r] for r in mi])
+                        holds = li.compose(mj) == lj.compose(mi)
                     else:
                         # column by column, so neither product is stored
-                        li, lj = lower[i], lower[j - 1]
-                        fi, fj = fs[i].col, fs[j].col
+                        li, lj = as_matrix(lower[i]), as_matrix(lower[j - 1])
+                        fi, fj = as_matrix(fs[i]).col, as_matrix(fs[j]).col
                         holds = all(vec_eq(li.apply(fj[c]), lj.apply(fi[c]))
                                     for c in range(self.dims[n]))
                     if not holds:
@@ -190,38 +224,28 @@ class PresimplicialModule:
         Where pi_i pi_j = pi_{j-1} pi_i holds at degree n + 1 (checked by
         verify_presimplicial on these same face matrices), the terms of
         d_n d_{n+1} cancel in pairs, so only degrees above that are
-        checked directly.
+        checked directly.  When every face of degree n has an index map,
+        d_n is their IndexSum: its columns are summed in ints where they
+        are read, and its GMatrix is built only for elimination.
         """
         if self._chain is None:
             d = {}
             for n in range(1, self.N + 1):
                 maps = [self.face_map(n, i) for i in range(len(self.faces[n]))]
                 if all(m is not None for m in maps):
-                    d[n] = _alternating_sum(self.dims[n - 1], self.dims[n], maps)
+                    d[n] = IndexSum(self.dims[n - 1], self.dims[n],
+                                    [(1 if i % 2 == 0 else -1, m) for i, m in enumerate(maps)])
                     continue
                 acc = GMatrix.zero(self.dims[n - 1], self.dims[n])
                 for i, f in enumerate(self.faces[n]):
                     s = ONE if i % 2 == 0 else MINUS_ONE
+                    f = as_matrix(f)
                     for j in range(self.dims[n]):
                         vec_axpy(acc.col[j], s, f.col[j])
                 d[n] = acc
             self._chain = ChainComplex(list(self.dims), d)
             self._chain.check_d_squared(self.presimplicial_upto)
         return self._chain
-
-
-def _alternating_sum(rows, cols, maps) -> GMatrix:
-    """sum_i (-1)^i pi_i for faces given as index maps, summed in ints."""
-    acc = [{} for _ in range(cols)]
-    for i, m in enumerate(maps):
-        s = 1 if i % 2 == 0 else -1
-        for col, r in zip(acc, m):
-            if r is not None:
-                col[r] = col.get(r, 0) + s
-    scalar = {k: gs(k) for k in range(-len(maps), len(maps) + 1)}
-    for c, col in enumerate(acc):
-        acc[c] = {r: scalar[k] for r, k in col.items() if k}
-    return GMatrix(rows, cols, acc)
 
 
 def boundary(p: PresimplicialModule) -> ChainComplex:
@@ -232,12 +256,9 @@ def boundary(p: PresimplicialModule) -> ChainComplex:
 # geometric complexes
 
 
-def _tuple_face_matrix(g, kind, n, i, carrier, lower_index):
-    m = GMatrix.zero(len(lower_index), len(carrier))
-    for j, t in enumerate(carrier):
-        img = geometric_face(g, kind, n, i, t)
-        m.col[j][lower_index[img]] = ONE
-    return m
+def _tuple_face_map(g, kind, n, i, carrier, lower_index) -> IndexMap:
+    return IndexMap(len(lower_index),
+                    [lower_index[geometric_face(g, kind, n, i, t)] for t in carrier])
 
 
 def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
@@ -254,7 +275,7 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
     dims = [len(c) for c in carriers]
     faces = [None]
     for n in range(1, N + 1):
-        faces.append([_tuple_face_matrix(g, kind, n, i, carriers[n], index[n - 1])
+        faces.append([_tuple_face_map(g, kind, n, i, carriers[n], index[n - 1])
                       for i in range(n + 1)])
 
     ext = coeff_ext
@@ -278,56 +299,42 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
             m.col[j][j] = gs(g.base.weight[g.source[t[0]]])
         return m
 
+    # homotopies, augmentations and sections send tuples to tuples, so
+    # they are index maps read off the carriers
     homotopy = None
     if kind == "classifying":
         h = {}
         for n in range(0, N):
-            sgn = ONE if (n + 1) % 2 == 0 else MINUS_ONE
-            m = GMatrix.zero(dims[n + 1], dims[n])
-            for j, t in enumerate(carriers[n]):
-                ext_t = t + (g.units[g.target[t[0]]],)
-                m.col[j][index[n + 1][ext_t]] = sgn
-            h[n] = m
-        aug = GMatrix.zero(len(g.base.atoms), dims[0])
+            m = IndexMap(dims[n + 1], [index[n + 1][t + (g.units[g.target[t[0]]],)]
+                                       for t in carriers[n]])
+            h[n] = IndexSum(dims[n + 1], dims[n], [(1 if (n + 1) % 2 == 0 else -1, m)])
         atom_index = {x: k for k, x in enumerate(g.base.atoms)}
-        for j, t in enumerate(carriers[0]):
-            aug.col[j][atom_index[g.target[t[0]]]] = ONE
-        sec = GMatrix.zero(dims[0], len(g.base.atoms))
-        for x, k in atom_index.items():
-            sec.col[k][index[0][(g.units[x],)]] = ONE
+        aug = IndexMap(len(g.base.atoms), [atom_index[g.target[t[0]]] for t in carriers[0]])
+        sec = IndexMap(dims[0], [index[0][(g.units[x],)] for x in g.base.atoms])
         homotopy = ContractingHomotopy(h, aug, sec)
     elif kind in ("bar", "acyclic"):
         h = {}
         for n in range(0, N):
-            m = GMatrix.zero(dims[n + 1], dims[n])
-            for j, t in enumerate(carriers[n]):
-                if kind == "bar":
-                    ext_t = (g.units[g.target[t[0]]],) + t
-                else:
-                    ext_t = (t[0], g.units[g.source[t[0]]]) + t[1:]
-                m.col[j][index[n + 1][ext_t]] = ONE
-            h[n] = m
+            if kind == "bar":
+                ext_ts = [(g.units[g.target[t[0]]],) + t for t in carriers[n]]
+            else:
+                ext_ts = [(t[0], g.units[g.source[t[0]]]) + t[1:] for t in carriers[n]]
+            h[n] = IndexMap(dims[n + 1], [index[n + 1][t] for t in ext_ts])
         # augment with the degree "-1" carrier of the family
         if kind == "bar":
             lowc = list(geometric_carrier(g, "nerve", 1))
             low_index = {t: k for k, t in enumerate(lowc)}
-            aug = GMatrix.zero(len(lowc), dims[0])
-            for j, t in enumerate(carriers[0]):
-                aug.col[j][low_index[(g.compose[(t[0], t[1])],)]] = ONE
-            sec = GMatrix.zero(dims[0], len(lowc))
-            for t, k in low_index.items():
-                ext_t = (g.units[g.target[t[0]]], t[0])
-                sec.col[k][index[0][ext_t]] = ONE
+            aug = IndexMap(len(lowc), [low_index[(g.compose[(t[0], t[1])],)]
+                                       for t in carriers[0]])
+            sec = IndexMap(dims[0], [index[0][(g.units[g.target[t[0]]], t[0])]
+                                     for t in lowc])
         else:
             lowc = list(geometric_carrier(g, "cyclic", 0))
             low_index = {t: k for k, t in enumerate(lowc)}
-            aug = GMatrix.zero(len(lowc), dims[0])
-            for j, t in enumerate(carriers[0]):
-                aug.col[j][low_index[(g.compose[(t[1], t[0])],)]] = ONE
-            sec = GMatrix.zero(dims[0], len(lowc))
-            for t, k in low_index.items():
-                ext_t = (t[0], g.units[g.source[t[0]]])
-                sec.col[k][index[0][ext_t]] = ONE
+            aug = IndexMap(len(lowc), [low_index[(g.compose[(t[1], t[0])],)]
+                                       for t in carriers[0]])
+            sec = IndexMap(dims[0], [index[0][(t[0], g.units[g.source[t[0]]])]
+                                     for t in lowc])
         homotopy = ContractingHomotopy(h, aug, sec)
 
     out = PresimplicialModule(
@@ -345,10 +352,7 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
 
 
 def _defect_cols(level: Level):
-    """Columns spanning the coinvariant relations.  On the graded path the
-    defects are diagonal, so the basis vectors with tl != sr span them."""
-    if level.sr is not None:
-        return [{q: ONE} for q, (t, s) in enumerate(zip(level.tl, level.sr)) if t != s]
+    """Columns spanning the coinvariant relations of a radical level."""
     return [c for d in level.central_defects() for c in d.col if c]
 
 
@@ -360,12 +364,50 @@ def _coinv_quotient(level: Level) -> Quotient:
     return Quotient.of_span(level.dim, _defect_cols(level))
 
 
-def _descend(m: GMatrix, src_q: Quotient, dst_q: Quotient) -> GMatrix:
+def _check_descends(maps, level: Level, low_q: Quotient, n: int):
+    """Each map sends the coinvariant relations of level into those of the
+    level below, so it descends to the coinvariants.
+
+    On the graded path the relations are spanned by the coordinates with
+    tl != sr on both levels, so this is a support check: each such
+    coordinate goes to zero or to coordinates with tl != sr, which low_q
+    drops.  On the radical path each defect column is mapped and projected.
+    """
+    if level.sr is not None:
+        off = [q for q, (t, s) in enumerate(zip(level.tl, level.sr)) if t != s]
+        kept = low_q.pos
+        for m in maps:
+            if isinstance(m, IndexMap):
+                idx = m.idx
+                holds = not any(idx[q] in kept for q in off)
+            else:
+                holds = not any(r in kept for q in off for r, x in m.col[q].items() if x)
+            if not holds:
+                break
+    else:
+        gens = _defect_cols(level)
+        holds = not any(low_q.project(m.apply(w)) for m in maps for w in gens)
+    if not holds:
+        raise AssertionError("face does not descend to coinvariants at degree %d" % n)
+
+
+def _descend(m, src_q: Quotient, dst_q: Quotient):
     """m carried to the quotients; through two identities it is m itself,
     shared with whatever cache holds it, and from a coordinate quotient
-    its columns are read at the kept coordinates, shared the same way."""
+    its columns are read at the kept coordinates, shared the same way.
+    IndexMaps stay IndexMaps between coordinate quotients, and IndexSums
+    descend term by term."""
     if src_q.is_identity and dst_q.is_identity:
         return m
+    if isinstance(m, IndexSum) and src_q.ech is None and dst_q.ech is None:
+        return IndexSum(dst_q.dim, src_q.dim,
+                        [(s, _descend(t, src_q, dst_q)) for s, t in m.terms])
+    if isinstance(m, IndexMap) and src_q.ech is None and dst_q.ech is None:
+        keep = src_q.keep
+        idx, sign = m.idx, m.sign
+        return IndexMap(dst_q.dim, dst_q.reindex([idx[k] for k in keep]),
+                        None if sign is None else [sign[k] for k in keep])
+    m = as_matrix(m)
     if src_q.ech is None:
         cols = [m.col[k] for k in src_q.keep]
     else:
@@ -403,20 +445,9 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
     faces = [None]
     for n in range(1, N + 1):
         lvl = levels[n]
-        row = []
-        for i in range(n):
-            row.append(_descend(lvl.join(bd + i), coqs[n], coqs[n - 1]))
-        row.append(_descend(lvl.wrap(), coqs[n], coqs[n - 1]))
-        faces.append(row)
-
-    for n in range(1, N + 1):
-        gens = _defect_cols(levels[n])
-        maps = [levels[n].join(bd + i) for i in range(n)] + [levels[n].wrap()]
-        for m in maps:
-            for w in gens:
-                if coqs[n - 1].project(m.apply(w)):
-                    raise AssertionError(
-                        "face does not descend to coinvariants at degree %d" % n)
+        row = [lvl.join(bd + i) for i in range(n)] + [lvl.wrap()]
+        _check_descends(row, lvl, coqs[n - 1], n)
+        faces.append([_descend(m, coqs[n], coqs[n - 1]) for m in row])
 
     action = None
     if coeff_action is not None:
@@ -476,18 +507,14 @@ def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int) -> Presimplicial
 
     # the augmentation a (x) c -> c a onto A/[B, A] is the wrap of the
     # square; its section is a -> a (x) 1
-    unit = ext.alg.unit
     ab_quot = _coinv_quotient(sq.prev)
     aug = _descend(sq.wrap(), coqs[0], ab_quot)
-    sec = GMatrix.from_cols(coqs[0].dim, [
-        coqs[0].project(sq.tensor_class({a: ONE}, unit)) for a in ab_quot.keep])
+    insert = sq.unit_insertion()
+    sec = _descend(insert, ab_quot, coqs[0])
 
     # a_0 (x) a_1 (x) ... -> a_0 (x) 1 (x) a_1 (x) ...: the unit is inserted
     # inside the square coefficient, pushing its second slot outward
-    lvl1 = tower.level(1)
-    base_insert = GMatrix.from_cols(lvl1.dim, [
-        lvl1.tensor_class(sq.tensor_class({i: ONE}, unit), {j: ONE})
-        for i, j in sq.reps])
+    base_insert = sq.lift(insert, tower.level(1))
 
     h = {}
     for n in range(0, N):
@@ -525,9 +552,7 @@ def bar_complex(ext: Extension, N: int):
     for n in range(1, N + 1):
         faces.append([levels[n].join(i) for i in range(n + 1)])
 
-    lvl1 = tower.level(1)
-    bp = GMatrix.from_cols(lvl1.dim, [lvl1.tensor_class(ext.alg.unit, {a: ONE})
-                                      for a in range(ext.alg.dim)])
+    bp = tower.level(1).unit_insertion(front=True)
     aug = tower.level(1).join(0)
     h = {}
     for n in range(0, N):
@@ -588,7 +613,8 @@ def geometric_comparison(ext: Extension, geo: PresimplicialModule,
         isos.append(m)
     for n in range(1, N + 1):
         for i in range(n + 1):
-            if isos[n - 1].mul(geo.face(n, i)) != alg.face(n, i).mul(isos[n]):
+            if isos[n - 1].mul(as_matrix(geo.face(n, i))) != \
+                    as_matrix(alg.face(n, i)).mul(isos[n]):
                 raise AssertionError("%s breaks face (%d,%d)" % (what, n, i))
     return isos
 
@@ -694,13 +720,18 @@ def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
         # = 1 at degree n (just verified) and d_n d_{n+1} = 0 (verified by
         # boundary()) give e d_{n+1} = d_{n+1} - h_{n-1} d_n d_{n+1} =
         # d_{n+1}, so e e = (e d_{n+1}) h_n = e.  Only its trace is needed,
-        # sum_j sum_k d[j, k] h[k, j], so e itself is never formed.
-        tr = ZERO
-        for j, hcol in enumerate(p.homotopy.h[n].col):
-            for k, x in hcol.items():
-                y = d_hi.col[k].get(j)
-                if y is not None:
-                    tr = tr + y * x
+        # sum_j sum_k d[j, k] h[k, j], so e itself is never formed; on
+        # index maps it is summed in ints.
+        d, h = common_form(d_hi, p.homotopy.h[n])
+        if isinstance(d, IndexSum):
+            tr = gs(index_trace(d, h))
+        else:
+            tr = ZERO
+            for j, hcol in enumerate(h.col):
+                for k, x in hcol.items():
+                    y = d.col[k].get(j)
+                    if y is not None:
+                        tr = tr + y * x
         if not (tr.is_real() and tr.re.denominator == 1):
             raise AssertionError("split certificate has a non-integral trace")
         r_hi = int(tr.re)
@@ -716,9 +747,9 @@ def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
         ker = GMatrix.identity(p.dims[0])
         r_lo = 0
     else:
-        ker = kernel_basis(d_lo)
+        ker = kernel_basis(as_matrix(d_lo))
         r_lo = p.dims[n] - ker.cols
-    im = _image_basis(d_hi)
+    im = _image_basis(as_matrix(d_hi))
     r_hi = im.cols
     dim_h = ker.cols - r_hi
     if dim_h == 0:
@@ -843,8 +874,8 @@ def theta_iso(g: FiniteGroupoid, N: int) -> ThetaIso:
             for j, item in enumerate(lhs[n]):
                 img = lhs_face(n, i, item)
                 lm.col[j][lhs_index[n - 1][img]] = ONE
-            geo_face = _tuple_face_matrix(g, "acyclic", n, i, acyc[n],
-                                          acyc_index[n - 1])
+            geo_face = _tuple_face_map(g, "acyclic", n, i, acyc[n],
+                                       acyc_index[n - 1]).matrix()
             if geo_face.mul(theta[n]) != theta[n - 1].mul(lm):
                 checks["face_commuting"] = False
 

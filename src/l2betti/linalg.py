@@ -10,6 +10,13 @@ equal dicts: ``vec_eq`` and ``GMatrix.__eq__`` compare the dicts first and
 form a difference only on a mismatch.  Hot loops read the int fields
 ``a``, ``b``, ``d`` of a scalar rather than its Fraction-valued ``re`` and
 ``im``, so no Fraction is built here.
+
+Maps that send every basis vector to zero or to plus or minus one basis
+vector (faces, joins and unit insertions over a monomial basis) are
+``IndexMap`` lists of row-or-None instead, and short sums of them are
+``IndexSum``.  Both apply to vectors with GScalar or int entries, so their
+identities are checked in ints; ``as_matrix`` builds the GMatrix where
+elimination or a product with a general matrix needs one.
 """
 
 from __future__ import annotations
@@ -155,20 +162,21 @@ class GMatrix:
         return all(not c for c in self.col)
 
     def index_map(self):
-        """This 0/1 partial function matrix as a list over its columns: the
-        row of the column's one entry, which equals ONE, or None for an
-        empty column.  None when some column holds two entries or another
-        value; stored zeros count as absent."""
-        out = []
+        """This matrix as an IndexMap when every column holds nothing or one
+        entry equal to 1 or -1, None otherwise; stored zeros count as
+        absent."""
+        idx, sign = [], []
         for c in self.col:
-            row = None
+            row, s = None, 1
             for i, x in c.items():
-                if row is None and x.a == 1 and not x.b and x.d == 1:
-                    row = i
-                elif x.a or x.b:
+                if not (x.a or x.b):
+                    continue
+                if row is not None or x.b or x.d != 1 or x.a not in (1, -1):
                     return None
-            out.append(row)
-        return out
+                row, s = i, x.a
+            idx.append(row)
+            sign.append(s)
+        return IndexMap(self.rows, idx, sign if -1 in sign else None)
 
     def __eq__(self, other):
         if not isinstance(other, GMatrix):
@@ -244,11 +252,237 @@ class GMatrix:
         return "GMatrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz())
 
 
+# ---------------------------------------------------------------------------
+# index maps
+
+
+def _index_axpy(out: dict, s: int, m: "IndexMap", v: dict) -> None:
+    """out += s m v in place, for s = 1 or -1 and entries of v that are
+    GScalars or ints alike."""
+    idx, sign = m.idx, m.sign
+    for c, x in v.items():
+        r = idx[c]
+        if r is None or not x:
+            continue
+        if (s if sign is None else s * sign[c]) < 0:
+            x = -x
+        y = out.get(r)
+        if y is None:
+            out[r] = x
+        else:
+            y = y + x
+            if y:
+                out[r] = y
+            else:
+                del out[r]
+
+
+class IndexMap:
+    """A matrix with at most one entry, 1 or -1, in each column.
+
+    Column c is sign[c] e_{idx[c]}, or zero when idx[c] is None; sign is
+    None when every entry is 1.  Composition is list indexing, so identities
+    between such maps are checked without forming a product."""
+
+    __slots__ = ("rows", "idx", "sign")
+
+    def __init__(self, rows: int, idx: list, sign: list = None):
+        self.rows = rows
+        self.idx = idx
+        self.sign = sign
+
+    @property
+    def cols(self):
+        return len(self.idx)
+
+    def nnz(self):
+        return len(self.idx) - self.idx.count(None)
+
+    def apply(self, v: dict) -> dict:
+        out = {}
+        _index_axpy(out, 1, self, v)
+        return out
+
+    def compose(self, inner: "IndexMap") -> "IndexMap":
+        """self . inner."""
+        idx = self.idx
+        out = [None if r is None else idx[r] for r in inner.idx]
+        si, so = inner.sign, self.sign
+        if si is None and so is None:
+            return IndexMap(self.rows, out)
+        sign = [1 if r is None else (1 if si is None else si[c]) * (1 if so is None else so[r])
+                for c, r in enumerate(inner.idx)]
+        return IndexMap(self.rows, out, sign)
+
+    def __eq__(self, other):
+        """Equal as matrices: the signs of zero columns do not count."""
+        if not isinstance(other, IndexMap):
+            return NotImplemented
+        if self.rows != other.rows or self.idx != other.idx:
+            return False
+        if self.sign == other.sign:
+            return True
+        s1 = self.sign or [1] * len(self.idx)
+        s2 = other.sign or [1] * len(self.idx)
+        return all(r is None or a == b for r, a, b in zip(self.idx, s1, s2))
+
+    __hash__ = None
+
+    def matrix(self) -> GMatrix:
+        sign = self.sign
+        return GMatrix(self.rows, len(self.idx), [
+            {} if r is None else {r: ONE if sign is None or sign[c] > 0 else MINUS_ONE}
+            for c, r in enumerate(self.idx)])
+
+    def __repr__(self):
+        return "IndexMap(%dx%d, nnz=%d%s)" % (
+            self.rows, self.cols, self.nnz(), "" if self.sign is None else ", signed")
+
+
+class IndexSum:
+    """sum_k s_k M_k for index maps M_k of one shape and signs s_k = +-1.
+
+    Contracting homotopies insert 1 = sum_u e_u, one map per term u (three
+    on M3 over the scalars), and boundaries sum their faces with signs.
+    Columns are read in ints, and the GMatrix is built only on request,
+    once."""
+
+    __slots__ = ("rows", "cols", "terms", "_matrix")
+
+    def __init__(self, rows: int, cols: int, terms: list):
+        self.rows = rows
+        self.cols = cols
+        self.terms = terms
+        self._matrix = None
+
+    @staticmethod
+    def merged(rows: int, cols: int, terms) -> "IndexSum":
+        """The sum of terms, with the terms whose columns do not overlap
+        folded into one map (on a graded level the unit's terms
+        p_x hit disjoint columns, so their sum is one map)."""
+        out = []
+        for s, m in terms:
+            for k, (s0, m0) in enumerate(out):
+                if all(r is None or r0 is None for r, r0 in zip(m.idx, m0.idx)):
+                    idx = [r0 if r is None else r for r, r0 in zip(m.idx, m0.idx)]
+                    sign = [s0 * (1 if m0.sign is None else m0.sign[c]) if r is None
+                            else s * (1 if m.sign is None else m.sign[c])
+                            for c, r in enumerate(m.idx)]
+                    out[k] = (1, IndexMap(rows, idx, None if -1 not in sign else sign))
+                    break
+            else:
+                out.append((s, m))
+        return IndexSum(rows, cols, out)
+
+    def apply(self, v: dict) -> dict:
+        out = {}
+        for s, m in self.terms:
+            _index_axpy(out, s, m, v)
+        return out
+
+    def column(self, c) -> dict:
+        return self.apply({c: 1})
+
+    def is_identity(self) -> bool:
+        n = self.cols
+        if self.rows != n:
+            return False
+        # diagonal and off-diagonal entries summed over the terms
+        diag, off = [0] * n, {}
+        for s, m in self.terms:
+            sign = m.sign
+            for c, r in enumerate(m.idx):
+                if r is None:
+                    continue
+                x = s if sign is None else s * sign[c]
+                if r == c:
+                    diag[c] += x
+                else:
+                    off[c * n + r] = off.get(c * n + r, 0) + x
+        return all(x == 1 for x in diag) and not any(off.values())
+
+    def nnz(self):
+        return sum(len(self.column(c)) for c in range(self.cols))
+
+    def matrix(self) -> GMatrix:
+        if self._matrix is None:
+            cols = [{} for _ in range(self.cols)]
+            for s, m in self.terms:
+                sign = m.sign
+                for c, r in enumerate(m.idx):
+                    if r is not None:
+                        col = cols[c]
+                        col[r] = col.get(r, 0) + (s if sign is None else s * sign[c])
+            # each entry is a sum of +-1 over the terms
+            t = len(self.terms)
+            scalar = {k: gs(k) for k in range(-t, t + 1)}
+            self._matrix = GMatrix(self.rows, self.cols, [
+                {r: scalar[x] for r, x in col.items() if x} for col in cols])
+        return self._matrix
+
+    def __repr__(self):
+        return "IndexSum(%dx%d, %d terms)" % (self.rows, self.cols, len(self.terms))
+
+
+def index_product(pairs, rows: int, cols: int) -> IndexSum:
+    """sum_k outer_k inner_k for IndexSums, as the sum of the composites of
+    their terms; equal composites of opposite sign cancel exactly and are
+    dropped, so a homotopy identity reduces to the few terms that remain."""
+    out = []
+    for outer, inner in pairs:
+        for s, m in outer.terms:
+            for t, n in inner.terms:
+                st, mn = s * t, m.compose(n)
+                for k, (s0, m0) in enumerate(out):
+                    if s0 == -st and m0 == mn:
+                        del out[k]
+                        break
+                else:
+                    out.append((st, mn))
+    return IndexSum(rows, cols, out)
+
+
+def index_trace(outer: IndexSum, inner: IndexSum) -> int:
+    """tr(outer inner) for IndexSums: the signed count of the fixed
+    columns of each composite of their terms."""
+    tr = 0
+    for s, m in outer.terms:
+        for t, n in inner.terms:
+            mn = m.compose(n)
+            sign = mn.sign
+            fixed = [c for c, r in enumerate(mn.idx) if r == c]
+            tr += s * t * (len(fixed) if sign is None else sum(sign[c] for c in fixed))
+    return tr
+
+
+def index_form(m):
+    """m as an IndexSum when it is an IndexMap or an IndexSum, else None."""
+    if isinstance(m, IndexSum):
+        return m
+    if isinstance(m, IndexMap):
+        return IndexSum(m.rows, m.cols, [(1, m)])
+    return None
+
+
+def as_matrix(m) -> GMatrix:
+    return m if isinstance(m, GMatrix) else m.matrix()
+
+
+def common_form(*maps) -> list:
+    """The maps as IndexSums when every one has an index form, otherwise
+    all as GMatrix: either way each has column(c) and apply(v) of one kind
+    of entry, and products are formed column by column."""
+    forms = [index_form(m) for m in maps]
+    if all(f is not None for f in forms):
+        return forms
+    return [as_matrix(m) for m in maps]
+
+
 def combination(n: int, coeffs: dict, mat) -> GMatrix:
     """sum_k coeffs[k] mat(k) for n x n matrices mat(k)."""
     out = GMatrix.zero(n, n)
     for k, c in coeffs.items():
-        m = mat(k)
+        m = as_matrix(mat(k))
         for j in range(n):
             vec_axpy(out.col[j], c, m.col[j])
     return out

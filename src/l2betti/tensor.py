@@ -24,12 +24,23 @@ A balanced product M (x)_B A is built on one of two paths.
 Levels are built iteratively (append one factor at a time) and carry the
 B-valued inner product, the outer algebra actions, merge maps for adjacent
 factors, and unit-insertion maps used by the contracting homotopies.
+
+On graded levels whose algebras have a monomial basis
+(`Extension.monomial`), every one of those maps sends each basis vector
+to zero or to +-1 times one basis vector, since each product e_a e_b does
+and the class of e_v (x) e_b is a kept coordinate or zero.  Such an
+"index level" builds them as IndexMaps straight from `reps`, `Quotient.pos`
+and the product table, and unit insertions as IndexSums, one map per term
+of 1; no GMatrix column is formed.  Every other level builds GMatrix maps.
 """
 
 from __future__ import annotations
 
 from .algebras import Extension, TracialStarAlgebra
-from .linalg import Echelon, GMatrix, combination, kernel_basis, rank, vec_eq
+from .linalg import (
+    Echelon, GMatrix, IndexMap, IndexSum, as_matrix, combination, kernel_basis,
+    rank, vec_eq,
+)
 from .scalars import ONE, ZERO
 
 
@@ -91,6 +102,14 @@ class Quotient:
             return q
         return {self.keep[i]: x for i, x in q.items()}
 
+    def reindex(self, rows: list) -> list:
+        """Ambient coordinates (or None) as quotient coordinates of a
+        coordinate quotient, None where the coordinate is dropped."""
+        if self.is_identity:
+            return rows
+        pos = self.pos
+        return [pos.get(k) for k in rows]
+
 
 class Level:
     """One balanced tensor power, with its actions, forms and merge maps.
@@ -101,15 +120,18 @@ class Level:
     lift (carry a map of the previous level through the last factor) and
     central_defects / invariants (lambda_b - rho_b and their common kernel).
     On the graded path tl and sr hold the left and right support of each
-    basis vector; on the radical path they are None.
+    basis vector; on the radical path they are None.  On an index level
+    (graded, with monomial bases throughout) the maps are IndexMaps.
     """
 
     def __init__(self, dim, left_ext, right_ext, bgram,
                  prev=None, app_ext=None, quotient=None,
-                 base_right_mult=None, base_left_mult=None, tl=None, sr=None):
+                 base_right_mult=None, base_left_mult=None, tl=None, sr=None,
+                 index=False):
         self.dim = dim
         self.tl = tl
         self.sr = sr
+        self.index = index
         self.left_ext = left_ext            # extension acting on the left
         self.right_ext = right_ext          # extension acting on the right
         self.sub = left_ext.sub
@@ -117,8 +139,8 @@ class Level:
         self.prev = prev
         self.app_ext = app_ext
         self.quotient = quotient
-        self.reps = (None if prev is None else
-                     [divmod(k, app_ext.alg.dim) for k in quotient.keep])
+        d2 = None if prev is None else app_ext.alg.dim
+        self.reps = None if prev is None else [divmod(k, d2) for k in quotient.keep]
         self._base_right_mult = base_right_mult
         self._base_left_mult = base_left_mult
         self._right = {}
@@ -137,16 +159,50 @@ class Level:
         return self.quotient.project(
             {i * d2 + j: x * y for i, x in v.items() for j, y in a.items()})
 
-    def lift(self, inner: GMatrix, dst: "Level") -> GMatrix:
+    def class_index(self, pairs) -> list:
+        """On an index level, the coordinate of the class of e_v (x) e_b for
+        each pair (v, b): None where v or b is None or the pair is dropped."""
+        d2 = self.app_ext.alg.dim
+        return self.quotient.reindex([None if v is None or b is None else v * d2 + b
+                                      for v, b in pairs])
+
+    def lift(self, inner, dst: "Level"):
         """v (x) b -> inner(v) (x) b, from this level into dst.
 
         The class of w (x) e_b is the projection of w reindexed into the
-        b-th slot, so no product with 1 is formed."""
+        b-th slot, so no product with 1 is formed.  Into an index level an
+        IndexMap lifts to an IndexMap and an IndexSum term by term."""
+        if dst.index and isinstance(inner, IndexSum):
+            return IndexSum(dst.dim, self.dim,
+                            [(s, self.lift(m, dst)) for s, m in inner.terms])
         d2 = dst.app_ext.alg.dim
+        if dst.index and isinstance(inner, IndexMap):
+            idx, sign = inner.idx, inner.sign
+            amb = [None if (r := idx[v]) is None else r * d2 + b for v, b in self.reps]
+            return IndexMap(dst.dim, dst.quotient.reindex(amb),
+                            None if sign is None else [sign[v] for v, _ in self.reps])
         project = dst.quotient.project
+        inner = as_matrix(inner)
         return GMatrix(dst.dim, self.dim, [
             project({i * d2 + b: x for i, x in inner.col[v].items()})
             for v, b in self.reps])
+
+    def unit_insertion(self, front=False):
+        """v -> [v (x) 1] from the previous level into this one; with front,
+        b -> [1 (x) b] from the appended algebra, the previous level being
+        the base algebra."""
+        ext = self.prev.left_ext if front else self.app_ext
+        cols = self.app_ext.alg.dim if front else self.prev.dim
+        if self.index:
+            terms = []
+            for u, s in ext.monomial().unit:
+                pairs = [(u, b) for b in range(cols)] if front else [(v, u) for v in range(cols)]
+                terms.append((s, IndexMap(self.dim, self.class_index(pairs))))
+            return IndexSum.merged(self.dim, cols, terms)
+        unit = ext.alg.unit
+        return GMatrix.from_cols(self.dim, [
+            self.tensor_class(unit, {k: ONE}) if front else self.tensor_class({k: ONE}, unit)
+            for k in range(cols)])
 
     def central_defects(self) -> list:
         """lambda_b - rho_b for each basis element b of B.  A vector is
@@ -182,11 +238,19 @@ class Level:
 
     # -- actions
 
-    def right_act(self, a_idx: int) -> GMatrix:
+    def right_act(self, a_idx: int):
         m = self._right.get(a_idx)
         if m is None:
             if self.prev is None:
                 m = self._base_right_mult(a_idx)
+            elif self.index:
+                # v (x) e_b . a = sign v (x) e_c for e_b a = sign e_c
+                mono = self.app_ext.monomial()
+                col = [row[a_idx] for row in mono.idx]
+                reps = self.reps
+                m = IndexMap(self.dim, self.class_index([(v, col[b]) for v, b in reps]),
+                             None if mono.sign is None else
+                             [mono.sign[b][a_idx] for _, b in reps])
             else:
                 # v (x) e_b . a is e_b a reindexed into slot v, then projected
                 mult = self.app_ext.alg.mult
@@ -198,7 +262,7 @@ class Level:
             self._right[a_idx] = m
         return m
 
-    def left_act(self, a_idx: int) -> GMatrix:
+    def left_act(self, a_idx: int):
         m = self._left.get(a_idx)
         if m is None:
             if self.prev is None:
@@ -226,7 +290,7 @@ class Level:
     def depth(self):
         return 0 if self.prev is None else self.prev.depth() + 1
 
-    def join(self, j: int) -> GMatrix:
+    def join(self, j: int):
         assert self.prev is not None, "base level has no joins"
         m = self._join.get(j)
         if m is not None:
@@ -234,19 +298,31 @@ class Level:
         k = self.depth()
         assert 0 <= j <= k - 1
         if j == k - 1:
-            m = GMatrix.from_cols(self.prev.dim, [
-                self.prev.right_act(b).col[v] for v, b in self.reps])
+            m = self._gather(self.prev.right_act)
         else:
             # merge happens inside the prev part: (v (x) b) -> join(v) (x) b
             m = self.lift(self.prev.join(j), self.prev)
         self._join[j] = m
         return m
 
-    def wrap(self) -> GMatrix:
+    def wrap(self):
         """Move the last slot to act on the base slot from the left."""
         assert self.prev is not None
-        return GMatrix.from_cols(self.prev.dim, [
-            self.prev.left_act(b).col[v] for v, b in self.reps])
+        return self._gather(self.prev.left_act)
+
+    def _gather(self, act):
+        """v (x) b -> act(b) v, into the previous level."""
+        acts = [act(b) for b in range(self.app_ext.alg.dim)]
+        reps = self.reps
+        if self.index:
+            cols = [m.idx for m in acts]
+            idx = [cols[b][v] for v, b in reps]
+            if all(m.sign is None for m in acts):
+                return IndexMap(self.prev.dim, idx)
+            signs = [[1] * m.cols if m.sign is None else m.sign for m in acts]
+            return IndexMap(self.prev.dim, idx, [signs[b][v] for v, b in reps])
+        acts = [as_matrix(m) for m in acts]
+        return GMatrix.from_cols(self.prev.dim, [acts[b].col[v] for v, b in reps])
 
 
 def extension_base_level(ext: Extension) -> Level:
@@ -263,15 +339,25 @@ def extension_base_level(ext: Extension) -> Level:
         if row:
             bgram[i] = row
 
-    def base_right(a_idx):
-        return GMatrix(A.dim, A.dim, [A.mul({j: ONE}, {a_idx: ONE}) for j in range(A.dim)])
-
-    def base_left(a_idx):
-        return GMatrix(A.dim, A.dim, [A.mul({a_idx: ONE}, {j: ONE}) for j in range(A.dim)])
-
     tl, sr = ext.grading() or (None, None)
-    return Level(A.dim, ext, ext, bgram,
-                 base_right_mult=base_right, base_left_mult=base_left, tl=tl, sr=sr)
+    mono = ext.monomial() if tl is not None else None
+    if mono is not None:
+        def base_right(a_idx):
+            return IndexMap(A.dim, [row[a_idx] for row in mono.idx],
+                            None if mono.sign is None else [row[a_idx] for row in mono.sign])
+
+        def base_left(a_idx):
+            return IndexMap(A.dim, mono.idx[a_idx],
+                            None if mono.sign is None else mono.sign[a_idx])
+    else:
+        def base_right(a_idx):
+            return GMatrix(A.dim, A.dim, [A.mul({j: ONE}, {a_idx: ONE}) for j in range(A.dim)])
+
+        def base_left(a_idx):
+            return GMatrix(A.dim, A.dim, [A.mul({a_idx: ONE}, {j: ONE}) for j in range(A.dim)])
+
+    return Level(A.dim, ext, ext, bgram, base_right_mult=base_right,
+                 base_left_mult=base_left, tl=tl, sr=sr, index=mono is not None)
 
 
 def append_level(prev: Level, ext2: Extension) -> Level:
@@ -357,7 +443,8 @@ def _graded_level(prev: Level, ext2: Extension, t, s) -> Level:
                     bgram.setdefault(pos[v * d2 + a], {})[pos[w * d2 + b]] = out
     lvl = Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
                 quotient=quot, tl=[prev.tl[k // d2] for k in keep],
-                sr=[s[k % d2] for k in keep])
+                sr=[s[k % d2] for k in keep],
+                index=prev.index and ext2.monomial() is not None)
     _check_supports(lvl)
     return lvl
 
@@ -461,7 +548,7 @@ class Tower:
             self.levels.append(append_level(self.levels[-1], self.ext))
         return self.levels[k]
 
-    def insert_unit(self, k: int, base_insert: GMatrix) -> GMatrix:
+    def insert_unit(self, k: int, base_insert):
         """Insert a unit factor at the insertion slot: level k -> k+1.
 
         base_insert realizes the insertion on the base (level 0 -> level 1),

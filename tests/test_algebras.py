@@ -1,9 +1,11 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from l2betti.algebras import (
-    Extension, TracialStarAlgebra, TwoCocycle, all_sign_cocycles,
+    Extension, SpanBasis, TracialStarAlgebra, TwoCocycle, all_sign_cocycles,
     coboundary_cocycle, compression, conditional_expectation,
     convolution_algebra, diagonal_subalgebra_vectors,
     distinct_triple_sign_cocycle, expectation_conjugation_report,
@@ -11,6 +13,7 @@ from l2betti.algebras import (
     normalizer_span, trivial_cocycle, trivial_extension, twisted_convolution,
     validate_algebra, validate_cocycle, weighted_sum, weighted_sum_algebras,
 )
+from l2betti.fileio import _vec_from_pairs, as_extension, load_path
 from l2betti.groupoids import (
     action_groupoid, diagonal_embedding, enveloping, group_groupoid,
     pair_relation, trivial_groupoid, uniform_space,
@@ -282,6 +285,41 @@ def test_compression_rejects_noncommuting_projection():
     ext = full_extension(m2)
     with pytest.raises(ValueError):
         compression(ext, {m2.index("e11"): ONE})
+
+
+def compression_instances():
+    corpus = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "corpus")
+    for f in sorted(os.listdir(corpus)):
+        if f.startswith("verify_compression_"):
+            path = os.path.join(corpus, f)
+            with open(path) as fh:
+                doc = json.load(fh)
+            ext = as_extension(load_path(os.path.join(corpus, doc["algebra"])))
+            index = {l: k for k, l in enumerate(ext.alg.labels)}
+            yield f, ext, _vec_from_pairs(doc["projection"], index, path)
+
+
+def test_compressed_trace_is_trace_over_trace_of_p_on_corpus():
+    # compression() does not check tr_p(pxp) tr(p) = tr(pxp): span_structure
+    # and exact span coordinates imply it; here it is checked on every corpus
+    # compression instance, with the compressed basis rebuilt as compression
+    # builds it
+    names = []
+    for name, ext, p in compression_instances():
+        A = ext.alg
+        out = compression(ext, p)
+        span = SpanBasis()
+        for j in range(A.dim):
+            span.add(A.mul(p, A.mul({j: ONE}, p)))
+        assert span.dim == out.alg.dim
+        tp = A.trace(p)
+        for j in range(A.dim):
+            v = A.mul(p, A.mul({j: ONE}, p))
+            assert out.alg.trace(span.coords(v)) * tp == A.trace(v), (name, j)
+        names.append(name)
+    assert names == ["verify_compression_m2_diag.json",
+                     "verify_compression_m2_scalars.json"]
 
 
 def test_normalizer_span_reaches_m2():

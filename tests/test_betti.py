@@ -21,7 +21,7 @@ from l2betti.groupoids import (
     trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import GMatrix
+from l2betti.linalg import GMatrix, as_matrix
 from l2betti.scalars import ONE, gs
 
 
@@ -233,6 +233,7 @@ def test_dimension_isomorphism_robustness():
     # extend degree 1 and 0 by a free block mapped identically
     def padded_face(f, sign_block):
         m = GMatrix.zero(n0 + pad, n1 + pad)
+        f = as_matrix(f)
         for j in range(n1):
             for i, x in f.col[j].items():
                 m.col[j][i] = x

@@ -9,13 +9,15 @@ from fractions import Fraction
 import pytest
 
 from l2betti.algebras import (
-    conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
-    distinct_triple_sign_cocycle, group_algebra, matrix_algebra,
-    trivial_extension, twisted_convolution,
+    Extension, conditional_expectation, convolution_algebra,
+    diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
+    matrix_algebra, normalizer_span, trivial_extension, twisted_convolution,
 )
+from l2betti.betti import groupoid_normalizer_generators
 from l2betti.complexes import (
-    ChainComplex, PresimplicialModule, bar_complex, geometric_comparison,
-    geometric_complex, homology, l2_complex, plain_hochschild_complex, theta_iso,
+    ChainComplex, ContractingHomotopy, PresimplicialModule, bar_complex,
+    geometric_comparison, geometric_complex, homology, l2_complex,
+    plain_hochschild_complex, theta_iso,
 )
 from l2betti.fibersquare import (
     default_pairs, fiber_square, fiber_square_of, groupoid_fiber_square,
@@ -25,8 +27,9 @@ from l2betti.groupoids import (
     bisections, group_groupoid, pair_relation, trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import GMatrix, kernel_basis, rank
+from l2betti.linalg import GMatrix, IndexMap, IndexSum, as_matrix, kernel_basis, rank
 from l2betti.scalars import ONE, gs
+from l2betti.tensor import Level
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
@@ -337,8 +340,11 @@ def test_fault_descended_face_entry_is_caught_by_presimplicial(monkeypatch):
         out = original(m, src_q, dst_q)
         calls.append(None)
         if len(calls) == 5:              # the wrap face at degree 2
-            x = out.col[0].get(0)
-            out.col[0][0] = ONE if x is None else x + ONE
+            # its column 0 moves to another row
+            assert isinstance(out, IndexMap)
+            idx = list(out.idx)
+            idx[0] = 1 if idx[0] == 0 else 0
+            out = IndexMap(out.rows, idx, out.sign)
         return out
 
     monkeypatch.setattr(cx, "_descend", descend)
@@ -375,7 +381,7 @@ def corrupted_homotopy(hom, n, d_hi):
     does not kill."""
     from l2betti.complexes import ContractingHomotopy
     h = dict(hom.h)
-    m = GMatrix.from_cols(h[n].rows, h[n].col)
+    m = GMatrix.from_cols(h[n].rows, as_matrix(h[n]).col)
     row = next(k for k in range(d_hi.cols) if d_hi.col[k])
     x = m.col[0].get(row)
     m.col[0][row] = ONE if x is None else x + ONE
@@ -387,7 +393,7 @@ def test_fault_homotopy_entry_is_caught_by_split_homology():
     # e e = e is not checked; a wrong h must fail d h + h d = 1 instead
     bar = bar_complex(c2_ext(), 3)
     chain = bar.boundary()
-    bar.homotopy = corrupted_homotopy(bar.homotopy, 1, chain.d[2])
+    bar.homotopy = corrupted_homotopy(bar.homotopy, 1, as_matrix(chain.d[2]))
     with pytest.raises(AssertionError, match="homotopy identity fails at degree 1"):
         homology(bar, 1, method="split")
 
@@ -399,41 +405,64 @@ def test_homotopy_verify_reverifies_against_another_chain():
     assert hom.verified_upto == 2 and hom.verified_chain is chain
     assert hom.verify(chain, 2)
     other = ChainComplex(list(chain.dims), dict(chain.d))
-    other.d[2] = chain.d[2].scale(2)
+    other.d[2] = as_matrix(chain.d[2]).scale(2)
     with pytest.raises(AssertionError, match="homotopy identity fails at degree 1"):
         hom.verify(other, 2)
 
 
 # ---------------------------------------------------------------------------
-# faces read as index maps, against the column-by-column loop
+# faces, boundaries and homotopies as index maps, against GMatrix columns
 
 
-def assert_index_path_agrees_with_column_loop(build, monkeypatch):
+def assert_index_path_agrees_with_column_loop(build, monkeypatch, force):
+    """build() on the index path against build() with force applied, which
+    makes the faces GMatrix, and with GMatrix.index_map off, so that the
+    checks and the boundary take the column-by-column loop."""
     fast = build()
     with monkeypatch.context() as m:
+        force(m)
         m.setattr(GMatrix, "index_map", lambda self: None)
         slow = build()
+        assert isinstance(slow.faces[1][0], GMatrix)
         assert slow.face_map(1, 0) is None
         slow_d = slow.boundary().d
-    assert fast.face_map(1, 0) is not None
+    assert all(isinstance(f, IndexMap) for row in fast.faces[1:] for f in row)
     assert fast.dims == slow.dims
     assert fast.presimplicial_upto == slow.presimplicial_upto == fast.N
-    assert fast.boundary().d == slow_d
+    fast_d = fast.boundary().d
+    assert all(isinstance(d, IndexSum) for d in fast_d.values())
+    assert {n: as_matrix(d) for n, d in fast_d.items()} == slow_d
+    fh, sh = fast.homotopy, slow.homotopy
+    assert (fh is None) == (sh is None)
+    if fh is not None:
+        assert not any(isinstance(m, GMatrix) for m in [fh.aug, fh.aug_section, *fh.h.values()])
+        assert as_matrix(fh.aug) == as_matrix(sh.aug)
+        assert as_matrix(fh.aug_section) == as_matrix(sh.aug_section)
+        assert {n: as_matrix(h) for n, h in fh.h.items()} == \
+            {n: as_matrix(h) for n, h in sh.h.items()}
 
 
 @pytest.mark.parametrize("name", CORPUS_EXTENSIONS)
 def test_index_path_agrees_with_column_loop_on_corpus(name, monkeypatch):
-    ext = as_extension(load_path(os.path.join(CORPUS, name)))
-    fsq, _ = fiber_square_of(ext)
-    assert_index_path_agrees_with_column_loop(lambda: l2_complex(ext, fsq, 3),
-                                              monkeypatch)
+    def build():
+        ext = as_extension(load_path(os.path.join(CORPUS, name)))
+        return l2_complex(ext, fiber_square_of(ext)[0], 3)
+
+    assert_index_path_agrees_with_column_loop(
+        build, monkeypatch, lambda m: m.setattr(Extension, "monomial", lambda self: None))
 
 
 @pytest.mark.parametrize("kind", ["nerve", "bar", "cyclic", "acyclic", "classifying"])
 def test_index_path_agrees_with_column_loop_on_geometric(kind, monkeypatch):
+    import l2betti.complexes as cx
     g = load_path(os.path.join(CORPUS, "action_c2_field.json"))
+    tuple_face_map = cx._tuple_face_map
+
+    def force(m):
+        m.setattr(cx, "_tuple_face_map", lambda *a: tuple_face_map(*a).matrix())
+
     assert_index_path_agrees_with_column_loop(
-        lambda: geometric_complex(g, kind, 3), monkeypatch)
+        lambda: geometric_complex(g, kind, 3), monkeypatch, force)
 
 
 def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
@@ -452,11 +481,18 @@ def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
         ext = as_extension(load_path(os.path.join(CORPUS, name)))
         l2_complex(ext, fiber_square_of(ext)[0], 3)
     assert fallbacks == set()
-    # the spy sees a fallback: cocycle signs put -1 entries into the faces
+    # cocycle signs put -1 entries into the faces: the twisted complex of
+    # pair(3) takes the index path with sign lists, and so does the radical
+    # path of its normalizing extension N/LinfX (verify_residual_pair3_twisted)
     g = pair_relation(uniform_space(3))
     ext = twisted_convolution(g, distinct_triple_sign_cocycle(g))
-    l2 = l2_complex(ext, fiber_square_of(ext)[0], 2)
-    assert fallbacks == {l2.name}
+    nabla = normalizer_span(ext, groupoid_normalizer_generators(ext))
+    assert ext.monomial().sign is not None and nabla.grading() is None
+    for e in (ext, nabla):
+        l2 = l2_complex(e, fiber_square_of(e)[0], 2)
+        assert any(l2.face_map(n, i).sign is not None
+                   for n in (1, 2) for i in range(n + 1)), e.name
+    assert fallbacks == set()
 
 
 def with_faces(p, n, i, face, name):
@@ -467,19 +503,17 @@ def with_faces(p, n, i, face, name):
 
 
 def moved_entry_fault():
-    """Move one entry of the 0/1 face (2,1) of the Hochschild complex of
-    M2/diag to a row with another pi_0, and verify: pi_0 pi_1 = pi_0 pi_0
+    """Move one entry of the index-map face (2,1) of the Hochschild complex
+    of M2/diag to a row with another pi_0, and verify: pi_0 pi_1 = pi_0 pi_0
     fails in that column."""
     p = plain_hochschild_complex(m2_diag_ext(), 2)
     low, m = p.face_map(1, 0), p.face_map(2, 1)
-    c = next(c for c, r in enumerate(m) if r is not None)
-    r = next(r for r in range(p.dims[1]) if low[r] != low[m[c]])
-    f = p.faces[2][1]
-    cols = list(f.col)
-    cols[c] = {r: ONE}
-    moved = GMatrix(f.rows, f.cols, cols)
-    assert moved.index_map() is not None
-    with_faces(p, 2, 1, moved, "moved").verify_presimplicial()
+    assert m is p.faces[2][1]
+    c = next(c for c, r in enumerate(m.idx) if r is not None)
+    r = next(r for r in range(p.dims[1]) if low.idx[r] != low.idx[m.idx[c]])
+    idx = list(m.idx)
+    idx[c] = r
+    with_faces(p, 2, 1, IndexMap(m.rows, idx, m.sign), "moved").verify_presimplicial()
 
 
 def test_fault_moved_face_entry_is_caught_on_the_index_path():
@@ -504,12 +538,117 @@ def test_moved_face_entry_is_caught_under_python_optimize():
 
 
 def test_face_one_column_short_is_rejected():
+    # as an index map and as a GMatrix
     p = plain_hochschild_complex(m2_diag_ext(), 2)
     f = p.faces[2][1]
-    short = GMatrix(f.rows, f.cols - 1, f.col[:-1])
+    g = as_matrix(f)
     message = r"face \(2,1\) is %dx%d, not %dx%d in short" % (
         p.dims[1], p.dims[2] - 1, p.dims[1], p.dims[2])
-    with pytest.raises(AssertionError, match=message):
-        with_faces(p, 2, 1, short, "short").verify_presimplicial()
-    with pytest.raises(AssertionError, match=message):
-        with_faces(p, 2, 1, short, "short").boundary()
+    for short in (IndexMap(f.rows, f.idx[:-1]), GMatrix(g.rows, g.cols - 1, g.col[:-1])):
+        with pytest.raises(AssertionError, match=message):
+            with_faces(p, 2, 1, short, "short").verify_presimplicial()
+        with pytest.raises(AssertionError, match=message):
+            with_faces(p, 2, 1, short, "short").boundary()
+
+
+# ---------------------------------------------------------------------------
+# checks on index maps: fault injection
+
+
+def scalar_l2_complex(which, N):
+    if which == "CS3":
+        table, unit, els = symmetric_table(3)
+        ext = trivial_extension(group_algebra(table, unit, elements=els, name="CS3"))
+    else:
+        ext = trivial_extension(matrix_algebra(3), name="M3/C")
+    return l2_complex(ext, fiber_square_of(ext)[0], N)
+
+
+def moved_homotopy_entry_fault(which):
+    """Move one entry of h_1, an index map on CS3/C and a sum of three on
+    M3/C (1 = e11 + e22 + e33), to a row where d_2 differs, and verify
+    d h + h d = 1 again."""
+    l2 = scalar_l2_complex(which, 2)
+    chain = l2.boundary()
+    hom = l2.homotopy
+    h1 = hom.h[1]
+    assert isinstance(h1, IndexSum)
+    assert len(h1.terms) == (1 if which == "CS3" else 3)
+    s, m = h1.terms[-1]
+    c = next(c for c, r in enumerate(m.idx) if r is not None)
+    d2 = chain.d[2]
+    r = next(r for r in range(d2.cols) if d2.column(r) != d2.column(m.idx[c]))
+    idx = list(m.idx)
+    idx[c] = r
+    h = dict(hom.h)
+    h[1] = IndexSum(h1.rows, h1.cols, h1.terms[:-1] + [(s, IndexMap(m.rows, idx, m.sign))])
+    ContractingHomotopy(h, hom.aug, hom.aug_section).verify(chain, 1)
+
+
+def test_split_degree_boundary_is_summed_but_never_built_as_a_matrix():
+    # CS3/C at N=3: degrees 0 and 1 run elimination on d_1 and d_2; d_3
+    # (1296 x 7776) is only verified and traced, in ints
+    l2 = scalar_l2_complex("CS3", 3)
+    assert [homology(l2, n).method for n in range(3)] == ["elimination", "elimination", "split"]
+    d = l2.boundary().d
+    assert all(isinstance(m, IndexSum) for m in d.values())
+    assert (d[3].rows, d[3].cols) == (1296, 7776)
+    assert d[2]._matrix is not None and d[3]._matrix is None
+
+
+@pytest.mark.parametrize("which", ["CS3", "M3"])
+def test_fault_moved_homotopy_entry_is_caught_on_the_index_path(which):
+    with pytest.raises(AssertionError, match="homotopy identity fails at degree 1"):
+        moved_homotopy_entry_fault(which)
+
+
+def test_moved_homotopy_entry_is_caught_under_python_optimize():
+    code = ("import sys\n"
+            "print(sys.flags.optimize)\n"
+            "import test_complexes\n"
+            "test_complexes.moved_homotopy_entry_fault('CS3')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), TESTS]))
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                       text=True, cwd=ROOT, env=env)
+    assert r.stdout == "1\n"
+    assert r.returncode == 1
+    assert r.stderr.rstrip().endswith(
+        "AssertionError: homotopy identity fails at degree 1")
+
+
+def test_fault_flipped_sign_in_a_signed_face_is_caught_by_presimplicial():
+    g = pair_relation(uniform_space(3))
+    ext = twisted_convolution(g, distinct_triple_sign_cocycle(g))
+    p = l2_complex(ext, fiber_square_of(ext)[0], 2)
+    i = next(i for i in range(3) if p.face_map(2, i).sign is not None)
+    m, low = p.face_map(2, i), p.face_map(1, 0)
+    # a column whose entry pi_0 keeps, so that one composite changes sign
+    c = next(c for c, r in enumerate(m.idx) if r is not None and low.idx[r] is not None)
+    sign = list(m.sign)
+    sign[c] = -sign[c]
+    with pytest.raises(AssertionError, match=r"presimplicial identity fails at degree 2"):
+        with_faces(p, 2, i, IndexMap(m.rows, m.idx, sign), "flipped").verify_presimplicial()
+
+
+def test_fault_face_entry_moved_onto_a_central_coordinate_fails_descent(monkeypatch):
+    # pair(3): the coinvariants keep the coordinates with tl = sr; the wrap
+    # at degree 1 sends one coordinate with tl != sr to a kept one
+    ext = convolution_algebra(pair_relation(uniform_space(3)))
+    wrap = Level.wrap
+
+    def moved_wrap(self):
+        m = wrap(self)
+        if self.depth() != 1:
+            return m
+        q = next(q for q, (t, s) in enumerate(zip(self.tl, self.sr)) if t != s)
+        prev = self.prev
+        r = next(r for r, (t, s) in enumerate(zip(prev.tl, prev.sr)) if t == s)
+        idx = list(m.idx)
+        idx[q] = r
+        return IndexMap(m.rows, idx, m.sign)
+
+    assert plain_hochschild_complex(ext, 1).dims[1] > 0
+    monkeypatch.setattr(Level, "wrap", moved_wrap)
+    with pytest.raises(AssertionError,
+                       match="face does not descend to coinvariants at degree 1"):
+        plain_hochschild_complex(ext, 1)

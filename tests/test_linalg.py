@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2betti.linalg import (
-    Echelon, GMatrix, HermitianForm, adjoint_wrt, invert, kernel_basis,
+    Echelon, GMatrix, HermitianForm, adjoint_wrt, as_matrix, invert, kernel_basis,
     orth_projection, radical, rank, solve, vec_dot, vec_eq,
 )
 from l2betti.scalars import GScalar, ONE, ZERO, gs, parse_scalar
@@ -181,7 +181,7 @@ def test_bar_boundary_kernel_against_oracle():
     table, unit, els = cyclic_table(2)
     ext = trivial_extension(group_algebra(table, unit, elements=els, name="CC2"))
     bar = bar_complex(ext, 2)
-    d1 = bar.boundary().d[1]
+    d1 = as_matrix(bar.boundary().d[1])
     assert (d1.rows, d1.cols) == (4, 8)
     r = rank(d1)
     k = kernel_basis(d1)

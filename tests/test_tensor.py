@@ -21,7 +21,7 @@ from l2betti.complexes import ChainComplex, _coinv_quotient
 from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import FiniteGroupoid, pair_relation, uniform_space
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import GMatrix, kernel_basis
+from l2betti.linalg import GMatrix, IndexMap, as_matrix, kernel_basis
 from l2betti.scalars import ONE, ZERO, gs
 from l2betti.tensor import algebra_tower, append_level, extension_base_level
 
@@ -127,8 +127,18 @@ def test_fault_degenerate_appended_trace_form_is_caught():
 
 
 def tensor_class_lift(src, inner, dst):
+    inner = as_matrix(inner)
     return GMatrix.from_cols(
         dst.dim, [dst.tensor_class(inner.col[v], {b: ONE}) for v, b in src.reps])
+
+
+def assert_lift_agrees(src, inner, dst):
+    """The index lift is an IndexMap, equal to the tensor_class lift and to
+    the column lift of the inner map as a GMatrix."""
+    lifted = src.lift(inner, dst)
+    assert isinstance(inner, IndexMap) and isinstance(lifted, IndexMap)
+    assert lifted.matrix() == tensor_class_lift(src, inner, dst)
+    assert lifted.matrix() == src.lift(inner.matrix(), dst)
 
 
 @pytest.mark.parametrize("ext", [
@@ -140,11 +150,9 @@ def test_reindexing_lift_equals_tensor_class_lift(ext):
     for k in (2, 3):
         lvl, prev = tower.level(k), tower.level(k - 1)
         for a in range(ext.alg.dim):
-            inner = prev.left_act(a)
-            assert lvl.lift(inner, lvl) == tensor_class_lift(lvl, inner, lvl)
+            assert_lift_agrees(lvl, prev.left_act(a), lvl)
         for j in range(k - 1):
-            inner = prev.join(j)
-            assert lvl.lift(inner, prev) == tensor_class_lift(lvl, inner, prev)
+            assert_lift_agrees(lvl, prev.join(j), prev)
     assert tower.level(3).quotient.is_identity == (ext.sub.dim == 1)
 
 
