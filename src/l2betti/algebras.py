@@ -509,22 +509,6 @@ def full_extension(alg: TracialStarAlgebra, name=None) -> Extension:
                                    name=name or (alg.name + "/" + alg.name))
 
 
-def expectation_conjugation_report(ext: Extension, u: dict) -> dict:
-    """Compare E(u a u*) against u E(a) u* and against u* E(a) u."""
-    A = ext.alg
-    us = A.star(u)
-    standard = True
-    swapped = True
-    for j in range(A.dim):
-        lhs = ext.expectation(A.mul(u, A.mul({j: ONE}, us)))
-        mid = ext.expectation({j: ONE})
-        if not vec_eq(lhs, A.mul(u, A.mul(mid, us))):
-            standard = False
-        if not vec_eq(lhs, A.mul(us, A.mul(mid, u))):
-            swapped = False
-    return {"E(uau*)=uE(a)u*": standard, "E(uau*)=u*E(a)u": swapped}
-
-
 # ---------------------------------------------------------------------------
 # standard algebras
 
@@ -1050,37 +1034,3 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
                                    name=name or ("N/%s" % ext.sub.name),
                                    provenance=("normalizer", ext, gens))
 
-
-def groupoid_algebra_map(phi_mapping: dict, ext_dom: Extension,
-                         ext_cod: Extension) -> GMatrix:
-    """Pushforward of arrows for a groupoid morphism, at the algebra level.
-
-    Checks multiplicativity, star, restriction to the identity on the
-    diagonal, trace preservation and expectation intertwining; raises with a
-    witness if any fails.
-    """
-    gd = ext_dom.provenance[1]
-    gc = ext_cod.provenance[1]
-    A, C = ext_dom.alg, ext_cod.alg
-    m = GMatrix.zero(C.dim, A.dim)
-    for a in gd.elements:
-        m.col[gd.elements.index(a)][gc.elements.index(phi_mapping[a])] = ONE
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = m.apply(A.mul({i: ONE}, {j: ONE}))
-            rhs = C.mul(m.apply({i: ONE}), m.apply({j: ONE}))
-            if not vec_eq(lhs, rhs):
-                raise ValueError("pushforward not multiplicative at (%d,%d)" % (i, j))
-        if not vec_eq(m.apply(A.star({i: ONE})), C.star(m.apply({i: ONE}))):
-            raise ValueError("pushforward not star at %d" % i)
-        if A.trace({i: ONE}) != C.trace(m.apply({i: ONE})):
-            raise ValueError("pushforward not trace preserving at %d" % i)
-        lhs = m.apply(ext_dom.expectation({i: ONE}))
-        rhs = ext_cod.expectation(m.apply({i: ONE}))
-        if not vec_eq(lhs, rhs):
-            raise ValueError("pushforward does not intertwine expectations at %d" % i)
-    for x in gd.base.atoms:
-        ud = {gd.elements.index(gd.units[x]): ONE}
-        if not vec_eq(m.apply(ud), {gc.elements.index(gc.units[x]): ONE}):
-            raise ValueError("pushforward does not fix the diagonal at %r" % (x,))
-    return m

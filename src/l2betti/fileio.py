@@ -48,6 +48,14 @@ def _object(value, location):
     return value
 
 
+def _fields(value, keys, location):
+    """value, which must be a JSON object holding every key in keys."""
+    missing = [key for key in keys if key not in _object(value, location)]
+    if missing:
+        raise InputError("missing field %r" % missing[0], location)
+    return value
+
+
 def _list(value, location):
     """value, which must be a JSON list."""
     if not isinstance(value, list):
@@ -64,10 +72,16 @@ def _rows(value, width, location):
     return value
 
 
+def _known(key, table):
+    """Whether key, a JSON value, is a key of table; labels are strings, so a
+    JSON list or object never is."""
+    return isinstance(key, str) and key in table
+
+
 def _vec_from_pairs(pairs, index, location):
     out = {}
     for label, coeff in _rows(pairs, 2, location):
-        if label not in index:
+        if not _known(label, index):
             raise InputError("unknown basis label %r" % label, location)
         c = _scalar(coeff, location)
         if not c.is_zero():
@@ -103,9 +117,7 @@ def groupoid_to_doc(g: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_doc(doc: dict, location="groupoid") -> FiniteGroupoid:
-    for key in ("atoms", "elements", "inverse", "compose", "units"):
-        if key not in doc:
-            raise InputError("missing field %r" % key, location)
+    _fields(doc, ("atoms", "elements", "inverse", "compose", "units"), location)
     atom_rows = _rows(doc["atoms"], 2, location + ".atoms")
     atoms = tuple(str(a) for a, _ in atom_rows)
     weights = {str(a): _frac(w, location + ".atoms") for a, w in atom_rows}
@@ -133,7 +145,7 @@ def groupoid_from_doc(doc: dict, location="groupoid") -> FiniteGroupoid:
     elset = set(els)
     inv = {}
     for a, b in _object(doc["inverse"], location + ".inverse").items():
-        if a not in elset or b not in elset:
+        if a not in elset or not _known(b, elset):
             raise InputError("inverse table mentions unknown element",
                              location + ".inverse")
         inv[a] = b
@@ -146,7 +158,7 @@ def groupoid_from_doc(doc: dict, location="groupoid") -> FiniteGroupoid:
         comp[(a, b)] = c
     units = {}
     for x, u in _object(doc["units"], location + ".units").items():
-        if str(x) not in weights or u not in elset:
+        if str(x) not in weights or not _known(u, elset):
             raise InputError("unit table mentions unknown atom or element",
                              location + ".units")
         units[str(x)] = u
@@ -186,28 +198,26 @@ def extension_to_doc(ext: Extension) -> dict:
 
 
 def extension_from_doc(doc: dict, location="algebra") -> Extension:
-    for key in ("basis", "mult", "star", "trace", "unit", "subalgebra"):
-        if key not in doc:
-            raise InputError("missing field %r" % key, location)
+    _fields(doc, ("basis", "mult", "star", "trace", "unit", "subalgebra"), location)
     labels = [str(l) for l in _list(doc["basis"], location + ".basis")]
     index = {l: k for k, l in enumerate(labels)}
     dim = len(labels)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
     for k, (i, j, pairs) in enumerate(_rows(doc["mult"], 3, location + ".mult")):
-        if i not in index or j not in index:
+        if not (_known(i, index) and _known(j, index)):
             raise InputError("mult row mentions unknown label %r" % ([i, j],),
                              location + ".mult")
         mult[index[i]][index[j]] = _vec_from_pairs(
             pairs, index, "%s.mult[%d]" % (location, k))
     star = [{} for _ in range(dim)]
     for k, (i, pairs) in enumerate(_rows(doc["star"], 2, location + ".star")):
-        if i not in index:
+        if not _known(i, index):
             raise InputError("star row mentions unknown label %r" % (i,),
                              location + ".star")
         star[index[i]] = _vec_from_pairs(pairs, index, "%s.star[%d]" % (location, k))
     trace = {}
     for i, val in _rows(doc["trace"], 2, location + ".trace"):
-        if i not in index:
+        if not _known(i, index):
             raise InputError("trace row mentions unknown label %r" % (i,),
                              location + ".trace")
         trace[index[i]] = _scalar(val, location + ".trace")
@@ -244,8 +254,7 @@ def cocycle_to_doc(sigma: TwoCocycle) -> dict:
 
 def cocycle_from_doc(doc: dict, relation: FiniteGroupoid,
                      location="cocycle") -> TwoCocycle:
-    if "values" not in doc:
-        raise InputError("missing field 'values'", location)
+    _fields(doc, ("values",), location)
     vals = {}
     for x, y, z, v in _rows(doc["values"], 4, location + ".values"):
         vals[(str(x), str(y), str(z))] = _scalar(v, location)
@@ -257,18 +266,19 @@ def cocycle_from_doc(doc: dict, relation: FiniteGroupoid,
 
 
 def weighted_sum_from_doc(doc: dict, loader, location="weighted_sum") -> Extension:
-    if "summands" not in doc:
-        raise InputError("missing field 'summands'", location)
+    _fields(doc, ("summands",), location)
     mode = doc.get("mode", "componentwise")
     exts, weights = [], []
-    for k, row in enumerate(doc["summands"]):
-        w = _frac(row["weight"], "%s.summands[%d]" % (location, k))
+    for k, row in enumerate(_list(doc["summands"], location + ".summands")):
+        where = "%s.summands[%d]" % (location, k)
+        _fields(row, ("weight", "algebra"), where)
+        w = _frac(row["weight"], where)
         sub = row["algebra"]
         if isinstance(sub, str):
             obj = loader(sub)
             ext = as_extension(obj)
         else:
-            ext = parse_document(sub, loader)
+            ext = parse_document(sub, loader, where + ".algebra")
             ext = as_extension(ext)
         exts.append(ext)
         weights.append(w)
@@ -283,8 +293,8 @@ def weighted_sum_from_doc(doc: dict, loader, location="weighted_sum") -> Extensi
 # top level
 
 
-def parse_document(doc: dict, loader=None):
-    kind = doc.get("kind")
+def parse_document(doc: dict, loader=None, location=None):
+    kind = _object(doc, location).get("kind")
     if kind == "groupoid":
         return groupoid_from_doc(doc)
     if kind == "algebra":

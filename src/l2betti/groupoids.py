@@ -119,7 +119,7 @@ def validate_groupoid(g: FiniteGroupoid) -> GroupoidReport:
         if ai not in elset:
             bad.append(("missing_inverse", a))
             continue
-        if g.inverse[ai] != a:
+        if g.inverse.get(ai) != a:
             bad.append(("inverse_not_involutive", a))
         if g.source[ai] != g.target[a] or g.target[ai] != g.source[a]:
             bad.append(("inverse_endpoints", a))
@@ -295,56 +295,6 @@ def build_groupoid(kind: str, **kw) -> FiniteGroupoid:
 # structure maps
 
 
-def orbit_and_isotropy(g: FiniteGroupoid):
-    """Orbit relation (image of (t, s)), isotropy (kernel), and a factor check.
-
-    Every arrow a factors as rep(t(a), s(a)) . gamma with gamma isotropic,
-    witnessing the semidirect decomposition; the chosen representatives are
-    the first arrows in carrier order for each endpoint pair.
-    """
-    pairs = []
-    seen = set()
-    rep = {}
-    for a in g.elements:
-        p = (g.target[a], g.source[a])
-        if p not in seen:
-            seen.add(p)
-            pairs.append(p)
-            rep[p] = a
-    # orbit relation as a partition relation on reachability classes
-    elset = set(pairs)
-    src = {p: p[1] for p in pairs}
-    tgt = {p: p[0] for p in pairs}
-    inv = {p: (p[1], p[0]) for p in pairs}
-    comp = {}
-    for (x, y) in pairs:
-        for (y2, z) in pairs:
-            if y == y2:
-                if (x, z) not in elset:
-                    raise AssertionError("orbit relation not transitive")
-                comp[((x, y), (y2, z))] = (x, z)
-    units = {x: (x, x) for x in g.base.atoms}
-    orbit = FiniteGroupoid(g.base, tuple(pairs), src, tgt, inv, comp, units,
-                           name=g.name + ".orbit")
-
-    iso_els = tuple(a for a in g.elements if g.source[a] == g.target[a])
-    iso_set = set(iso_els)
-    comp_i = {k: v for k, v in g.compose.items()
-              if k[0] in iso_set and k[1] in iso_set}
-    isotropy = FiniteGroupoid(g.base, iso_els,
-                              {a: g.source[a] for a in iso_els},
-                              {a: g.target[a] for a in iso_els},
-                              {a: g.inverse[a] for a in iso_els},
-                              comp_i, dict(g.units), name=g.name + ".isotropy")
-
-    for a in g.elements:
-        r = rep[(g.target[a], g.source[a])]
-        gamma = g.compose[(g.inverse[r], a)]
-        if gamma not in iso_set or g.compose[(r, gamma)] != a:
-            raise AssertionError("semidirect factorization failed at %r" % (a,))
-    return orbit, isotropy
-
-
 def is_equivalence_relation(g: FiniteGroupoid) -> bool:
     return all(g.source[a] != g.target[a] or g.is_unit(a) for a in g.elements)
 
@@ -399,78 +349,7 @@ class GroupoidMorphism:
 
 
 # ---------------------------------------------------------------------------
-# multibundles and tuple spaces
-
-
-@dataclass
-class MultiBundle:
-    carrier: tuple
-    base: FiniteMeasuredSpace
-    maps: dict          # name -> {carrier element -> atom}
-
-    def __post_init__(self):
-        if not self.maps:
-            raise ValueError("a multibundle needs at least one bundle map")
-        for name, m in self.maps.items():
-            for u in self.carrier:
-                if u not in m:
-                    raise ValueError("bundle map %r not total at %r" % (name, u))
-
-    @property
-    def dim(self):
-        return len(self.carrier)
-
-    def index(self, u):
-        return self.carrier.index(u)
-
-
-def groupoid_bundle(g: FiniteGroupoid) -> MultiBundle:
-    return MultiBundle(g.elements, g.base,
-                       {"s": dict(g.source), "t": dict(g.target)})
-
-
-def base_bundle(space: FiniteMeasuredSpace) -> MultiBundle:
-    ident = {x: x for x in space.atoms}
-    return MultiBundle(tuple(space.atoms), space, {"id": ident})
-
-
-def fiber_product(u: MultiBundle, pi: str, v: MultiBundle, sigma: str) -> MultiBundle:
-    """U *(pi, sigma) V with merged bundle maps; shared map named pi."""
-    if u.base is not v.base and u.base != v.base:
-        raise ValueError("fiber product over mismatched bases")
-    if pi not in u.maps or sigma not in v.maps:
-        raise ValueError("unknown bundle maps %r / %r" % (pi, sigma))
-    carrier = tuple((a, b) for a in u.carrier for b in v.carrier
-                    if u.maps[pi][a] == v.maps[sigma][b])
-    maps = {}
-    for name, m in u.maps.items():
-        maps["L." + name] = {(a, b): m[a] for (a, b) in carrier}
-    for name, m in v.maps.items():
-        if name == sigma:
-            continue
-        maps["R." + name] = {(a, b): m[b] for (a, b) in carrier}
-    # the glued map appears once, keeping the bound |B_{U*V}| <= |B_U|+|B_V|-1
-    return MultiBundle(carrier, u.base, maps)
-
-
-def lusin_partition(u: MultiBundle, pi: str):
-    """Partition of the carrier into parts on which pi is injective.
-
-    Parts are filled greedily fiber by fiber; the part count equals the
-    maximal fiber size.
-    """
-    fibers = {}
-    for x in u.carrier:
-        fibers.setdefault(u.maps[pi][x], []).append(x)
-    depth = max((len(f) for f in fibers.values()), default=0)
-    parts = [[] for _ in range(depth)]
-    for x in u.carrier:
-        f = fibers[u.maps[pi][x]]
-        parts[f.index(x)].append(x)
-    return [tuple(p) for p in parts]
-
-
-# five tuple-space families of a groupoid ----------------------------------
+# the five tuple-space families of a groupoid
 
 KINDS = ("nerve", "bar", "cyclic", "acyclic", "classifying")
 
@@ -563,41 +442,6 @@ def geometric_face(g: FiniteGroupoid, kind: str, n: int, i: int, t):
     raise ValueError("unknown kind %r" % kind)
 
 
-def geometric_space(g: FiniteGroupoid, kind: str, n: int) -> MultiBundle:
-    """Degree-n tuple space of the requested family as a multibundle."""
-    carrier = tuple(geometric_carrier(g, kind, n))
-    maps = {}
-    if kind == "nerve" and n == 0:
-        ident = {(): None}
-        # degree 0 of the nerve is the base itself
-        return MultiBundle(tuple((x,) for x in g.base.atoms), g.base,
-                           {"id": {(x,): x for x in g.base.atoms}})
-    if kind == "classifying":
-        maps["t"] = {t: g.target[t[0]] for t in carrier}
-        for k in range(n + 1):
-            maps["s%d" % k] = {t: g.source[t[k]] for t in carrier}
-    else:
-        ln = len(carrier[0]) if carrier else 0
-        maps["t"] = {t: g.target[t[0]] for t in carrier}
-        for k in range(ln):
-            maps["s%d" % k] = {t: g.source[t[k]] for t in carrier}
-    return MultiBundle(carrier, g.base, maps)
-
-
-def verify_presimplicial_carrier(g: FiniteGroupoid, kind: str, n: int) -> bool:
-    """pi_i pi_j = pi_{j-1} pi_i for i<j on every degree-n tuple."""
-    if n < 2:
-        return True
-    for t in geometric_carrier(g, kind, n):
-        for j in range(1, n + 1):
-            for i in range(j):
-                lhs = geometric_face(g, kind, n - 1, i, geometric_face(g, kind, n, j, t))
-                rhs = geometric_face(g, kind, n - 1, j - 1, geometric_face(g, kind, n, i, t))
-                if lhs != rhs:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # bisections
 
@@ -625,14 +469,6 @@ def bisections(g: FiniteGroupoid):
             if s not in used_sources:
                 stack.append((k + 1, used_sources | {s}, chosen + (a,)))
     return out
-
-
-def is_bisection(g: FiniteGroupoid, subset) -> bool:
-    subset = list(subset)
-    atoms = set(g.base.atoms)
-    return (len(subset) == len(atoms)
-            and {g.source[a] for a in subset} == atoms
-            and {g.target[a] for a in subset} == atoms)
 
 
 def bisection_permutation(g: FiniteGroupoid, b):

@@ -711,11 +711,6 @@ class HermitianForm:
         return True
 
 
-def radical(form: HermitianForm) -> GMatrix:
-    """Basis of the null space {v : <v|w> = 0 for all w}."""
-    return kernel_basis(form.gram)
-
-
 def orth_projection(form: HermitianForm, S: GMatrix) -> GMatrix:
     """Form-orthogonal projection onto span(S).
 

@@ -8,15 +8,14 @@ from l2betti.algebras import (
     Extension, SpanBasis, TracialStarAlgebra, TwoCocycle, all_sign_cocycles,
     coboundary_cocycle, compression, conditional_expectation,
     convolution_algebra, diagonal_subalgebra_vectors,
-    distinct_triple_sign_cocycle, expectation_conjugation_report,
-    full_extension, group_algebra, groupoid_algebra_map, matrix_algebra,
+    distinct_triple_sign_cocycle, full_extension, group_algebra, matrix_algebra,
     normalizer_span, trivial_cocycle, trivial_extension, twisted_convolution,
     validate_algebra, validate_cocycle, weighted_sum, weighted_sum_algebras,
 )
 from l2betti.fileio import _vec_from_pairs, as_extension, load_path
 from l2betti.groupoids import (
-    action_groupoid, diagonal_embedding, enveloping, group_groupoid,
-    pair_relation, trivial_groupoid, uniform_space,
+    action_groupoid, group_groupoid, pair_relation, trivial_groupoid,
+    uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, vec_eq
@@ -93,19 +92,6 @@ def test_conditional_expectation_rejects_bad_span():
     m2 = matrix_algebra(2)
     with pytest.raises(ValueError):
         conditional_expectation(m2, [{m2.index("e12"): ONE}, m2.unit])
-
-
-def test_expectation_conjugation_identity():
-    # on M3/diag with a 3-cycle the two readings differ; the standard one holds
-    m3 = matrix_algebra(3)
-    ext = conditional_expectation(m3, diagonal_subalgebra_vectors(3), name="M3/diag")
-    perm = {}
-    idx = {(i, j): i * 3 + j for i in range(3) for j in range(3)}
-    u = {idx[(1, 0)]: ONE, idx[(2, 1)]: ONE, idx[(0, 2)]: ONE}
-    assert m3.is_unitary(u)
-    rep = expectation_conjugation_report(ext, u)
-    assert rep["E(uau*)=uE(a)u*"]
-    assert not rep["E(uau*)=u*E(a)u"]
 
 
 def test_convolution_pair_relation_is_matrix_algebra():
@@ -356,26 +342,6 @@ def test_normalizer_span_rejects_non_normalizing():
     # u/sqrt2 would be unitary; u itself is not, so expect unitarity error
     with pytest.raises(ValueError):
         normalizer_span(ext, [u])
-
-
-def test_groupoid_algebra_functor_diagonal_embedding():
-    g = pair_relation(uniform_space(2))
-    e = enveloping(g)
-    ext_g = convolution_algebra(g)
-    ext_e = convolution_algebra(e)
-    m = groupoid_algebra_map(diagonal_embedding(g), ext_g, ext_e)
-    assert m.rows == ext_e.alg.dim and m.cols == ext_g.alg.dim
-
-
-def test_groupoid_algebra_functor_inclusion():
-    x = uniform_space(2)
-    t = trivial_groupoid(x)
-    p = pair_relation(x)
-    ext_t = convolution_algebra(t)
-    ext_p = convolution_algebra(p)
-    mapping = {("u", a): (a, a) for a in x.atoms}
-    m = groupoid_algebra_map(mapping, ext_t, ext_p)
-    assert m.cols == 3 or m.cols == 2
 
 
 def test_twisted_and_untwisted_share_diagonal_data():

@@ -1,15 +1,19 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l2betti.cli import main
 from l2betti.fileio import (
     InputError, extension_from_doc, extension_to_doc, groupoid_from_doc,
-    groupoid_to_doc, load_path, render_structured,
+    groupoid_to_doc, load_path, parse_document, render_structured,
 )
 from l2betti.algebras import (
     conditional_expectation, diagonal_subalgebra_vectors, matrix_algebra,
@@ -117,8 +121,32 @@ def _as_list(table):
     ("pair2.json", "atoms", lambda rows: [rows[0] + ["x"]] + rows[1:], "groupoid.atoms"),
     ("m2_diag.json", "star",
      lambda rows: [[rows[0][0], [rows[0][1][0][:1]]]] + rows[1:], "algebra.star[0]"),
+    # a JSON list or object where a label or element name belongs
+    ("m2_diag.json", "unit", lambda pairs: [[["e11"], "1"]] + pairs[1:], "algebra.unit"),
+    ("m2_diag.json", "mult", lambda rows: [[{"e": 1}] + rows[0][1:]] + rows[1:],
+     "algebra.mult"),
+    ("m2_diag.json", "star", lambda rows: [[["e11"], rows[0][1]]] + rows[1:],
+     "algebra.star"),
+    ("m2_diag.json", "trace", lambda rows: [[["e11"], "1"]] + rows[1:], "algebra.trace"),
+    ("pair2.json", "inverse", lambda table: dict(table, **{"('x0', 'x1')": ["x0"]}),
+     "groupoid.inverse"),
+    ("pair2.json", "units", lambda table: dict(table, x0={"x": 1}), "groupoid.units"),
+    # summands of the wrong shape
+    ("sum_half_m2_half_cc2.json", "summands", lambda rows: "m2_diag.json",
+     "weighted_sum.summands"),
+    ("sum_half_m2_half_cc2.json", "summands", lambda rows: ["m2_diag.json"],
+     "weighted_sum.summands[0]"),
+    ("sum_half_m2_half_cc2.json", "summands", lambda rows: [{"algebra": "m2_diag.json"}],
+     "weighted_sum.summands[0]"),
+    ("sum_half_m2_half_cc2.json", "summands", lambda rows: [{"weight": "1"}],
+     "weighted_sum.summands[0]"),
+    ("sum_half_m2_half_cc2.json", "summands",
+     lambda rows: [{"algebra": 7, "weight": "1"}], "weighted_sum.summands[0].algebra"),
 ], ids=["units-list", "inverse-list", "basis-number", "mult-row", "atoms-row",
-        "vector-pair-row"])
+        "vector-pair-row", "vector-label-list", "mult-label-object", "star-label-list",
+        "trace-label-list", "inverse-value-list", "units-value-object",
+        "summands-string", "summand-string", "summand-without-weight",
+        "summand-without-algebra", "summand-algebra-number"])
 def test_field_of_the_wrong_shape_is_input_error(tmp_path, capsys, document, field,
                                                  mutate, location):
     doc = json.loads(open(cpath(document)).read())
@@ -129,6 +157,97 @@ def test_field_of_the_wrong_shape_is_input_error(tmp_path, capsys, document, fie
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and (location + ": ") in err
     assert "Traceback" not in err
+
+
+def test_non_object_document_is_input_error():
+    with pytest.raises(InputError, match="expected a JSON object"):
+        parse_document(["kind", "algebra"])
+
+
+def test_missing_inverse_of_an_inverse_is_a_violation(tmp_path, capsys):
+    # g2's inverse g1 has no inverse entry: validation reports both elements
+    # instead of failing on the lookup
+    doc = json.loads(open(cpath("group_c3.json")).read())
+    del doc["inverse"]["g1"]
+    p = tmp_path / "no_inverse.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out)["results"][str(p)]
+    assert not result["ok"]
+    assert ["missing_inverse", "g1"] in result["violations"]
+    assert ["inverse_not_involutive", "g2"] in result["violations"]
+
+
+@pytest.fixture(scope="module")
+def corpus_copy(tmp_path_factory):
+    """A scratch copy of the corpus, so that a mutated document written into
+    it still finds the documents it names."""
+    root = tmp_path_factory.mktemp("corpus")
+    for name in os.listdir(CORPUS):
+        shutil.copy(cpath(name), root / name)
+    return root
+
+
+def _validate(path):
+    """Exit code, stdout and stderr of ``validate path``; an exception that
+    escapes main fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+# every document that validate accepts on its own
+MUTABLE = sorted(f for f in os.listdir(CORPUS) if f.endswith(".json")
+                 and json.load(open(cpath(f)))["kind"]
+                 in ("groupoid", "algebra", "weighted_sum"))
+REPLACEMENTS = {"list": ["g0", "1"], "object": {"x0": "1"}, "number": 7,
+                "string": "no_such_label"}
+
+
+def _sites(node, path=()):
+    """Every path into a JSON document, the root included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _sites(value, path + (key,))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_documents_never_end_in_a_traceback(corpus_copy, data):
+    # delete a key, drop a list entry, or replace a value with a list, an
+    # object, a number or an unknown string, anywhere in a corpus document
+    name = data.draw(st.sampled_from(MUTABLE))
+    doc = json.loads(open(cpath(name)).read())
+    site = data.draw(st.sampled_from(list(_sites(doc))))
+    ops = sorted(REPLACEMENTS) + (["delete"] if site else [])
+    op = data.draw(st.sampled_from(ops))
+    if not site:
+        doc = REPLACEMENTS[op]
+    else:
+        parent = doc
+        for key in site[:-1]:
+            parent = parent[key]
+        if op == "delete":
+            del parent[site[-1]]
+        else:
+            parent[site[-1]] = REPLACEMENTS[op]
+    path = str(corpus_copy / "mutated.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    code, out, err = _validate(path)
+    # the mutated document may still be valid (an optional name, mode or
+    # unitary family, or structure constants that still define an algebra);
+    # otherwise it is an input error or a failed validation, both exit 2
+    assert code in (0, 2), (name, site, op, code, err)
+    if code == 2 and err:
+        assert err.startswith("input error: "), (name, site, op, err)
+    elif code == 2:
+        assert not json.loads(out)["results"][path]["ok"], (name, site, op)
 
 
 def test_betti_both_pipelines(capsys):
@@ -293,3 +412,25 @@ def test_every_tracer_span_target_resolves():
             assert callable(vars(getattr(module, cls_name)).get(meth)), target
         else:
             assert callable(getattr(module, attr, None)), target
+    # the tracer also counts calls of these methods, patched the same way
+    counted = [("scalars", "GScalar", tracer.SCALAR_OPS),
+               ("linalg", "Echelon", ["reduce"]),
+               ("algebras", "SpanBasis", ["add", "contains"])]
+    for modname, cls_name, meths in counted:
+        cls = getattr(importlib.import_module("l2betti." + modname), cls_name)
+        for meth in meths:
+            assert callable(vars(cls).get(meth)), (cls_name, meth)
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # benchmark/workloads.py builds its documents from these l2betti names
+    import ast
+    with open(os.path.join(ROOT, "benchmark", "workloads.py")) as f:
+        tree = ast.parse(f.read())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("l2betti")]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)

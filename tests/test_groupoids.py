@@ -8,14 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2betti.groupoids import (
-    FiniteGroupoid, FiniteMeasuredSpace, GroupoidMorphism, MultiBundle,
-    action_groupoid, base_bundle, bisection_permutation, bisections,
-    build_groupoid, diagonal_embedding, enveloping, fiber_product,
-    geometric_carrier, geometric_face, geometric_space, group_groupoid,
-    groupoid_bundle, is_bisection, is_equivalence_relation, lusin_partition,
-    orbit_and_isotropy, pair_relation, partition_relation, trivial_groupoid,
-    uniform_space, validate_groupoid, verify_presimplicial_carrier,
-    weighted_space,
+    FiniteGroupoid, GroupoidMorphism, action_groupoid, bisection_permutation,
+    bisections, build_groupoid, diagonal_embedding, enveloping,
+    geometric_carrier, geometric_face, group_groupoid, is_equivalence_relation,
+    pair_relation, partition_relation, trivial_groupoid, uniform_space,
+    validate_groupoid, weighted_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 
@@ -91,31 +88,11 @@ def test_action_groupoid_swap_orbits():
     g = swap_action_groupoid()
     assert validate_groupoid(g).ok
     assert len(g.elements) == 4
-    orbit, isotropy = orbit_and_isotropy(g)
+    # the orbit relation, the image of (t, s), is the pair relation on the
+    # two atoms, and the isotropy is trivial
     ref = pair_relation(uniform_space(2))
-    assert set(orbit.elements) == set(ref.elements)
-    assert all(isotropy.is_unit(a) for a in isotropy.elements)
-
-
-def test_orbit_isotropy_of_pair_and_group():
-    g = pair_relation(uniform_space(3))
-    orbit, isotropy = orbit_and_isotropy(g)
-    assert set(orbit.elements) == set(g.elements)
-    assert len(isotropy.elements) == 3
-    h = c2_groupoid()
-    orbit, isotropy = orbit_and_isotropy(h)
-    assert len(orbit.elements) == 1
-    assert len(isotropy.elements) == 2
-
-
-def test_action_on_point_isotropy_is_group():
-    table, unit, _ = cyclic_table(2)
-    pt = uniform_space(1)
-    action = {("g0", "x0"): "x0", ("g1", "x0"): "x0"}
-    g = action_groupoid(table, unit, action, pt)
-    orbit, isotropy = orbit_and_isotropy(g)
-    assert len(isotropy.elements) == 2
-    assert len(orbit.elements) == 1
+    assert {(g.target[a], g.source[a]) for a in g.elements} == set(ref.elements)
+    assert all(g.is_unit(a) for a in g.elements if g.source[a] == g.target[a])
 
 
 def test_enveloping_of_relation_is_isomorphic():
@@ -170,7 +147,19 @@ def test_tuple_space_counts():
     c2 = c2_groupoid()
     assert len(geometric_carrier(c2, "cyclic", 0)) == 2
     # nerve degree 0 is the base
-    assert geometric_space(pair2, "nerve", 0).dim == 2
+    assert len(geometric_carrier(pair2, "nerve", 0)) == 2
+
+
+def verify_presimplicial_carrier(g, kind, n):
+    """pi_i pi_j = pi_{j-1} pi_i for i<j on every degree-n tuple."""
+    for t in geometric_carrier(g, kind, n):
+        for j in range(1, n + 1):
+            for i in range(j):
+                lhs = geometric_face(g, kind, n - 1, i, geometric_face(g, kind, n, j, t))
+                rhs = geometric_face(g, kind, n - 1, j - 1, geometric_face(g, kind, n, i, t))
+                if lhs != rhs:
+                    return False
+    return True
 
 
 def test_presimplicial_identities_all_kinds():
@@ -181,49 +170,12 @@ def test_presimplicial_identities_all_kinds():
                 assert verify_presimplicial_carrier(g, kind, n), (g.name, kind, n)
 
 
-def test_fiber_product_is_nerve_degree_two():
-    g = pair_relation(uniform_space(2))
-    u = groupoid_bundle(g)
-    fp = fiber_product(u, "s", u, "t")
-    assert fp.dim == len(geometric_carrier(g, "nerve", 2))
-    assert set(fp.carrier) == set(geometric_carrier(g, "nerve", 2))
-
-
-def test_fiber_product_with_trivial_bundle():
-    g = pair_relation(uniform_space(2))
-    u = groupoid_bundle(g)
-    x = base_bundle(g.base)
-    fp = fiber_product(u, "s", x, "id")
-    assert fp.dim == u.dim
-
-
-def test_fiber_product_count_pair3():
-    g = pair_relation(uniform_space(3))
-    u = groupoid_bundle(g)
-    fp = fiber_product(u, "s", u, "t")
-    assert fp.dim == 27
-
-
-def test_fiber_product_merged_map_bound():
-    g = pair_relation(uniform_space(2))
-    u = groupoid_bundle(g)
-    fp = fiber_product(u, "s", u, "t")
-    assert len(fp.maps) <= len(u.maps) + len(u.maps) - 1
-
-
-def test_lusin_partition():
-    g = pair_relation(uniform_space(3))
-    u = groupoid_bundle(g)
-    parts = lusin_partition(u, "s")
-    assert len(parts) == 3
-    assert sorted(x for p in parts for x in p) == sorted(u.carrier)
-    for p in parts:
-        srcs = [u.maps["s"][x] for x in p]
-        assert len(set(srcs)) == len(srcs)
-    ident = base_bundle(g.base)
-    assert len(lusin_partition(ident, "id")) == 1
-    empty = MultiBundle((), g.base, {"s": {}})
-    assert lusin_partition(empty, "s") == []
+def is_bisection(g, subset):
+    subset = list(subset)
+    atoms = set(g.base.atoms)
+    return (len(subset) == len(atoms)
+            and {g.source[a] for a in subset} == atoms
+            and {g.target[a] for a in subset} == atoms)
 
 
 def test_bisections_counts():
