@@ -8,6 +8,7 @@ Exit codes: 0 success (or verified equality), 1 verification discrepancy,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,8 +18,8 @@ from .betti import betti_hochschild, betti_sauer, verify_theorem
 from .complexes import geometric_complex, homology, l2_complex, bar_complex
 from .fibersquare import fiber_square_of
 from .fileio import (
-    InputError, as_extension, cocycle_from_doc, load_path, render_plain,
-    render_structured,
+    InputError, _fields, _vec_from_pairs, as_extension, cocycle_from_doc, load_path,
+    parse_document, render_plain, render_structured, summands_from_doc,
 )
 from .groupoids import FiniteGroupoid, validate_groupoid
 from .scalars import ONE, render_scalar
@@ -212,8 +213,6 @@ def cmd_fiber_square(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    import os
-
     path = config.paths[0]
     doc = load_path(path)
     if not isinstance(doc, dict) or doc.get("kind") != "verify_instance":
@@ -222,49 +221,40 @@ def cmd_verify(config: RunConfig) -> int:
     n_default = int(doc.get("N", config.N))
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(v):
-        if isinstance(v, str):
-            return load_path(os.path.join(base, v))
-        from .fileio import parse_document
-        return parse_document(v, lambda rel: load_path(os.path.join(base, rel)))
+    def loader(rel):
+        return load_path(os.path.join(base, rel))
 
-    def summands():
-        exts, weights = [], []
-        for row in doc["summands"]:
-            exts.append(as_extension(resolve(row["algebra"])))
-            weights.append(Fraction(str(row["weight"])))
-        return exts, weights
+    def resolve(v):
+        return loader(v) if isinstance(v, str) else parse_document(v, loader)
+
+    def field(key):
+        return _fields(doc, (key,), path)[key]
 
     if theorem == "compression":
-        ext = as_extension(resolve(doc["algebra"]))
-        from .fileio import _vec_from_pairs
+        ext = as_extension(resolve(field("algebra")))
         index = {l: k for k, l in enumerate(ext.alg.labels)}
-        p = _vec_from_pairs(doc["projection"], index, path)
+        p = _vec_from_pairs(field("projection"), index, path)
         rep = verify_theorem("compression", ext=ext, p=p, N=n_default,
                              extended_scope=config.extended_scope)
     elif theorem == "directed_sum":
-        exts, weights = summands()
+        exts, weights = summands_from_doc(doc, loader, path)
         rep = verify_theorem("directed_sum", extensions=exts, weights=weights,
                              N=n_default)
     elif theorem == "central_quadratic":
-        exts, weights = summands()
+        exts, weights = summands_from_doc(doc, loader, path)
         rep = verify_theorem("central_quadratic", extensions=exts,
                              weights=weights, N=n_default)
     elif theorem == "groupoid_equality":
-        g = resolve(doc["groupoid"])
+        g = resolve(field("groupoid"))
         if not isinstance(g, FiniteGroupoid):
             raise InputError("groupoid_equality needs a groupoid", path)
         rep = verify_theorem("groupoid_equality", groupoid=g, N=n_default)
     elif theorem == "residual":
-        g = resolve(doc["relation"])
+        g = resolve(field("relation"))
         sigma = None
         if "cocycle" in doc:
             cdoc = doc["cocycle"]
-            if isinstance(cdoc, str):
-                import json as _json
-                with open(os.path.join(base, cdoc)) as f:
-                    cdoc = _json.load(f)
-            sigma = cocycle_from_doc(cdoc, g)
+            sigma = cocycle_from_doc(loader(cdoc) if isinstance(cdoc, str) else cdoc, g)
         rep = verify_theorem("residual", relation=g, sigma=sigma, N=n_default)
     else:
         raise InputError("unknown theorem %r" % theorem, path)

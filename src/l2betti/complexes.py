@@ -669,9 +669,10 @@ class HomologyModule:
                 for kk, cc in star_k.items():
                     vec_axpy(star_img, cc,
                              p.action(n, kk).apply(self.basis.column(i)))
+                g_star = gram.apply(star_img)
                 for j in range(self.basis.cols):
                     lhs = vec_dot(imgs[j], gb[i])
-                    rhs = vec_dot(self.basis.column(j), gram.apply(star_img))
+                    rhs = vec_dot(self.basis.column(j), g_star)
                     if lhs != rhs:
                         raise AssertionError(
                             "chain form is not action invariant on homology")

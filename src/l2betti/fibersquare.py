@@ -164,7 +164,7 @@ def pair_operator(bt: BalancedTensor, u: dict, v: dict, check=True) -> GMatrix:
     if check and not _is_central(bt, lvl.tensor_class(u, v)):
         raise AssertionError("pair operator: evaluation at 1(x)1 is not B-central")
     return GMatrix.from_cols(lvl.dim, [
-        lvl.tensor_class(A.mul({i: ONE}, u), C.mul(v, {j: ONE})) for i, j in lvl.reps])
+        lvl.tensor_class(A.mul({i: ONE}, u), C.mul(v, {j: ONE})) for i, j in lvl.reps()])
 
 
 def _is_central(bt: BalancedTensor, xi: dict) -> bool:
@@ -179,7 +179,7 @@ def _is_central(bt: BalancedTensor, xi: dict) -> bool:
 
 def _check_cyclic(bt: BalancedTensor):
     lvl = bt.level
-    for q, (i, j) in enumerate(lvl.reps):
+    for q, (i, j) in enumerate(lvl.reps()):
         moved = lvl.left_act(i).apply(lvl.right_act(j).apply(bt.one_one))
         if not vec_eq(moved, {q: ONE}):
             raise AssertionError(
@@ -201,7 +201,7 @@ def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
         raise AssertionError(
             "operator does not commute with the actions of B: "
             "its evaluation at 1(x)1 is not B-central")
-    for q, (i, j) in enumerate(lvl.reps):
+    for q, (i, j) in enumerate(lvl.reps()):
         if not vec_eq(op.col[q], lvl.left_act(i).apply(lvl.right_act(j).apply(xi))):
             raise AssertionError(
                 "operator does not commute with the outer actions: "

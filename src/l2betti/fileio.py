@@ -230,6 +230,9 @@ def extension_from_doc(doc: dict, location="algebra") -> Extension:
     alg = TracialStarAlgebra(labels, mult, star, trace, unit,
                              name=str(doc.get("name", "A")),
                              unitary_family=fam)
+    for k, (nm, u) in enumerate(fam):
+        if not alg.is_unitary(u):
+            raise InputError("not unitary", "%s.unitary_family[%d]" % (location, k))
     sub_vectors = [_vec_from_pairs(pairs, index, "%s.subalgebra[%d]" % (location, k))
                    for k, pairs in enumerate(_list(doc["subalgebra"],
                                                    location + ".subalgebra"))]
@@ -265,25 +268,24 @@ def cocycle_from_doc(doc: dict, relation: FiniteGroupoid,
 # weighted sums
 
 
-def weighted_sum_from_doc(doc: dict, loader, location="weighted_sum") -> Extension:
+def summands_from_doc(doc: dict, loader, location) -> tuple:
+    """The extensions and the weights of doc's summands."""
     _fields(doc, ("summands",), location)
-    mode = doc.get("mode", "componentwise")
     exts, weights = [], []
     for k, row in enumerate(_list(doc["summands"], location + ".summands")):
         where = "%s.summands[%d]" % (location, k)
         _fields(row, ("weight", "algebra"), where)
-        w = _frac(row["weight"], where)
+        weights.append(_frac(row["weight"], where))
         sub = row["algebra"]
-        if isinstance(sub, str):
-            obj = loader(sub)
-            ext = as_extension(obj)
-        else:
-            ext = parse_document(sub, loader, where + ".algebra")
-            ext = as_extension(ext)
-        exts.append(ext)
-        weights.append(w)
+        exts.append(as_extension(loader(sub) if isinstance(sub, str)
+                                 else parse_document(sub, loader, where + ".algebra")))
+    return exts, weights
+
+
+def weighted_sum_from_doc(doc: dict, loader, location="weighted_sum") -> Extension:
+    exts, weights = summands_from_doc(doc, loader, location)
     try:
-        return weighted_sum(exts, weights, mode=mode,
+        return weighted_sum(exts, weights, mode=doc.get("mode", "componentwise"),
                             name=str(doc.get("name", "sum")))
     except ValueError as e:
         raise InputError(str(e), location)

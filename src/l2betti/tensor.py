@@ -10,12 +10,12 @@ A balanced product M (x)_B A is built on one of two paths.
   e_v (x) e_a = e_v p_x (x) e_a = e_v (x) p_x e_a = 0 for x = sr[v] != t(a).
   The quotient drops coordinates, the defects lambda_b - rho_b are diagonal
   and the coinvariants keep the basis vectors with tl = sr.  The
-  certificate, stated in `_graded_level`, is a blockwise Kronecker product:
-  per level each block of A's trace form is checked full rank and every
-  B-valued inner product is checked to sit at the right support; the base
-  Gram is checked where the base is first appended to.  Over the scalars
-  B = C1 is one minimal projection, so the graded path has one block and
-  the quotient is the identity.
+  certificate, stated in `_graded_level`, is a blockwise Kronecker product
+  checked once per appended algebra (sandwich supports, trace-form blocks)
+  and once at the base (form supports, Gram rank); an appended level keeps
+  its form factored and expands it only when its Gram is asked for.  Over
+  the scalars B = C1 is one minimal projection, so the graded path has one
+  block and the quotient is the identity.
 - Radical: otherwise the level is the quotient of the plain tensor product
   by the radical of the induced hermitian form; the balancing relations
   (m.b) (x) a - m (x) (b.a) are checked to lie in the radical and to span
@@ -35,6 +35,8 @@ of 1; no GMatrix column is formed.  Every other level builds GMatrix maps.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .algebras import Extension, TracialStarAlgebra
 from .linalg import (
@@ -115,9 +117,9 @@ class Level:
     """One balanced tensor power, with its actions, forms and merge maps.
 
     An appended level is the quotient of prev (x) A2; its basis vector q is
-    the class of e_v (x) e_b for (v, b) = reps[q].  Every map between levels
-    is built from three primitives: tensor_class (the class of v (x) a),
-    lift (carry a map of the previous level through the last factor) and
+    the class of e_v (x) e_b for the q-th pair (v, b) of reps().  Every map
+    between levels is built from three primitives: tensor_class (the class
+    of v (x) a), lift (carry a map of the previous level through the last factor) and
     central_defects / invariants (lambda_b - rho_b and their common kernel).
     On the graded path tl and sr hold the left and right support of each
     basis vector; on the radical path they are None.  On an index level
@@ -127,7 +129,7 @@ class Level:
     def __init__(self, dim, left_ext, right_ext, bgram,
                  prev=None, app_ext=None, quotient=None,
                  base_right_mult=None, base_left_mult=None, tl=None, sr=None,
-                 index=False):
+                 index=False, blocks=None):
         self.dim = dim
         self.tl = tl
         self.sr = sr
@@ -135,12 +137,11 @@ class Level:
         self.left_ext = left_ext            # extension acting on the left
         self.right_ext = right_ext          # extension acting on the right
         self.sub = left_ext.sub
-        self.bgram = bgram                  # i -> {j -> b-coordinate vector}
+        self.bgram = bgram                  # i -> {j -> b-vector}; graded appended: None
+        self.blocks = blocks                # graded appended: _graded_level's blocks
         self.prev = prev
         self.app_ext = app_ext
         self.quotient = quotient
-        d2 = None if prev is None else app_ext.alg.dim
-        self.reps = None if prev is None else [divmod(k, d2) for k in quotient.keep]
         self._base_right_mult = base_right_mult
         self._base_left_mult = base_left_mult
         self._right = {}
@@ -151,6 +152,10 @@ class Level:
         self._invariants = None
 
     # -- the tower primitives
+
+    def reps(self):
+        """The pair (v, b) of each basis vector, in order."""
+        return map(divmod, self.quotient.keep, repeat(self.app_ext.alg.dim))
 
     def tensor_class(self, v: dict, a: dict) -> dict:
         """The class of v (x) a, for v in the previous level and a in the
@@ -178,14 +183,14 @@ class Level:
         d2 = dst.app_ext.alg.dim
         if dst.index and isinstance(inner, IndexMap):
             idx, sign = inner.idx, inner.sign
-            amb = [None if (r := idx[v]) is None else r * d2 + b for v, b in self.reps]
+            amb = [None if (r := idx[v]) is None else r * d2 + b for v, b in self.reps()]
             return IndexMap(dst.dim, dst.quotient.reindex(amb),
-                            None if sign is None else [sign[v] for v, _ in self.reps])
+                            None if sign is None else [sign[v] for v, _ in self.reps()])
         project = dst.quotient.project
         inner = as_matrix(inner)
         return GMatrix(dst.dim, self.dim, [
             project({i * d2 + b: x for i, x in inner.col[v].items()})
-            for v, b in self.reps])
+            for v, b in self.reps()])
 
     def unit_insertion(self, front=False):
         """v -> [v (x) 1] from the previous level into this one; with front,
@@ -247,10 +252,9 @@ class Level:
                 # v (x) e_b . a = sign v (x) e_c for e_b a = sign e_c
                 mono = self.app_ext.monomial()
                 col = [row[a_idx] for row in mono.idx]
-                reps = self.reps
-                m = IndexMap(self.dim, self.class_index([(v, col[b]) for v, b in reps]),
+                m = IndexMap(self.dim, self.class_index([(v, col[b]) for v, b in self.reps()]),
                              None if mono.sign is None else
-                             [mono.sign[b][a_idx] for _, b in reps])
+                             [mono.sign[b][a_idx] for _, b in self.reps()])
             else:
                 # v (x) e_b . a is e_b a reindexed into slot v, then projected
                 mult = self.app_ext.alg.mult
@@ -258,7 +262,7 @@ class Level:
                 project = self.quotient.project
                 m = GMatrix(self.dim, self.dim, [
                     project({v * d2 + c: x for c, x in mult[b][a_idx].items()})
-                    for v, b in self.reps])
+                    for v, b in self.reps()])
             self._right[a_idx] = m
         return m
 
@@ -274,15 +278,28 @@ class Level:
 
     # -- forms
 
+    def coefficients(self):
+        """(i, j, c) for each <e_i, e_j>_B = c p_{sr[i]} != 0 of a graded level,
+        expanded on each call from the base's bgram and the blocks above it."""
+        if self.blocks is None:
+            return ((i, j, bv[self.sr[i]]) for i, row in self.bgram.items()
+                    for j, bv in row.items())
+        d2, pos, psr, blocks = self.app_ext.alg.dim, self.quotient.pos, self.prev.sr, self.blocks
+        return ((pos[v * d2 + a], pos[w * d2 + b], c * d)
+                for v, w, c in self.prev.coefficients() for a, b, d in blocks[psr[v]])
+
     def scalar_gram(self) -> GMatrix:
         if self._scalar is None:
-            g = GMatrix.zero(self.dim, self.dim)
-            for i, row in self.bgram.items():
-                for j, bv in row.items():
-                    x = self.left_ext.sub_trace(bv)
-                    if not x.is_zero():
-                        g.col[j][i] = x
-            self._scalar = g
+            tr = self.left_ext.sub_trace
+            if self.bgram is None:
+                tp = [tr({x: ONE}) for x in range(self.sub.dim)]
+                entries = ((i, j, c * tp[self.sr[i]]) for i, j, c in self.coefficients())
+            else:
+                entries = ((i, j, tr(bv)) for i, row in self.bgram.items() for j, bv in row.items())
+            self._scalar = g = GMatrix.zero(self.dim, self.dim)
+            for i, j, x in entries:
+                if not x.is_zero():
+                    g.col[j][i] = x
         return self._scalar
 
     # -- merge maps: join(j) multiplies slots (j, j+1); slot 0 is the base
@@ -313,16 +330,15 @@ class Level:
     def _gather(self, act):
         """v (x) b -> act(b) v, into the previous level."""
         acts = [act(b) for b in range(self.app_ext.alg.dim)]
-        reps = self.reps
         if self.index:
             cols = [m.idx for m in acts]
-            idx = [cols[b][v] for v, b in reps]
+            idx = [cols[b][v] for v, b in self.reps()]
             if all(m.sign is None for m in acts):
                 return IndexMap(self.prev.dim, idx)
             signs = [[1] * m.cols if m.sign is None else m.sign for m in acts]
-            return IndexMap(self.prev.dim, idx, [signs[b][v] for v, b in reps])
+            return IndexMap(self.prev.dim, idx, [signs[b][v] for v, b in self.reps()])
         acts = [as_matrix(m) for m in acts]
-        return GMatrix.from_cols(self.prev.dim, [acts[b].col[v] for v, b in reps])
+        return GMatrix.from_cols(self.prev.dim, [acts[b].col[v] for v, b in self.reps()])
 
 
 def extension_base_level(ext: Extension) -> Level:
@@ -371,82 +387,76 @@ def append_level(prev: Level, ext2: Extension) -> Level:
     return _graded_level(prev, ext2, *grading)
 
 
-def _check_supports(level: Level):
-    """Every <v, w>_B is a multiple of p_{sr[v]}, and sr[v] = sr[w]."""
-    sr = level.sr
-    for v, row in level.bgram.items():
-        x = sr[v]
-        for w, bv in row.items():
-            if sr[w] != x or len(bv) != 1 or x not in bv:
-                raise AssertionError(
-                    "B-valued form leaves the right support at (%d, %d)" % (v, w))
-
-
-def _graded_level(prev: Level, ext2: Extension, t, s) -> Level:
-    """prev (x)_B A2 on the pairs (v, a) with sr[v] = t(a).
-
-    Certificate.  Write <v, w>_B = c_vw p_x, with x = sr[v] = sr[w]
-    (_check_supports, run on every level).  For kept pairs t(a) = t(b) = x
-    and E(a^* c_vw p_x b) = c_vw E(a^* b), so the scalar Gram on the kept
-    pairs is the blockwise Kronecker product
-
-        (+)_x  (G_prev restricted to sr = x) / tr(p_x)  (x)  H_x,
-
-    H_x[a, b] = tr(E(a^* p_x b)) over t(a) = t(b) = x, read from the
-    sandwiches.  G_prev is block diagonal by sr and nondegenerate (checked
-    at the base, where it is first appended to, and by induction above
-    it), so each of its blocks is; each H_x is checked full rank here; so
-    the kept Gram is nondegenerate.  Every dropped pair is orthogonal to
-    everything (a^* p_x = 0 for t(a) != x) and is itself a balancing
-    relation, e_v (x) e_a = (e_v . p_x) (x) e_a - e_v (x) (p_x . e_a); the
-    balancing relations for b = p_y are ([sr[v] = y] - [t(a) = y]) times
-    those same coordinates.  So the radical is exactly the span of the
-    dropped coordinates and of the balancing relations: no ambient Gram,
-    kernel or relation echelon is formed.
-    """
-    d2 = ext2.alg.dim
-    by_t = [[] for _ in range(ext2.sub.dim)]
-    for a, x in enumerate(t):
-        by_t[x].append(a)
-
-    blocks = []         # x -> nonzero sandwiches (a, b, map) with t(a) = t(b) = x
+def _sandwich_blocks(ext: Extension, by_t, s) -> list:
+    """x -> the (a, b, d) with E(a^* p_x b) = d p_{s(a)} != 0, t(a) = t(b) = x,
+    checked at that support with s(a) = s(b); each block H_x full rank."""
+    tr = [ext.sub_trace({y: ONE}) for y in range(ext.sub.dim)]
+    blocks = []
     for x, members in enumerate(by_t):
         h = GMatrix.zero(len(members), len(members))
         nz = []
         for j, b in enumerate(members):
             for i, a in enumerate(members):
-                sw = ext2.sandwich(a, b)
-                if sw.is_zero():
+                e = ext.sandwich(a, b).col[x]
+                if not e:
                     continue
-                nz.append((a, b, sw))
-                hx = ext2.sub_trace(sw.col[x])
-                if not hx.is_zero():
-                    h.col[j][i] = hx
+                y = s[a]
+                if s[b] != y or len(e) != 1 or y not in e:
+                    raise AssertionError(
+                        "sandwich leaves the right support at (%d, %d)" % (a, b))
+                nz.append((a, b, e[y]))
+                h.col[j][i] = e[y] * tr[y]
         if rank(h) != len(members):
             raise AssertionError("appended algebra has a degenerate trace form")
         blocks.append(nz)
+    return blocks
+
+
+def _graded_level(prev: Level, ext2: Extension, t, s) -> Level:
+    """prev (x)_B A2 on the pairs (v, a) with sr[v] = t(a).
+
+    Certificate.  Claim: <v, w>_B = c_vw p_x, x = sr[v] = sr[w]; checked at
+    the base where it is first appended to.  Level k-1 to k: on kept pairs
+    t(a) = t(b) = x and <v (x) a, w (x) b>_B = c_vw E(a^* p_x b), which lies
+    in p_{s(a)} B p_{s(b)} = [s(a) = s(b)] C p_{s(a)} as a = p_x a p_{s(a)};
+    _sandwich_blocks checks E(a^* p_x b) = d_ab p_{s(a)} once per appended
+    algebra.  So the claim holds at level k without forming its form, which
+    coefficients() expands as c_vw d_ab on demand.  The scalar Gram on the
+    kept pairs is then the blockwise Kronecker product
+
+        (+)_x  (G_prev restricted to sr = x) / tr(p_x)  (x)  H_x,
+
+    H_x[a, b] = d_ab tr(p_{s(a)}) over t(a) = t(b) = x.  G_prev is block
+    diagonal by sr and nondegenerate (checked at the base, and by induction
+    above it), and each H_x is checked full rank, so the kept Gram is
+    nondegenerate.  Every dropped pair is orthogonal to everything
+    (a^* p_x = 0 for t(a) != x) and is itself a balancing relation,
+    e_v (x) e_a = (e_v . p_x) (x) e_a - e_v (x) (p_x . e_a); the balancing
+    relations for b = p_y are ([sr[v] = y] - [t(a) = y]) times those same
+    coordinates.  So the radical is exactly the span of the dropped
+    coordinates and of the balancing relations: no ambient Gram, kernel or
+    relation echelon is formed.
+    """
+    d2 = ext2.alg.dim
+    by_t = [[] for _ in range(ext2.sub.dim)]
+    for a, x in enumerate(t):
+        by_t[x].append(a)
+    blocks = prev.blocks if prev.app_ext is ext2 else _sandwich_blocks(ext2, by_t, s)
     if prev.prev is None:
-        _check_supports(prev)
+        for v, row in prev.bgram.items():
+            for w, bv in row.items():
+                if prev.sr[w] != prev.sr[v] or len(bv) != 1 or prev.sr[v] not in bv:
+                    raise AssertionError(
+                        "B-valued form leaves the right support at (%d, %d)" % (v, w))
         if rank(prev.scalar_gram()) != prev.dim:
             raise AssertionError("base level has a degenerate scalar Gram")
 
     keep = [v * d2 + a for v, x in enumerate(prev.sr) for a in by_t[x]]
     quot = Quotient(prev.dim * d2, keep)
-    pos = quot.pos
-    bgram = {}
-    for v, row in prev.bgram.items():
-        nz = blocks[prev.sr[v]]
-        for w, bv in row.items():
-            for a, b, sw in nz:
-                out = sw.apply(bv)
-                if out:
-                    bgram.setdefault(pos[v * d2 + a], {})[pos[w * d2 + b]] = out
-    lvl = Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
-                quotient=quot, tl=[prev.tl[k // d2] for k in keep],
-                sr=[s[k % d2] for k in keep],
-                index=prev.index and ext2.monomial() is not None)
-    _check_supports(lvl)
-    return lvl
+    return Level(quot.dim, prev.left_ext, ext2, None, prev=prev, app_ext=ext2,
+                 quotient=quot, tl=[prev.tl[k // d2] for k in keep],
+                 sr=[s[k % d2] for k in keep],
+                 index=prev.index and ext2.monomial() is not None, blocks=blocks)
 
 
 def _radical_level(prev: Level, ext2: Extension) -> Level:

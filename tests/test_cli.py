@@ -250,6 +250,56 @@ def test_mutated_documents_never_end_in_a_traceback(corpus_copy, data):
         assert not json.loads(out)["results"][path]["ok"], (name, site, op)
 
 
+def _verify_field_sites():
+    """(document, path) for each field a verify_* corpus document reads."""
+    for name in sorted(f for f in os.listdir(CORPUS) if f.startswith("verify_")):
+        doc = json.load(open(cpath(name)))
+        for key in ("summands", "algebra", "projection", "groupoid", "relation"):
+            if key in doc:
+                yield name, (key,)
+        for k in range(len(doc.get("summands", []))):
+            yield name, ("summands", k, "algebra")
+            yield name, ("summands", k, "weight")
+
+
+@pytest.mark.parametrize("name, site", list(_verify_field_sites()),
+                         ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
+def test_verify_document_missing_a_field_is_input_error(corpus_copy, capsys, name, site):
+    doc = json.load(open(cpath(name)))
+    parent = doc
+    for key in site[:-1]:
+        parent = parent[key]
+    del parent[site[-1]]
+    path = corpus_copy / "missing_field.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "missing field %r" % site[-1] in err
+
+
+def test_verify_document_naming_a_missing_cocycle_file_is_input_error(corpus_copy, capsys):
+    doc = json.load(open(cpath("verify_residual_pair3_twisted.json")))
+    doc["cocycle"] = "no_such_cocycle.json"
+    path = corpus_copy / "missing_cocycle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "no_such_cocycle.json: no such file" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "fiber-square"])
+def test_non_unitary_family_entry_is_input_error(tmp_path, capsys, command):
+    doc = json.loads(open(cpath("cc2.json")).read())
+    k = [nm for nm, _ in doc["unitary_family"]].index("g1")
+    doc["unitary_family"][k][1] = [["g1", "7"]]
+    p = tmp_path / "cc2_scaled.json"
+    p.write_text(json.dumps(doc))
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "algebra.unitary_family[%d]: " % k in err
+
+
 def test_betti_both_pipelines(capsys):
     code, out = run_cli(["betti", cpath("action_c2_swap.json"), "--both",
                          "--N", "3"], capsys)

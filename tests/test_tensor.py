@@ -1,11 +1,14 @@
 """Tower levels: the graded path against the radical path it replaces on
 every corpus extension, the scalar Kronecker certificate against the
-ambient Gram, one fault per graded-path check, and the reindexing lift
-against the tensor_class lift."""
+ambient Gram, the factored form against the full B-valued form, one fault
+per graded-path check, the reindexing lift against the tensor_class lift,
+and the traced memory of one run."""
 
 import contextlib
 import io
 import os
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -55,13 +58,49 @@ def m2_diag_ext():
                                    sub_labels=["d1", "d2"], name="M2/diag")
 
 
-def ambient_gram(prev, ext):
+def full_bgram(tower, k):
+    """The B-valued form of level k as i -> {j -> b-vector}.  A graded
+    appended level keeps it factored, so it is expanded here level by level
+    from the base's: <v (x) a, w (x) b>_B = E(a^* <v, w>_B b) on every pair of
+    kept coordinates."""
+    lvl = tower.level(k)
+    if lvl.bgram is not None:
+        return lvl.bgram
+    ext, pos = lvl.app_ext, lvl.quotient.pos
+    d2 = ext.alg.dim
+    out = {}
+    for v, row in full_bgram(tower, k - 1).items():
+        for w, bv in row.items():
+            for a in range(d2):
+                for b in range(d2):
+                    i, j = pos.get(v * d2 + a), pos.get(w * d2 + b)
+                    if i is None or j is None:
+                        continue
+                    x = ext.sandwich(a, b).apply(bv)
+                    if x:
+                        out.setdefault(i, {})[j] = x
+    return out
+
+
+def gram_of(bgram, lvl):
+    """The scalar Gram tr <e_i, e_j>_B of a B-valued form."""
+    g = GMatrix.zero(lvl.dim, lvl.dim)
+    for i, row in bgram.items():
+        for j, bv in row.items():
+            x = lvl.left_ext.sub_trace(bv)
+            if not x.is_zero():
+                g.col[j][i] = x
+    return g
+
+
+def ambient_gram(prev, bgram, ext):
     """The scalar Gram of prev (x) A, formed entry by entry from the
-    sandwich maps as the radical-quotient path forms it."""
+    sandwich maps and the B-valued form of prev, as the radical-quotient
+    path forms it."""
     d2 = ext.alg.dim
     amb = prev.dim * d2
     g = GMatrix.zero(amb, amb)
-    for v, row in prev.bgram.items():
+    for v, row in bgram.items():
         for w, bv in row.items():
             for a in range(d2):
                 for b in range(d2):
@@ -100,7 +139,7 @@ def test_scalar_levels_are_kronecker_products_with_empty_radical(ext):
     h = trace_form(ext.alg)
     for k in range(1, 4):
         lvl, prev = tower.level(k), tower.level(k - 1)
-        amb = ambient_gram(prev, ext)
+        amb = ambient_gram(prev, full_bgram(tower, k - 1), ext)
         assert amb == kronecker(prev.scalar_gram(), h)
         assert kernel_basis(amb).cols == 0
         assert lvl.dim == amb.rows and lvl.quotient.is_identity
@@ -129,7 +168,7 @@ def test_fault_degenerate_appended_trace_form_is_caught():
 def tensor_class_lift(src, inner, dst):
     inner = as_matrix(inner)
     return GMatrix.from_cols(
-        dst.dim, [dst.tensor_class(inner.col[v], {b: ONE}) for v, b in src.reps])
+        dst.dim, [dst.tensor_class(inner.col[v], {b: ONE}) for v, b in src.reps()])
 
 
 def assert_lift_agrees(src, inner, dst):
@@ -177,7 +216,7 @@ def tower_data(ext, N):
     out = []
     for k in range(N + 1):
         lvl = tower.level(k)
-        out.append((None if lvl.quotient is None else lvl.quotient.keep, lvl.bgram,
+        out.append((None if lvl.quotient is None else lvl.quotient.keep, full_bgram(tower, k),
                     _coinv_quotient(lvl).keep, lvl.invariants()))
     return out
 
@@ -277,8 +316,9 @@ def test_fault_degenerate_trace_form_block_is_caught():
 
 
 def test_fault_wrong_right_support_is_caught(monkeypatch):
-    # a wrong s(e12) leaves every trace-form block intact; only the check
-    # that <v, w>_B sits at p_{sr[v]} sees it
+    # a wrong s(e12) leaves every trace-form block intact; only the checks
+    # that E(a^* p_x b) sits at p_{s(a)} and the base's <v, w>_B at p_{sr[v]}
+    # see it
     ext = m2_diag_ext()
     t, s = ext.grading()
     wrong = list(s)
@@ -304,3 +344,51 @@ def test_fault_wrong_left_support_is_caught(monkeypatch):
     assert base.tl == wrong
     with pytest.raises(AssertionError, match="degenerate trace form"):
         append_level(base, ext)
+
+
+@pytest.mark.parametrize("name", corpus_extension_files())
+def test_factored_gram_equals_gram_of_the_full_form(name):
+    tower = algebra_tower(corpus_extension(name))
+    for k in (1, 2, 3):
+        lvl = tower.level(k)
+        assert lvl.bgram is None and lvl.blocks is not None
+        assert lvl.scalar_gram() == gram_of(full_bgram(tower, k), lvl), k
+
+
+def test_fault_base_form_off_its_support_is_caught():
+    # <e12, e12>_B = E(e21 e12) = p_2 moved onto p_1 keeps the base Gram
+    # (tr(p_1) = tr(p_2) = 1/2); only the support check on the base sees it
+    ext = m2_diag_ext()
+    e12 = ext.alg.index("e12")
+    base = extension_base_level(ext)
+    assert base.bgram[e12][e12] == {1: ONE}
+    base.bgram[e12][e12] = {0: ONE}
+    with pytest.raises(AssertionError, match="B-valued form leaves the right support"):
+        append_level(base, ext)
+
+
+def test_fault_sandwich_off_its_support_is_caught():
+    # E(e12^* p_1 e12) = p_2; moved onto p_1 it keeps the trace tr(p_1) =
+    # tr(p_2) = 1/2, so every trace-form block stays full rank and the base
+    # form, read from E(a^* b) directly, stays right: only the check once
+    # per appended algebra sees it
+    ext = m2_diag_ext()
+    e12 = ext.alg.index("e12")
+    base = extension_base_level(ext)
+    assert ext.sandwich(e12, e12).col[0] == {1: ONE}
+    ext._sandwich_memo[(e12, e12)] = GMatrix(2, 2, [{0: ONE}, {}])
+    with pytest.raises(AssertionError, match="sandwich leaves the right support"):
+        append_level(base, ext)
+
+
+def test_s3_hochschild_holds_no_level_gram():
+    # the tower keeps each level's form factored; a B-valued Gram built on
+    # every level brings the traced peak of this run to about 9.7 MiB
+    ext = corpus_extension("cs3.json")
+    tracemalloc.start()
+    try:
+        assert betti_hochschild(ext, 3).values[0] == Fraction(1, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2 ** 20, "traced peak %.2f MiB" % (peak / 2 ** 20)
