@@ -22,7 +22,7 @@ from .fileio import (
     parse_document, render_plain, render_structured, summands_from_doc,
 )
 from .groupoids import FiniteGroupoid, validate_groupoid
-from .scalars import ONE, render_scalar
+from .scalars import render_scalar
 
 
 @dataclass
@@ -128,8 +128,9 @@ def cmd_betti(config: RunConfig) -> int:
     if pipeline == "both":
         if not isinstance(obj, FiniteGroupoid):
             raise InputError("both pipelines need a groupoid input", path)
-        sau = betti_sauer(obj, config.N)
-        hoch = betti_hochschild(as_extension(obj), config.N, seed=config.seed)
+        ext = as_extension(obj)
+        sau = betti_sauer(obj, config.N, ext=ext)
+        hoch = betti_hochschild(ext, config.N, seed=config.seed)
         report["sauer"] = _betti_values(sau)
         report["hochschild"] = _betti_values(hoch)
         report["equal"] = sau.values == hoch.values
@@ -204,10 +205,9 @@ def cmd_fiber_square(config: RunConfig) -> int:
     report["trace"] = [render_scalar(fsq.trace_table[k])
                        if k in fsq.trace_table else "0"
                        for k in range(fsq.dim)]
-    report["tracial"] = all(
-        fsq.trace(fsq.mul({i: ONE}, {j: ONE})) ==
-        fsq.trace(fsq.mul({j: ONE}, {i: ONE}))
-        for i in range(fsq.dim) for j in range(fsq.dim))
+    # fiber_square raises on any trace_not_tracial violation that
+    # validate_algebra finds, so a fiber square that got here is tracial
+    report["tracial"] = True
     _emit(report, config)
     return 0
 

@@ -248,10 +248,6 @@ class PresimplicialModule:
         return self._chain
 
 
-def boundary(p: PresimplicialModule) -> ChainComplex:
-    return p.boundary()
-
-
 # ---------------------------------------------------------------------------
 # geometric complexes
 
@@ -379,7 +375,8 @@ def _check_descends(maps, level: Level, low_q: Quotient, n: int):
         for m in maps:
             if isinstance(m, IndexMap):
                 idx = m.idx
-                holds = not any(idx[q] in kept for q in off)
+                # None in a range would be a linear scan
+                holds = not any((r := idx[q]) is not None and r in kept for q in off)
             else:
                 holds = not any(r in kept for q in off for r, x in m.col[q].items() if x)
             if not holds:

@@ -11,12 +11,12 @@ certified by three exact checks, not assumed:
 1. 1 (x) 1 is cyclic: each basis vector of the quotient, represented by
    a_i (x) c_j, equals a_i . (1 (x) 1) . c_j.  A bimodular S with
    S(1 (x) 1) = 0 therefore vanishes.
-2. Every final basis operator T is bimodular and evaluates to its basis
-   vector.  Bimodularity is checked by columns: xi = T(1 (x) 1) is
-   B-central, and the column of T at e_q = a_i . (1 (x) 1) . c_j equals
-   a_i . xi . c_j.  As in 3, a B-central xi makes a (x) c -> a . xi . c a
-   well-defined bimodular map, and by 1 it agrees with T on a basis, so T
-   is that map; no operator product is formed.
+2. Every basis vector v of the final span is B-central, and the basis
+   operator built from it by _operator, whose column q = (i, j) is
+   a_i . v . c_j, evaluates to v.  Its columns are not compared with
+   anything: they are a_i . v . c_j by construction, and as in 3 a
+   B-central v makes a (x) c -> a . v . c a well-defined bimodular map,
+   which by 1 is the operator.
 3. Every admitted pair has a B-central evaluation xi = [u (x) v]:
    b . xi = xi . b for each basis element b of B.  Since the balancing
    relations span the radical (certified in tensor.append_level on either
@@ -29,6 +29,14 @@ coordinates of T_i(T_j(1 (x) 1)), and the adjoint of T_i, once checked
 bimodular by columns, is the combination its evaluation names: none of them
 needs an operator product or an entrywise comparison.  The tracial
 *-algebra axioms are still checked directly.
+
+The fiber square is therefore held as its evaluations.  Saturation,
+re-basis and the enveloping identification work on vectors, and an
+operator matrix is built, always by _operator, only where one is consumed:
+the identity of the cyclic check, each generator the saturation multiplies
+while its span is below the invariants' bound, and the basis operators,
+which act as the coefficients of complexes.l2_complex and whose adjoints
+are checked bimodular.
 
 The pairs.  For unitaries u in A and v in C, the pair matches (u* x u =
 v x v* for every x in B, both sides in B) if and only if xi = [u (x) v] is
@@ -61,8 +69,8 @@ from .algebras import (
 )
 from .groupoids import FiniteGroupoid, enveloping
 from .linalg import (
-    Echelon, GMatrix, HermitianForm, adjoint_wrt, combination, invert,
-    kernel_basis, vec_dot, vec_eq,
+    Echelon, GMatrix, HermitianForm, adjoint_wrt, invert, kernel_basis,
+    vec_dot, vec_eq,
 )
 from .scalars import ONE
 from .tensor import Level, append_level, extension_base_level, same_algebra
@@ -86,9 +94,6 @@ class BalancedTensor:
         if not hasattr(self, "_gram_inv"):
             self._gram_inv = invert(self.gram)
         return self._gram_inv
-
-    def pair(self, u, v):
-        return vec_dot(u, self.gram.apply(v))
 
 
 def balanced_tensor(extA: Extension, extC: Extension) -> BalancedTensor:
@@ -153,18 +158,23 @@ def s_condition(extA: Extension, extC: Extension, u: dict, v: dict) -> bool:
     return left is not None and left == _sig(extC, v, "right")
 
 
-def pair_operator(bt: BalancedTensor, u: dict, v: dict, check=True) -> GMatrix:
-    """The endomorphism a (x) c -> a u (x) v c on the balanced tensor.
-
-    With check, its evaluation [u (x) v] is verified to be B-central, which
-    makes the map well defined and bimodular (see the module docstring).
-    """
-    A, C = bt.extA.alg, bt.extC.alg
-    lvl = bt.level
-    if check and not _is_central(bt, lvl.tensor_class(u, v)):
+def pair_operator(bt: BalancedTensor, u: dict, v: dict) -> GMatrix:
+    """The endomorphism a (x) c -> a u (x) v c on the balanced tensor, after
+    checking that its evaluation [u (x) v] is B-central, which makes the map
+    well defined and bimodular (see the module docstring)."""
+    xi = bt.level.tensor_class(u, v)
+    if not _is_central(bt, xi):
         raise AssertionError("pair operator: evaluation at 1(x)1 is not B-central")
-    return GMatrix.from_cols(lvl.dim, [
-        lvl.tensor_class(A.mul({i: ONE}, u), C.mul(v, {j: ONE})) for i, j in lvl.reps()])
+    return _operator(bt, xi)
+
+
+def _operator(bt: BalancedTensor, xi: dict) -> GMatrix:
+    """The operator a (x) c -> a . xi . c: column q = (i, j) is a_i . xi . c_j.
+    It is well defined and bimodular when xi is B-central (module docstring,
+    check 3); callers check that."""
+    lvl = bt.level
+    right = [lvl.right_act(j).apply(xi) for j in range(bt.extC.alg.dim)]
+    return GMatrix(lvl.dim, lvl.dim, [lvl.left_act(i).apply(right[j]) for i, j in lvl.reps()])
 
 
 def _is_central(bt: BalancedTensor, xi: dict) -> bool:
@@ -178,10 +188,9 @@ def _is_central(bt: BalancedTensor, xi: dict) -> bool:
 
 
 def _check_cyclic(bt: BalancedTensor):
-    lvl = bt.level
-    for q, (i, j) in enumerate(lvl.reps()):
-        moved = lvl.left_act(i).apply(lvl.right_act(j).apply(bt.one_one))
-        if not vec_eq(moved, {q: ONE}):
+    """The operator a (x) c -> a . (1 (x) 1) . c is the identity."""
+    for q, col in enumerate(_operator(bt, bt.one_one).col):
+        if not vec_eq(col, {q: ONE}):
             raise AssertionError(
                 "1(x)1 is not cyclic: basis vector %d is not a_i.(1(x)1).c_j" % q)
 
@@ -195,14 +204,13 @@ def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
     map (module docstring, check 3), and with 1 (x) 1 cyclic (_check_cyclic)
     S(e_q) = a_i . xi . c_j, so op agrees with S on a basis and is S.
     """
-    lvl = bt.level
     xi = op.apply(bt.one_one)
     if not _is_central(bt, xi):
         raise AssertionError(
             "operator does not commute with the actions of B: "
             "its evaluation at 1(x)1 is not B-central")
-    for q, (i, j) in enumerate(lvl.reps()):
-        if not vec_eq(op.col[q], lvl.left_act(i).apply(lvl.right_act(j).apply(xi))):
+    for q, (col, want) in enumerate(zip(op.col, _operator(bt, xi).col)):
+        if not vec_eq(col, want):
             raise AssertionError(
                 "operator does not commute with the outer actions: "
                 "column %d is not a_i.T(1(x)1).c_j" % q)
@@ -252,9 +260,6 @@ class FiberSquareAlgebra(TracialStarAlgebra):
             self._gram = g
         return self._gram
 
-    def op_of(self, vec: dict) -> GMatrix:
-        return combination(self.tensor.dim, vec, self.ops.__getitem__)
-
 
 def _flatten(op: GMatrix) -> dict:
     out = {}
@@ -265,27 +270,21 @@ def _flatten(op: GMatrix) -> dict:
     return out
 
 
-def _saturate(bt: BalancedTensor, pairs):
-    """Basis operators and their evaluations at 1 (x) 1, in generation order.
+def _saturate(bt: BalancedTensor, pairs) -> SpanBasis:
+    """The span of the evaluations at 1 (x) 1, in generation order.
 
-    Returns (ops, evals, names); a product-born operator is named "prod".
     Each pair and its starred pair are admitted.  A pair must match; its
     evaluation is checked B-central, which for unitaries is the same
-    (module docstring), so a mismatched pair raises.  An admitted pair whose
-    evaluation is dependent builds no operator.
+    (module docstring), so a mismatched pair raises.
 
     Every evaluation of a bimodular operator is B-central, so the span
     cannot outgrow the invariants; once it fills them, every later
-    candidate is dependent and is neither reduced nor built.
+    candidate is dependent and is neither reduced nor multiplied.
     """
     A, C = bt.extA.alg, bt.extC.alg
     bound = bt.level.invariants().cols
     evals = SpanBasis()
-    ops = []
-    names = []
-    if evals.add(bt.one_one):
-        ops.append(GMatrix.identity(bt.dim))
-        names.append("1*1")
+    evals.add(bt.one_one)
 
     seen_pairs = set()
     for (nu, u), (nv, v) in pairs:
@@ -299,23 +298,23 @@ def _saturate(bt: BalancedTensor, pairs):
             if not _is_central(bt, xi):
                 raise AssertionError(
                     "pair %s: evaluation at 1(x)1 is not B-central" % nm)
-            if evals.dim < bound and evals.add(xi):
-                ops.append(pair_operator(bt, uu, vv, check=False))
-                names.append(nm)
+            if evals.dim < bound:
+                evals.add(xi)
 
-    # T_g T_k evaluates to T_g(ev_k); only a new evaluation needs the
-    # product.  ops[0] is 1 (1 (x) 1 is cyclic, so nonzero), whose products
-    # add nothing.
+    # T_g T_k evaluates to T_g(ev_k), with T_g built once from ev_g.
+    # Generator 0 is 1 (1 (x) 1 is cyclic, so nonzero), whose products add
+    # nothing.
+    gens = {}
+
     def extend(g, k):
-        if g == 0 or evals.dim == bound or \
-                not evals.add(ops[g].apply(evals.vectors[k])):
+        if g == 0 or evals.dim == bound:
             return False
-        ops.append(ops[g].mul(ops[k]))
-        names.append("prod")
-        return True
+        if g not in gens:
+            gens[g] = _operator(bt, evals.vectors[g])
+        return evals.add(gens[g].apply(evals.vectors[k]))
 
-    close_under_products(len(ops), extend)
-    return ops, evals, names
+    close_under_products(evals.dim, extend)
+    return evals
 
 
 def fiber_square(extA: Extension, extC: Extension, pairs, name=None,
@@ -326,27 +325,29 @@ def fiber_square(extA: Extension, extC: Extension, pairs, name=None,
     matching condition; a mismatched pair raises.  The span is closed under
     products, and evaluation at 1 (x) 1 indexes the basis.  That this
     evaluation is injective on bimodular operators is certified exactly
-    (module docstring): 1 (x) 1 is cyclic, every admitted pair has a
-    B-central evaluation, and every final basis operator and every adjoint
-    is bimodular, each basis operator evaluating to its basis vector.
-    Products, adjoints and dependent pairs are then determined by their
-    evaluations and are not compared entry by entry.
+    (module docstring): 1 (x) 1 is cyclic, every admitted pair and every
+    basis vector is B-central, every basis operator evaluates to its basis
+    vector, and every adjoint is bimodular.  Products, adjoints and
+    dependent pairs are then determined by their evaluations and are not
+    compared entry by entry.
     """
     bt = tensor if tensor is not None else balanced_tensor(extA, extC)
 
     _check_cyclic(bt)
-    ops, evals, _ = _saturate(bt, pairs)
+    evals = _saturate(bt, pairs)
 
     # canonical re-basis along the echelon rows of the evaluations: the
     # operators become sparser and coordinate extraction much cheaper
     can = canonicalized_span(evals.vectors)
-    if can.dim != len(ops):
+    if can.dim != evals.dim:
         raise AssertionError("canonical re-basis changed the dimension")
-    ops = [combination(bt.dim, evals.coords(vec), ops.__getitem__)
-           for vec in can.vectors]
     vecs = can.vectors
-    for k, op in enumerate(ops):
-        if not vec_eq(_check_bimodular(bt, op), vecs[k]):
+    ops = []
+    for k, vec in enumerate(vecs):
+        if not _is_central(bt, vec):
+            raise AssertionError("basis vector %d is not B-central" % k)
+        ops.append(_operator(bt, vec))
+        if not vec_eq(ops[k].apply(bt.one_one), vec):
             raise AssertionError(
                 "basis operator %d does not evaluate to its basis vector" % k)
 
@@ -478,8 +479,7 @@ def groupoid_fiber_square(ext: Extension):
     fsq = fiber_square(ext, ext, pairs, name="C[%s]^sq" % (g.name or "G"))
     env = enveloping(g)
     env_ext = convolution_algebra(env)
-    bt = fsq.tensor
-    lvl = bt.level
+    lvl = fsq.tensor.level
 
     gi = {a: k for k, a in enumerate(g.elements)}
     env_span = SpanBasis()
@@ -531,16 +531,15 @@ def groupoid_fiber_square(ext: Extension):
                            kernel_basis(phi).cols == 0)
 
     # identity on the diagonal: the operator mapped to the unit pair at x is
-    # middle multiplication by the central projection delta_x
+    # middle multiplication by the central projection delta_x.  Both are
+    # bimodular, so they agree iff their evaluations do: [delta_x (x) 1]
+    # must have coordinates the unit pair at x
     ok_diag = True
-    inv_phi = invert(phi)
     for x in g.base.atoms:
-        target = {envalg.index(repr((env.units[x]))): ONE}
-        coeffs = inv_phi.apply(target)
-        opmat = fsq.op_of(coeffs)
+        target = {envalg.index(repr(env.units[x])): ONE}
         delta = {ext.alg.index(repr(g.units[x])): ONE}
-        mid = pair_operator(bt, delta, dict(ext.alg.unit), check=False)
-        if opmat != mid:
+        c = env_span.coords(lvl.tensor_class(delta, ext.alg.unit))
+        if c is None or not vec_eq(c, target):
             ok_diag = False
     checks["fixes_diagonal"] = ok_diag
     checks["invariants_faithful"] = check_invariants_faithful(fsq)
@@ -571,9 +570,9 @@ def operator_spans_equal(f1: FiberSquareAlgebra, f2: FiberSquareAlgebra) -> bool
     return e1.rank == both.rank == e2.rank
 
 
-def projection_pair_trace_identity(ext: Extension, p: dict,
-                                   fsq: FiberSquareAlgebra = None):
-    """tr of the operator a(x)b -> ap(x)pb against tr_B(E(p)^2); exact pair."""
+def projection_pair_trace_identity(ext: Extension, p: dict):
+    """tr of the operator a(x)b -> ap(x)pb against tr_B(E(p)^2); exact pair.
+    The trace is <1(x)1 | T(1(x)1)>, and T evaluates to [p (x) p]."""
     A = ext.alg
     if not A.is_projection(p):
         raise ValueError("p is not a projection")
@@ -581,9 +580,8 @@ def projection_pair_trace_identity(ext: Extension, p: dict,
         bk = ext.embed.column(k)
         if not vec_eq(A.mul(p, bk), A.mul(bk, p)):
             raise ValueError("p does not commute with B")
-    bt = fsq.tensor if fsq is not None else balanced_tensor(ext, ext)
-    op = pair_operator(bt, p, p, check=False)
-    lhs = vec_dot(bt.one_one, bt.gram.apply(op.apply(bt.one_one)))
+    bt = balanced_tensor(ext, ext)
+    lhs = vec_dot(bt.one_one, bt.gram.apply(bt.level.tensor_class(p, p)))
     ep = ext.expectation_sub(p)
     rhs = ext.sub.trace(ext.sub.mul(ep, ep))
     return lhs, rhs

@@ -29,10 +29,6 @@ from .scalars import GScalar, MINUS_ONE, ONE, ZERO, gs
 # sparse vectors
 
 
-def vec(*pairs):
-    return {i: gs(c) for i, c in pairs if not gs(c).is_zero()}
-
-
 def vec_scale(c: GScalar, v: dict) -> dict:
     if c.is_zero():
         return {}
@@ -99,10 +95,6 @@ def vec_dot(u: dict, v: dict) -> GScalar:
         if y is not None:
             acc = acc + (y.conj() * x if flip else x.conj() * y)
     return acc
-
-
-def vec_conj(u: dict) -> dict:
-    return {i: x.conj() for i, x in u.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +205,6 @@ class GMatrix:
         assert self.cols == other.rows, "dimension mismatch"
         return GMatrix(self.rows, other.cols, [self.apply(c) for c in other.col])
 
-    def __matmul__(self, other):
-        return self.mul(other)
-
-    def add(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return GMatrix(self.rows, self.cols,
-                       [vec_add(a, b) for a, b in zip(self.col, other.col)])
-
     def sub(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return GMatrix(self.rows, self.cols,
@@ -229,16 +213,6 @@ class GMatrix:
     def scale(self, c):
         c = gs(c)
         return GMatrix(self.rows, self.cols, [vec_scale(c, v) for v in self.col])
-
-    def transpose(self):
-        out = GMatrix(self.cols, self.rows)
-        for j, c in enumerate(self.col):
-            for i, x in c.items():
-                out.col[i][j] = x
-        return out
-
-    def conj(self):
-        return GMatrix(self.rows, self.cols, [vec_conj(c) for c in self.col])
 
     def adjoint(self):
         """Conjugate transpose."""
@@ -660,9 +634,6 @@ class HermitianForm:
     @property
     def dim(self):
         return self.gram.rows
-
-    def pair(self, u: dict, v: dict) -> GScalar:
-        return vec_dot(u, self.gram.apply(v))
 
     def is_positive_semidefinite(self) -> bool:
         """Pivoted exact elimination; all pivots must be real nonnegative."""

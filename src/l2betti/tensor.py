@@ -66,14 +66,19 @@ class Quotient:
 
     Without an echelon, S is spanned by the coordinates outside keep, so
     project drops them and section reindexes.  Quotient.of_span takes any
-    S and keeps the non-pivot coordinates of its echelon basis."""
+    S and keeps the non-pivot coordinates of its echelon basis.  Every
+    caller lists keep in increasing order, so a quotient that keeps every
+    coordinate is the identity, and keep and pos are both range(n)."""
 
     def __init__(self, ambient_dim: int, keep, ech=None):
         self.ambient_dim = ambient_dim
         self.ech = ech
-        self.keep = keep
-        self.pos = {k: q for q, k in enumerate(keep)}
         self.dim = len(keep)
+        if self.dim == ambient_dim:
+            self.keep = self.pos = range(ambient_dim)
+        else:
+            self.keep = keep
+            self.pos = {k: q for q, k in enumerate(keep)}
 
     @classmethod
     def of_span(cls, ambient_dim: int, subspace_cols) -> "Quotient":
@@ -527,16 +532,13 @@ def _radical_level(prev: Level, ext2: Extension) -> Level:
 
     # descended B-valued gram on the chosen representatives
     bgram = {}
-    posmap = quot.pos
+    pos = quot.pos
     for i, row in amb_bgram.items():
-        qi = posmap.get(i)
-        if qi is None:
+        if i not in pos:
             continue
         for j, bv in row.items():
-            qj = posmap.get(j)
-            if qj is None:
-                continue
-            bgram.setdefault(qi, {})[qj] = bv
+            if j in pos:
+                bgram.setdefault(pos[i], {})[pos[j]] = bv
 
     return Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
                  quotient=quot)

@@ -334,6 +334,30 @@ def test_fiber_square_command(capsys):
     assert rep["enveloping_checks"]["algebra_morphism"]
 
 
+def test_fiber_square_with_non_tracial_trace_exits_2(monkeypatch, capsys):
+    # the report's tracial field is read from the certificate fiber_square
+    # ran, so a trace table that is not tracial must stop the command there
+    import l2betti.fibersquare as fs
+    from l2betti.scalars import ONE, ZERO
+
+    structure = fs.span_structure
+
+    def skewed(span, *args):
+        mult, star, traces, unit = structure(span, *args)
+        n = len(mult)
+        k = next(k for i in range(n) for j in range(n)
+                 for k in mult[i][j].keys() - unit.keys()
+                 if mult[i][j][k] != mult[j][i].get(k))
+        traces = dict(traces)
+        traces[k] = traces.get(k, ZERO) + ONE
+        return mult, star, traces, unit
+
+    monkeypatch.setattr(fs, "span_structure", skewed)
+    assert main(["fiber-square", cpath("m2_diag.json")]) == 2
+    err = capsys.readouterr().err
+    assert "trace_not_tracial" in err
+
+
 def test_verify_compression(capsys):
     code, out = run_cli(["verify", cpath("verify_compression_m2_diag.json")],
                         capsys)

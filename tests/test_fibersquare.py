@@ -21,7 +21,7 @@ from l2betti.groupoids import (
     trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, klein_table, symmetric_table
-from l2betti.linalg import GMatrix, vec_dot, vec_eq
+from l2betti.linalg import GMatrix, combination, vec_eq
 from l2betti.scalars import ONE, gs
 
 
@@ -309,14 +309,25 @@ def test_saturation_stopped_at_the_invariants_builds_the_same_basis(label):
         ext = ORACLE_CASES[label]()
     pairs = default_pairs(ext)
     bt = balanced_tensor(ext, ext)
-    ops, evals, names = fs._saturate(bt, pairs)
+    evals = fs._saturate(bt, pairs)
     assert evals.dim == bt.level.invariants().cols
 
     unbounded = balanced_tensor(ext, ext)
     unbounded.level.invariants = lambda: GMatrix(unbounded.dim, float("inf"), [])
-    ops_u, evals_u, names_u = fs._saturate(unbounded, pairs)
-    assert evals_u.vectors == evals.vectors
-    assert ops_u == ops and names_u == names
+    assert fs._saturate(unbounded, pairs).vectors == evals.vectors
+
+
+def op_of(fsq, coeffs):
+    """The combination of the basis operators that coeffs names."""
+    return combination(fsq.tensor.dim, coeffs, fsq.ops.__getitem__)
+
+
+def pair_operator_by_columns(bt, u, v):
+    """u * v with column q = (i, j) the class of a_i u (x) v c_j: an oracle
+    independent of the evaluation [u (x) v]."""
+    A, C, lvl = bt.extA.alg, bt.extC.alg, bt.level
+    return GMatrix.from_cols(lvl.dim, [
+        lvl.tensor_class(A.mul({i: ONE}, u), C.mul(v, {j: ONE})) for i, j in lvl.reps()])
 
 
 @pytest.mark.parametrize("label", sorted(ORACLE_CASES))
@@ -328,17 +339,50 @@ def test_identities_read_off_the_cyclic_vector_hold_entrywise(label):
     bt = fsq.tensor
     for i in range(fsq.dim):
         for j in range(fsq.dim):
-            assert fsq.ops[i].mul(fsq.ops[j]) == fsq.op_of(fsq.mult[i][j])
+            assert fsq.ops[i].mul(fsq.ops[j]) == op_of(fsq, fsq.mult[i][j])
     span = SpanBasis()
     for ev in fsq.evals:
         assert span.add(ev)
     admitted = admitted_pairs(ext, pairs)
     assert admitted
     for u, v in admitted:
-        op = pair_operator(bt, u, v)
+        op = pair_operator_by_columns(bt, u, v)
+        assert op == pair_operator(bt, u, v)
         coeffs = span.coords(op.apply(bt.one_one))
         assert coeffs is not None
-        assert op == fsq.op_of(coeffs)
+        assert op == op_of(fsq, coeffs)
+
+
+@pytest.mark.parametrize("label", ["pair(4)", "CS3/C"])
+def test_operator_matrices_are_built_from_evaluations_only(monkeypatch, label):
+    # fiber_square builds one operator for the cyclic check, one per basis
+    # vector and one per adjoint check; the saturation builds none on
+    # pair(4), whose pair evaluations alone reach the bound, and at most one
+    # per generator on CS3/C.  Building an operator per pair or per product
+    # would break these counts.
+    built, adjoints = [], []
+    operator, check_bimodular = fs._operator, fs._check_bimodular
+    monkeypatch.setattr(fs, "_operator",
+                        lambda bt, xi: built.append(xi) or operator(bt, xi))
+    monkeypatch.setattr(fs, "_check_bimodular",
+                        lambda bt, op: adjoints.append(op) or check_bimodular(bt, op))
+    if label == "pair(4)":
+        ext = convolution_algebra(pair_relation(uniform_space(4)))
+        fsq, _ = groupoid_fiber_square(ext)
+    else:
+        ext = cs3_ext()
+        fsq = fiber_square(ext, ext, default_pairs(ext))
+    assert len(adjoints) == fsq.dim
+    basis_and_generators = len(built) - 1 - len(adjoints)
+    if label == "pair(4)":
+        assert basis_and_generators == fsq.dim
+    else:
+        bt = fsq.tensor
+        gens = SpanBasis()
+        for xi in [bt.one_one] + [bt.level.tensor_class(u, v)
+                                  for u, v in admitted_pairs(ext, default_pairs(ext))]:
+            gens.add(xi)
+        assert fsq.dim < basis_and_generators <= fsq.dim + gens.dim
 
 
 def bump_entry(op, skip_cols=()):
@@ -353,52 +397,38 @@ def bump_entry(op, skip_cols=()):
     raise AssertionError("operator has no zero entry")
 
 
-def corrupt_after_saturation(monkeypatch, chosen, corrupt):
-    """Corrupt the first generated basis operator whose name passes chosen,
-    before the canonical re-basis and the certificate see it."""
-    original = fs._saturate
-
-    def saturate(bt, *args, **kwargs):
-        ops, evals, names = original(bt, *args, **kwargs)
-        k = next(k for k, nm in enumerate(names) if chosen(nm))
-        ops[k] = corrupt(ops[k], bt)
-        return ops, evals, names
-
-    monkeypatch.setattr(fs, "_saturate", saturate)
-
-
-def bumped_off_one_one(op, bt):
-    # a column outside the support of 1(x)1 leaves T(1(x)1) unchanged, so
-    # only the bimodularity check can see this corruption
-    bump_entry(op, skip_cols=bt.one_one)
-    return op
-
-
-def test_fault_pair_born_operator_entry_is_caught(monkeypatch):
-    ext = m2_diag_extension()
-    corrupt_after_saturation(monkeypatch,
-                             lambda nm: nm not in ("1*1", "prod"),
-                             bumped_off_one_one)
-    with pytest.raises(AssertionError, match="does not commute"):
-        fiber_square(ext, ext, default_pairs(ext))
-
-
-def test_fault_product_born_operator_entry_is_caught(monkeypatch):
-    ext = cs3_ext()
-    corrupt_after_saturation(monkeypatch, lambda nm: nm == "prod",
-                             bumped_off_one_one)
-    with pytest.raises(AssertionError, match="does not commute"):
-        fiber_square(ext, ext, default_pairs(ext))
-
-
 def test_fault_basis_operator_with_wrong_evaluation_is_caught(monkeypatch):
-    # 2 T is still bimodular; only its evaluation at 1(x)1 is wrong
+    # 2 T is still bimodular; only its evaluation at 1(x)1 is wrong.  The
+    # identity is left alone, so the cyclic check passes.
     ext = m2_diag_extension()
-    corrupt_after_saturation(monkeypatch,
-                             lambda nm: nm not in ("1*1", "prod"),
-                             lambda op, bt: op.scale(2))
+    operator = fs._operator
+
+    def doubled(bt, xi):
+        op = operator(bt, xi)
+        return op if vec_eq(xi, bt.one_one) else op.scale(2)
+
+    monkeypatch.setattr(fs, "_operator", doubled)
     with pytest.raises(AssertionError, match="does not evaluate"):
         fiber_square(ext, ext, default_pairs(ext))
+
+
+def test_fault_non_central_basis_vector_is_caught(monkeypatch):
+    # a coordinate with tl != sr added to the last canonical basis vector
+    # makes it non-central; the operator built from it is not bimodular
+    ext = m2_diag_extension()
+    bt = balanced_tensor(ext, ext)
+    lvl = bt.level
+    q = next(q for q, (t, s) in enumerate(zip(lvl.tl, lvl.sr)) if t != s)
+    canonicalized = fs.canonicalized_span
+
+    def skewed(vectors):
+        can = canonicalized(vectors)
+        can.vectors[-1] = {**can.vectors[-1], q: ONE}
+        return can
+
+    monkeypatch.setattr(fs, "canonicalized_span", skewed)
+    with pytest.raises(AssertionError, match="basis vector .* is not B-central"):
+        fiber_square(ext, ext, default_pairs(ext), tensor=bt)
 
 
 def test_fault_adjoint_entry_is_caught(monkeypatch):

@@ -73,9 +73,10 @@ def full_bgram(tower, k):
         for w, bv in row.items():
             for a in range(d2):
                 for b in range(d2):
-                    i, j = pos.get(v * d2 + a), pos.get(w * d2 + b)
-                    if i is None or j is None:
+                    i, j = v * d2 + a, w * d2 + b
+                    if i not in pos or j not in pos:
                         continue
+                    i, j = pos[i], pos[j]
                     x = ext.sandwich(a, b).apply(bv)
                     if x:
                         out.setdefault(i, {})[j] = x
