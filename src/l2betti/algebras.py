@@ -18,8 +18,8 @@ from .groupoids import (
     FiniteGroupoid, bisections, is_equivalence_relation, validate_groupoid,
 )
 from .linalg import (
-    Echelon, GMatrix, HermitianForm, kernel_basis, orth_projection, rank,
-    vec_axpy, vec_eq, vec_scale, vec_sub,
+    Echelon, GMatrix, is_positive_semidefinite, kernel_basis, orth_projection,
+    rank, vec_axpy, vec_eq, vec_scale, vec_sub,
 )
 from .scalars import FOURTH_ROOTS, GScalar, MINUS_ONE, ONE, ZERO, gs
 
@@ -260,7 +260,7 @@ def validate_algebra(a: TracialStarAlgebra, check_associativity=None) -> Algebra
         bad.append(("gns_not_hermitian",))
         semisimple = False
     else:
-        psd = HermitianForm(gram, check=False).is_positive_semidefinite()
+        psd = is_positive_semidefinite(gram)
         nondeg = rank(gram) == n
         if not psd or not nondeg:
             bad.append(("gns_not_positive_definite", "psd=%s" % psd, "nondegenerate=%s" % nondeg))
@@ -420,7 +420,7 @@ class Extension:
                         bad.append(("expectation_not_bimodular", B.labels[k], A.labels[j], B.labels[l]))
         # E is the trace-orthogonal projection onto B
         gram = A.gns_gram()
-        proj = orth_projection(HermitianForm(gram, check=False), self.embed)
+        proj = orth_projection(gram, self.embed)
         emat = self.embed.mul(self.expect)
         if proj != emat:
             bad.append(("expectation_not_orthogonal_projection",))
@@ -483,7 +483,7 @@ def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
 
     embed = GMatrix.from_cols(alg.dim, span.vectors)
     gram = alg.gns_gram()
-    proj = orth_projection(HermitianForm(gram, check=False), embed)
+    proj = orth_projection(gram, embed)
     expect_cols = [span.coords(proj.column(j)) for j in range(alg.dim)]
     if any(c is None for c in expect_cols):
         raise AssertionError("orthogonal projection leaves the subalgebra")

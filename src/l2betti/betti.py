@@ -206,7 +206,7 @@ def generator_independence_check(alg, module, base_value, seed: int) -> bool:
 def betti_hochschild(ext: Extension, N: int, seed: int = None) -> BettiTable:
     """Betti numbers through the square-coefficient Hochschild pipeline."""
     fsq, _ = fiber_square_of(ext)
-    l2 = l2_complex(ext, fsq, N)
+    l2 = l2_complex(fsq, N)
     values = []
     methods = []
     checked = None
@@ -275,11 +275,7 @@ def groupoid_normalizer_generators(ext: Extension):
     """Bisection unitaries of the underlying groupoid, as algebra vectors."""
     if not ext.provenance or ext.provenance[0] not in ("groupoid", "twisted"):
         raise ValueError("extension does not come from a groupoid")
-    g = ext.provenance[1]
-    out = []
-    for nm, u in ext.alg.unitary_family:
-        out.append((nm, u))
-    return out
+    return list(ext.alg.unitary_family)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def cmd_homology(config: RunConfig) -> int:
         p = geometric_complex(obj, kind, config.N)
     elif kind == "l2":
         ext = as_extension(obj)
-        p = l2_complex(ext, fiber_square_of(ext)[0], config.N)
+        p = l2_complex(fiber_square_of(ext)[0], config.N)
     elif kind == "algebra-bar":
         ext = as_extension(obj)
         p = bar_complex(ext, config.N)

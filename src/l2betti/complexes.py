@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import Extension, convolution_algebra
-from .fibersquare import FiberSquareAlgebra, fiber_square_of
+from .fibersquare import FiberSquareAlgebra
 from .groupoids import (
     FiniteGroupoid, geometric_carrier, geometric_face, enveloping,
 )
@@ -338,7 +338,6 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
         action=action, gram=gram, labels=carriers, homotopy=homotopy,
         name="%s-%s" % (g.name or "G", kind),
         meta={"kind": kind, "groupoid": g.name})
-    out.ext = ext
     out.verify_presimplicial()
     return out
 
@@ -425,12 +424,12 @@ def _chain_gram(level: Level, coq: Quotient) -> GMatrix:
     return section.adjoint().mul(g.mul(section))
 
 
-def hochschild_complex(ext: Extension, base_level: Level, N: int,
-                       coeff=None, coeff_action=None,
+def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
                        name="") -> PresimplicialModule:
-    """Chain spaces: coinvariants of base (x)_B A^{(x)n}; faces merge slots
-    and wrap the last factor onto the base through the left action."""
-    tower = Tower(base_level, ext)
+    """Chain spaces: coinvariants of base (x)_B A^{(x)n}, A being the
+    base's own extension; faces merge slots and wrap the last factor onto
+    the base through the left action."""
+    tower = Tower(base_level)
     levels = [tower.level(n) for n in range(N + 1)]
     coqs = [_coinv_quotient(l) for l in levels]
     dims = [q.dim for q in coqs]
@@ -483,12 +482,12 @@ def hochschild_complex(ext: Extension, base_level: Level, N: int,
 
 def plain_hochschild_complex(ext: Extension, N: int) -> PresimplicialModule:
     """C_n(A/B) with coefficients in A itself."""
-    return hochschild_complex(ext, extension_base_level(ext), N,
-                              name="HH(%s)" % ext.name)
+    return hochschild_complex(extension_base_level(ext), N, name="HH(%s)" % ext.name)
 
 
-def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
-    """Square-coefficient Hochschild complex, a module over the fiber square.
+def l2_complex(fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
+    """Square-coefficient Hochschild complex of the extension A/B whose
+    fiber square is fsq (fsq.tensor.ext), a module over the fiber square.
 
     At finite scale the weak closure of the fiber square is the fiber
     square itself, so the coefficient bimodule is the balanced square with
@@ -496,9 +495,8 @@ def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int) -> Presimplicial
     and the wrap augmentation onto A/[B, A].
     """
     sq = fsq.tensor.level
-    out = hochschild_complex(ext, sq, N, coeff=fsq,
-                             coeff_action=lambda k: fsq.ops[k],
-                             name="L2(%s)" % ext.name)
+    out = hochschild_complex(sq, N, coeff=fsq, coeff_action=lambda k: fsq.ops[k],
+                             name="L2(%s)" % fsq.tensor.ext.name)
     tower = out.tower
     coqs = out.coinv
 
@@ -522,19 +520,6 @@ def l2_complex(ext: Extension, fsq: FiberSquareAlgebra, N: int) -> Presimplicial
     out.homotopy = homotopy
     out.meta["coefficients"] = "balanced square; weak closure trivial at finite dimension"
     return out
-
-
-def contracting_homotopy(kind: str, ext: Extension, N: int) -> ContractingHomotopy:
-    """Verified contracting homotopy of the bar or square-coefficient
-    complex of an extension, with its augmentation."""
-    if kind == "bar":
-        p = bar_complex(ext, N)
-    elif kind == "acyclic":
-        p = l2_complex(ext, fiber_square_of(ext)[0], N)
-    else:
-        raise ValueError("no contracting homotopy for kind %r" % kind)
-    p.homotopy.verify(p.boundary(), max(N - 1, 0))
-    return p.homotopy
 
 
 def bar_complex(ext: Extension, N: int):
@@ -573,11 +558,12 @@ def bar_complex(ext: Extension, N: int):
 # comparison isomorphisms between geometric and algebraic complexes
 
 
-def _fold_tuple_class(ext: Extension, tower: Tower, t):
-    """Class of delta_{t0} (x) ... (x) delta_{tk} inside the tower.
+def _fold_tuple_class(tower: Tower, t):
+    """Class of delta_{t0} (x) ... (x) delta_{tk} inside the tower of a
+    groupoid extension.
 
     The base of depth d takes the first d + 1 letters."""
-    gi = {a: k for k, a in enumerate(ext.provenance[1].elements)}
+    gi = {a: k for k, a in enumerate(tower.base.ext.provenance[1].elements)}
     levels = [tower.base]
     while levels[0].prev is not None:
         levels.insert(0, levels[0].prev)
@@ -588,8 +574,7 @@ def _fold_tuple_class(ext: Extension, tower: Tower, t):
     return vec
 
 
-def geometric_comparison(ext: Extension, geo: PresimplicialModule,
-                         alg: PresimplicialModule, N: int):
+def geometric_comparison(geo: PresimplicialModule, alg: PresimplicialModule, N: int):
     """Degreewise isomorphism from a geometric complex onto the algebraic
     complex over the same tower, commuting with all faces: bar onto bar,
     cyclic onto Hochschild, square tuples onto the square-coefficient
@@ -599,7 +584,7 @@ def geometric_comparison(ext: Extension, geo: PresimplicialModule,
     what = "comparison %s -> %s" % (geo.name, alg.name)
     isos = []
     for n in range(N + 1):
-        cols = [_fold_tuple_class(ext, alg.tower, t) for t in geo.labels[n]]
+        cols = [_fold_tuple_class(alg.tower, t) for t in geo.labels[n]]
         if coinv is not None:
             cols = [coinv[n].project(c) for c in cols]
         m = GMatrix.from_cols(alg.dims[n], cols)

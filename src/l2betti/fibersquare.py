@@ -1,12 +1,23 @@
-"""Balanced tensors A (x)_B C, the operators u * v, and fiber squares.
+"""Balanced squares A (x)_B A, the operators u * v, and fiber squares.
 
-The fiber square of A/B and C/B is the algebra of A-C-bimodular
-endomorphisms of A (x)_B C generated by the operators
-(u * v)(a (x) c) = a u (x) v c over pairs of unitaries with matching
-conjugation action on B.  The algebra is built by saturating the
-evaluations T(1 (x) 1), and the structure constants are read off through
-them.  That evaluation at 1 (x) 1 is injective on bimodular operators is
-certified by three exact checks, not assumed:
+The fiber square of A/B is the algebra of A-A-bimodular endomorphisms of
+the balanced square A (x)_B A generated by the operators
+(u * v)(a (x) c) = a u (x) v c over pairs of unitaries of A with matching
+conjugation action on B.  It is the coefficient algebra of the L2-complex
+(complexes.l2_complex), as in Connes-Shlyakhtenko's case B = C.  Every
+object here is over one extension A/B, held once by the balanced square
+as BalancedTensor.ext.
+
+The form.  balanced_tensor checks that the trace of A is tracial on basis
+pairs.  With E trace-preserving and B-bimodular (Extension.validate), that
+is exactly the agreement of the three expressions of the inner product on
+A (x)_B A (_check_tracial).  The form is then checked hermitian and
+positive definite on the quotient.
+
+The algebra is built by saturating the evaluations T(1 (x) 1), and the
+structure constants are read off through them.  That evaluation at
+1 (x) 1 is injective on bimodular operators is certified by three exact
+checks, not assumed:
 
 1. 1 (x) 1 is cyclic: each basis vector of the quotient, represented by
    a_i (x) c_j, equals a_i . (1 (x) 1) . c_j.  A bimodular S with
@@ -38,7 +49,7 @@ while its span is below the invariants' bound, and the basis operators,
 which act as the coefficients of complexes.l2_complex and whose adjoints
 are checked bimodular.
 
-The pairs.  For unitaries u in A and v in C, the pair matches (u* x u =
+The pairs.  For unitaries u and v in A, the pair matches (u* x u =
 v x v* for every x in B, both sides in B) if and only if xi = [u (x) v] is
 B-central.  If y = u* x u = v x v* lies in B, then x u = u y and v x = y v,
 so x . xi = [u y (x) v] = [u (x) y v] = xi . x.  Conversely, multiplying
@@ -69,19 +80,18 @@ from .algebras import (
 )
 from .groupoids import FiniteGroupoid, enveloping
 from .linalg import (
-    Echelon, GMatrix, HermitianForm, adjoint_wrt, invert, kernel_basis,
-    vec_dot, vec_eq,
+    Echelon, GMatrix, adjoint_wrt, invert, is_positive_semidefinite,
+    kernel_basis, vec_dot, vec_eq,
 )
 from .scalars import ONE
-from .tensor import Level, append_level, extension_base_level, same_algebra
+from .tensor import Level, append_level, extension_base_level
 
 
 @dataclass
 class BalancedTensor:
-    """A (x)_B C with its scalar form and the distinguished vector 1 (x) 1."""
+    """A (x)_B A with its scalar form and the distinguished vector 1 (x) 1."""
 
-    extA: Extension
-    extC: Extension
+    ext: Extension
     level: Level
     one_one: dict
     gram: GMatrix
@@ -96,66 +106,51 @@ class BalancedTensor:
         return self._gram_inv
 
 
-def balanced_tensor(extA: Extension, extC: Extension) -> BalancedTensor:
-    """The balanced tensor of two extensions of the same subalgebra.
+def balanced_tensor(ext: Extension) -> BalancedTensor:
+    """The balanced square A (x)_B A of an extension A/B.
 
-    The form is checked positive definite on the quotient, and the three
-    expressions of the inner product
-    tr_B(E(d b*) E(a* c)) = tr_C(b* E(a* c) d) = tr_A(c E(d b*) a*)
-    are verified to agree on all basis quadruples.
+    The trace of A is checked tracial (_check_tracial), and the form is
+    checked hermitian and positive definite on the quotient.
     """
-    if not same_algebra(extA.sub, extC.sub):
-        raise ValueError("extensions do not share the subalgebra")
-    base = extension_base_level(extA)
-    lvl = append_level(base, extC)
-    A, C = extA.alg, extC.alg
-    one_one = lvl.tensor_class(A.unit, C.unit)
+    _check_tracial(ext.alg)
+    lvl = append_level(extension_base_level(ext), ext)
+    unit = ext.alg.unit
+    one_one = lvl.tensor_class(unit, unit)
     gram = lvl.scalar_gram()
-
-    form = HermitianForm(gram, check=True)
-    if not form.is_positive_semidefinite():
+    if gram != gram.adjoint():
+        raise ValueError("balanced tensor form is not hermitian")
+    if not is_positive_semidefinite(gram):
         raise ValueError("balanced tensor form is not positive semidefinite")
     if kernel_basis(gram).cols != 0:
         raise ValueError("balanced tensor form is degenerate on the quotient")
-    _check_inner_product_expressions(extA, extC)
-    return BalancedTensor(extA, extC, lvl, one_one, gram)
+    return BalancedTensor(ext, lvl, one_one, gram)
 
 
-def _check_inner_product_expressions(extA: Extension, extC: Extension):
-    """The three expressions agree on every basis quadruple (a, b, c, d).
+def _check_tracial(A: TracialStarAlgebra):
+    """tr(e_a e_c) = tr(e_c e_a) on every basis pair c < a.
 
-    tr_B(E(d b*) x) = tr_C(b* x d) and tr_B(y E(a* c)) = tr_A(c y a*) are
-    linear in x, y in B, so checking them on a basis of B covers every
-    quadruple, at dim_B * (dim_A^2 + dim_C^2) products.
+    This is what makes the three expressions of the inner product on
+    A (x)_B A agree, tr_B(E(d b*) E(a* c)) = tr_A(b* E(a* c) d) =
+    tr_A(c E(d b*) a*).  With E trace-preserving and B-bimodular (both
+    checked by Extension.validate), tr_B(E(d b*) x) = tr_A(d b* x) and
+    tr_B(y E(a* c)) = tr_A(y a* c) for x, y in B.  The identities then read
+    tr_A(d w) = tr_A(w d) with w = b* x, and tr_A(z c) = tr_A(c z) with
+    z = y a*; at x = y = 1 these w and z run over all of A.  So they hold
+    exactly when tr_A is tracial, which by bilinearity is this check on
+    basis pairs: dim_A (dim_A - 1) / 2 comparisons.
     """
-    A, C, B = extA.alg, extC.alg, extA.sub
-    basis_b = [{k: ONE} for k in range(B.dim)]
-    for b in range(C.dim):
-        sb = C.star({b: ONE})
-        for d in range(C.dim):
-            edb = extC.expectation_sub(C.mul({d: ONE}, sb))       # E(d b*) in B
-            for k, x in enumerate(basis_b):
-                if B.trace(B.mul(edb, x)) != C.trace(
-                        C.mul(sb, C.mul(extC.embed.column(k), {d: ONE}))):
-                    raise AssertionError(
-                        "inner product expressions disagree at C basis (%d,%d), "
-                        "B basis %d" % (b, d, k))
+    mult, tr = A.mult, A.trace
     for a in range(A.dim):
-        sa = A.star({a: ONE})
-        for c in range(A.dim):
-            eac = extA.expectation_sub(A.mul(sa, {c: ONE}))       # E(a* c) in B
-            for k, y in enumerate(basis_b):
-                if B.trace(B.mul(y, eac)) != A.trace(
-                        A.mul({c: ONE}, A.mul(extA.embed.column(k), sa))):
-                    raise AssertionError(
-                        "inner product expressions disagree at A basis (%d,%d), "
-                        "B basis %d" % (a, c, k))
+        for c in range(a):
+            if tr(mult[a][c]) != tr(mult[c][a]):
+                raise ValueError("trace of %s is not tracial at basis pair (%s, %s)"
+                                 % (A.name, A.labels[a], A.labels[c]))
 
 
-def s_condition(extA: Extension, extC: Extension, u: dict, v: dict) -> bool:
+def s_condition(ext: Extension, u: dict, v: dict) -> bool:
     """Matching condition u* x u == v x v* in B, for every x in B."""
-    left = _sig(extA, u, "left")
-    return left is not None and left == _sig(extC, v, "right")
+    left = _sig(ext, u, "left")
+    return left is not None and left == _sig(ext, v, "right")
 
 
 def pair_operator(bt: BalancedTensor, u: dict, v: dict) -> GMatrix:
@@ -173,7 +168,7 @@ def _operator(bt: BalancedTensor, xi: dict) -> GMatrix:
     It is well defined and bimodular when xi is B-central (module docstring,
     check 3); callers check that."""
     lvl = bt.level
-    right = [lvl.right_act(j).apply(xi) for j in range(bt.extC.alg.dim)]
+    right = [lvl.right_act(j).apply(xi) for j in range(bt.ext.alg.dim)]
     return GMatrix(lvl.dim, lvl.dim, [lvl.left_act(i).apply(right[j]) for i, j in lvl.reps()])
 
 
@@ -219,16 +214,16 @@ def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
 
 def star_operator(bt: BalancedTensor, u: dict, v: dict) -> GMatrix:
     """pair_operator for a unitary pair satisfying the matching condition."""
-    A, C = bt.extA.alg, bt.extC.alg
-    if not A.is_unitary(u) or not C.is_unitary(v):
+    ext = bt.ext
+    if not ext.alg.is_unitary(u) or not ext.alg.is_unitary(v):
         raise ValueError("star operator requires unitaries")
-    left, right = _sig(bt.extA, u, "left"), _sig(bt.extC, v, "right")
+    left, right = _sig(ext, u, "left"), _sig(ext, v, "right")
     if left is None or right is None:
         raise ValueError("matching condition fails (conjugate leaves B)")
     if left != right:
         k = next(k for k, (l, r) in enumerate(zip(left, right)) if l != r)
         raise ValueError("matching condition fails at subalgebra basis %s"
-                         % bt.extA.sub.labels[k])
+                         % ext.sub.labels[k])
     return pair_operator(bt, u, v)
 
 
@@ -281,7 +276,7 @@ def _saturate(bt: BalancedTensor, pairs) -> SpanBasis:
     cannot outgrow the invariants; once it fills them, every later
     candidate is dependent and is neither reduced nor multiplied.
     """
-    A, C = bt.extA.alg, bt.extC.alg
+    A = bt.ext.alg
     bound = bt.level.invariants().cols
     evals = SpanBasis()
     evals.add(bt.one_one)
@@ -289,7 +284,7 @@ def _saturate(bt: BalancedTensor, pairs) -> SpanBasis:
     seen_pairs = set()
     for (nu, u), (nv, v) in pairs:
         for nm, uu, vv in (("%s*%s" % (nu, nv), u, v),
-                           ("%s**%s*" % (nu, nv), A.star(u), C.star(v))):
+                           ("%s**%s*" % (nu, nv), A.star(u), A.star(v))):
             key = (frozenset(uu.items()), frozenset(vv.items()))
             if key in seen_pairs:
                 continue
@@ -317,8 +312,7 @@ def _saturate(bt: BalancedTensor, pairs) -> SpanBasis:
     return evals
 
 
-def fiber_square(extA: Extension, extC: Extension, pairs, name=None,
-                 tensor=None) -> FiberSquareAlgebra:
+def fiber_square(ext: Extension, pairs, name=None, tensor=None) -> FiberSquareAlgebra:
     """Generate the fiber square from matching unitary pairs and saturate.
 
     pairs: iterable of ((name_u, u), (name_v, v)), each satisfying the
@@ -331,7 +325,9 @@ def fiber_square(extA: Extension, extC: Extension, pairs, name=None,
     dependent pairs are then determined by their evaluations and are not
     compared entry by entry.
     """
-    bt = tensor if tensor is not None else balanced_tensor(extA, extC)
+    bt = tensor if tensor is not None else balanced_tensor(ext)
+    if bt.ext is not ext:
+        raise ValueError("balanced tensor is not the square of this extension")
 
     _check_cyclic(bt)
     evals = _saturate(bt, pairs)
@@ -353,15 +349,14 @@ def fiber_square(extA: Extension, extC: Extension, pairs, name=None,
 
     # structure constants through the separating vector; an adjoint checked
     # bimodular is the combination its evaluation names
-    form = HermitianForm(bt.gram, check=False)
     gram_inv = bt.gram_inv()
     structure = span_structure(
         can, lambda i, j: ops[i].apply(vecs[j]),
-        lambda i: _check_bimodular(bt, adjoint_wrt(form, ops[i], gram_inv)),
+        lambda i: _check_bimodular(bt, adjoint_wrt(bt.gram, ops[i], gram_inv)),
         lambda i: vec_dot(bt.one_one, bt.gram.apply(vecs[i])), bt.one_one)
     fsq = FiberSquareAlgebra(
         bt, ops, [dict(v) for v in vecs], ["T%d" % k for k in range(len(ops))],
-        *structure, name=name or ("%s*%s" % (extA.alg.name, extC.alg.name)),
+        *structure, name=name or ("%s*%s" % (ext.alg.name, ext.alg.name)),
         operator_backed=True)
     rep = validate_algebra(fsq)
     if not rep.ok:
@@ -402,25 +397,23 @@ def _sig(ext: Extension, u: dict, side: str):
     return tuple(out)
 
 
-def canonical_pairs(extA: Extension, extC: Extension = None):
-    """Unitary pairs from the canonical families, matched by conjugation.
+def canonical_pairs(ext: Extension):
+    """Unitary pairs from the canonical family, matched by conjugation.
 
     For the condition u* x u = v x v*, u is grouped by its left signature
-    and v by its right signature.
+    and v matched by its right signature.
     """
-    extC = extC or extA
-    fam_a = extA.alg.unitary_family
-    fam_c = extC.alg.unitary_family
-    if not fam_a or not fam_c:
+    fam = ext.alg.unitary_family
+    if not fam:
         raise ValueError("extension has no canonical unitary family")
     left = {}
-    for nm, u in fam_a:
-        s = _sig(extA, u, "left")
+    for nm, u in fam:
+        s = _sig(ext, u, "left")
         if s is not None:
             left.setdefault(s, []).append((nm, u))
     out = []
-    for nm, v in fam_c:
-        s = _sig(extC, v, "right")
+    for nm, v in fam:
+        s = _sig(ext, v, "right")
         if s is None:
             continue
         for nu, u in left.get(s, ()):
@@ -440,7 +433,7 @@ def scalar_base_pairs(ext: Extension):
 def default_pairs(ext: Extension):
     if ext.sub.dim == 1:
         return scalar_base_pairs(ext)
-    return canonical_pairs(ext, ext)
+    return canonical_pairs(ext)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +445,7 @@ def fiber_square_of(ext: Extension):
     identification when ext comes from a groupoid (None otherwise)."""
     if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
         return groupoid_fiber_square(ext)
-    return fiber_square(ext, ext, default_pairs(ext)), None
+    return fiber_square(ext, default_pairs(ext)), None
 
 
 @dataclass
@@ -475,8 +468,8 @@ def groupoid_fiber_square(ext: Extension):
     if not ext.provenance or ext.provenance[0] not in ("groupoid", "twisted"):
         raise ValueError("extension does not come from a groupoid")
     g = ext.provenance[1]
-    pairs = canonical_pairs(ext, ext)
-    fsq = fiber_square(ext, ext, pairs, name="C[%s]^sq" % (g.name or "G"))
+    pairs = canonical_pairs(ext)
+    fsq = fiber_square(ext, pairs, name="C[%s]^sq" % (g.name or "G"))
     env = enveloping(g)
     env_ext = convolution_algebra(env)
     lvl = fsq.tensor.level
@@ -580,7 +573,7 @@ def projection_pair_trace_identity(ext: Extension, p: dict):
         bk = ext.embed.column(k)
         if not vec_eq(A.mul(p, bk), A.mul(bk, p)):
             raise ValueError("p does not commute with B")
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     lhs = vec_dot(bt.one_one, bt.gram.apply(bt.level.tensor_class(p, p)))
     ep = ext.expectation_sub(p)
     rhs = ext.sub.trace(ext.sub.mul(ep, ep))

@@ -276,21 +276,6 @@ def action_groupoid(table: dict, unit, action: dict,
     return FiniteGroupoid(space, els, src, tgt, inv, comp, units, name=name)
 
 
-def build_groupoid(kind: str, **kw) -> FiniteGroupoid:
-    if kind == "trivial":
-        return trivial_groupoid(kw["space"])
-    if kind == "from_group":
-        return group_groupoid(kw["table"], kw["unit"], kw.get("name", "group"))
-    if kind == "pair_relation":
-        return pair_relation(kw["space"])
-    if kind == "partition_relation":
-        return partition_relation(kw["space"], kw["blocks"])
-    if kind == "action_groupoid":
-        return action_groupoid(kw["table"], kw["unit"], kw["action"],
-                               kw["space"], kw.get("name", "action"))
-    raise ValueError("unknown groupoid kind %r" % kind)
-
-
 # ---------------------------------------------------------------------------
 # structure maps
 

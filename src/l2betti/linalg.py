@@ -622,68 +622,58 @@ class LinearSolver:
 # hermitian forms
 
 
-class HermitianForm:
-    """A hermitian form given by its Gram matrix: <u|v> = adjoint(u) G v."""
-
-    def __init__(self, gram: GMatrix, check=True):
-        assert gram.rows == gram.cols, "gram must be square"
-        if check and gram != gram.adjoint():
-            raise ValueError("gram matrix is not hermitian")
-        self.gram = gram
-
-    @property
-    def dim(self):
-        return self.gram.rows
-
-    def is_positive_semidefinite(self) -> bool:
-        """Pivoted exact elimination; all pivots must be real nonnegative."""
-        n = self.dim
-        work = {i: dict(c) for i, c in enumerate(self.gram.col) if c}
-        alive = set(range(n))
-        while alive:
-            piv = None
-            for j in list(alive):
-                d = work.get(j, {}).get(j)
-                if d is not None and not d.is_zero():
-                    piv = j
-                    break
-            if piv is None:
-                # all remaining diagonal entries vanish: psd iff block is zero
-                for j in alive:
-                    cj = work.get(j, {})
-                    for i, x in cj.items():
-                        if i in alive and not x.is_zero():
-                            return False
-                return True
-            d = work[piv][piv]
-            if not d.is_real() or d.a < 0:
-                return False
-            col = {i: x for i, x in work[piv].items() if i in alive}
-            dinv = d.inverse()
-            for j in list(alive):
-                if j == piv:
-                    continue
-                cj = work.get(j)
-                if cj is None:
-                    continue
-                f = cj.get(piv)
-                if f is None or f.is_zero():
-                    continue
-                coef = -(dinv * f)
-                for i, x in col.items():
-                    y = cj.get(i)
-                    s = coef * x if y is None else y + coef * x
-                    if s.is_zero():
-                        cj.pop(i, None)
-                    else:
-                        cj[i] = s
-            alive.discard(piv)
-            work.pop(piv, None)
-        return True
+def is_positive_semidefinite(gram: GMatrix) -> bool:
+    """Whether the hermitian form <u|v> = adjoint(u) G v of a hermitian Gram
+    G is positive semidefinite: pivoted exact elimination, every pivot
+    real and nonnegative."""
+    assert gram.rows == gram.cols, "gram must be square"
+    work = {i: dict(c) for i, c in enumerate(gram.col) if c}
+    alive = set(range(gram.rows))
+    while alive:
+        piv = None
+        for j in list(alive):
+            d = work.get(j, {}).get(j)
+            if d is not None and not d.is_zero():
+                piv = j
+                break
+        if piv is None:
+            # all remaining diagonal entries vanish: psd iff block is zero
+            for j in alive:
+                cj = work.get(j, {})
+                for i, x in cj.items():
+                    if i in alive and not x.is_zero():
+                        return False
+            return True
+        d = work[piv][piv]
+        if not d.is_real() or d.a < 0:
+            return False
+        col = {i: x for i, x in work[piv].items() if i in alive}
+        dinv = d.inverse()
+        for j in list(alive):
+            if j == piv:
+                continue
+            cj = work.get(j)
+            if cj is None:
+                continue
+            f = cj.get(piv)
+            if f is None or f.is_zero():
+                continue
+            coef = -(dinv * f)
+            for i, x in col.items():
+                y = cj.get(i)
+                s = coef * x if y is None else y + coef * x
+                if s.is_zero():
+                    cj.pop(i, None)
+                else:
+                    cj[i] = s
+        alive.discard(piv)
+        work.pop(piv, None)
+    return True
 
 
-def orth_projection(form: HermitianForm, S: GMatrix) -> GMatrix:
-    """Form-orthogonal projection onto span(S).
+def orth_projection(gram: GMatrix, S: GMatrix) -> GMatrix:
+    """Projection onto span(S), orthogonal for the hermitian form
+    <u|v> = adjoint(u) gram v.
 
     Requires the columns of S independent and the form nondegenerate on
     span(S); the result P satisfies P^2 = P, im P = span(S) and
@@ -691,18 +681,17 @@ def orth_projection(form: HermitianForm, S: GMatrix) -> GMatrix:
     """
     if rank(S) != S.cols:
         raise ValueError("projection target columns are dependent")
-    G = form.gram
-    GS = G.mul(S)
+    GS = gram.mul(S)
     small = S.adjoint().mul(GS)          # S^* G S
     try:
         small_inv = invert(small)
     except ValueError:
         raise ValueError("form is degenerate on the projection target")
-    X = small_inv.mul(S.adjoint().mul(G))
+    X = small_inv.mul(S.adjoint().mul(gram))
     return S.mul(X)
 
 
-def adjoint_wrt(form: HermitianForm, M: GMatrix, gram_inv: GMatrix = None) -> GMatrix:
-    """Adjoint of M with respect to the form: G^{-1} M^* G."""
-    gi = gram_inv if gram_inv is not None else invert(form.gram)
-    return gi.mul(M.adjoint().mul(form.gram))
+def adjoint_wrt(gram: GMatrix, M: GMatrix, gram_inv: GMatrix) -> GMatrix:
+    """Adjoint of M with respect to the form with Gram G = gram:
+    G^{-1} M^* G, with gram_inv = G^{-1}."""
+    return gram_inv.mul(M.adjoint().mul(gram))

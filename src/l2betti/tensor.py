@@ -11,11 +11,11 @@ A balanced product M (x)_B A is built on one of two paths.
   The quotient drops coordinates, the defects lambda_b - rho_b are diagonal
   and the coinvariants keep the basis vectors with tl = sr.  The
   certificate, stated in `_graded_level`, is a blockwise Kronecker product
-  checked once per appended algebra (sandwich supports, trace-form blocks)
-  and once at the base (form supports, Gram rank); an appended level keeps
-  its form factored and expands it only when its Gram is asked for.  Over
-  the scalars B = C1 is one minimal projection, so the graded path has one
-  block and the quotient is the identity.
+  checked once per tower, on the first append (sandwich supports and
+  trace-form blocks, base form supports and base Gram rank); an appended
+  level keeps its form factored and expands it only when its Gram is asked
+  for.  Over the scalars B = C1 is one minimal projection, so the graded
+  path has one block and the quotient is the identity.
 - Radical: otherwise the level is the quotient of the plain tensor product
   by the radical of the induced hermitian form; the balancing relations
   (m.b) (x) a - m (x) (b.a) are checked to lie in the radical and to span
@@ -23,7 +23,11 @@ A balanced product M (x)_B A is built on one of two paths.
 
 Levels are built iteratively (append one factor at a time) and carry the
 B-valued inner product, the outer algebra actions, merge maps for adjacent
-factors, and unit-insertion maps used by the contracting homotopies.
+factors, and unit-insertion maps used by the contracting homotopies.  A
+tower is over one extension A/B, held once on each level as `Level.ext`:
+the base is A (or a level of A's own tower, such as the square A (x)_B A),
+and every appended factor is A again, so the balanced tensor, the fiber
+square and every complex built on them have one A and one B.
 
 On graded levels whose algebras have a monomial basis
 (`Extension.monomial`), every one of those maps sends each basis vector
@@ -38,27 +42,12 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .algebras import Extension, TracialStarAlgebra
+from .algebras import Extension
 from .linalg import (
     Echelon, GMatrix, IndexMap, IndexSum, as_matrix, combination, kernel_basis,
-    rank, vec_eq,
+    rank,
 )
 from .scalars import ONE, ZERO
-
-
-def same_algebra(b1: TracialStarAlgebra, b2: TracialStarAlgebra) -> bool:
-    if b1 is b2:
-        return True
-    if b1.dim != b2.dim or b1.labels != b2.labels:
-        return False
-    for i in range(b1.dim):
-        if not vec_eq(b1.star_table[i], b2.star_table[i]):
-            return False
-        for j in range(b1.dim):
-            if not vec_eq(b1.mult[i][j], b2.mult[i][j]):
-                return False
-    return (vec_eq(b1.unit, b2.unit)
-            and all(b1.trace({i: ONE}) == b2.trace({i: ONE}) for i in range(b1.dim)))
 
 
 class Quotient:
@@ -119,36 +108,33 @@ class Quotient:
 
 
 class Level:
-    """One balanced tensor power, with its actions, forms and merge maps.
+    """One balanced tensor power A (x)_B ... (x)_B A, with its actions, forms
+    and merge maps.
 
-    An appended level is the quotient of prev (x) A2; its basis vector q is
-    the class of e_v (x) e_b for the q-th pair (v, b) of reps().  Every map
-    between levels is built from three primitives: tensor_class (the class
-    of v (x) a), lift (carry a map of the previous level through the last factor) and
-    central_defects / invariants (lambda_b - rho_b and their common kernel).
-    On the graded path tl and sr hold the left and right support of each
-    basis vector; on the radical path they are None.  On an index level
-    (graded, with monomial bases throughout) the maps are IndexMaps.
+    Every level of a tower is over one extension A/B, held as ext: the base
+    is A, each appended factor is A, and A acts on the outer factors from
+    both sides.  An appended level is the quotient of prev (x) A; its basis
+    vector q is the class of e_v (x) e_b for the q-th pair (v, b) of reps().
+    Every map between levels is built from three primitives: tensor_class
+    (the class of v (x) a), lift (carry a map of the previous level through
+    the last factor) and central_defects / invariants (lambda_b - rho_b and
+    their common kernel).  On the graded path tl and sr hold the left and
+    right support of each basis vector; on the radical path they are None.
+    On an index level (graded, with a monomial basis) the maps are
+    IndexMaps.
     """
 
-    def __init__(self, dim, left_ext, right_ext, bgram,
-                 prev=None, app_ext=None, quotient=None,
-                 base_right_mult=None, base_left_mult=None, tl=None, sr=None,
+    def __init__(self, ext, dim, bgram, prev=None, quotient=None, tl=None, sr=None,
                  index=False, blocks=None):
+        self.ext = ext
         self.dim = dim
         self.tl = tl
         self.sr = sr
         self.index = index
-        self.left_ext = left_ext            # extension acting on the left
-        self.right_ext = right_ext          # extension acting on the right
-        self.sub = left_ext.sub
         self.bgram = bgram                  # i -> {j -> b-vector}; graded appended: None
         self.blocks = blocks                # graded appended: _graded_level's blocks
         self.prev = prev
-        self.app_ext = app_ext
         self.quotient = quotient
-        self._base_right_mult = base_right_mult
-        self._base_left_mult = base_left_mult
         self._right = {}
         self._left = {}
         self._join = {}
@@ -160,19 +146,19 @@ class Level:
 
     def reps(self):
         """The pair (v, b) of each basis vector, in order."""
-        return map(divmod, self.quotient.keep, repeat(self.app_ext.alg.dim))
+        return map(divmod, self.quotient.keep, repeat(self.ext.alg.dim))
 
     def tensor_class(self, v: dict, a: dict) -> dict:
         """The class of v (x) a, for v in the previous level and a in the
         appended algebra."""
-        d2 = self.app_ext.alg.dim
+        d2 = self.ext.alg.dim
         return self.quotient.project(
             {i * d2 + j: x * y for i, x in v.items() for j, y in a.items()})
 
     def class_index(self, pairs) -> list:
         """On an index level, the coordinate of the class of e_v (x) e_b for
         each pair (v, b): None where v or b is None or the pair is dropped."""
-        d2 = self.app_ext.alg.dim
+        d2 = self.ext.alg.dim
         return self.quotient.reindex([None if v is None or b is None else v * d2 + b
                                       for v, b in pairs])
 
@@ -185,7 +171,7 @@ class Level:
         if dst.index and isinstance(inner, IndexSum):
             return IndexSum(dst.dim, self.dim,
                             [(s, self.lift(m, dst)) for s, m in inner.terms])
-        d2 = dst.app_ext.alg.dim
+        d2 = dst.ext.alg.dim
         if dst.index and isinstance(inner, IndexMap):
             idx, sign = inner.idx, inner.sign
             amb = [None if (r := idx[v]) is None else r * d2 + b for v, b in self.reps()]
@@ -201,8 +187,8 @@ class Level:
         """v -> [v (x) 1] from the previous level into this one; with front,
         b -> [1 (x) b] from the appended algebra, the previous level being
         the base algebra."""
-        ext = self.prev.left_ext if front else self.app_ext
-        cols = self.app_ext.alg.dim if front else self.prev.dim
+        ext = self.ext
+        cols = ext.alg.dim if front else self.prev.dim
         if self.index:
             terms = []
             for u, s in ext.monomial().unit:
@@ -221,9 +207,9 @@ class Level:
         and sr instead (central_coords)."""
         if self._defects is None:
             self._defects = [
-                combination(self.dim, self.left_ext.embed.column(k), self.left_act).sub(
-                    combination(self.dim, self.right_ext.embed.column(k), self.right_act))
-                for k in range(self.sub.dim)]
+                combination(self.dim, self.ext.embed.column(k), self.left_act).sub(
+                    combination(self.dim, self.ext.embed.column(k), self.right_act))
+                for k in range(self.ext.sub.dim)]
         return self._defects
 
     def central_coords(self) -> list:
@@ -238,7 +224,7 @@ class Level:
                 keep = self.central_coords()
                 self._invariants = GMatrix(self.dim, len(keep), [{q: ONE} for q in keep])
             else:
-                stacked = GMatrix.zero(self.dim * self.sub.dim, self.dim)
+                stacked = GMatrix.zero(self.dim * self.ext.sub.dim, self.dim)
                 for k, d in enumerate(self.central_defects()):
                     for j, c in enumerate(d.col):
                         for i, x in c.items():
@@ -252,18 +238,18 @@ class Level:
         m = self._right.get(a_idx)
         if m is None:
             if self.prev is None:
-                m = self._base_right_mult(a_idx)
+                m = self._base_mult(a_idx, right=True)
             elif self.index:
                 # v (x) e_b . a = sign v (x) e_c for e_b a = sign e_c
-                mono = self.app_ext.monomial()
+                mono = self.ext.monomial()
                 col = [row[a_idx] for row in mono.idx]
                 m = IndexMap(self.dim, self.class_index([(v, col[b]) for v, b in self.reps()]),
                              None if mono.sign is None else
                              [mono.sign[b][a_idx] for _, b in self.reps()])
             else:
                 # v (x) e_b . a is e_b a reindexed into slot v, then projected
-                mult = self.app_ext.alg.mult
-                d2 = self.app_ext.alg.dim
+                mult = self.ext.alg.mult
+                d2 = self.ext.alg.dim
                 project = self.quotient.project
                 m = GMatrix(self.dim, self.dim, [
                     project({v * d2 + c: x for c, x in mult[b][a_idx].items()})
@@ -275,11 +261,27 @@ class Level:
         m = self._left.get(a_idx)
         if m is None:
             if self.prev is None:
-                m = self._base_left_mult(a_idx)
+                m = self._base_mult(a_idx, right=False)
             else:
                 m = self.lift(self.prev.left_act(a_idx), self)
             self._left[a_idx] = m
         return m
+
+    def _base_mult(self, a_idx: int, right: bool):
+        """e_j -> e_j a (right) or a e_j on the base A, for a = e_{a_idx}: on
+        an index level an IndexMap read off the monomial product table,
+        otherwise a GMatrix."""
+        A = self.ext.alg
+        if self.index:
+            mono = self.ext.monomial()
+            if right:
+                return IndexMap(A.dim, [row[a_idx] for row in mono.idx],
+                                None if mono.sign is None else [row[a_idx] for row in mono.sign])
+            return IndexMap(A.dim, mono.idx[a_idx],
+                            None if mono.sign is None else mono.sign[a_idx])
+        a = {a_idx: ONE}
+        return GMatrix(A.dim, A.dim, [A.mul({j: ONE}, a) if right else A.mul(a, {j: ONE})
+                                      for j in range(A.dim)])
 
     # -- forms
 
@@ -289,15 +291,15 @@ class Level:
         if self.blocks is None:
             return ((i, j, bv[self.sr[i]]) for i, row in self.bgram.items()
                     for j, bv in row.items())
-        d2, pos, psr, blocks = self.app_ext.alg.dim, self.quotient.pos, self.prev.sr, self.blocks
+        d2, pos, psr, blocks = self.ext.alg.dim, self.quotient.pos, self.prev.sr, self.blocks
         return ((pos[v * d2 + a], pos[w * d2 + b], c * d)
                 for v, w, c in self.prev.coefficients() for a, b, d in blocks[psr[v]])
 
     def scalar_gram(self) -> GMatrix:
         if self._scalar is None:
-            tr = self.left_ext.sub_trace
+            tr = self.ext.sub_trace
             if self.bgram is None:
-                tp = [tr({x: ONE}) for x in range(self.sub.dim)]
+                tp = [tr({x: ONE}) for x in range(self.ext.sub.dim)]
                 entries = ((i, j, c * tp[self.sr[i]]) for i, j, c in self.coefficients())
             else:
                 entries = ((i, j, tr(bv)) for i, row in self.bgram.items() for j, bv in row.items())
@@ -334,7 +336,7 @@ class Level:
 
     def _gather(self, act):
         """v (x) b -> act(b) v, into the previous level."""
-        acts = [act(b) for b in range(self.app_ext.alg.dim)]
+        acts = [act(b) for b in range(self.ext.alg.dim)]
         if self.index:
             cols = [m.idx for m in acts]
             idx = [cols[b][v] for v, b in self.reps()]
@@ -361,35 +363,19 @@ def extension_base_level(ext: Extension) -> Level:
             bgram[i] = row
 
     tl, sr = ext.grading() or (None, None)
-    mono = ext.monomial() if tl is not None else None
-    if mono is not None:
-        def base_right(a_idx):
-            return IndexMap(A.dim, [row[a_idx] for row in mono.idx],
-                            None if mono.sign is None else [row[a_idx] for row in mono.sign])
-
-        def base_left(a_idx):
-            return IndexMap(A.dim, mono.idx[a_idx],
-                            None if mono.sign is None else mono.sign[a_idx])
-    else:
-        def base_right(a_idx):
-            return GMatrix(A.dim, A.dim, [A.mul({j: ONE}, {a_idx: ONE}) for j in range(A.dim)])
-
-        def base_left(a_idx):
-            return GMatrix(A.dim, A.dim, [A.mul({a_idx: ONE}, {j: ONE}) for j in range(A.dim)])
-
-    return Level(A.dim, ext, ext, bgram, base_right_mult=base_right,
-                 base_left_mult=base_left, tl=tl, sr=sr, index=mono is not None)
+    return Level(ext, A.dim, bgram, tl=tl, sr=sr,
+                 index=tl is not None and ext.monomial() is not None)
 
 
-def append_level(prev: Level, ext2: Extension) -> Level:
-    """prev (x)_B A2: the composable pairs when prev and ext2 are graded,
-    otherwise the radical quotient of prev (x) A2."""
-    if not same_algebra(prev.sub, ext2.sub):
-        raise ValueError("appended extension has a different base subalgebra")
-    grading = ext2.grading() if prev.sr is not None else None
-    if grading is None:
-        return _radical_level(prev, ext2)
-    return _graded_level(prev, ext2, *grading)
+def append_level(prev: Level, ext: Extension) -> Level:
+    """prev (x)_B A: the composable pairs when prev is graded, otherwise the
+    radical quotient of prev (x) A.  ext must be the tower's extension,
+    prev.ext, itself."""
+    if ext is not prev.ext:
+        raise ValueError("appended extension is not the extension of the tower")
+    if prev.sr is None:
+        return _radical_level(prev)
+    return _graded_level(prev, *ext.grading())
 
 
 def _sandwich_blocks(ext: Extension, by_t, s) -> list:
@@ -417,17 +403,18 @@ def _sandwich_blocks(ext: Extension, by_t, s) -> list:
     return blocks
 
 
-def _graded_level(prev: Level, ext2: Extension, t, s) -> Level:
-    """prev (x)_B A2 on the pairs (v, a) with sr[v] = t(a).
+def _graded_level(prev: Level, t, s) -> Level:
+    """prev (x)_B A on the pairs (v, a) with sr[v] = t(a).
 
     Certificate.  Claim: <v, w>_B = c_vw p_x, x = sr[v] = sr[w]; checked at
     the base where it is first appended to.  Level k-1 to k: on kept pairs
     t(a) = t(b) = x and <v (x) a, w (x) b>_B = c_vw E(a^* p_x b), which lies
     in p_{s(a)} B p_{s(b)} = [s(a) = s(b)] C p_{s(a)} as a = p_x a p_{s(a)};
-    _sandwich_blocks checks E(a^* p_x b) = d_ab p_{s(a)} once per appended
-    algebra.  So the claim holds at level k without forming its form, which
-    coefficients() expands as c_vw d_ab on demand.  The scalar Gram on the
-    kept pairs is then the blockwise Kronecker product
+    _sandwich_blocks checks E(a^* p_x b) = d_ab p_{s(a)} once per tower, on
+    the first append, and every level above reuses its blocks.  So the
+    claim holds at level k without forming its form, which coefficients()
+    expands as c_vw d_ab on demand.  The scalar Gram on the kept pairs is
+    then the blockwise Kronecker product
 
         (+)_x  (G_prev restricted to sr = x) / tr(p_x)  (x)  H_x,
 
@@ -442,12 +429,15 @@ def _graded_level(prev: Level, ext2: Extension, t, s) -> Level:
     coordinates and of the balancing relations: no ambient Gram, kernel or
     relation echelon is formed.
     """
-    d2 = ext2.alg.dim
-    by_t = [[] for _ in range(ext2.sub.dim)]
+    ext = prev.ext
+    d2 = ext.alg.dim
+    by_t = [[] for _ in range(ext.sub.dim)]
     for a, x in enumerate(t):
         by_t[x].append(a)
-    blocks = prev.blocks if prev.app_ext is ext2 else _sandwich_blocks(ext2, by_t, s)
-    if prev.prev is None:
+    if prev.prev is not None:
+        blocks = prev.blocks
+    else:
+        blocks = _sandwich_blocks(ext, by_t, s)
         for v, row in prev.bgram.items():
             for w, bv in row.items():
                 if prev.sr[w] != prev.sr[v] or len(bv) != 1 or prev.sr[v] not in bv:
@@ -458,19 +448,19 @@ def _graded_level(prev: Level, ext2: Extension, t, s) -> Level:
 
     keep = [v * d2 + a for v, x in enumerate(prev.sr) for a in by_t[x]]
     quot = Quotient(prev.dim * d2, keep)
-    return Level(quot.dim, prev.left_ext, ext2, None, prev=prev, app_ext=ext2,
-                 quotient=quot, tl=[prev.tl[k // d2] for k in keep],
-                 sr=[s[k % d2] for k in keep],
-                 index=prev.index and ext2.monomial() is not None, blocks=blocks)
+    return Level(ext, quot.dim, None, prev=prev, quotient=quot,
+                 tl=[prev.tl[k // d2] for k in keep], sr=[s[k % d2] for k in keep],
+                 index=prev.index, blocks=blocks)
 
 
-def _radical_level(prev: Level, ext2: Extension) -> Level:
-    """prev (x)_B A2 as the quotient of prev (x) A2 by the radical of its
+def _radical_level(prev: Level) -> Level:
+    """prev (x)_B A as the quotient of prev (x) A by the radical of its
     form, certified to be the span of the balancing relations."""
-    A2 = ext2.alg
-    d2 = A2.dim
+    ext = prev.ext
+    A = ext.alg
+    d2 = A.dim
     amb = prev.dim * d2
-    dim_b = ext2.sub.dim
+    dim_b = ext.sub.dim
 
     def pidx(v, a):
         return v * d2 + a
@@ -479,7 +469,7 @@ def _radical_level(prev: Level, ext2: Extension) -> Level:
     sandwiches = {}
     for a in range(d2):
         for b in range(d2):
-            s = ext2.sandwich(a, b)
+            s = ext.sandwich(a, b)
             if not s.is_zero():
                 sandwiches[(a, b)] = s
 
@@ -493,7 +483,7 @@ def _radical_level(prev: Level, ext2: Extension) -> Level:
                     continue
                 i, j = pidx(v, a), pidx(w, b)
                 amb_bgram.setdefault(i, {})[j] = out
-                tr = ext2.sub_trace(out)
+                tr = ext.sub_trace(out)
                 if not tr.is_zero():
                     gram.col[j][i] = tr
 
@@ -501,9 +491,9 @@ def _radical_level(prev: Level, ext2: Extension) -> Level:
     quot = Quotient.of_span(amb, rad.col)
     # the fiber square's separating-vector certificate rests on this:
     # the radical is exactly the span of the balancing relations
-    right_b = [combination(prev.dim, ext2.embed.column(k), prev.right_act)
+    right_b = [combination(prev.dim, ext.embed.column(k), prev.right_act)
                for k in range(dim_b)]
-    left_b = [[A2.mul(ext2.embed.column(k), {a: ONE}) for a in range(d2)]
+    left_b = [[A.mul(ext.embed.column(k), {a: ONE}) for a in range(d2)]
               for k in range(dim_b)]
     bal = Echelon()
     for v in range(prev.dim):
@@ -540,24 +530,22 @@ def _radical_level(prev: Level, ext2: Extension) -> Level:
             if j in pos:
                 bgram.setdefault(pos[i], {})[pos[j]] = bv
 
-    return Level(quot.dim, prev.left_ext, ext2, bgram, prev=prev, app_ext=ext2,
-                 quotient=quot)
+    return Level(ext, quot.dim, bgram, prev=prev, quotient=quot)
 
 
 class Tower:
     """Iterated balanced powers base, base (x) A, base (x) A (x) A, ...
 
-    All appended factors come from the same extension; levels are cached.
+    Every appended factor is A of the base's extension; levels are cached.
     """
 
-    def __init__(self, base: Level, ext: Extension):
+    def __init__(self, base: Level):
         self.base = base
-        self.ext = ext
         self.levels = [base]
 
     def level(self, k: int) -> Level:
         while len(self.levels) <= k:
-            self.levels.append(append_level(self.levels[-1], self.ext))
+            self.levels.append(append_level(self.levels[-1], self.base.ext))
         return self.levels[k]
 
     def insert_unit(self, k: int, base_insert):
@@ -576,4 +564,4 @@ class Tower:
 
 
 def algebra_tower(ext: Extension) -> Tower:
-    return Tower(extension_base_level(ext), ext)
+    return Tower(extension_base_level(ext))

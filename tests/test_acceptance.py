@@ -308,11 +308,11 @@ def corpus_complexes():
     for label, ext in (("CC2/C", group_ext("C2")), ("CC3/C", group_ext("C3")),
                        ("M2/diag", m2_diag_ext())):
         out.append((label + " bar", bar_complex(ext, 4)))
-        fsq = fiber_square(ext, ext, default_pairs(ext))
-        out.append((label + " square-coeff", l2_complex(ext, fsq, 4)))
+        fsq = fiber_square(ext, default_pairs(ext))
+        out.append((label + " square-coeff", l2_complex(fsq, 4)))
     ext = convolution_algebra(pair_relation(uniform_space(2)))
     fsq, _ = groupoid_fiber_square(ext)
-    out.append(("C[pair2] square-coeff", l2_complex(ext, fsq, 4)))
+    out.append(("C[pair2] square-coeff", l2_complex(fsq, 4)))
     return out
 
 
@@ -411,7 +411,7 @@ def test_criterion_9_trace_identities():
         fsq, _ = groupoid_fiber_square(ext)
         squares.append((name, ext, fsq))
     for label, ext in (("M2/diag", m2_diag_ext()), ("CC2/C", group_ext("C2"))):
-        squares.append((label, ext, fiber_square(ext, ext, default_pairs(ext))))
+        squares.append((label, ext, fiber_square(ext, default_pairs(ext))))
     for name, ext, fsq in squares:
         for i in range(fsq.dim):
             for j in range(fsq.dim):

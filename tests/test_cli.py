@@ -358,6 +358,21 @@ def test_fiber_square_with_non_tracial_trace_exits_2(monkeypatch, capsys):
     assert "trace_not_tracial" in err
 
 
+@pytest.mark.parametrize("command", ["betti", "fiber-square"])
+def test_non_tracial_algebra_document_exits_2(tmp_path, capsys, command):
+    # M2 over its diagonal with the trace 2/3, 1/3 on e11, e22: E is still
+    # trace-preserving and bimodular, so the extension validates, and the
+    # traciality check of the balanced square is what rejects the document
+    with open(cpath("m2_diag.json")) as f:
+        doc = json.load(f)
+    doc["trace"] = [["e11", "2/3"], ["e22", "1/3"]]
+    path = tmp_path / "m2_diag_skewed.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "is not tracial at basis pair (e21, e12)" in err
+
+
 def test_verify_compression(capsys):
     code, out = run_cli(["verify", cpath("verify_compression_m2_diag.json")],
                         capsys)
@@ -468,13 +483,19 @@ def test_corpus_sweep_covers_every_corpus_document():
     assert all(os.path.exists(os.path.join(ROOT, p)) for p in named)
 
 
-def test_every_tracer_span_target_resolves():
-    # benchmark/tracer.py wraps these names when a traced run installs it;
-    # a deleted or renamed target would break every traced benchmark run
+def load_tracer():
+    """benchmark/tracer.py as a module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "tracer", os.path.join(ROOT, "benchmark", "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_span_target_resolves():
+    # benchmark/tracer.py wraps these names when a traced run installs it;
+    # a deleted or renamed target would break every traced benchmark run
+    tracer = load_tracer()
     targets = [t for ts in tracer.SPANS.values() for t in ts]
     assert targets
     for target in targets:
@@ -494,6 +515,22 @@ def test_every_tracer_span_target_resolves():
         cls = getattr(importlib.import_module("l2betti." + modname), cls_name)
         for meth in meths:
             assert callable(vars(cls).get(meth)), (cls_name, meth)
+
+
+def test_tracer_probes_read_a_traced_run():
+    # the tracer's probes read the arguments and results of what they wrap
+    # (append_level's appended extension, the fiber square's dimension, the
+    # homotopy's top degree); a signature change that breaks one fails here
+    import l2betti.betti as betti
+    from l2betti.algebras import group_algebra, trivial_extension
+    from l2betti.groups import cyclic_table
+
+    table, unit, els = cyclic_table(2)
+    ext = trivial_extension(group_algebra(table, unit, elements=els, name="CC2"))
+    with load_tracer().Tracer() as traced:
+        betti.betti_hochschild(ext, 2)
+    for name in ("tensor.ambient_dim", "fibersquare.dim", "complexes.homotopy_degrees"):
+        assert traced.counts[name] > 0, name
 
 
 def test_every_name_the_benchmark_imports_exists():

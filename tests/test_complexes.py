@@ -117,8 +117,8 @@ def test_l2_complex_m2_diag_dimensions():
         pair_relation(uniform_space(2))))
     # use the matrix-algebra extension directly with its own fiber square
     pairs = default_pairs(ext)
-    fsq2 = fiber_square(ext, ext, pairs)
-    l2 = l2_complex(ext, fsq2, 3)
+    fsq2 = fiber_square(ext, pairs)
+    l2 = l2_complex(fsq2, 3)
     # degree n is spanned by the cyclically composable (n+2)-tuples
     assert l2.dims == [4, 8, 16, 32]
     chain = l2.boundary()
@@ -128,8 +128,8 @@ def test_l2_complex_m2_diag_dimensions():
 
 def test_l2_complex_homology_degree_zero_m2_diag():
     ext = m2_diag_ext()
-    fsq = fiber_square(ext, ext, default_pairs(ext))
-    l2 = l2_complex(ext, fsq, 2)
+    fsq = fiber_square(ext, default_pairs(ext))
+    l2 = l2_complex(fsq, 2)
     hm = homology(l2, 0)
     assert hm.dim == 2
     for n in (1,):
@@ -138,8 +138,8 @@ def test_l2_complex_homology_degree_zero_m2_diag():
 
 def test_l2_complex_group_case_dimensions():
     ext = c2_ext()
-    fsq = fiber_square(ext, ext, default_pairs(ext))
-    l2 = l2_complex(ext, fsq, 3)
+    fsq = fiber_square(ext, default_pairs(ext))
+    l2 = l2_complex(fsq, 3)
     assert l2.dims == [4, 8, 16, 32]
     hm = homology(l2, 0)
     assert hm.dim == 2  # A_B = A for B = C, and im d_1 halves it
@@ -149,10 +149,10 @@ def test_l2_complex_is_freed_without_the_cycle_collector():
     # the complex, its levels and its cached coefficient operators are
     # released by reference counting alone once the complex is dropped
     ext = m2_diag_ext()
-    fsq = fiber_square(ext, ext, default_pairs(ext))
+    fsq = fiber_square(ext, default_pairs(ext))
     gc.disable()
     try:
-        l2 = l2_complex(ext, fsq, 2)
+        l2 = l2_complex(fsq, 2)
         l2.action(2, 0)
         ref = weakref.ref(l2.levels[2])
         del l2
@@ -223,7 +223,7 @@ def test_bar_comparison_pair2():
     ext = convolution_algebra(g)
     geo = geometric_complex(g, "bar", 2)
     alg = bar_complex(ext, 2)
-    isos = geometric_comparison(ext, geo, alg, 2)
+    isos = geometric_comparison(geo, alg, 2)
     assert [m.rows for m in isos] == alg.dims[:3]
 
 
@@ -232,7 +232,7 @@ def test_cyclic_comparison_pair2():
     ext = convolution_algebra(g)
     geo = geometric_complex(g, "cyclic", 2)
     hh = plain_hochschild_complex(ext, 2)
-    isos = geometric_comparison(ext, geo, hh, 2)
+    isos = geometric_comparison(geo, hh, 2)
     assert [m.rows for m in isos] == hh.dims[:3]
 
 
@@ -253,8 +253,8 @@ def test_acyclic_comparison_pair2():
     ext = convolution_algebra(g)
     fsq, _ = groupoid_fiber_square(ext)
     geo = geometric_complex(g, "acyclic", 2)
-    l2 = l2_complex(ext, fsq, 2)
-    isos = geometric_comparison(ext, geo, l2, 2)
+    l2 = l2_complex(fsq, 2)
+    isos = geometric_comparison(geo, l2, 2)
     assert [m.rows for m in isos] == l2.dims[:3]
 
 
@@ -296,17 +296,17 @@ def test_split_and_elimination_agree_on_bar_c2():
         assert a.rank_lower == b.rank_lower and a.rank_upper == b.rank_upper
 
 
-def test_contracting_homotopy_operation():
-    from l2betti.complexes import contracting_homotopy
+def test_bar_and_square_complexes_carry_verified_homotopies():
     ext = m2_diag_ext()
-    h_bar = contracting_homotopy("bar", ext, 3)
-    assert h_bar.verified_upto >= 2
-    h_ac = contracting_homotopy("acyclic", ext, 3)
-    assert h_ac.verified_upto >= 2
+    bar = bar_complex(ext, 3)
+    assert bar.homotopy.verified_upto >= 2
+    assert bar.homotopy.verified_chain is bar.boundary()
+    fsq = fiber_square(ext, default_pairs(ext))
+    sq = l2_complex(fsq, 3)
+    assert sq.homotopy.verified_upto >= 2
+    assert sq.homotopy.verified_chain is sq.boundary()
     # H_0 of the square-coefficient complex has the commutator-quotient size
-    fsq = fiber_square(ext, ext, default_pairs(ext))
-    l2 = l2_complex(ext, fsq, 2)
-    assert homology(l2, 0).dim == 2
+    assert homology(l2_complex(fsq, 2), 0).dim == 2
 
 
 def test_theta_iso_with_isotropy_and_blocks():
@@ -446,7 +446,7 @@ def assert_index_path_agrees_with_column_loop(build, monkeypatch, force):
 def test_index_path_agrees_with_column_loop_on_corpus(name, monkeypatch):
     def build():
         ext = as_extension(load_path(os.path.join(CORPUS, name)))
-        return l2_complex(ext, fiber_square_of(ext)[0], 3)
+        return l2_complex(fiber_square_of(ext)[0], 3)
 
     assert_index_path_agrees_with_column_loop(
         build, monkeypatch, lambda m: m.setattr(Extension, "monomial", lambda self: None))
@@ -479,7 +479,7 @@ def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
     assert len(CORPUS_EXTENSIONS) == 17
     for name in CORPUS_EXTENSIONS:
         ext = as_extension(load_path(os.path.join(CORPUS, name)))
-        l2_complex(ext, fiber_square_of(ext)[0], 3)
+        l2_complex(fiber_square_of(ext)[0], 3)
     assert fallbacks == set()
     # cocycle signs put -1 entries into the faces: the twisted complex of
     # pair(3) takes the index path with sign lists, and so does the radical
@@ -489,7 +489,7 @@ def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
     nabla = normalizer_span(ext, groupoid_normalizer_generators(ext))
     assert ext.monomial().sign is not None and nabla.grading() is None
     for e in (ext, nabla):
-        l2 = l2_complex(e, fiber_square_of(e)[0], 2)
+        l2 = l2_complex(fiber_square_of(e)[0], 2)
         assert any(l2.face_map(n, i).sign is not None
                    for n in (1, 2) for i in range(n + 1)), e.name
     assert fallbacks == set()
@@ -561,7 +561,7 @@ def scalar_l2_complex(which, N):
         ext = trivial_extension(group_algebra(table, unit, elements=els, name="CS3"))
     else:
         ext = trivial_extension(matrix_algebra(3), name="M3/C")
-    return l2_complex(ext, fiber_square_of(ext)[0], N)
+    return l2_complex(fiber_square_of(ext)[0], N)
 
 
 def moved_homotopy_entry_fault(which):
@@ -619,7 +619,7 @@ def test_moved_homotopy_entry_is_caught_under_python_optimize():
 def test_fault_flipped_sign_in_a_signed_face_is_caught_by_presimplicial():
     g = pair_relation(uniform_space(3))
     ext = twisted_convolution(g, distinct_triple_sign_cocycle(g))
-    p = l2_complex(ext, fiber_square_of(ext)[0], 2)
+    p = l2_complex(fiber_square_of(ext)[0], 2)
     i = next(i for i in range(3) if p.face_map(2, i).sign is not None)
     m, low = p.face_map(2, i), p.face_map(1, 0)
     # a column whose entry pi_0 keeps, so that one composite changes sign

@@ -23,6 +23,7 @@ from l2betti.groupoids import (
 from l2betti.groups import cyclic_table, klein_table, symmetric_table
 from l2betti.linalg import GMatrix, combination, vec_eq
 from l2betti.scalars import ONE, gs
+from l2betti.tensor import append_level, extension_base_level
 
 
 def m2_diag_extension():
@@ -48,38 +49,65 @@ def cgroup_ext(n):
 
 def test_balanced_tensor_scalars_full_dimension():
     ext = cgroup_ext(2)
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     assert bt.dim == 4
 
 
 def test_balanced_tensor_m2_diagonal_dimension_eight():
     ext = m2_diag_extension()
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     assert bt.dim == 8
 
 
 def test_balanced_tensor_b_equals_a():
     m2 = matrix_algebra(2)
     ext = full_extension(m2)
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     assert bt.dim == m2.dim
 
 
-def test_balanced_tensor_rejects_mismatched_base():
-    with pytest.raises(ValueError):
-        balanced_tensor(cgroup_ext(2), m2_diag_extension())
+def test_append_level_rejects_another_extension():
+    # a tower is over one extension: another one, over another B or merely
+    # an equal copy, is refused before any level is built
+    for other in (m2_diag_extension(), cgroup_ext(2)):
+        with pytest.raises(ValueError, match="not the extension of the tower"):
+            append_level(extension_base_level(cgroup_ext(2)), other)
+
+
+def test_fiber_square_rejects_the_square_of_another_extension():
+    ext = cgroup_ext(2)
+    with pytest.raises(ValueError, match="not the square of this extension"):
+        fiber_square(ext, default_pairs(ext), tensor=balanced_tensor(cgroup_ext(2)))
+
+
+def test_fault_non_hermitian_balanced_form_is_caught(monkeypatch):
+    # one entry above the diagonal of the square's Gram, without its mirror;
+    # the base Gram is left alone, so the tower's own checks pass
+    scalar_gram = tensor_mod.Level.scalar_gram
+
+    def skewed(lvl):
+        g = scalar_gram(lvl)
+        if lvl.prev is None:
+            return g
+        g = GMatrix(g.rows, g.cols, [dict(c) for c in g.col])
+        g.col[1][0] = ONE
+        return g
+
+    monkeypatch.setattr(tensor_mod.Level, "scalar_gram", skewed)
+    with pytest.raises(ValueError, match="not hermitian"):
+        balanced_tensor(cgroup_ext(2))
 
 
 def test_star_operator_identity_pair():
     ext = m2_diag_extension()
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     op = star_operator(bt, dict(ext.alg.unit), dict(ext.alg.unit))
     assert op == GMatrix.identity(bt.dim)
 
 
 def test_star_operator_group_formula():
     ext = cgroup_ext(2)
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     a = ext.alg
     g1 = {1: ONE}
     op = star_operator(bt, g1, g1)
@@ -91,7 +119,7 @@ def test_star_operator_group_formula():
 
 def test_central_element_one_sided_operators_agree():
     ext = m2_diag_extension()
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     # central unitary in B: d1 - d2
     z = {ext.alg.index("e11"): ONE, ext.alg.index("e22"): gs(-1)}
     op1 = star_operator(bt, z, dict(ext.alg.unit))
@@ -101,10 +129,10 @@ def test_central_element_one_sided_operators_agree():
 
 def test_s_condition_failure_witness():
     ext = m2_diag_extension()
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     swap = {ext.alg.index("e12"): ONE, ext.alg.index("e21"): ONE}
     # (swap, 1) does not satisfy the matching condition on the diagonal
-    assert not s_condition(ext, ext, swap, dict(ext.alg.unit))
+    assert not s_condition(ext, swap, dict(ext.alg.unit))
     with pytest.raises(ValueError):
         star_operator(bt, swap, dict(ext.alg.unit))
 
@@ -115,7 +143,7 @@ def test_fiber_square_group_algebra_full_tensor():
     for label, build in (("CC2/C", lambda: cgroup_ext(2)), ("CS3/C", cs3_ext),
                          ("M2/C", lambda: trivial_extension(matrix_algebra(2)))):
         ext = build()
-        fsq = fiber_square(ext, ext, default_pairs(ext))
+        fsq = fiber_square(ext, default_pairs(ext))
         assert fsq.dim == ext.alg.dim ** 2, label
         # trace is phi(T) = <1(x)1 | T(1(x)1)>, faithful and tracial
         for i in range(fsq.dim):
@@ -127,8 +155,8 @@ def test_fiber_square_group_algebra_full_tensor():
 def test_fiber_square_b_equals_a_gives_center():
     m2 = matrix_algebra(2)
     ext = full_extension(m2)
-    pairs = canonical_pairs(ext, ext)
-    fsq = fiber_square(ext, ext, pairs)
+    pairs = canonical_pairs(ext)
+    fsq = fiber_square(ext, pairs)
     # A *_A A is the center of A: trivial for a factor
     assert fsq.dim == 1
 
@@ -137,7 +165,7 @@ def test_fiber_square_weighted_sum_blocks():
     ext1 = m2_diag_extension()
     ext2 = cgroup_ext(2)
     s = weighted_sum([ext1, ext2], [Fraction(1, 2), Fraction(1, 2)])
-    fsq = fiber_square(s, s, canonical_pairs(s, s))
+    fsq = fiber_square(s, canonical_pairs(s))
     # blockwise: (M2 *_diag M2) (+) (CC2 * CC2) = 4 + 4
     assert fsq.dim == 8
 
@@ -238,7 +266,7 @@ def test_s_condition_variant_reading_differs():
     # fiber_square refuses; its central pairs are matching pairs after all
     # and generate the same fiber square.
     ext = convolution_algebra(pair_relation(uniform_space(3)))
-    printed = canonical_pairs(ext, ext)
+    printed = canonical_pairs(ext)
     fam = ext.alg.unitary_family
     by_right_sig = {}
     for nm, u in fam:
@@ -253,14 +281,14 @@ def test_s_condition_variant_reading_differs():
 
     assert keyset(printed) != keyset(alternative)
     with pytest.raises(AssertionError, match="not B-central"):
-        fiber_square(ext, ext, alternative)
-    bt = balanced_tensor(ext, ext)
+        fiber_square(ext, alternative)
+    bt = balanced_tensor(ext)
     central = [((nu, u), (nv, v)) for (nu, u), (nv, v) in alternative
                if fs._is_central(bt, bt.level.tensor_class(u, v))]
     assert 0 < len(central) < len(alternative)
-    assert all(s_condition(ext, ext, u, v) for (_, u), (_, v) in central)
-    f1 = fiber_square(ext, ext, printed)
-    f2 = fiber_square(ext, ext, central)
+    assert all(s_condition(ext, u, v) for (_, u), (_, v) in central)
+    f1 = fiber_square(ext, printed)
+    f2 = fiber_square(ext, central)
     assert f1.dim == f2.dim == 9
 
 
@@ -293,7 +321,7 @@ def admitted_pairs(ext, pairs):
     out = []
     for (_, u), (_, v) in pairs:
         for uu, vv in ((u, v), (A.star(u), A.star(v))):
-            if s_condition(ext, ext, uu, vv):
+            if s_condition(ext, uu, vv):
                 out.append((uu, vv))
     return out
 
@@ -308,11 +336,11 @@ def test_saturation_stopped_at_the_invariants_builds_the_same_basis(label):
     else:
         ext = ORACLE_CASES[label]()
     pairs = default_pairs(ext)
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     evals = fs._saturate(bt, pairs)
     assert evals.dim == bt.level.invariants().cols
 
-    unbounded = balanced_tensor(ext, ext)
+    unbounded = balanced_tensor(ext)
     unbounded.level.invariants = lambda: GMatrix(unbounded.dim, float("inf"), [])
     assert fs._saturate(unbounded, pairs).vectors == evals.vectors
 
@@ -325,9 +353,9 @@ def op_of(fsq, coeffs):
 def pair_operator_by_columns(bt, u, v):
     """u * v with column q = (i, j) the class of a_i u (x) v c_j: an oracle
     independent of the evaluation [u (x) v]."""
-    A, C, lvl = bt.extA.alg, bt.extC.alg, bt.level
+    A, lvl = bt.ext.alg, bt.level
     return GMatrix.from_cols(lvl.dim, [
-        lvl.tensor_class(A.mul({i: ONE}, u), C.mul(v, {j: ONE})) for i, j in lvl.reps()])
+        lvl.tensor_class(A.mul({i: ONE}, u), A.mul(v, {j: ONE})) for i, j in lvl.reps()])
 
 
 @pytest.mark.parametrize("label", sorted(ORACLE_CASES))
@@ -335,7 +363,7 @@ def test_identities_read_off_the_cyclic_vector_hold_entrywise(label):
     # the certificate replaces these comparisons; here they run in full
     ext = ORACLE_CASES[label]()
     pairs = default_pairs(ext)
-    fsq = fiber_square(ext, ext, pairs)
+    fsq = fiber_square(ext, pairs)
     bt = fsq.tensor
     for i in range(fsq.dim):
         for j in range(fsq.dim):
@@ -371,7 +399,7 @@ def test_operator_matrices_are_built_from_evaluations_only(monkeypatch, label):
         fsq, _ = groupoid_fiber_square(ext)
     else:
         ext = cs3_ext()
-        fsq = fiber_square(ext, ext, default_pairs(ext))
+        fsq = fiber_square(ext, default_pairs(ext))
     assert len(adjoints) == fsq.dim
     basis_and_generators = len(built) - 1 - len(adjoints)
     if label == "pair(4)":
@@ -409,14 +437,14 @@ def test_fault_basis_operator_with_wrong_evaluation_is_caught(monkeypatch):
 
     monkeypatch.setattr(fs, "_operator", doubled)
     with pytest.raises(AssertionError, match="does not evaluate"):
-        fiber_square(ext, ext, default_pairs(ext))
+        fiber_square(ext, default_pairs(ext))
 
 
 def test_fault_non_central_basis_vector_is_caught(monkeypatch):
     # a coordinate with tl != sr added to the last canonical basis vector
     # makes it non-central; the operator built from it is not bimodular
     ext = m2_diag_extension()
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     lvl = bt.level
     q = next(q for q, (t, s) in enumerate(zip(lvl.tl, lvl.sr)) if t != s)
     canonicalized = fs.canonicalized_span
@@ -428,7 +456,7 @@ def test_fault_non_central_basis_vector_is_caught(monkeypatch):
 
     monkeypatch.setattr(fs, "canonicalized_span", skewed)
     with pytest.raises(AssertionError, match="basis vector .* is not B-central"):
-        fiber_square(ext, ext, default_pairs(ext), tensor=bt)
+        fiber_square(ext, default_pairs(ext), tensor=bt)
 
 
 def test_fault_adjoint_entry_is_caught(monkeypatch):
@@ -437,7 +465,7 @@ def test_fault_adjoint_entry_is_caught(monkeypatch):
     # stands in for comparing it with the combination its evaluation names,
     # can see the corruption
     ext = m2_diag_extension()
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     original = fs.adjoint_wrt
 
     def corrupted_adjoint(*args):
@@ -447,18 +475,18 @@ def test_fault_adjoint_entry_is_caught(monkeypatch):
 
     monkeypatch.setattr(fs, "adjoint_wrt", corrupted_adjoint)
     with pytest.raises(AssertionError, match="does not commute"):
-        fiber_square(ext, ext, default_pairs(ext), tensor=bt)
+        fiber_square(ext, default_pairs(ext), tensor=bt)
 
 
 def test_fault_one_one_entry_is_caught():
     # over the scalars every extra entry of 1(x)1 moves some a.(1(x)1).c
     ext = cgroup_ext(2)
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     q = next(q for q in range(bt.dim) if q not in bt.one_one)
     bt.one_one = dict(bt.one_one)
     bt.one_one[q] = ONE
     with pytest.raises(AssertionError, match="not cyclic"):
-        fiber_square(ext, ext, default_pairs(ext), tensor=bt)
+        fiber_square(ext, default_pairs(ext), tensor=bt)
 
 
 def test_fault_mismatched_pair_admitted_is_caught(monkeypatch):
@@ -468,9 +496,9 @@ def test_fault_mismatched_pair_admitted_is_caught(monkeypatch):
     monkeypatch.setattr(fs, "s_condition", lambda *args, **kwargs: True)
     pairs = default_pairs(ext) + [(("swap", swap), ("1", unit))]
     with pytest.raises(AssertionError, match="not B-central"):
-        fiber_square(ext, ext, pairs)
+        fiber_square(ext, pairs)
     with pytest.raises(AssertionError, match="not B-central"):
-        pair_operator(balanced_tensor(ext, ext), swap, unit)
+        pair_operator(balanced_tensor(ext), swap, unit)
 
 
 def test_fault_radical_column_dropped_is_caught(monkeypatch):
@@ -484,7 +512,7 @@ def test_fault_radical_column_dropped_is_caught(monkeypatch):
     ext = m2_diag_sign_basis_extension()
     assert ext.grading() is None
     with pytest.raises(AssertionError, match="do not span the radical"):
-        balanced_tensor(ext, ext)
+        balanced_tensor(ext)
 
 
 def test_fault_operator_with_non_central_evaluation_is_caught():
@@ -493,7 +521,7 @@ def test_fault_operator_with_non_central_evaluation_is_caught():
     # columns a_i . xi . c_j evaluates to xi; it passes the column check,
     # and only the centrality of xi rules it out
     ext = full_extension(cs3_ext().alg)
-    bt = balanced_tensor(ext, ext)
+    bt = balanced_tensor(ext)
     lvl, d2 = bt.level, ext.alg.dim
     (q0,) = bt.one_one
     t = lvl.quotient.keep[q0] // d2

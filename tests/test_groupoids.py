@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from l2betti.groupoids import (
     FiniteGroupoid, GroupoidMorphism, action_groupoid, bisection_permutation,
-    bisections, build_groupoid, diagonal_embedding, enveloping,
+    bisections, diagonal_embedding, enveloping,
     geometric_carrier, geometric_face, group_groupoid, is_equivalence_relation,
     pair_relation, partition_relation, trivial_groupoid, uniform_space,
     validate_groupoid, weighted_space,
@@ -204,11 +204,7 @@ def test_invariant_measure_required():
     assert any(v[0] == "target_not_measure_preserving" for v in rep.violations)
 
 
-def test_build_groupoid_dispatch():
-    g = build_groupoid("pair_relation", space=uniform_space(2))
-    assert len(g.elements) == 4
-    with pytest.raises(ValueError):
-        build_groupoid("nope")
+def test_partition_relation_rejects_blocks_that_miss_an_atom():
     with pytest.raises(ValueError):
         partition_relation(uniform_space(2), [["x0"]])
 

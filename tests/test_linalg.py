@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2betti.linalg import (
-    Echelon, GMatrix, HermitianForm, adjoint_wrt, as_matrix, invert, kernel_basis,
-    orth_projection, rank, solve, vec_dot, vec_eq,
+    Echelon, GMatrix, adjoint_wrt, as_matrix, invert, is_positive_semidefinite,
+    kernel_basis, orth_projection, rank, solve, vec_dot, vec_eq,
 )
 from l2betti.scalars import GScalar, ONE, ZERO, gs, parse_scalar
 
@@ -106,56 +106,53 @@ def test_invert_round_trip():
 
 
 def test_radical_trivial_and_rank_one():
-    pd = HermitianForm(GMatrix.identity(2))
-    assert kernel_basis(pd.gram).cols == 0
-    f = HermitianForm(GMatrix.from_rows([[1, 1], [1, 1]]))
-    r = kernel_basis(f.gram)
+    assert kernel_basis(GMatrix.identity(2)).cols == 0
+    g = GMatrix.from_rows([[1, 1], [1, 1]])
+    r = kernel_basis(g)
     assert r.cols == 1
-    assert f.gram.mul(r).is_zero()
+    assert g.mul(r).is_zero()
 
 
 def test_psd_checks():
-    assert HermitianForm(GMatrix.identity(3)).is_positive_semidefinite()
-    assert HermitianForm(GMatrix.from_rows([[1, 1], [1, 1]])).is_positive_semidefinite()
-    assert not HermitianForm(GMatrix.from_rows([[1, 0], [0, -1]])).is_positive_semidefinite()
+    assert is_positive_semidefinite(GMatrix.identity(3))
+    assert is_positive_semidefinite(GMatrix.from_rows([[1, 1], [1, 1]]))
+    assert not is_positive_semidefinite(GMatrix.from_rows([[1, 0], [0, -1]]))
     # zero diagonal with off-diagonal mass is indefinite
-    assert not HermitianForm(GMatrix.from_rows([[0, 1], [1, 0]])).is_positive_semidefinite()
+    assert not is_positive_semidefinite(GMatrix.from_rows([[0, 1], [1, 0]]))
 
 
 def test_orth_projection_symmetric_line():
-    form = HermitianForm(GMatrix.identity(2))
+    gram = GMatrix.identity(2)
     s = GMatrix.from_cols(2, [{0: ONE, 1: ONE}])
-    p = orth_projection(form, s)
+    p = orth_projection(gram, s)
     half = gs(Fraction(1, 2))
     expected = GMatrix.from_rows([[half, half], [half, half]])
     assert p == expected
     assert p.mul(p) == p
     # form-self-adjoint: G P = P^* G
-    assert form.gram.mul(p) == p.adjoint().mul(form.gram)
+    assert gram.mul(p) == p.adjoint().mul(gram)
 
 
 def test_orth_projection_whole_space_is_identity():
-    form = HermitianForm(GMatrix.from_rows([[2, 0], [0, 3]]))
-    p = orth_projection(form, GMatrix.identity(2))
+    p = orth_projection(GMatrix.from_rows([[2, 0], [0, 3]]), GMatrix.identity(2))
     assert p == GMatrix.identity(2)
 
 
 def test_orth_projection_rejects_degenerate_span():
-    form = HermitianForm(GMatrix.from_rows([[1, 1], [1, 1]]))
     s = GMatrix.from_cols(2, [{0: ONE, 1: gs(-1)}])
     with pytest.raises(ValueError):
-        orth_projection(form, s)
+        orth_projection(GMatrix.from_rows([[1, 1], [1, 1]]), s)
 
 
 def test_adjoint_wrt_weighted_form():
-    form = HermitianForm(GMatrix.from_rows([[1, 0], [0, 2]]))
+    gram = GMatrix.from_rows([[1, 0], [0, 2]])
     m = GMatrix.from_rows([[0, 1], [0, 0]])
-    ma = adjoint_wrt(form, m)
+    ma = adjoint_wrt(gram, m, invert(gram))
     # <m u, v> = <u, ma v> for all basis pairs
     for a in range(2):
         for b in range(2):
-            lhs = vec_dot(m.apply({a: ONE}), form.gram.apply({b: ONE}))
-            rhs = vec_dot({a: ONE}, form.gram.apply(ma.apply({b: ONE})))
+            lhs = vec_dot(m.apply({a: ONE}), gram.apply({b: ONE}))
+            rhs = vec_dot({a: ONE}, gram.apply(ma.apply({b: ONE})))
             assert lhs == rhs
 
 
@@ -220,7 +217,7 @@ def test_orth_projection_diagonal_extraction():
     m2 = matrix_algebra(2)
     gram = m2.gns_gram()
     s = GMatrix.from_cols(4, [{m2.index("e11"): ONE}, {m2.index("e22"): ONE}])
-    p = orth_projection(HermitianForm(gram, check=False), s)
+    p = orth_projection(gram, s)
     for lbl in ("e11", "e22"):
         j = m2.index(lbl)
         assert p.apply({j: ONE}) == {j: ONE}

@@ -66,7 +66,7 @@ def full_bgram(tower, k):
     lvl = tower.level(k)
     if lvl.bgram is not None:
         return lvl.bgram
-    ext, pos = lvl.app_ext, lvl.quotient.pos
+    ext, pos = lvl.ext, lvl.quotient.pos
     d2 = ext.alg.dim
     out = {}
     for v, row in full_bgram(tower, k - 1).items():
@@ -88,7 +88,7 @@ def gram_of(bgram, lvl):
     g = GMatrix.zero(lvl.dim, lvl.dim)
     for i, row in bgram.items():
         for j, bv in row.items():
-            x = lvl.left_ext.sub_trace(bv)
+            x = lvl.ext.sub_trace(bv)
             if not x.is_zero():
                 g.col[j][i] = x
     return g
@@ -253,13 +253,13 @@ def test_only_the_normalizer_takes_the_radical_path(monkeypatch):
     graded, radical = [], []
     original_graded, original_radical = tensor_mod._graded_level, tensor_mod._radical_level
 
-    def spy_graded(prev, ext2, t, s):
-        graded.append(ext2.name)
-        return original_graded(prev, ext2, t, s)
+    def spy_graded(prev, t, s):
+        graded.append(prev.ext.name)
+        return original_graded(prev, t, s)
 
-    def spy_radical(prev, ext2):
-        radical.append(ext2.name)
-        return original_radical(prev, ext2)
+    def spy_radical(prev):
+        radical.append(prev.ext.name)
+        return original_radical(prev)
 
     monkeypatch.setattr(tensor_mod, "_graded_level", spy_graded)
     monkeypatch.setattr(tensor_mod, "_radical_level", spy_radical)
