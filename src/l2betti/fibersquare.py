@@ -109,8 +109,11 @@ class BalancedTensor:
 def balanced_tensor(ext: Extension) -> BalancedTensor:
     """The balanced square A (x)_B A of an extension A/B.
 
-    The trace of A is checked tracial (_check_tracial), and the form is
-    checked hermitian and positive definite on the quotient.
+    The trace of A is checked tracial on basis pairs (_check_tracial): with
+    the trace-preserving, B-bimodular E that Extension.validate certifies,
+    that is exactly the agreement of the three expressions of the inner
+    product.  The form is then checked hermitian and positive definite on
+    the quotient.
     """
     _check_tracial(ext.alg)
     lvl = append_level(extension_base_level(ext), ext)
