@@ -209,13 +209,13 @@ class AlgebraReport:
         return self.ok
 
 
-def validate_algebra(a: TracialStarAlgebra, check_associativity=None) -> AlgebraReport:
+def validate_algebra(a: TracialStarAlgebra) -> AlgebraReport:
     """Exact verification of the tracial *-algebra axioms.
 
     Associativity is checked on all basis triples unless the algebra is
-    operator backed (where it holds by construction) or the caller opts
-    out; all other axioms are always checked.  Semisimplicity is certified
-    by nondegeneracy of the trace form.
+    operator backed (where it holds by construction); all other axioms are
+    always checked.  Semisimplicity is certified by nondegeneracy of the
+    trace form.
     """
     bad = []
     n = a.dim
@@ -227,10 +227,7 @@ def validate_algebra(a: TracialStarAlgebra, check_associativity=None) -> Algebra
         if not vec_eq(a.mul(basis[i], a.unit), basis[i]):
             bad.append(("right_unit", a.labels[i]))
 
-    do_assoc = check_associativity
-    if do_assoc is None:
-        do_assoc = not a.operator_backed
-    if do_assoc:
+    if not a.operator_backed:
         for i in range(n):
             for j in range(n):
                 ij = a.mul(basis[i], basis[j])
@@ -463,8 +460,7 @@ def _read_monomial(A: TracialStarAlgebra):
 
 
 def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
-                            sub_labels=None, name="A/B", provenance=None,
-                            validate=True) -> Extension:
+                            sub_labels=None, name="A/B", provenance=None) -> Extension:
     """Extension with E = trace-orthogonal projection onto span(sub_vectors).
 
     The span must be a unital *-subalgebra; violations raise ValueError.
@@ -489,10 +485,9 @@ def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
         raise AssertionError("orthogonal projection leaves the subalgebra")
     expect = GMatrix.from_cols(dim_b, expect_cols)
     ext = Extension(alg, sub, embed, expect, name=name, provenance=provenance)
-    if validate:
-        rep = ext.validate()
-        if not rep.ok:
-            raise ValueError("extension invariants violated: %s" % rep.violations[:3])
+    rep = ext.validate()
+    if not rep.ok:
+        raise ValueError("extension invariants violated: %s" % rep.violations[:3])
     return ext
 
 
@@ -500,13 +495,6 @@ def trivial_extension(alg: TracialStarAlgebra, name=None) -> Extension:
     """A over the scalars."""
     return conditional_expectation(alg, [alg.unit], sub_labels=["1"],
                                    name=name or (alg.name + "/C"))
-
-
-def full_extension(alg: TracialStarAlgebra, name=None) -> Extension:
-    """A over itself."""
-    basis = [{k: ONE} for k in range(alg.dim)]
-    return conditional_expectation(alg, basis, sub_labels=list(alg.labels),
-                                   name=name or (alg.name + "/" + alg.name))
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +564,16 @@ def _sign_vectors(atoms):
     return out
 
 
-def convolution_algebra(g: FiniteGroupoid, validate=True) -> Extension:
+def convolution_algebra(g: FiniteGroupoid) -> Extension:
     """The convolution *-algebra of a finite measured groupoid over L^inf(X).
 
     Basis the arrows, product from composition, star from inversion, trace
     the weighted sum over the units; the expectation is restriction to the
     units.
     """
-    if validate:
-        rep = validate_groupoid(g)
-        if not rep.ok:
-            raise ValueError("invalid groupoid: %s" % rep.violations[:3])
+    rep = validate_groupoid(g)
+    if not rep.ok:
+        raise ValueError("invalid groupoid: %s" % rep.violations[:3])
     els = list(g.elements)
     idx = {a: k for k, a in enumerate(els)}
     dim = len(els)
@@ -643,9 +630,6 @@ class TwoCocycle:
             out.append((r.target[a], r.source[a], r.source[b]))
         return sorted(set(out))
 
-    def is_trivial(self) -> bool:
-        return all(v == ONE for v in self.values.values())
-
 
 def validate_cocycle(sigma: TwoCocycle):
     """Check the cocycle identity and the skew-symmetric normalization.
@@ -690,16 +674,6 @@ def trivial_cocycle(r: FiniteGroupoid) -> TwoCocycle:
     return sig
 
 
-def coboundary_cocycle(r: FiniteGroupoid, c: dict) -> TwoCocycle:
-    """The coboundary s(x,y,z) = c(y,z) c(x,z)^{-1} c(x,y) of c: R -> T."""
-    sig = TwoCocycle(r, {})
-    vals = {}
-    for (x, y, z) in sig.composable_triples():
-        vals[(x, y, z)] = c[(y, z)] * c[(x, z)].inverse() * c[(x, y)]
-    sig.values = vals
-    return sig
-
-
 def distinct_triple_sign_cocycle(r: FiniteGroupoid) -> TwoCocycle:
     """-1 on pairwise-distinct atom triples, +1 elsewhere.
 
@@ -726,29 +700,7 @@ def positivity_witness(sigma: TwoCocycle):
     return None
 
 
-def all_sign_cocycles(r: FiniteGroupoid, require_positive=False):
-    """Exhaustive list of valid {1,-1}-valued cocycles (tiny relations only).
-
-    With require_positive, keep only those whose twisted algebra has a
-    positive trace form, i.e. s(x,y,x) = 1 on all composable (x,y,x).
-    """
-    sig0 = trivial_cocycle(r)
-    triples = sorted(sig0.values)
-    if len(triples) > 16:
-        raise ValueError("relation too large for exhaustive cocycle search")
-    out = []
-    for signs in itertools.product((ONE, MINUS_ONE), repeat=len(triples)):
-        cand = TwoCocycle(r, dict(zip(triples, signs)))
-        if validate_cocycle(cand):
-            continue
-        if require_positive and positivity_witness(cand) is not None:
-            continue
-        out.append(cand)
-    return out
-
-
-def twisted_convolution(r: FiniteGroupoid, sigma: TwoCocycle,
-                        validate=True) -> Extension:
+def twisted_convolution(r: FiniteGroupoid, sigma: TwoCocycle) -> Extension:
     """Convolution algebra of an equivalence relation with a twisted product.
 
     The twisted product picks up sigma(x,y,z) on (x,y)(y,z); star, trace and
@@ -780,11 +732,10 @@ def twisted_convolution(r: FiniteGroupoid, sigma: TwoCocycle,
 
     alg = TracialStarAlgebra([repr(a) for a in els], mult, star, trace, unit,
                              name="C[%s;twisted]" % (r.name or "R"))
-    if validate:
-        rep = validate_algebra(alg)
-        if not rep.ok:
-            raise ValueError("twisted product is not a tracial *-algebra: %s"
-                             % rep.violations[:3])
+    rep = validate_algebra(alg)
+    if not rep.ok:
+        raise ValueError("twisted product is not a tracial *-algebra: %s"
+                         % rep.violations[:3])
 
     fam = []
     signs = _sign_vectors(r.base.atoms)

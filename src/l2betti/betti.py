@@ -21,7 +21,7 @@ from .complexes import geometric_complex, homology, l2_complex
 from .fibersquare import fiber_square_of, projection_pair_trace_identity
 from .groupoids import FiniteGroupoid
 from .linalg import (
-    Echelon, GMatrix, LinearSolver, combination, rank, vec_dot, vec_eq,
+    Echelon, GMatrix, LinearSolver, rank, vec_dot, vec_eq,
 )
 from .scalars import ONE
 
@@ -33,49 +33,6 @@ class FiniteModule:
     algebra: TracialStarAlgebra
     dim: int
     actions: list
-
-    def validate(self):
-        alg = self.algebra
-        act = self.actions.__getitem__
-        if combination(self.dim, alg.unit, act) != GMatrix.identity(self.dim):
-            raise ValueError("unit does not act as the identity")
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                lhs = self.actions[i].mul(self.actions[j])
-                rhs = combination(self.dim, alg.mul({i: ONE}, {j: ONE}), act)
-                if lhs != rhs:
-                    raise ValueError("action breaks structure constants at (%d,%d)"
-                                     % (i, j))
-        return True
-
-    def direct_sum(self, other: "FiniteModule") -> "FiniteModule":
-        assert self.algebra is other.algebra
-        n, m = self.dim, other.dim
-        acts = []
-        for k in range(self.algebra.dim):
-            a = GMatrix.zero(n + m, n + m)
-            for j in range(n):
-                for i, x in self.actions[k].col[j].items():
-                    a.col[j][i] = x
-            for j in range(m):
-                for i, x in other.actions[k].col[j].items():
-                    a.col[n + j][n + i] = x
-            acts.append(a)
-        return FiniteModule(self.algebra, n + m, acts)
-
-
-def free_module(alg: TracialStarAlgebra, k: int = 1) -> FiniteModule:
-    """F^k with the left regular action."""
-    acts = []
-    for a in range(alg.dim):
-        m = GMatrix.zero(alg.dim * k, alg.dim * k)
-        for blk in range(k):
-            for j in range(alg.dim):
-                col = alg.mul({a: ONE}, {j: ONE})
-                for i, x in col.items():
-                    m.col[blk * alg.dim + j][blk * alg.dim + i] = x
-        acts.append(m)
-    return FiniteModule(alg, alg.dim * k, acts)
 
 
 def _blockwise(f, v: dict, fdim: int) -> dict:

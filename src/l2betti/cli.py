@@ -161,6 +161,11 @@ def cmd_homology(config: RunConfig) -> int:
     if kind in ("nerve", "bar", "cyclic", "acyclic", "classifying"):
         if not isinstance(obj, FiniteGroupoid):
             raise InputError("geometric complexes need a groupoid input", path)
+        if kind != "classifying":
+            # the classifying complex validates through its convolution algebra
+            rep = validate_groupoid(obj)
+            if not rep.ok:
+                raise ValueError("invalid groupoid: %s" % rep.violations[:3])
         p = geometric_complex(obj, kind, config.N)
     elif kind == "l2":
         ext = as_extension(obj)

@@ -34,14 +34,14 @@ from dataclasses import dataclass, field
 from .algebras import Extension, convolution_algebra
 from .fibersquare import FiberSquareAlgebra
 from .groupoids import (
-    FiniteGroupoid, geometric_carrier, geometric_face, enveloping,
+    FiniteGroupoid, geometric_carrier, geometric_face,
 )
 from .linalg import (
     Echelon, GMatrix, IndexMap, IndexSum, as_matrix, common_form, index_product,
     index_trace, invert, kernel_basis, vec_add, vec_axpy, vec_dot, vec_eq,
 )
 from .scalars import MINUS_ONE, ONE, ZERO, gs
-from .tensor import Level, Quotient, Tower, algebra_tower, extension_base_level
+from .tensor import Level, Quotient, Tower, algebra_tower
 
 ELIMINATION_LIMIT = 2500
 
@@ -152,9 +152,6 @@ class PresimplicialModule:
     def N(self):
         return len(self.dims) - 1
 
-    def face(self, n, i):
-        return self.faces[n][i]
-
     def face_map(self, n, i):
         """Face (n, i) as an IndexMap: the face itself, or a GMatrix face
         read by GMatrix.index_map; None when a GMatrix face has a column
@@ -264,8 +261,13 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
     For the classifying family the convolution algebra acts diagonally and
     a contracting homotopy (append a unit arrow, with alternating signs) is
     installed; its augmentation is the target-class map onto functions on
-    the base.
+    the base.  Its convolution algebra, which validates g, is built before
+    any tuple.
     """
+    ext = coeff_ext
+    if ext is None and kind == "classifying":
+        ext = convolution_algebra(g)
+
     carriers = [list(geometric_carrier(g, kind, n)) for n in range(N + 1)]
     index = [{t: k for k, t in enumerate(c)} for c in carriers]
     dims = [len(c) for c in carriers]
@@ -273,10 +275,6 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
     for n in range(1, N + 1):
         faces.append([_tuple_face_map(g, kind, n, i, carriers[n], index[n - 1])
                       for i in range(n + 1)])
-
-    ext = coeff_ext
-    if ext is None and kind == "classifying":
-        ext = convolution_algebra(g, validate=False)
 
     action = None
     if kind == "classifying" and ext is not None:
@@ -480,11 +478,6 @@ def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
     return out
 
 
-def plain_hochschild_complex(ext: Extension, N: int) -> PresimplicialModule:
-    """C_n(A/B) with coefficients in A itself."""
-    return hochschild_complex(extension_base_level(ext), N, name="HH(%s)" % ext.name)
-
-
 def l2_complex(fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
     """Square-coefficient Hochschild complex of the extension A/B whose
     fiber square is fsq (fsq.tensor.ext), a module over the fiber square.
@@ -552,53 +545,6 @@ def bar_complex(ext: Extension, N: int):
     out.verify_presimplicial()
     homotopy.verify(out.boundary(), max(N - 1, 0))
     return out
-
-
-# ---------------------------------------------------------------------------
-# comparison isomorphisms between geometric and algebraic complexes
-
-
-def _fold_tuple_class(tower: Tower, t):
-    """Class of delta_{t0} (x) ... (x) delta_{tk} inside the tower of a
-    groupoid extension.
-
-    The base of depth d takes the first d + 1 letters."""
-    gi = {a: k for k, a in enumerate(tower.base.ext.provenance[1].elements)}
-    levels = [tower.base]
-    while levels[0].prev is not None:
-        levels.insert(0, levels[0].prev)
-    levels += [tower.level(k) for k in range(1, len(t) - len(levels) + 1)]
-    vec = {gi[t[0]]: ONE}
-    for lvl, a in zip(levels[1:], t[1:]):
-        vec = lvl.tensor_class(vec, {gi[a]: ONE})
-    return vec
-
-
-def geometric_comparison(geo: PresimplicialModule, alg: PresimplicialModule, N: int):
-    """Degreewise isomorphism from a geometric complex onto the algebraic
-    complex over the same tower, commuting with all faces: bar onto bar,
-    cyclic onto Hochschild, square tuples onto the square-coefficient
-    complex.  Tuple classes are projected to the coinvariants exactly when
-    the algebraic complex carries them."""
-    coinv = getattr(alg, "coinv", None)
-    what = "comparison %s -> %s" % (geo.name, alg.name)
-    isos = []
-    for n in range(N + 1):
-        cols = [_fold_tuple_class(alg.tower, t) for t in geo.labels[n]]
-        if coinv is not None:
-            cols = [coinv[n].project(c) for c in cols]
-        m = GMatrix.from_cols(alg.dims[n], cols)
-        if geo.dims[n] != alg.dims[n]:
-            raise AssertionError("%s: dimensions differ at degree %d" % (what, n))
-        if kernel_basis(m).cols != 0:
-            raise AssertionError("%s is not injective at degree %d" % (what, n))
-        isos.append(m)
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            if isos[n - 1].mul(as_matrix(geo.face(n, i))) != \
-                    as_matrix(alg.face(n, i)).mul(isos[n]):
-                raise AssertionError("%s breaks face (%d,%d)" % (what, n, i))
-    return isos
 
 
 # ---------------------------------------------------------------------------
@@ -746,135 +692,3 @@ def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
         raise AssertionError("homology basis has %d vectors, not %d"
                              % (basis.cols, dim_h))
     return HomologyModule(n, dim_h, basis, r_lo, r_hi, "elimination", p)
-
-
-# ---------------------------------------------------------------------------
-# the classifying-to-square zigzag
-
-
-@dataclass
-class ThetaIso:
-    """Degreewise isomorphism from C(G^e) (x)_{C G} C(E G) onto the
-    square-coefficient tuple complex, with its explicit inverse."""
-
-    groupoid: FiniteGroupoid
-    env: FiniteGroupoid
-    theta: list            # per-degree GMatrix (lhs -> acyclic tuples)
-    theta_inv: list
-    lhs_dims: list
-    rhs_dims: list
-    checks: dict
-
-
-def _theta_tuple(g, t):
-    """(a_0,...,a_n) -> (a_n^{-1}, a_0, a_0^{-1} a_1, ..., a_{n-1}^{-1} a_n)."""
-    n = len(t) - 1
-    out = [g.inverse[t[n]], t[0]]
-    for i in range(n):
-        out.append(g.compose[(g.inverse[t[i]], t[i + 1])])
-    return tuple(out)
-
-
-def theta_iso(g: FiniteGroupoid, N: int) -> ThetaIso:
-    env = enveloping(g)
-    acyc = [list(geometric_carrier(g, "acyclic", n)) for n in range(N + 1)]
-    acyc_index = [{t: k for k, t in enumerate(c)} for c in acyc]
-
-    # lhs carriers: degree 0 is G^e; degree n >= 1 is G^e *_{s,t} E^{n-1}
-    lhs = [list(env.elements)]
-    for n in range(1, N + 1):
-        carrier = []
-        for gamma in env.elements:
-            for w in geometric_carrier(g, "classifying", n - 1):
-                if env.source[gamma] == g.target[w[0]]:
-                    carrier.append((gamma, w))
-        lhs.append(carrier)
-    lhs_index = [{t: k for k, t in enumerate(c)} for c in lhs]
-
-    def act_env(gamma, z):
-        """G^e-action on square tuples: (a,b).(z0, z1, rest) = (z0 a, b z1, rest)."""
-        a, b = gamma
-        z0 = g.compose[(z[0], a)]
-        z1 = g.compose[(b, z[1])]
-        return (z0, z1) + z[2:]
-
-    def theta_apply(n, item):
-        if n == 0:
-            gamma = item
-            x = env.source[gamma]
-            unit_t = _theta_tuple(g, (g.units[x],))
-            return act_env(gamma, unit_t)
-        gamma, w = item
-        x = g.target[w[0]]
-        tup = (g.units[x],) + w
-        return act_env(gamma, _theta_tuple(g, tup))
-
-    theta = []
-    for n in range(N + 1):
-        m = GMatrix.zero(len(acyc[n]), len(lhs[n]))
-        for j, item in enumerate(lhs[n]):
-            m.col[j][acyc_index[n][theta_apply(n, item)]] = ONE
-        theta.append(m)
-
-    theta_inv = []
-    for n in range(N + 1):
-        m = GMatrix.zero(len(lhs[n]), len(acyc[n]))
-        for j, z in enumerate(acyc[n]):
-            if n == 0:
-                # a square tuple (z0, z1) is an enveloping element
-                m.col[j][lhs_index[0][(z[0], z[1])]] = ONE
-            else:
-                omegas = [z[2]]
-                for k in range(3, n + 2):
-                    omegas.append(g.compose[(omegas[-1], z[k])])
-                alpha = g.compose[(omegas[-1], z[0])]
-                item = ((alpha, z[1]), tuple(omegas))
-                m.col[j][lhs_index[n][item]] = ONE
-        theta_inv.append(m)
-
-    checks = {"two_sided_inverse": True, "face_commuting": True,
-              "equivariant": True}
-    for n in range(N + 1):
-        if theta[n].mul(theta_inv[n]) != GMatrix.identity(len(acyc[n])) or \
-           theta_inv[n].mul(theta[n]) != GMatrix.identity(len(lhs[n])):
-            checks["two_sided_inverse"] = False
-
-    # lhs faces through the identification
-    def lhs_face(n, i, item):
-        gamma, w = item
-        if i == 0:
-            w1 = w[0]
-            new_gamma = env.compose[(gamma, (g.inverse[w1], w1))]
-            rest = tuple(g.compose[(g.inverse[w1], c)] for c in w[1:])
-            return (new_gamma, rest) if n - 1 >= 1 else new_gamma
-        # face i deletes w_{i-1} of the normalized tuple (1, w)
-        keep = w[:i - 1] + w[i:]
-        return (gamma, keep) if n - 1 >= 1 else gamma
-
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            lm = GMatrix.zero(len(lhs[n - 1]), len(lhs[n]))
-            for j, item in enumerate(lhs[n]):
-                img = lhs_face(n, i, item)
-                lm.col[j][lhs_index[n - 1][img]] = ONE
-            geo_face = _tuple_face_map(g, "acyclic", n, i, acyc[n],
-                                       acyc_index[n - 1]).matrix()
-            if geo_face.mul(theta[n]) != theta[n - 1].mul(lm):
-                checks["face_commuting"] = False
-
-    # equivariance of theta on raw tuples: theta(alpha . w) = iota(alpha) theta(w)
-    for n in range(0, min(N, 2) + 1):
-        for w in geometric_carrier(g, "classifying", n):
-            for alpha in g.elements:
-                if g.source[alpha] != g.target[w[0]]:
-                    continue
-                aw = tuple(g.compose[(alpha, c)] for c in w)
-                lhs_t = _theta_tuple(g, aw)
-                rhs_t = act_env((g.inverse[alpha], alpha), _theta_tuple(g, w))
-                if lhs_t != rhs_t:
-                    checks["equivariant"] = False
-
-    if not all(checks.values()):
-        raise AssertionError("theta verification failed: %s" % checks)
-    return ThetaIso(g, env, theta, theta_inv,
-                    [len(c) for c in lhs], [len(c) for c in acyc], checks)

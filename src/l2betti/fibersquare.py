@@ -150,22 +150,6 @@ def _check_tracial(A: TracialStarAlgebra):
                                  % (A.name, A.labels[a], A.labels[c]))
 
 
-def s_condition(ext: Extension, u: dict, v: dict) -> bool:
-    """Matching condition u* x u == v x v* in B, for every x in B."""
-    left = _sig(ext, u, "left")
-    return left is not None and left == _sig(ext, v, "right")
-
-
-def pair_operator(bt: BalancedTensor, u: dict, v: dict) -> GMatrix:
-    """The endomorphism a (x) c -> a u (x) v c on the balanced tensor, after
-    checking that its evaluation [u (x) v] is B-central, which makes the map
-    well defined and bimodular (see the module docstring)."""
-    xi = bt.level.tensor_class(u, v)
-    if not _is_central(bt, xi):
-        raise AssertionError("pair operator: evaluation at 1(x)1 is not B-central")
-    return _operator(bt, xi)
-
-
 def _operator(bt: BalancedTensor, xi: dict) -> GMatrix:
     """The operator a (x) c -> a . xi . c: column q = (i, j) is a_i . xi . c_j.
     It is well defined and bimodular when xi is B-central (module docstring,
@@ -213,21 +197,6 @@ def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
                 "operator does not commute with the outer actions: "
                 "column %d is not a_i.T(1(x)1).c_j" % q)
     return xi
-
-
-def star_operator(bt: BalancedTensor, u: dict, v: dict) -> GMatrix:
-    """pair_operator for a unitary pair satisfying the matching condition."""
-    ext = bt.ext
-    if not ext.alg.is_unitary(u) or not ext.alg.is_unitary(v):
-        raise ValueError("star operator requires unitaries")
-    left, right = _sig(ext, u, "left"), _sig(ext, v, "right")
-    if left is None or right is None:
-        raise ValueError("matching condition fails (conjugate leaves B)")
-    if left != right:
-        k = next(k for k, (l, r) in enumerate(zip(left, right)) if l != r)
-        raise ValueError("matching condition fails at subalgebra basis %s"
-                         % ext.sub.labels[k])
-    return pair_operator(bt, u, v)
 
 
 class FiberSquareAlgebra(TracialStarAlgebra):
@@ -545,37 +514,12 @@ def groupoid_fiber_square(ext: Extension):
     return fsq, EnvelopingIso(g, env, env_ext, phi, checks)
 
 
-def operator_spans_equal(f1: FiberSquareAlgebra, f2: FiberSquareAlgebra) -> bool:
-    """Whether two fiber squares coincide as operator subspaces.
-
-    Requires both balanced tensors to carry the same representative
-    labeling (same kept ambient coordinates)."""
-    if f1.tensor.dim != f2.tensor.dim:
-        return False
-    if f1.tensor.level.quotient.keep != f2.tensor.level.quotient.keep:
-        raise ValueError("balanced tensors are not canonically identified")
-    e1 = Echelon()
-    for op in f1.ops:
-        e1.insert(_flatten(op))
-    both = Echelon()
-    for op in f1.ops + f2.ops:
-        both.insert(_flatten(op))
-    e2 = Echelon()
-    for op in f2.ops:
-        e2.insert(_flatten(op))
-    return e1.rank == both.rank == e2.rank
-
-
 def projection_pair_trace_identity(ext: Extension, p: dict):
     """tr of the operator a(x)b -> ap(x)pb against tr_B(E(p)^2); exact pair.
-    The trace is <1(x)1 | T(1(x)1)>, and T evaluates to [p (x) p]."""
-    A = ext.alg
-    if not A.is_projection(p):
-        raise ValueError("p is not a projection")
-    for k in range(ext.sub.dim):
-        bk = ext.embed.column(k)
-        if not vec_eq(A.mul(p, bk), A.mul(bk, p)):
-            raise ValueError("p does not commute with B")
+    The trace is <1(x)1 | T(1(x)1)>, and T evaluates to [p (x) p].
+
+    p must be a projection commuting with B, which the caller checks
+    (betti.verify_compression); it is not checked again here."""
     bt = balanced_tensor(ext)
     lhs = vec_dot(bt.one_one, bt.gram.apply(bt.level.tensor_class(p, p)))
     ep = ext.expectation_sub(p)

@@ -42,10 +42,6 @@ def uniform_space(n: int, prefix="x") -> FiniteMeasuredSpace:
     return FiniteMeasuredSpace(atoms, {a: w for a in atoms})
 
 
-def weighted_space(weights: dict) -> FiniteMeasuredSpace:
-    return FiniteMeasuredSpace(tuple(weights), dict(weights))
-
-
 @dataclass(frozen=True)
 class FiniteGroupoid:
     base: FiniteMeasuredSpace
@@ -57,14 +53,8 @@ class FiniteGroupoid:
     units: dict = field(compare=False)      # atom -> unit element
     name: str = field(default="", compare=False)
 
-    def unit_set(self):
-        return tuple(self.units[x] for x in self.base.atoms)
-
     def is_unit(self, a):
         return self.units[self.target[a]] == a
-
-    def composable(self, a, b):
-        return self.source[a] == self.target[b]
 
     def mul(self, a, b):
         return self.compose[(a, b)]
@@ -306,37 +296,8 @@ def enveloping(g: FiniteGroupoid) -> FiniteGroupoid:
                           name=g.name + ".env")
 
 
-def diagonal_embedding(g: FiniteGroupoid):
-    """The morphism a -> (inverse(a), a) into enveloping(g)."""
-    return {a: (g.inverse[a], a) for a in g.elements}
-
-
-@dataclass
-class GroupoidMorphism:
-    dom: FiniteGroupoid
-    cod: FiniteGroupoid
-    mapping: dict
-
-    def check(self):
-        m = self.mapping
-        for a in self.dom.elements:
-            b = m[a]
-            if self.dom.source[a] != self.cod.source[b]:
-                raise AssertionError("source broken at %r" % (a,))
-            if self.dom.target[a] != self.cod.target[b]:
-                raise AssertionError("target broken at %r" % (a,))
-            if m[self.dom.inverse[a]] != self.cod.inverse[b]:
-                raise AssertionError("inverse broken at %r" % (a,))
-        for (a, b), c in self.dom.compose.items():
-            if self.cod.compose[(m[a], m[b])] != m[c]:
-                raise AssertionError("composition broken at (%r,%r)" % (a, b))
-        return True
-
-
 # ---------------------------------------------------------------------------
 # the five tuple-space families of a groupoid
-
-KINDS = ("nerve", "bar", "cyclic", "acyclic", "classifying")
 
 
 def _chain_tuples(g: FiniteGroupoid, n: int):
@@ -454,8 +415,3 @@ def bisections(g: FiniteGroupoid):
             if s not in used_sources:
                 stack.append((k + 1, used_sources | {s}, chosen + (a,)))
     return out
-
-
-def bisection_permutation(g: FiniteGroupoid, b):
-    """The atom permutation x -> t(arrow of b with source x)."""
-    return {g.source[a]: g.target[a] for a in b}

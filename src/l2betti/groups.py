@@ -25,14 +25,3 @@ def symmetric_table(n: int):
             table[(names[p], names[q])] = names[pq]
     unit = names[tuple(range(n))]
     return table, unit, [names[p] for p in perms]
-
-
-def klein_table():
-    els = ["e", "a", "b", "c"]
-    idx = {e: i for i, e in enumerate(els)}
-    table = {}
-    for x in els:
-        for y in els:
-            table[(x, y)] = els[idx[x] ^ idx[y]]
-    return table, "e", els
-

@@ -122,20 +122,6 @@ class GMatrix:
         return GMatrix(n, n, [{i: ONE} for i in range(n)])
 
     @staticmethod
-    def from_rows(rows_list):
-        """Dense row-of-rows input (ints, Fractions or GScalars)."""
-        r = len(rows_list)
-        c = len(rows_list[0]) if r else 0
-        m = GMatrix(r, c)
-        for i, row in enumerate(rows_list):
-            assert len(row) == c, "ragged rows"
-            for j, x in enumerate(row):
-                x = gs(x)
-                if not x.is_zero():
-                    m.col[j][i] = x
-        return m
-
-    @staticmethod
     def from_cols(rows, cols_list):
         return GMatrix(rows, len(cols_list), [dict(c) for c in cols_list])
 
@@ -209,10 +195,6 @@ class GMatrix:
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return GMatrix(self.rows, self.cols,
                        [vec_sub(a, b) for a, b in zip(self.col, other.col)])
-
-    def scale(self, c):
-        c = gs(c)
-        return GMatrix(self.rows, self.cols, [vec_scale(c, v) for v in self.col])
 
     def adjoint(self):
         """Conjugate transpose."""

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from l2betti.algebras import (
-    Extension, SpanBasis, TracialStarAlgebra, TwoCocycle, all_sign_cocycles,
-    coboundary_cocycle, compression, conditional_expectation,
-    convolution_algebra, diagonal_subalgebra_vectors,
-    distinct_triple_sign_cocycle, full_extension, group_algebra, matrix_algebra,
+    Extension, SpanBasis, TracialStarAlgebra, TwoCocycle, compression,
+    conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
+    distinct_triple_sign_cocycle, group_algebra, matrix_algebra,
     normalizer_span, trivial_cocycle, trivial_extension, twisted_convolution,
     validate_algebra, validate_cocycle, weighted_sum, weighted_sum_algebras,
 )
@@ -20,6 +19,7 @@ from l2betti.groupoids import (
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, vec_eq
 from l2betti.scalars import GScalar, MINUS_ONE, ONE, gs
+from oracles import all_sign_cocycles, coboundary_cocycle, full_extension, is_trivial
 
 
 def c_group_algebra(n, name=None):
@@ -151,12 +151,10 @@ def test_nontrivial_cocycle_on_three_atoms():
     r = pair_relation(uniform_space(3))
     sig = distinct_triple_sign_cocycle(r)
     assert not validate_cocycle(sig)
-    assert not sig.is_trivial()
+    assert not is_trivial(sig)
     ext = twisted_convolution(r, sig)
+    # every axiom, associativity of the twisted product included, brute force
     assert validate_algebra(ext.alg).ok
-    # associativity of the twisted product, brute force
-    a = ext.alg
-    assert validate_algebra(a, check_associativity=True).ok
 
 
 def test_cocycle_identity_violation_detected():
@@ -176,9 +174,9 @@ def test_sign_cocycles_on_pair2_positive_ones_are_trivial():
     r = pair_relation(uniform_space(2))
     all_c = all_sign_cocycles(r)
     pos = all_sign_cocycles(r, require_positive=True)
-    assert len(pos) == 1 and pos[0].is_trivial()
+    assert len(pos) == 1 and is_trivial(pos[0])
     # the non-positive survivor exists but fails algebra validation
-    bad = [c for c in all_c if not c.is_trivial()]
+    bad = [c for c in all_c if not is_trivial(c)]
     assert bad
     for c in bad:
         with pytest.raises(ValueError):

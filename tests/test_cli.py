@@ -373,6 +373,21 @@ def test_non_tracial_algebra_document_exits_2(tmp_path, capsys, command):
     assert "is not tracial at basis pair (e21, e12)" in err
 
 
+@pytest.mark.parametrize("kind", ["nerve", "bar", "cyclic", "acyclic", "classifying", "l2"])
+def test_homology_of_malformed_groupoid_exits_2(tmp_path, capsys, kind):
+    # pair(2) without its first compose row: every complex kind must reject
+    # the document as bad input before it builds a tuple
+    with open(cpath("pair2.json")) as f:
+        doc = json.load(f)
+    doc["compose"] = doc["compose"][1:]
+    path = tmp_path / "pair2_short.json"
+    path.write_text(json.dumps(doc))
+    assert main(["homology", str(path), "--kind", kind, "--N", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "invalid groupoid" in err
+
+
 def test_verify_compression(capsys):
     code, out = run_cli(["verify", cpath("verify_compression_m2_diag.json")],
                         capsys)
@@ -545,3 +560,89 @@ def test_every_name_the_benchmark_imports_exists():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), (node.module, alias.name)
+
+
+def _tokens(node):
+    """Identifiers a syntax tree names: variables, attributes, imported
+    names, and identifier-like words inside string constants."""
+    import ast
+    import re
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return out
+
+
+def test_every_library_name_is_reached_from_the_cli_scripts_or_benchmark():
+    # The library keeps only what its users reach: the CLI (main), scripts/
+    # and benchmark/ (its own tests excepted).  Their identifiers, and the
+    # words of their strings (tracer targets are strings), are the roots.
+    # From each top-level function, class or assignment and each method of
+    # src/l2betti whose name is reached, the names its code uses are reached
+    # in turn; docstrings are not code.  A class reached also reaches its
+    # bases, decorators, class-level statements and dunder methods.  What
+    # only tests use belongs in tests/oracles.py.
+    # The scan works by name, so a method is reached whenever an attribute
+    # of its name is used anywhere: it cannot see a method whose name
+    # collides with a used one, such as a validate method that only tests
+    # call beside Extension.validate.
+    import ast
+    import glob
+
+    def dunder(name):
+        return name.startswith("__") and name.endswith("__")
+
+    defs = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "l2betti", "*.py"))):
+        mod = os.path.basename(path)[:-3]
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            body = getattr(node, "body", None)
+            if isinstance(body, list) and body and isinstance(body[0], ast.Expr) \
+                    and isinstance(body[0].value, ast.Constant):
+                node.body = body[1:] or [ast.Pass()]
+        for stmt in tree.body:
+            named = []
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                named.append((stmt.name, stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                named += [(sub.name, "%s.%s" % (stmt.name, sub.name), sub)
+                          for sub in stmt.body if isinstance(sub, ast.FunctionDef)]
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                named += [(n.id, n.id, stmt) for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)]
+            for name, qual, node in named:
+                defs.setdefault(name, []).append(("%s.%s" % (mod, qual), node))
+
+    todo = ["main"]
+    for path in glob.glob(os.path.join(ROOT, "scripts", "*.py")) + \
+            glob.glob(os.path.join(ROOT, "benchmark", "*.py")):
+        if os.path.basename(path) != "tracer_tests.py":
+            with open(path) as f:
+                todo.extend(_tokens(ast.parse(f.read())))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for _, node in defs.get(name, []):
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                parts = node.bases + node.decorator_list + [
+                    s for s in node.body
+                    if not isinstance(s, ast.FunctionDef) or dunder(s.name)]
+            for part in parts:
+                todo.extend(_tokens(part))
+    unreached = sorted(qual for name, entries in defs.items() for qual, _ in entries
+                       if name not in reached and not dunder(name))
+    assert not unreached, "only tests reach: %s" % ", ".join(unreached)

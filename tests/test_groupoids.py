@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2betti.groupoids import (
-    FiniteGroupoid, GroupoidMorphism, action_groupoid, bisection_permutation,
-    bisections, diagonal_embedding, enveloping,
+    FiniteGroupoid, FiniteMeasuredSpace, action_groupoid, bisections, enveloping,
     geometric_carrier, geometric_face, group_groupoid, is_equivalence_relation,
     pair_relation, partition_relation, trivial_groupoid, uniform_space,
-    validate_groupoid, weighted_space,
+    validate_groupoid,
 )
 from l2betti.groups import cyclic_table, symmetric_table
+from oracles import GroupoidMorphism, diagonal_embedding
 
 
 def c2_groupoid():
@@ -66,7 +66,7 @@ def test_pair_relation_shape():
     g = pair_relation(uniform_space(2))
     assert validate_groupoid(g).ok
     assert len(g.elements) == 4
-    assert set(g.unit_set()) == {("x0", "x0"), ("x1", "x1")}
+    assert set(g.units.values()) == {("x0", "x0"), ("x1", "x1")}
 
 
 def test_partition_relation_singletons_is_trivial():
@@ -105,16 +105,21 @@ def test_enveloping_of_relation_is_isomorphic():
     assert set(emb.values()) == set(e.elements)
 
 
-def test_broken_morphism_raises_under_python_optimize():
-    # -O strips assert statements; the morphism check must not live in one.
-    # Sending both elements of C2 to the generator keeps source, target and
-    # inverse but breaks composition.
+def test_broken_nerve_face_raises_under_python_optimize():
+    # -O strips assert statements; the presimplicial check of a geometric
+    # complex must not live in one.  Swapping the first two entries of face
+    # (2, 1) of the nerve of pair(2) breaks pi_0 pi_1 = pi_0 pi_0.
     code = "\n".join([
-        "from l2betti.groupoids import GroupoidMorphism, group_groupoid",
-        "from l2betti.groups import cyclic_table",
-        "table, unit, _ = cyclic_table(2)",
-        "g = group_groupoid(table, unit)",
-        "GroupoidMorphism(g, g, {a: 'g1' for a in g.elements}).check()",
+        "from l2betti.complexes import PresimplicialModule, geometric_complex",
+        "from l2betti.groupoids import pair_relation, uniform_space",
+        "from l2betti.linalg import IndexMap",
+        "nerve = geometric_complex(pair_relation(uniform_space(2)), 'nerve', 2)",
+        "faces = [None] + [list(row) for row in nerve.faces[1:]]",
+        "f = faces[2][1]",
+        "idx = list(f.idx)",
+        "idx[0], idx[1] = idx[1], idx[0]",
+        "faces[2][1] = IndexMap(f.rows, idx, f.sign)",
+        "PresimplicialModule(nerve.dims, faces, name='nerve').verify_presimplicial()",
     ])
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -122,7 +127,7 @@ def test_broken_morphism_raises_under_python_optimize():
     r = subprocess.run([sys.executable, "-O", "-c", code],
                        capture_output=True, text=True, env=env)
     assert r.returncode == 1
-    assert "AssertionError: composition broken at ('g0','g0')" in r.stderr
+    assert "AssertionError: presimplicial identity fails at degree 2" in r.stderr
 
 
 def test_enveloping_of_group_is_square():
@@ -183,21 +188,14 @@ def test_bisections_counts():
     assert len(bisections(pair_relation(uniform_space(3)))) == math.factorial(3)
     t = trivial_groupoid(uniform_space(3))
     bs = bisections(t)
-    assert len(bs) == 1 and bs[0] == frozenset(t.unit_set())
+    assert len(bs) == 1 and bs[0] == frozenset(t.units.values())
     for b in bisections(pair_relation(uniform_space(2))):
         assert is_bisection(pair_relation(uniform_space(2)), b)
 
 
-def test_bisection_permutation():
-    g = pair_relation(uniform_space(2))
-    for b in bisections(g):
-        perm = bisection_permutation(g, b)
-        assert sorted(perm.values()) == sorted(g.base.atoms)
-
-
 def test_invariant_measure_required():
     # a block pairing atoms of different mass fails the t measure check
-    x = weighted_space({"x0": Fraction(1, 4), "x1": Fraction(3, 4)})
+    x = FiniteMeasuredSpace(("x0", "x1"), {"x0": Fraction(1, 4), "x1": Fraction(3, 4)})
     g = pair_relation(x)
     rep = validate_groupoid(g)
     assert not rep.ok
