@@ -128,24 +128,7 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
 @dataclass
 class BettiTable:
     values: list
-    pipeline: str
-    N: int
     meta: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if isinstance(other, BettiTable):
-            return self.values == other.values
-        return NotImplemented
-
-    def scaled(self, factor: Fraction) -> "BettiTable":
-        return BettiTable([v * factor for v in self.values], self.pipeline,
-                          self.N, dict(self.meta))
-
-
-def homology_module(hm, coeff: TracialStarAlgebra) -> FiniteModule:
-    if hm.dim == 0:
-        return FiniteModule(coeff, 0, [GMatrix.zero(0, 0)] * coeff.dim)
-    return FiniteModule(coeff, hm.dim, hm.action_matrices())
 
 
 def generator_independence_check(alg, module, base_value, seed: int) -> bool:
@@ -160,27 +143,34 @@ def generator_independence_check(alg, module, base_value, seed: int) -> bool:
     return vn_dimension(alg, module, generators=gens) == base_value
 
 
-def betti_hochschild(ext: Extension, N: int, seed: int = None) -> BettiTable:
-    """Betti numbers through the square-coefficient Hochschild pipeline."""
-    fsq, _ = fiber_square_of(ext)
-    l2 = l2_complex(fsq, N)
+def _homology_dimensions(cx, coeff: TracialStarAlgebra, N: int, seed=None):
+    """Von Neumann dimension over coeff of each homology module of cx in
+    degrees 0..N-1, with each degree's rank method and, when seeded, whether
+    the generator-independence check ran (it raises if a dimension moves)."""
     values = []
     methods = []
-    checked = None
+    checked = False
     for n in range(N):
-        hm = homology(l2, n)
+        hm = homology(cx, n)
         methods.append(hm.method)
         if hm.dim == 0:
             values.append(Fraction(0))
-        else:
-            mod = homology_module(hm, fsq)
-            values.append(vn_dimension(fsq, mod))
-            if seed is not None:
-                ok = generator_independence_check(fsq, mod, values[-1], seed)
-                checked = ok if checked is None else (checked and ok)
-                if not ok:
-                    raise AssertionError(
-                        "dimension moved under a reshuffled generating set")
+            continue
+        mod = FiniteModule(coeff, hm.dim, hm.action_matrices())
+        values.append(vn_dimension(coeff, mod))
+        if seed is not None:
+            if not generator_independence_check(coeff, mod, values[-1], seed):
+                raise AssertionError(
+                    "dimension moved under a reshuffled generating set")
+            checked = True
+    return values, methods, checked
+
+
+def betti_hochschild(ext: Extension, N: int, seed: int = None) -> BettiTable:
+    """Betti numbers through the square-coefficient Hochschild pipeline."""
+    fsq, _ = fiber_square_of(ext)
+    values, methods, checked = _homology_dimensions(l2_complex(fsq, N), fsq,
+                                                    N, seed)
     meta = {
         "weak_closure": "finite dimensional: W*(A) = A",
         "fiber_square_dim": fsq.dim,
@@ -188,9 +178,8 @@ def betti_hochschild(ext: Extension, N: int, seed: int = None) -> BettiTable:
         "extension": ext.name,
     }
     if seed is not None:
-        meta["generator_independence"] = {"seed": seed,
-                                          "checked": bool(checked)}
-    return BettiTable(values, "hochschild", N, meta)
+        meta["generator_independence"] = {"seed": seed, "checked": checked}
+    return BettiTable(values, meta)
 
 
 def betti_sauer(g: FiniteGroupoid, N: int, ext: Extension = None) -> BettiTable:
@@ -199,40 +188,14 @@ def betti_sauer(g: FiniteGroupoid, N: int, ext: Extension = None) -> BettiTable:
     algebra itself, so Tor is computed against the algebra."""
     ext = ext or convolution_algebra(g)
     cls = geometric_complex(g, "classifying", N, coeff_ext=ext)
-    values = []
-    methods = []
-    for n in range(N):
-        hm = homology(cls, n)
-        methods.append(hm.method)
-        if hm.dim == 0:
-            values.append(Fraction(0))
-        else:
-            mod = homology_module(hm, ext.alg)
-            values.append(vn_dimension(ext.alg, mod))
-    return BettiTable(values, "sauer", N, {
+    values, methods, _ = _homology_dimensions(cls, ext.alg, N)
+    return BettiTable(values, {
         "weak_closure": "finite dimensional: NG = CG",
         "resolution": "classifying complex",
         "sidedness": "left modules over the convolution algebra",
         "groupoid": g.name,
         "rank_methods": methods,
     })
-
-
-def residual_betti(ext: Extension, generators, N: int) -> BettiTable:
-    """Betti numbers of the normalizing extension N(A/B)/B."""
-    next_ext = normalizer_span(ext, generators)
-    table = betti_hochschild(next_ext, N)
-    table.meta["residual_of"] = ext.name
-    table.meta["normalizing_dim"] = next_ext.alg.dim
-    table.pipeline = "residual"
-    return table
-
-
-def groupoid_normalizer_generators(ext: Extension):
-    """Bisection unitaries of the underlying groupoid, as algebra vectors."""
-    if not ext.provenance or ext.provenance[0] not in ("groupoid", "twisted"):
-        raise ValueError("extension does not come from a groupoid")
-    return list(ext.alg.unitary_family)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +214,6 @@ class TheoremReport:
         return [l - r for l, r in zip(self.lhs, self.rhs)]
 
 
-def _in_commutant(ext: Extension, p: dict) -> bool:
-    A = ext.alg
-    return all(vec_eq(A.mul(p, ext.embed.column(k)), A.mul(ext.embed.column(k), p))
-               for k in range(ext.sub.dim))
-
-
 def _in_center_of_sub(ext: Extension, p: dict) -> bool:
     b = ext.expectation_sub(p)
     if not vec_eq(ext.embed.apply(b), p):
@@ -266,15 +223,12 @@ def _in_center_of_sub(ext: Extension, p: dict) -> bool:
                for k in range(B.dim))
 
 
-def verify_compression(ext: Extension, p: dict, N: int = 2,
+def verify_compression(ext: Extension, p: dict, N: int,
                        extended_scope=False) -> TheoremReport:
-    A = ext.alg
-    if not A.is_projection(p):
-        raise ValueError("p is not a projection")
-    if not _in_commutant(ext, p):
-        raise ValueError("p does not commute with the subalgebra")
+    # compression checks that p is a projection commuting with B
+    comp = compression(ext, p)
     central = _in_center_of_sub(ext, p)
-    factor_case = A.is_factor()
+    factor_case = ext.alg.is_factor()
     if not (central or factor_case or extended_scope):
         raise ValueError(
             "compression beyond a factor needs p central in B, or the "
@@ -285,10 +239,9 @@ def verify_compression(ext: Extension, p: dict, N: int = 2,
     if not denom_g.is_real():
         raise AssertionError("tr_B(E(p)^2) is not real")
     denom = denom_g.re
-    comp = compression(ext, p)
     lhs = betti_hochschild(comp, N)
     base = betti_hochschild(ext, N)
-    rhs = base.scaled(Fraction(1) / denom)
+    rhs = [v / denom for v in base.values]
     tr_pair, tr_exp = projection_pair_trace_identity(ext, p)
     details = {
         "tr_B(E(p)^2)": str(denom),
@@ -298,36 +251,30 @@ def verify_compression(ext: Extension, p: dict, N: int = 2,
         "scope": "theorem" if (central or factor_case) else "extended (remark)",
         "base_table": base.values,
     }
-    passed = lhs.values == rhs.values and tr_pair == tr_exp
-    return TheoremReport("compression", passed, lhs.values, rhs.values, details)
+    passed = lhs.values == rhs and tr_pair == tr_exp
+    return TheoremReport("compression", passed, lhs.values, rhs, details)
 
 
-def verify_directed_sum(extensions, weights, N: int = 2) -> TheoremReport:
+# theorem -> (mode of the weighted sum, power of the weights in its law)
+WEIGHTED_SUMS = {"directed_sum": ("componentwise", 1),
+                 "central_quadratic": ("central", 2)}
+
+
+def verify_weighted_sum(theorem: str, extensions, weights, N: int) -> TheoremReport:
+    """Betti numbers of a weighted sum against the weighted Betti numbers of
+    its summands: weights w for directed sums, w^2 for central sums."""
+    mode, power = WEIGHTED_SUMS[theorem]
     ws = [Fraction(w) for w in weights]
-    big = weighted_sum(extensions, ws, mode="componentwise")
-    lhs = betti_hochschild(big, N)
+    lhs = betti_hochschild(weighted_sum(extensions, ws, mode=mode), N)
     parts = [betti_hochschild(e, N) for e in extensions]
-    rhs = [sum((w * t.values[n] for w, t in zip(ws, parts)), Fraction(0))
+    rhs = [sum((w ** power * t.values[n] for w, t in zip(ws, parts)), Fraction(0))
            for n in range(N)]
     details = {"weights": [str(w) for w in ws],
                "summands": [t.values for t in parts]}
-    return TheoremReport("directed_sum", lhs.values == rhs, lhs.values, rhs, details)
+    return TheoremReport(theorem, lhs.values == rhs, lhs.values, rhs, details)
 
 
-def verify_central_quadratic(extensions, weights, N: int = 2) -> TheoremReport:
-    ws = [Fraction(w) for w in weights]
-    big = weighted_sum(extensions, ws, mode="central")
-    lhs = betti_hochschild(big, N)
-    parts = [betti_hochschild(e, N) for e in extensions]
-    rhs = [sum((w * w * t.values[n] for w, t in zip(ws, parts)), Fraction(0))
-           for n in range(N)]
-    details = {"weights": [str(w) for w in ws],
-               "summands": [t.values for t in parts]}
-    return TheoremReport("central_quadratic", lhs.values == rhs,
-                         lhs.values, rhs, details)
-
-
-def verify_groupoid_equality(g: FiniteGroupoid, N: int = 4) -> TheoremReport:
+def verify_groupoid_equality(g: FiniteGroupoid, N: int) -> TheoremReport:
     ext = convolution_algebra(g)
     sau = betti_sauer(g, N, ext=ext)
     hoch = betti_hochschild(ext, N)
@@ -337,40 +284,24 @@ def verify_groupoid_equality(g: FiniteGroupoid, N: int = 4) -> TheoremReport:
                          sau.values, hoch.values, details)
 
 
-def verify_residual(r: FiniteGroupoid, sigma=None, N: int = 2) -> TheoremReport:
-    """Residual numbers of the (possibly twisted) relation algebra against
-    the groupoid Betti numbers; the finite-scale instance exercises the
-    proof mechanism rather than the factor-and-Cartan hypothesis."""
+def verify_residual(r: FiniteGroupoid, sigma, N: int) -> TheoremReport:
+    """Betti numbers of the normalizing extension N(A/B)/B of the (possibly
+    twisted) relation algebra, against the groupoid Betti numbers; the
+    finite-scale instance exercises the proof mechanism rather than the
+    factor-and-Cartan hypothesis."""
     if sigma is None:
         ext = convolution_algebra(r)
     else:
         ext = twisted_convolution(r, sigma)
-    gens = groupoid_normalizer_generators(ext)
-    nabla = residual_betti(ext, gens, N)
-    sau = betti_sauer(r, N)
+    nabla_ext = normalizer_span(ext, ext.alg.unitary_family)
+    nabla = betti_hochschild(nabla_ext, N)
+    # the Sauer side is untwisted: it reuses ext only when ext is untwisted
+    sau = betti_sauer(r, N, ext=ext if sigma is None else None)
     details = {
         "twisted": sigma is not None,
         "note": "finite-scale instance of the proof mechanism; no diffuse "
                 "Cartan subalgebra exists at finite dimension",
-        "normalizing_dim": nabla.meta.get("normalizing_dim"),
+        "normalizing_dim": nabla_ext.alg.dim,
     }
     return TheoremReport("residual", nabla.values == sau.values,
                          nabla.values, sau.values, details)
-
-
-def verify_theorem(which: str, N: int = None, extended_scope=False, **instance):
-    if which == "compression":
-        return verify_compression(instance["ext"], instance["p"],
-                                  N or 2, extended_scope)
-    if which == "directed_sum":
-        return verify_directed_sum(instance["extensions"], instance["weights"],
-                                   N or 2)
-    if which == "central_quadratic":
-        return verify_central_quadratic(instance["extensions"],
-                                        instance["weights"], N or 2)
-    if which == "groupoid_equality":
-        return verify_groupoid_equality(instance["groupoid"], N or 4)
-    if which == "residual":
-        return verify_residual(instance["relation"], instance.get("sigma"),
-                               N or 2)
-    raise ValueError("unknown theorem %r" % which)

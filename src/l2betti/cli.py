@@ -8,13 +8,16 @@ Exit codes: 0 success (or verified equality), 1 verification discrepancy,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import Extension, validate_algebra, validate_cocycle
-from .betti import betti_hochschild, betti_sauer, verify_theorem
+from .betti import (
+    betti_hochschild, betti_sauer, verify_compression,
+    verify_groupoid_equality, verify_residual, verify_weighted_sum,
+)
 from .complexes import geometric_complex, homology, l2_complex, bar_complex
 from .fibersquare import fiber_square_of
 from .fileio import (
@@ -25,30 +28,11 @@ from .groupoids import FiniteGroupoid, validate_groupoid
 from .scalars import render_scalar
 
 
-@dataclass
-class RunConfig:
-    command: str
-    paths: list
-    N: int = 4
-    pipeline: str = None
-    both: bool = False
-    extended_scope: bool = False
-    fmt: str = "structured"
-    out: str = None
-    seed: int = 0
-    theorem: str = None
-    kind: str = None
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise InputError("degree cap N must be at least 1")
-
-
-def _emit(report: dict, config: RunConfig) -> None:
-    text = (render_structured(report) if config.fmt == "structured"
+def _emit(report: dict, args) -> None:
+    text = (render_structured(report) if args.fmt == "structured"
             else render_plain(report))
-    if config.out:
-        with open(config.out, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
@@ -58,10 +42,10 @@ def _betti_values(table):
     return [str(Fraction(v)) for v in table.values]
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(args) -> int:
     results = {}
     status = 0
-    for path in config.paths:
+    for path in args.paths:
         obj = load_path(path)
         if isinstance(obj, FiniteGroupoid):
             rep = validate_groupoid(obj)
@@ -88,11 +72,11 @@ def cmd_validate(config: RunConfig) -> int:
             if not arep.ok:
                 status = 2
         elif isinstance(obj, dict) and obj.get("kind") == "cocycle":
-            if len(config.paths) < 2:
+            if len(args.paths) < 2:
                 raise InputError("a cocycle file needs its relation file "
                                  "passed alongside", path)
             rel = None
-            for other in config.paths:
+            for other in args.paths:
                 if other == path:
                     continue
                 cand = load_path(other)
@@ -112,25 +96,23 @@ def cmd_validate(config: RunConfig) -> int:
                 status = 2
         else:
             raise InputError("unsupported document", path)
-    _emit({"command": "validate", "results": results}, config)
+    _emit({"command": "validate", "results": results}, args)
     return status
 
 
-def cmd_betti(config: RunConfig) -> int:
-    path = config.paths[0]
+def cmd_betti(args) -> int:
+    path = args.paths[0]
     obj = load_path(path)
-    report = {"command": "betti", "input": path, "N": config.N}
+    report = {"command": "betti", "input": path, "N": args.N}
     status = 0
-    pipeline = config.pipeline
-    if pipeline is None:
-        pipeline = ("both" if config.both or isinstance(obj, FiniteGroupoid)
-                    else "hochschild")
+    pipeline = args.pipeline or (
+        "both" if args.both or isinstance(obj, FiniteGroupoid) else "hochschild")
     if pipeline == "both":
         if not isinstance(obj, FiniteGroupoid):
             raise InputError("both pipelines need a groupoid input", path)
         ext = as_extension(obj)
-        sau = betti_sauer(obj, config.N, ext=ext)
-        hoch = betti_hochschild(ext, config.N, seed=config.seed)
+        sau = betti_sauer(obj, args.N, ext=ext)
+        hoch = betti_hochschild(ext, args.N, seed=args.seed)
         report["sauer"] = _betti_values(sau)
         report["hochschild"] = _betti_values(hoch)
         report["equal"] = sau.values == hoch.values
@@ -142,22 +124,22 @@ def cmd_betti(config: RunConfig) -> int:
     elif pipeline == "sauer":
         if not isinstance(obj, FiniteGroupoid):
             raise InputError("the groupoid pipeline needs a groupoid input", path)
-        t = betti_sauer(obj, config.N)
+        t = betti_sauer(obj, args.N)
         report["sauer"] = _betti_values(t)
         report["meta"] = t.meta
     else:
         ext = as_extension(obj)
-        t = betti_hochschild(ext, config.N, seed=config.seed)
+        t = betti_hochschild(ext, args.N, seed=args.seed)
         report["hochschild"] = _betti_values(t)
         report["meta"] = t.meta
-    _emit(report, config)
+    _emit(report, args)
     return status
 
 
-def cmd_homology(config: RunConfig) -> int:
-    path = config.paths[0]
+def cmd_homology(args) -> int:
+    path = args.paths[0]
     obj = load_path(path)
-    kind = config.kind or "l2"
+    kind = args.kind
     if kind in ("nerve", "bar", "cyclic", "acyclic", "classifying"):
         if not isinstance(obj, FiniteGroupoid):
             raise InputError("geometric complexes need a groupoid input", path)
@@ -166,17 +148,17 @@ def cmd_homology(config: RunConfig) -> int:
             rep = validate_groupoid(obj)
             if not rep.ok:
                 raise ValueError("invalid groupoid: %s" % rep.violations[:3])
-        p = geometric_complex(obj, kind, config.N)
+        p = geometric_complex(obj, kind, args.N)
     elif kind == "l2":
         ext = as_extension(obj)
-        p = l2_complex(fiber_square_of(ext)[0], config.N)
+        p = l2_complex(fiber_square_of(ext)[0], args.N)
     elif kind == "algebra-bar":
         ext = as_extension(obj)
-        p = bar_complex(ext, config.N)
+        p = bar_complex(ext, args.N)
     else:
         raise InputError("unknown complex kind %r" % kind)
     degrees = {}
-    for n in range(config.N):
+    for n in range(args.N):
         hm = homology(p, n)
         degrees[str(n)] = {
             "space_dimension": p.dims[n],
@@ -189,16 +171,16 @@ def cmd_homology(config: RunConfig) -> int:
         "command": "homology",
         "input": path,
         "complex": kind,
-        "N": config.N,
-        "top_dimension": p.dims[config.N],
+        "N": args.N,
+        "top_dimension": p.dims[args.N],
         "degrees": degrees,
     }
-    _emit(report, config)
+    _emit(report, args)
     return 0
 
 
-def cmd_fiber_square(config: RunConfig) -> int:
-    path = config.paths[0]
+def cmd_fiber_square(args) -> int:
+    path = args.paths[0]
     obj = load_path(path)
     ext = as_extension(obj)
     report = {"command": "fiber-square", "input": path}
@@ -213,17 +195,20 @@ def cmd_fiber_square(config: RunConfig) -> int:
     # fiber_square raises on any trace_not_tracial violation that
     # validate_algebra finds, so a fiber square that got here is tracial
     report["tracial"] = True
-    _emit(report, config)
+    _emit(report, args)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    path = config.paths[0]
+def cmd_verify(args) -> int:
+    path = args.paths[0]
     doc = load_path(path)
     if not isinstance(doc, dict) or doc.get("kind") != "verify_instance":
         raise InputError("verify needs a verify_instance document", path)
-    theorem = config.theorem or doc.get("theorem")
-    n_default = int(doc.get("N", config.N))
+    theorem = doc.get("theorem")
+    N = doc.get("N", args.N)
+    if type(N) is not int or N < 1:
+        raise InputError("N must be an integer at least 1, not %s"
+                         % json.dumps(N), path)
     base = os.path.dirname(os.path.abspath(path))
 
     def loader(rel):
@@ -239,28 +224,22 @@ def cmd_verify(config: RunConfig) -> int:
         ext = as_extension(resolve(field("algebra")))
         index = {l: k for k, l in enumerate(ext.alg.labels)}
         p = _vec_from_pairs(field("projection"), index, path)
-        rep = verify_theorem("compression", ext=ext, p=p, N=n_default,
-                             extended_scope=config.extended_scope)
-    elif theorem == "directed_sum":
+        rep = verify_compression(ext, p, N, args.extended_scope)
+    elif theorem in ("directed_sum", "central_quadratic"):
         exts, weights = summands_from_doc(doc, loader, path)
-        rep = verify_theorem("directed_sum", extensions=exts, weights=weights,
-                             N=n_default)
-    elif theorem == "central_quadratic":
-        exts, weights = summands_from_doc(doc, loader, path)
-        rep = verify_theorem("central_quadratic", extensions=exts,
-                             weights=weights, N=n_default)
+        rep = verify_weighted_sum(theorem, exts, weights, N)
     elif theorem == "groupoid_equality":
         g = resolve(field("groupoid"))
         if not isinstance(g, FiniteGroupoid):
             raise InputError("groupoid_equality needs a groupoid", path)
-        rep = verify_theorem("groupoid_equality", groupoid=g, N=n_default)
+        rep = verify_groupoid_equality(g, N)
     elif theorem == "residual":
         g = resolve(field("relation"))
         sigma = None
         if "cocycle" in doc:
             cdoc = doc["cocycle"]
             sigma = cocycle_from_doc(loader(cdoc) if isinstance(cdoc, str) else cdoc, g)
-        rep = verify_theorem("residual", relation=g, sigma=sigma, N=n_default)
+        rep = verify_residual(g, sigma, N)
     else:
         raise InputError("unknown theorem %r" % theorem, path)
 
@@ -275,7 +254,7 @@ def cmd_verify(config: RunConfig) -> int:
     }
     if not rep.passed:
         report["discrepancy"] = [str(d) for d in rep.discrepancy()]
-    _emit(report, config)
+    _emit(report, args)
     return 0 if rep.passed else 1
 
 
@@ -308,8 +287,7 @@ def build_parser():
     common(sub.add_parser("validate", help="check input documents"))
     pb = sub.add_parser("betti", help="Betti numbers of an input")
     common(pb, npaths=1)
-    pb.add_argument("--pipeline", choices=("hochschild", "sauer", "both"),
-                    default=None)
+    pb.add_argument("--pipeline", choices=("hochschild", "sauer"), default=None)
     pb.add_argument("--both", action="store_true")
     ph = sub.add_parser("homology", help="per-degree dimensions and ranks")
     common(ph, npaths=1)
@@ -320,23 +298,25 @@ def build_parser():
            npaths=1)
     pv = sub.add_parser("verify", help="verify a theorem instance")
     common(pv, npaths=1)
-    pv.add_argument("--theorem", default=None)
     return ap
 
 
-def run(config: RunConfig) -> int:
+def run(args) -> int:
+    """Run the parsed command line; returns the exit code."""
     try:
-        if config.command == "validate":
-            return cmd_validate(config)
-        if config.command == "betti":
-            return cmd_betti(config)
-        if config.command == "homology":
-            return cmd_homology(config)
-        if config.command == "fiber-square":
-            return cmd_fiber_square(config)
-        if config.command == "verify":
-            return cmd_verify(config)
-        raise InputError("unknown command %r" % config.command)
+        if args.N < 1:
+            raise InputError("degree cap N must be at least 1")
+        if args.command == "validate":
+            return cmd_validate(args)
+        if args.command == "betti":
+            return cmd_betti(args)
+        if args.command == "homology":
+            return cmd_homology(args)
+        if args.command == "fiber-square":
+            return cmd_fiber_square(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        raise InputError("unknown command %r" % args.command)
     except InputError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
@@ -346,25 +326,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            command=args.command,
-            paths=list(args.paths),
-            N=args.N,
-            pipeline=getattr(args, "pipeline", None),
-            both=getattr(args, "both", False),
-            extended_scope=args.extended_scope,
-            fmt=args.fmt,
-            out=args.out,
-            seed=args.seed,
-            theorem=getattr(args, "theorem", None),
-            kind=getattr(args, "kind", None),
-        )
-    except InputError as e:
-        sys.stderr.write("input error: %s\n" % e)
-        return 2
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

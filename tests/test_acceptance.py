@@ -4,7 +4,6 @@ All equalities are exact rational equalities (tolerance zero).  Run with
 pytest -s to see the lines as they complete.
 """
 
-import json
 import os
 import re
 import subprocess
@@ -15,10 +14,11 @@ from l2betti.algebras import (
     conditional_expectation, convolution_algebra,
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
     matrix_algebra, trivial_cocycle, trivial_extension, twisted_convolution,
-    validate_algebra,
 )
 from l2betti.betti import (
-    FiniteModule, betti_hochschild, betti_sauer, verify_theorem, vn_dimension,
+    FiniteModule, betti_hochschild, verify_compression,
+    verify_groupoid_equality, verify_residual, verify_weighted_sum,
+    vn_dimension,
 )
 from l2betti.complexes import (
     bar_complex, geometric_complex, homology, l2_complex,
@@ -98,14 +98,14 @@ def test_criterion_2_matrix_algebras_and_compression():
     m2 = matrix_algebra(2)
     ext = trivial_extension(m2)
     p = {m2.index("e11"): ONE}
-    rep = verify_theorem("compression", ext=ext, p=p, N=2)
+    rep = verify_compression(ext, p, 2)
     if not (rep.passed and rep.lhs[0] == Fraction(1) == rep.rhs[0]):
         ok = False
         report("ACCEPTANCE 2: FAIL compression over the scalars: %s vs %s"
                % (rep.lhs, rep.rhs))
 
     extd = m2_diag_ext()
-    repd = verify_theorem("compression", ext=extd, p=dict(p), N=2)
+    repd = verify_compression(extd, dict(p), 2)
     base = Fraction(repd.details["base_table"][0])
     ratio = Fraction(repd.details["tr_B(E(p)^2)"])
     if not (repd.passed and repd.lhs[0] == Fraction(1)
@@ -120,13 +120,13 @@ def test_criterion_2_matrix_algebras_and_compression():
 def test_criterion_3_directed_sum_laws():
     ext1 = m2_diag_ext()
     ext2 = group_ext("C2")
-    rep = verify_theorem("directed_sum", extensions=[ext1, ext2],
-                         weights=[Fraction(1, 2), Fraction(1, 2)], N=2)
+    rep = verify_weighted_sum("directed_sum", [ext1, ext2],
+                              [Fraction(1, 2), Fraction(1, 2)], 2)
     ok = rep.passed and rep.lhs[0] == Fraction(1, 2)
 
-    repc = verify_theorem("central_quadratic",
-                          extensions=[group_ext("C2"), group_ext("C3")],
-                          weights=[Fraction(1, 2), Fraction(1, 2)], N=2)
+    repc = verify_weighted_sum("central_quadratic",
+                               [group_ext("C2"), group_ext("C3")],
+                               [Fraction(1, 2), Fraction(1, 2)], 2)
     ok = ok and repc.passed and repc.lhs[0] == Fraction(5, 24)
     report("ACCEPTANCE 3: %s - directed sum beta_0 = 1/2 and central "
            "quadratic beta_0 = 5/24, both sides computed independently"
@@ -161,7 +161,7 @@ def corpus_groupoids():
 def test_criterion_4_groupoid_equality():
     ok = True
     for name, g, b0 in corpus_groupoids():
-        rep = verify_theorem("groupoid_equality", groupoid=g, N=4)
+        rep = verify_groupoid_equality(g, 4)
         if not rep.passed or rep.lhs[0] != b0 or \
                 rep.lhs[1:] != [Fraction(0)] * 3:
             ok = False
@@ -241,7 +241,7 @@ def test_criterion_5b_cocycle_forgetting_pair2_as_stated():
         accepted.append((sigma, ext))
 
     f_u, _ = groupoid_fiber_square(convolution_algebra(r2))
-    rep_u = verify_theorem("residual", relation=r2, N=2)
+    rep_u = verify_residual(r2, None, 2)
     for sigma, ext in accepted:
         f_t, iso = groupoid_fiber_square(ext)
         if f_t.dim != len(iso.env.elements) or f_t.dim != 4:
@@ -252,7 +252,7 @@ def test_criterion_5b_cocycle_forgetting_pair2_as_stated():
         if any(f_t.trace({i: ONE}) != env.trace(iso.matrix.column(i))
                for i in range(f_t.dim)):
             problems.append("traces differ from the enveloping trace")
-        rep_t = verify_theorem("residual", relation=r2, sigma=sigma, N=2)
+        rep_t = verify_residual(r2, sigma, 2)
         if not (rep_t.passed and rep_u.passed and rep_t.lhs == rep_u.lhs):
             problems.append("residual numbers %s vs untwisted %s"
                             % (rep_t.lhs, rep_u.lhs))
@@ -290,8 +290,8 @@ def test_criterion_5b_cocycle_forgetting_content():
     for i in range(f_t.dim):
         if f_t.trace({i: ONE}) != env.trace(iso_t.matrix.column(i)):
             ok = False
-    rep_t = verify_theorem("residual", relation=r3, sigma=sigma, N=2)
-    rep_u = verify_theorem("residual", relation=r3, N=2)
+    rep_t = verify_residual(r3, sigma, 2)
+    rep_u = verify_residual(r3, None, 2)
     ok = ok and rep_t.passed and rep_u.passed and rep_t.lhs == rep_u.lhs
     # the literal subspace-equality reading is refuted empirically
     subspaces_differ = not operator_spans_equal(f_t, f_u)

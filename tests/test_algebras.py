@@ -5,20 +5,18 @@ from fractions import Fraction
 import pytest
 
 from l2betti.algebras import (
-    Extension, SpanBasis, TracialStarAlgebra, TwoCocycle, compression,
-    conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
-    distinct_triple_sign_cocycle, group_algebra, matrix_algebra,
-    normalizer_span, trivial_cocycle, trivial_extension, twisted_convolution,
-    validate_algebra, validate_cocycle, weighted_sum, weighted_sum_algebras,
+    SpanBasis, compression, conditional_expectation, convolution_algebra,
+    diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
+    matrix_algebra, normalizer_span, trivial_cocycle, trivial_extension,
+    twisted_convolution, validate_algebra, validate_cocycle, weighted_sum,
 )
 from l2betti.fileio import _vec_from_pairs, as_extension, load_path
 from l2betti.groupoids import (
-    action_groupoid, group_groupoid, pair_relation, trivial_groupoid,
-    uniform_space,
+    group_groupoid, pair_relation, trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import GMatrix, vec_eq
-from l2betti.scalars import GScalar, MINUS_ONE, ONE, gs
+from l2betti.linalg import vec_eq
+from l2betti.scalars import MINUS_ONE, ONE, gs
 from oracles import all_sign_cocycles, coboundary_cocycle, full_extension, is_trivial
 
 

@@ -1,28 +1,26 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2betti.algebras import (
-    compression, conditional_expectation, convolution_algebra,
-    diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
-    matrix_algebra, trivial_extension, weighted_sum,
+    conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
+    distinct_triple_sign_cocycle, group_algebra, matrix_algebra,
+    trivial_extension,
 )
 from l2betti.betti import (
-    BettiTable, FiniteModule, betti_hochschild, betti_sauer,
-    groupoid_normalizer_generators, homology_module, residual_betti,
-    verify_theorem, vn_dimension,
+    FiniteModule, betti_hochschild, betti_sauer, verify_compression,
+    verify_groupoid_equality, verify_residual, verify_weighted_sum,
+    vn_dimension,
 )
-from l2betti.complexes import geometric_complex, homology, l2_complex
-from l2betti.fibersquare import default_pairs, fiber_square
+from l2betti.complexes import geometric_complex, homology
 from l2betti.groupoids import (
-    action_groupoid, group_groupoid, pair_relation, partition_relation,
+    group_groupoid, pair_relation, partition_relation,
     trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, as_matrix
-from l2betti.scalars import ONE, gs
+from l2betti.scalars import ONE
 from oracles import direct_sum, free_module, matrix_from_rows, validate_module
 
 
@@ -152,7 +150,7 @@ def test_betti_sauer_groupoids():
 
 def test_betti_pipelines_agree_small():
     r = pair_relation(uniform_space(2))
-    rep = verify_theorem("groupoid_equality", groupoid=r, N=3)
+    rep = verify_groupoid_equality(r, 3)
     assert rep.passed
     assert rep.lhs[0] == Fraction(1, 2)
 
@@ -161,7 +159,7 @@ def test_partition_relation_betti():
     g = partition_relation(uniform_space(3), [["x0", "x1"], ["x2"]])
     t = betti_sauer(g, 2)
     assert t.values[0] == Fraction(2, 3)
-    rep = verify_theorem("groupoid_equality", groupoid=g, N=2)
+    rep = verify_groupoid_equality(g, 2)
     assert rep.passed
 
 
@@ -169,7 +167,7 @@ def test_compression_theorem_m2_scalars():
     m2 = matrix_algebra(2)
     ext = trivial_extension(m2)
     p = {m2.index("e11"): ONE}
-    rep = verify_theorem("compression", ext=ext, p=p, N=2)
+    rep = verify_compression(ext, p, 2)
     assert rep.passed
     assert rep.lhs[0] == Fraction(1) == rep.rhs[0]
     assert rep.details["trace_identity"]
@@ -180,7 +178,7 @@ def test_compression_theorem_m2_diag():
     ext = conditional_expectation(m2, diagonal_subalgebra_vectors(2),
                                   sub_labels=["d1", "d2"], name="M2/diag")
     p = {m2.index("e11"): ONE}
-    rep = verify_theorem("compression", ext=ext, p=p, N=2)
+    rep = verify_compression(ext, p, 2)
     assert rep.passed
     assert rep.lhs[0] == Fraction(1)
     assert rep.details["tr_B(E(p)^2)"] == "1/2"
@@ -191,8 +189,8 @@ def test_directed_sum_theorem():
     ext1 = conditional_expectation(m2, diagonal_subalgebra_vectors(2),
                                    sub_labels=["d1", "d2"], name="M2/diag")
     ext2 = cgroup_ext(2)
-    rep = verify_theorem("directed_sum", extensions=[ext1, ext2],
-                         weights=[Fraction(1, 2), Fraction(1, 2)], N=2)
+    rep = verify_weighted_sum("directed_sum", [ext1, ext2],
+                              [Fraction(1, 2), Fraction(1, 2)], 2)
     assert rep.passed
     assert rep.lhs[0] == Fraction(1, 2)
 
@@ -200,24 +198,39 @@ def test_directed_sum_theorem():
 def test_central_quadratic_theorem():
     e1 = cgroup_ext(2)
     e2 = cgroup_ext(3)
-    rep = verify_theorem("central_quadratic", extensions=[e1, e2],
-                         weights=[Fraction(1, 2), Fraction(1, 2)], N=2)
+    rep = verify_weighted_sum("central_quadratic", [e1, e2],
+                              [Fraction(1, 2), Fraction(1, 2)], 2)
     assert rep.passed
     assert rep.lhs[0] == Fraction(5, 24)
 
 
 def test_residual_theorem_untwisted_and_twisted():
     r = pair_relation(uniform_space(2))
-    rep = verify_theorem("residual", relation=r, N=2)
+    rep = verify_residual(r, None, 2)
     assert rep.passed
     assert rep.lhs[0] == Fraction(1, 2)
 
     r3 = pair_relation(uniform_space(3))
     sig = distinct_triple_sign_cocycle(r3)
-    rep_t = verify_theorem("residual", relation=r3, sigma=sig, N=2)
-    rep_u = verify_theorem("residual", relation=r3, N=2)
+    rep_t = verify_residual(r3, sig, 2)
+    rep_u = verify_residual(r3, None, 2)
     assert rep_t.passed and rep_u.passed
     assert rep_t.lhs == rep_u.lhs  # the cocycle is forgotten
+
+
+def test_verify_residual_builds_the_relation_algebra_once(monkeypatch):
+    import l2betti.betti as betti_mod
+    r = pair_relation(uniform_space(2))
+    built = []
+
+    def counting(g, *args, **kwargs):
+        if g is r:
+            built.append(g)
+        return convolution_algebra(g, *args, **kwargs)
+
+    monkeypatch.setattr(betti_mod, "convolution_algebra", counting)
+    assert verify_residual(r, None, 2).passed
+    assert len(built) == 1
 
 
 def test_dimension_isomorphism_robustness():
@@ -278,5 +291,5 @@ def test_dimension_isomorphism_robustness():
                                  coeff=alg, action=action, gram=gram,
                                  name="padded")
     hm = homology(padded, 0)
-    mod = homology_module(hm, alg)
+    mod = FiniteModule(alg, hm.dim, hm.action_matrices())
     assert vn_dimension(alg, mod) == t.values[0]

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,10 +12,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2betti.cli import main
+from l2betti.cli import build_parser, main
 from l2betti.fileio import (
     InputError, extension_from_doc, extension_to_doc, groupoid_from_doc,
-    groupoid_to_doc, load_path, parse_document, render_structured,
+    groupoid_to_doc, parse_document,
 )
 from l2betti.algebras import (
     conditional_expectation, diagonal_subalgebra_vectors, matrix_algebra,
@@ -482,8 +484,69 @@ def test_fiber_square_plain_algebra_input(capsys):
     assert rep["dimension"] == 4 and rep["tracial"]
 
 
-def test_bad_degree_cap_is_input_error():
+def test_bad_degree_cap_is_input_error(capsys):
     assert main(["betti", cpath("pair2.json"), "--N", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "input error: degree cap N must be at least 1\n"
+
+
+@pytest.mark.parametrize("N", [0, -1, True, 2.7, "2"], ids=repr)
+def test_verify_document_N_must_be_a_positive_integer(corpus_copy, capsys, N):
+    doc = json.load(open(cpath("verify_equality_pair2.json")))
+    doc["N"] = N
+    path = corpus_copy / "bad_N.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "N must be an integer" in err
+
+
+def test_verify_document_without_N_takes_the_degree_cap(corpus_copy, capsys):
+    doc = json.load(open(cpath("verify_equality_pair2.json")))
+    del doc["N"]
+    path = corpus_copy / "no_N.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["verify", str(path), "--N", "3"], capsys)
+    assert code == 0 and json.loads(out)["lhs"] == ["1/2", "0", "0"]
+
+
+@pytest.mark.parametrize("projection, message", [
+    ([["e11", "2"]], "p is not a projection"),
+    ([[e, "1/2"] for e in ("e11", "e12", "e21", "e22")],
+     "p does not commute with the subalgebra at "),
+], ids=["not_a_projection", "not_in_commutant"])
+def test_verify_compression_reports_compression_precondition(
+        corpus_copy, capsys, projection, message):
+    doc = json.load(open(cpath("verify_compression_m2_diag.json")))
+    doc["projection"] = projection
+    path = corpus_copy / "bad_projection.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "verify_equality_pair2.json", "--theorem", "groupoid_equality"],
+    ["betti", "pair2.json", "--pipeline", "both"],
+], ids=["theorem", "pipeline-both"])
+def test_retired_options_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], cpath(args[1])] + args[2:])
+    assert exc.value.code == 2
+
+
+def test_readme_flags_name_every_cli_option():
+    with open(os.path.join(ROOT, "README.md")) as f:
+        paragraphs = f.read().split("\n\n")
+    flags = [p for p in paragraphs if p.startswith("Flags:")]
+    assert len(flags) == 1
+    documented = set(re.findall(r"--[A-Za-z][\w-]*", flags[0]))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for parser in subparsers.choices.values()
+               for action in parser._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")}
+    assert documented == options
 
 
 def test_corpus_sweep_covers_every_corpus_document():

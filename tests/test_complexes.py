@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import weakref
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +12,6 @@ from l2betti.algebras import (
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
     matrix_algebra, normalizer_span, trivial_extension, twisted_convolution,
 )
-from l2betti.betti import groupoid_normalizer_generators
 from l2betti.complexes import (
     ChainComplex, ContractingHomotopy, PresimplicialModule, bar_complex,
     geometric_complex, homology, l2_complex,
@@ -23,11 +21,11 @@ from l2betti.fibersquare import (
 )
 from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import (
-    bisections, group_groupoid, pair_relation, trivial_groupoid, uniform_space,
+    bisections, group_groupoid, pair_relation, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import GMatrix, IndexMap, IndexSum, as_matrix, kernel_basis, rank
-from l2betti.scalars import ONE, gs
+from l2betti.linalg import GMatrix, IndexMap, IndexSum, as_matrix
+from l2betti.scalars import ONE
 from l2betti.tensor import Level
 from oracles import (
     full_extension, geometric_comparison, plain_hochschild_complex, theta_iso,
@@ -488,7 +486,7 @@ def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
     # path of its normalizing extension N/LinfX (verify_residual_pair3_twisted)
     g = pair_relation(uniform_space(3))
     ext = twisted_convolution(g, distinct_triple_sign_cocycle(g))
-    nabla = normalizer_span(ext, groupoid_normalizer_generators(ext))
+    nabla = normalizer_span(ext, ext.alg.unitary_family)
     assert ext.monomial().sign is not None and nabla.grading() is None
     for e in (ext, nabla):
         l2 = l2_complex(fiber_square_of(e)[0], 2)

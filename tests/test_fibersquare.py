@@ -15,8 +15,7 @@ from l2betti.fibersquare import (
     groupoid_fiber_square, projection_pair_trace_identity,
 )
 from l2betti.groupoids import (
-    action_groupoid, enveloping, group_groupoid, pair_relation,
-    trivial_groupoid, uniform_space,
+    action_groupoid, enveloping, group_groupoid, pair_relation, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, combination, vec_eq
