@@ -276,13 +276,13 @@ class Extension:
     """Tracial extension: ambient algebra, embedded subalgebra, expectation."""
 
     def __init__(self, alg: TracialStarAlgebra, sub: TracialStarAlgebra,
-                 embed: GMatrix, expect: GMatrix, name="A/B", provenance=None):
+                 embed: GMatrix, expect: GMatrix, name="A/B", groupoid=None):
         self.alg = alg
         self.sub = sub
         self.embed = embed            # dimA x dimB
         self.expect = expect          # dimB x dimA
         self.name = name
-        self.provenance = provenance
+        self.groupoid = groupoid      # of which A is the convolution algebra, or None
         self._sandwich_memo = {}
         self._sub_trace = [alg.trace(embed.column(k)) for k in range(sub.dim)]
         self._grading = _UNREAD
@@ -378,6 +378,13 @@ class Extension:
         return self._monomial
 
     def validate(self) -> AlgebraReport:
+        """Check that B embeds as a unital *-subalgebra and that E is the
+        identity on B, B-bimodular and trace-preserving.
+
+        That makes E the trace-orthogonal projection onto B with no further
+        check: for b in B and a in A, <b, a - E a> = tr(b* a) - tr(b* E a)
+        = tr(b* a) - tr(E(b* a)) = 0.
+        """
         bad = []
         A, B = self.alg, self.sub
         # B embeds as a unital *-subalgebra and E restricted to B is the identity
@@ -415,12 +422,6 @@ class Extension:
                     rhs = A.mul(bk, A.mul(self.expectation({j: ONE}), bl))
                     if not vec_eq(lhs, rhs):
                         bad.append(("expectation_not_bimodular", B.labels[k], A.labels[j], B.labels[l]))
-        # E is the trace-orthogonal projection onto B
-        gram = A.gns_gram()
-        proj = orth_projection(gram, self.embed)
-        emat = self.embed.mul(self.expect)
-        if proj != emat:
-            bad.append(("expectation_not_orthogonal_projection",))
         return AlgebraReport(not bad, bad, True)
 
 
@@ -460,7 +461,7 @@ def _read_monomial(A: TracialStarAlgebra):
 
 
 def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
-                            sub_labels=None, name="A/B", provenance=None) -> Extension:
+                            sub_labels=None, name="A/B", groupoid=None) -> Extension:
     """Extension with E = trace-orthogonal projection onto span(sub_vectors).
 
     The span must be a unital *-subalgebra; violations raise ValueError.
@@ -484,7 +485,7 @@ def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
     if any(c is None for c in expect_cols):
         raise AssertionError("orthogonal projection leaves the subalgebra")
     expect = GMatrix.from_cols(dim_b, expect_cols)
-    ext = Extension(alg, sub, embed, expect, name=name, provenance=provenance)
+    ext = Extension(alg, sub, embed, expect, name=name, groupoid=groupoid)
     rep = ext.validate()
     if not rep.ok:
         raise ValueError("extension invariants violated: %s" % rep.violations[:3])
@@ -549,60 +550,6 @@ def group_algebra(table: dict, unit, elements=None, name="CG") -> TracialStarAlg
     fam += [("-" + str(g), {idx[g]: MINUS_ONE}) for g in els]
     return TracialStarAlgebra([str(g) for g in els], mult, star, trace,
                               {idx[unit]: ONE}, name=name, unitary_family=fam)
-
-
-# ---------------------------------------------------------------------------
-# groupoid convolution algebras
-
-
-def _sign_vectors(atoms):
-    """1 and the single-atom sign flips 1 - 2*1_{x}: they span the diagonal."""
-    out = [("w", {x: ONE for x in atoms})]
-    for x in atoms:
-        v = {y: (MINUS_ONE if y == x else ONE) for y in atoms}
-        out.append(("w" + str(x), v))
-    return out
-
-
-def convolution_algebra(g: FiniteGroupoid) -> Extension:
-    """The convolution *-algebra of a finite measured groupoid over L^inf(X).
-
-    Basis the arrows, product from composition, star from inversion, trace
-    the weighted sum over the units; the expectation is restriction to the
-    units.
-    """
-    rep = validate_groupoid(g)
-    if not rep.ok:
-        raise ValueError("invalid groupoid: %s" % rep.violations[:3])
-    els = list(g.elements)
-    idx = {a: k for k, a in enumerate(els)}
-    dim = len(els)
-    mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for (a, b), c in g.compose.items():
-        mult[idx[a]][idx[b]] = {idx[c]: ONE}
-    star = [{idx[g.inverse[a]]: ONE} for a in els]
-    trace = {}
-    for x in g.base.atoms:
-        trace[idx[g.units[x]]] = gs(g.base.weight[x])
-    unit = {idx[g.units[x]]: ONE for x in g.base.atoms}
-
-    fam = []
-    signs = _sign_vectors(g.base.atoms)
-    for b in bisections(g):
-        barrows = sorted(b, key=repr)
-        for wname, w in signs:
-            v = {idx[a]: w[g.target[a]] for a in barrows}
-            fam.append(("%s.%s" % (wname, ",".join(map(repr, barrows))), v))
-
-    alg = TracialStarAlgebra([repr(a) for a in els], mult, star, trace, unit,
-                             name="C[%s]" % (g.name or "G"),
-                             unitary_family=fam)
-    sub_vectors = [{idx[g.units[x]]: ONE} for x in g.base.atoms]
-    ext = conditional_expectation(alg, sub_vectors,
-                                  sub_labels=[str(x) for x in g.base.atoms],
-                                  name="C[%s]/LinfX" % (g.name or "G"),
-                                  provenance=("groupoid", g))
-    return ext
 
 
 # ---------------------------------------------------------------------------
@@ -700,58 +647,76 @@ def positivity_witness(sigma: TwoCocycle):
     return None
 
 
-def twisted_convolution(r: FiniteGroupoid, sigma: TwoCocycle) -> Extension:
-    """Convolution algebra of an equivalence relation with a twisted product.
+# ---------------------------------------------------------------------------
+# groupoid convolution algebras
 
-    The twisted product picks up sigma(x,y,z) on (x,y)(y,z); star, trace and
-    expectation stay untwisted.  The result must still be a tracial
+
+def convolution_algebra(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extension:
+    """The convolution *-algebra of a finite measured groupoid over L^inf(X),
+    with its product twisted by the 2-cocycle sigma when one is given.
+
+    Basis the arrows, product from composition, star from inversion, trace
+    the weighted sum over the units; the expectation is restriction to the
+    units.  The groupoid is validated first.  A twisted product picks up
+    sigma(x,y,z) on (x,y)(y,z) of an equivalence relation; star, trace and
+    expectation stay untwisted, and the result must still be a tracial
     *-algebra.  Since tr(d_(x,y)* d_(x,y)) = sigma(y,x,y) w(y), a cocycle
     with sigma(x,y,x) != 1 on a composable triple breaks positivity of the
     trace form; it is rejected with a ValueError naming the first such
-    triple, before the product is built.
+    triple, before the product is built.  The unitary family is the
+    sign-dressed bisections, keeping only those that stay unitary under the
+    twisted product.
     """
-    if not is_equivalence_relation(r):
-        raise ValueError("twisted convolution needs an equivalence relation")
-    bad = validate_cocycle(sigma)
-    if bad:
-        raise ValueError("invalid cocycle: %s" % bad[:3])
-    t = positivity_witness(sigma)
-    if t is not None:
-        raise ValueError("cocycle breaks positivity of the trace form: "
-                         "sigma%r = %s, must be 1" % (t, sigma.values[t]))
-    els = list(r.elements)
+    rep = validate_groupoid(g)
+    if not rep.ok:
+        raise ValueError("invalid groupoid: %s" % rep.violations[:3])
+    if sigma is not None:
+        if not is_equivalence_relation(g):
+            raise ValueError("twisted convolution needs an equivalence relation")
+        bad = validate_cocycle(sigma)
+        if bad:
+            raise ValueError("invalid cocycle: %s" % bad[:3])
+        t = positivity_witness(sigma)
+        if t is not None:
+            raise ValueError("cocycle breaks positivity of the trace form: "
+                             "sigma%r = %s, must be 1" % (t, sigma.values[t]))
+    els = list(g.elements)
     idx = {a: k for k, a in enumerate(els)}
     dim = len(els)
     mult = [[{} for _ in range(dim)] for _ in range(dim)]
-    for (a, b), c in r.compose.items():
-        x, y, z = r.target[a], r.source[a], r.source[b]
-        mult[idx[a]][idx[b]] = {idx[c]: sigma.value(x, y, z)}
-    star = [{idx[r.inverse[a]]: ONE} for a in els]
-    trace = {idx[r.units[x]]: gs(r.base.weight[x]) for x in r.base.atoms}
-    unit = {idx[r.units[x]]: ONE for x in r.base.atoms}
+    for (a, b), c in g.compose.items():
+        twist = ONE if sigma is None else \
+            sigma.value(g.target[a], g.source[a], g.source[b])
+        mult[idx[a]][idx[b]] = {idx[c]: twist}
+    star = [{idx[g.inverse[a]]: ONE} for a in els]
+    trace = {idx[g.units[x]]: gs(g.base.weight[x]) for x in g.base.atoms}
+    unit = {idx[g.units[x]]: ONE for x in g.base.atoms}
 
+    name = "C[%s%s]" % (g.name or "G", "" if sigma is None else ";twisted")
     alg = TracialStarAlgebra([repr(a) for a in els], mult, star, trace, unit,
-                             name="C[%s;twisted]" % (r.name or "R"))
-    rep = validate_algebra(alg)
-    if not rep.ok:
-        raise ValueError("twisted product is not a tracial *-algebra: %s"
-                         % rep.violations[:3])
+                             name=name)
+    if sigma is not None:
+        rep = validate_algebra(alg)
+        if not rep.ok:
+            raise ValueError("twisted product is not a tracial *-algebra: %s"
+                             % rep.violations[:3])
 
+    # 1 and the single-atom sign flips 1 - 2*1_{x}: they span the diagonal
+    signs = [("w", None)] + [("w" + str(x), x) for x in g.base.atoms]
     fam = []
-    signs = _sign_vectors(r.base.atoms)
-    for b in bisections(r):
+    for b in bisections(g):
         barrows = sorted(b, key=repr)
-        for wname, w in signs:
-            v = {idx[a]: w[r.target[a]] for a in barrows}
-            if alg.is_unitary(v):
+        for wname, flip in signs:
+            v = {idx[a]: MINUS_ONE if g.target[a] == flip else ONE
+                 for a in barrows}
+            if sigma is None or alg.is_unitary(v):
                 fam.append(("%s.%s" % (wname, ",".join(map(repr, barrows))), v))
     alg.unitary_family = fam
 
-    sub_vectors = [{idx[r.units[x]]: ONE} for x in r.base.atoms]
+    sub_vectors = [{idx[g.units[x]]: ONE} for x in g.base.atoms]
     return conditional_expectation(alg, sub_vectors,
-                                   sub_labels=[str(x) for x in r.base.atoms],
-                                   name="C[%s;twisted]/LinfX" % (r.name or "R"),
-                                   provenance=("twisted", r, sigma))
+                                   sub_labels=[str(x) for x in g.base.atoms],
+                                   name=name + "/LinfX", groupoid=g)
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +795,7 @@ def weighted_sum(extensions, weights, mode="componentwise", name=None) -> Extens
                 sub_vectors.append({offs[n] + i: c for i, c in col.items()})
                 sub_labels.append("%d:%s" % (n, e.sub.labels[k]))
         return conditional_expectation(big, sub_vectors, sub_labels=sub_labels,
-                                       name=name or "sum/componentwise",
-                                       provenance=("weighted_sum", extensions, ws, mode))
+                                       name=name or "sum/componentwise")
     if mode == "central":
         b0 = extensions[0].sub
         for e in extensions[1:]:
@@ -849,8 +813,7 @@ def weighted_sum(extensions, weights, mode="componentwise", name=None) -> Extens
                     v[offs[n] + i] = c
             sub_vectors.append(v)
         return conditional_expectation(big, sub_vectors, sub_labels=list(b0.labels),
-                                       name=name or "sum/central",
-                                       provenance=("weighted_sum", extensions, ws, mode))
+                                       name=name or "sum/central")
     raise ValueError("unknown weighted sum mode %r" % mode)
 
 
@@ -858,7 +821,7 @@ def weighted_sum(extensions, weights, mode="componentwise", name=None) -> Extens
 # compression
 
 
-def compression(ext: Extension, p: dict, name=None) -> Extension:
+def compression(ext: Extension, p: dict) -> Extension:
     """Compress A/B by a projection p commuting with B.
 
     The compressed algebra pAp carries the normalized trace
@@ -887,7 +850,7 @@ def compression(ext: Extension, p: dict, name=None) -> Extension:
         *span_structure(span, lambda i, j: A.mul(vecs[i], vecs[j]),
                         lambda i: A.star(vecs[i]),
                         lambda i: A.trace(vecs[i]) * tpi, p),
-        name=(name or "p(%s)p" % A.name))
+        name="p(%s)p" % A.name)
     fam = []
     for nm, u in (A.unitary_family or []):
         c = span.coords(A.mul(p, A.mul(u, p)))
@@ -909,16 +872,14 @@ def compression(ext: Extension, p: dict, name=None) -> Extension:
     # span.coords is exact (pxp = sum_k c_k vecs[k] on the nose), and both
     # traces are linear, so tr_{A_p}(pxp) = sum_k c_k tr_A(vecs[k]) / tr_A(p)
     # = tr_A(pxp) / tr_A(p).  tests/test_algebras.py checks it on the corpus.
-    return conditional_expectation(comp_alg, sub_vecs,
-                                   name=name or (ext.name + "|p"),
-                                   provenance=("compression", ext, p))
+    return conditional_expectation(comp_alg, sub_vecs, name=ext.name + "|p")
 
 
 # ---------------------------------------------------------------------------
 # normalizing algebras
 
 
-def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
+def normalizer_span(ext: Extension, unitaries) -> Extension:
     """Smallest *-subalgebra containing B and the given normalizing unitaries.
 
     Each u must be unitary with u B u* = B; a witness is reported otherwise.
@@ -959,7 +920,7 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
         *span_structure(span, lambda i, j: A.mul(vecs[i], vecs[j]),
                         lambda i: A.star(vecs[i]), lambda i: A.trace(vecs[i]),
                         A.unit),
-        name=name or ("N(%s)" % ext.name))
+        name="N(%s)" % ext.name)
     unit = nalg.unit
     fam = [(nm, span.coords(u)) for nm, u in gens]
     fam.append(("1", dict(unit)))
@@ -982,6 +943,5 @@ def normalizer_span(ext: Extension, unitaries, name=None) -> Extension:
     sub_in_n = [span.coords(ext.embed.column(k)) for k in range(ext.sub.dim)]
     return conditional_expectation(nalg, sub_in_n,
                                    sub_labels=list(ext.sub.labels),
-                                   name=name or ("N/%s" % ext.sub.name),
-                                   provenance=("normalizer", ext, gens))
+                                   name="N/%s" % ext.sub.name)
 

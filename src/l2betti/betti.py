@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebras import (
     Extension, TracialStarAlgebra, compression, convolution_algebra,
-    normalizer_span, twisted_convolution, weighted_sum,
+    normalizer_span, weighted_sum,
 )
 from .complexes import geometric_complex, homology, l2_complex
 from .fibersquare import fiber_square_of, projection_pair_trace_identity
@@ -59,8 +59,11 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
     if module.algebra is not alg:
         raise ValueError("module is over a different algebra")
     gram_a = alg.gns_gram()
-    if rank(gram_a) != alg.dim:
-        raise ValueError("trace form is degenerate: algebra is not semisimple")
+    try:
+        solver = LinearSolver(gram_a)
+    except ValueError:
+        raise ValueError(
+            "trace form is degenerate: algebra is not semisimple") from None
     if module.dim == 0:
         return Fraction(0)
 
@@ -75,13 +78,16 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
             col = module.actions[a].apply(gvec)
             for r, x in col.items():
                 cover.col[i * fdim + a][r] = x
-    if rank(cover) != module.dim:
+    # the row space of the cover, whose rank is the cover's
+    adj = cover.adjoint()
+    row_ech = Echelon()
+    for j in range(adj.cols):
+        row_ech.insert(adj.column(j))
+    if row_ech.rank != module.dim:
         raise ValueError("generators do not generate the module")
 
     # the complement of ker(cover) under the block trace form is
     # G^{-1} colspace(cover*)
-    solver = LinearSolver(gram_a)
-    adj = cover.adjoint()
     w_cols = [_blockwise(solver.solve, adj.column(j), fdim) for j in range(adj.cols)]
     w = GMatrix.from_cols(k * fdim, w_cols)
     if rank(w) != module.dim:
@@ -93,9 +99,6 @@ def vn_dimension(alg: TracialStarAlgebra, module: FiniteModule,
     # the complement of the kernel is a submodule: G (a . w) stays inside
     # the row space of the cover for every basis a, so the realizing
     # projection commutes with the algebra
-    row_ech = Echelon()
-    for j in range(adj.cols):
-        row_ech.insert(adj.column(j))
     for a in range(fdim):
         for j in range(w.cols):
             moved = _blockwise(lambda sub: alg.mul({a: ONE}, sub), w.column(j), fdim)
@@ -274,10 +277,14 @@ def verify_weighted_sum(theorem: str, extensions, weights, N: int) -> TheoremRep
     return TheoremReport(theorem, lhs.values == rhs, lhs.values, rhs, details)
 
 
-def verify_groupoid_equality(g: FiniteGroupoid, N: int) -> TheoremReport:
+def verify_groupoid_equality(g: FiniteGroupoid, N: int,
+                             seed: int = None) -> TheoremReport:
+    """Sauer's groupoid Betti numbers against the Hochschild Betti numbers
+    of the convolution algebra; a seed adds the generator-independence check
+    to the Hochschild side."""
     ext = convolution_algebra(g)
     sau = betti_sauer(g, N, ext=ext)
-    hoch = betti_hochschild(ext, N)
+    hoch = betti_hochschild(ext, N, seed=seed)
     details = {"groupoid": g.name, "sauer_meta": sau.meta,
                "hochschild_meta": hoch.meta}
     return TheoremReport("groupoid_equality", sau.values == hoch.values,
@@ -289,10 +296,7 @@ def verify_residual(r: FiniteGroupoid, sigma, N: int) -> TheoremReport:
     twisted) relation algebra, against the groupoid Betti numbers; the
     finite-scale instance exercises the proof mechanism rather than the
     factor-and-Cartan hypothesis."""
-    if sigma is None:
-        ext = convolution_algebra(r)
-    else:
-        ext = twisted_convolution(r, sigma)
+    ext = convolution_algebra(r, sigma)
     nabla_ext = normalizer_span(ext, ext.alg.unitary_family)
     nabla = betti_hochschild(nabla_ext, N)
     # the Sauer side is untwisted: it reuses ext only when ext is untwisted

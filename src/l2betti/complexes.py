@@ -181,9 +181,8 @@ class PresimplicialModule:
             self._gram_cache[n] = self._gram(n)
         return self._gram_cache[n]
 
-    def verify_presimplicial(self, upto=None):
-        upto = self.N if upto is None else upto
-        for n in range(self.presimplicial_upto + 1, upto + 1):
+    def verify_presimplicial(self):
+        for n in range(self.presimplicial_upto + 1, self.N + 1):
             fs = self.faces[n]
             lower = self.faces[n - 1]
             if len(fs) != n + 1 or len(lower) != n:
@@ -211,7 +210,7 @@ class PresimplicialModule:
                         raise AssertionError(
                             "presimplicial identity fails at degree %d (%d,%d) in %s"
                             % (n, i, j, self.name))
-        self.presimplicial_upto = max(self.presimplicial_upto, upto)
+        self.presimplicial_upto = max(self.presimplicial_upto, self.N)
         return True
 
     def boundary(self) -> ChainComplex:

@@ -415,7 +415,7 @@ def default_pairs(ext: Extension):
 def fiber_square_of(ext: Extension):
     """The fiber square of ext over itself, and its enveloping
     identification when ext comes from a groupoid (None otherwise)."""
-    if ext.provenance and ext.provenance[0] in ("groupoid", "twisted"):
+    if ext.groupoid is not None:
         return groupoid_fiber_square(ext)
     return fiber_square(ext, default_pairs(ext)), None
 
@@ -437,9 +437,9 @@ def groupoid_fiber_square(ext: Extension):
     evaluation at 1 (x) 1; surjectivity, multiplicativity, star, trace and
     the identity on the diagonal are all verified exactly.
     """
-    if not ext.provenance or ext.provenance[0] not in ("groupoid", "twisted"):
+    g = ext.groupoid
+    if g is None:
         raise ValueError("extension does not come from a groupoid")
-    g = ext.provenance[1]
     pairs = canonical_pairs(ext)
     fsq = fiber_square(ext, pairs, name="C[%s]^sq" % (g.name or "G"))
     env = enveloping(g)

@@ -36,8 +36,8 @@ class FiniteMeasuredSpace:
         return self.atoms.index(atom)
 
 
-def uniform_space(n: int, prefix="x") -> FiniteMeasuredSpace:
-    atoms = tuple("%s%d" % (prefix, i) for i in range(n))
+def uniform_space(n: int) -> FiniteMeasuredSpace:
+    atoms = tuple("x%d" % i for i in range(n))
     w = Fraction(1, n)
     return FiniteMeasuredSpace(atoms, {a: w for a in atoms})
 
@@ -66,15 +66,9 @@ class FiniteGroupoid:
     def index(self, a):
         return self.elements.index(a)
 
-    def arrows(self, tgt=None, src=None):
-        out = []
-        for a in self.elements:
-            if tgt is not None and self.target[a] != tgt:
-                continue
-            if src is not None and self.source[a] != src:
-                continue
-            out.append(a)
-        return out
+    def arrows(self, tgt):
+        """The arrows with target tgt, in element order."""
+        return [a for a in self.elements if self.target[a] == tgt]
 
 
 @dataclass

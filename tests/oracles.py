@@ -235,7 +235,7 @@ def _fold_tuple_class(tower: Tower, t):
     groupoid extension.
 
     The base of depth d takes the first d + 1 letters."""
-    gi = {a: k for k, a in enumerate(tower.base.ext.provenance[1].elements)}
+    gi = {a: k for k, a in enumerate(tower.base.ext.groupoid.elements)}
     levels = [tower.base]
     while levels[0].prev is not None:
         levels.insert(0, levels[0].prev)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from l2betti.algebras import (
     conditional_expectation, convolution_algebra,
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
-    matrix_algebra, trivial_cocycle, trivial_extension, twisted_convolution,
+    matrix_algebra, trivial_cocycle, trivial_extension,
 )
 from l2betti.betti import (
     FiniteModule, betti_hochschild, verify_compression,
@@ -203,12 +203,12 @@ def test_criterion_5a_fiber_square_isomorphism():
 def test_criterion_5b_cocycle_forgetting_pair2_as_stated():
     """Cocycle forgetting on pair(2), over every cocycle the hypotheses admit.
 
-    twisted_convolution keeps the star untwisted (Feldman-Moore convention),
-    so tr(d_(x,y)* d_(x,y)) = s(y,x,y) w(y) and an admissible cocycle has
-    s(x,y,x) = 1 on composable (x,y,x).  On two atoms every composable triple
-    repeats an atom, so the valid sign cocycles are the trivial one and
-    s(x0,x1,x0) = s(x1,x0,x1) = -1; skew-symmetry forces s(x,y,x) = +-1, so
-    fourth roots add nothing.  The check is therefore exhaustive: (a) the
+    convolution_algebra keeps the star of a twisted product untwisted
+    (Feldman-Moore convention), so tr(d_(x,y)* d_(x,y)) = s(y,x,y) w(y) and
+    an admissible cocycle has s(x,y,x) = 1 on composable (x,y,x).  On two
+    atoms every composable triple repeats an atom, so the valid sign
+    cocycles are the trivial one and s(x0,x1,x0) = s(x1,x0,x1) = -1;
+    skew-symmetry forces s(x,y,x) = +-1, so fourth roots add nothing.  The check is therefore exhaustive: (a) the
     -1 cocycle is rejected with its offending triple named, and (b) every
     accepted cocycle yields a fiber square that is the enveloping algebra,
     with the enveloping traces and residual numbers, and whose operators are
@@ -225,7 +225,7 @@ def test_criterion_5b_cocycle_forgetting_pair2_as_stated():
     accepted = []
     for sigma in cocycles:
         try:
-            ext = twisted_convolution(r2, sigma)
+            ext = convolution_algebra(r2, sigma)
         except ValueError as e:
             if is_trivial(sigma):
                 problems.append("trivial cocycle rejected: %s" % e)
@@ -262,7 +262,7 @@ def test_criterion_5b_cocycle_forgetting_pair2_as_stated():
 
     report("ACCEPTANCE 5b: %s - pair(2): %d of %d sign assignments on %d "
            "composable triples are cocycles, %d accepted by "
-           "twisted_convolution; each accepted fiber square is the "
+           "convolution_algebra; each accepted fiber square is the "
            "enveloping algebra with equal traces, residual numbers and "
            "operators%s"
            % ("FAIL" if problems else "PASS", len(cocycles), 2 ** n_triples,
@@ -281,7 +281,7 @@ def test_criterion_5b_cocycle_forgetting_content():
     r3 = pair_relation(uniform_space(3))
     sigma = distinct_triple_sign_cocycle(r3)
     assert not is_trivial(sigma)
-    ext_t = twisted_convolution(r3, sigma)
+    ext_t = convolution_algebra(r3, sigma)
     ext_u = convolution_algebra(r3)
     f_t, iso_t = groupoid_fiber_square(ext_t)
     f_u, iso_u = groupoid_fiber_square(ext_u)

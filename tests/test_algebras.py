@@ -5,18 +5,18 @@ from fractions import Fraction
 import pytest
 
 from l2betti.algebras import (
-    SpanBasis, compression, conditional_expectation, convolution_algebra,
+    Extension, SpanBasis, compression, conditional_expectation, convolution_algebra,
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
     matrix_algebra, normalizer_span, trivial_cocycle, trivial_extension,
-    twisted_convolution, validate_algebra, validate_cocycle, weighted_sum,
+    validate_algebra, validate_cocycle, weighted_sum,
 )
 from l2betti.fileio import _vec_from_pairs, as_extension, load_path
 from l2betti.groupoids import (
     group_groupoid, pair_relation, trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import vec_eq
-from l2betti.scalars import MINUS_ONE, ONE, gs
+from l2betti.linalg import GMatrix, vec_eq
+from l2betti.scalars import I_UNIT, MINUS_ONE, ONE, ZERO, gs
 from oracles import all_sign_cocycles, coboundary_cocycle, full_extension, is_trivial
 
 
@@ -138,7 +138,7 @@ def test_trivial_cocycle_gives_untwisted():
     r = pair_relation(uniform_space(2))
     sig = trivial_cocycle(r)
     assert not validate_cocycle(sig)
-    ext = twisted_convolution(r, sig)
+    ext = convolution_algebra(r, sig)
     ext0 = convolution_algebra(r)
     for i in range(ext.alg.dim):
         for j in range(ext.alg.dim):
@@ -150,7 +150,7 @@ def test_nontrivial_cocycle_on_three_atoms():
     sig = distinct_triple_sign_cocycle(r)
     assert not validate_cocycle(sig)
     assert not is_trivial(sig)
-    ext = twisted_convolution(r, sig)
+    ext = convolution_algebra(r, sig)
     # every axiom, associativity of the twisted product included, brute force
     assert validate_algebra(ext.alg).ok
 
@@ -163,7 +163,7 @@ def test_cocycle_identity_violation_detected():
     assert bad
     assert any(v[0] in ("cocycle_identity", "not_skew_symmetric") for v in bad)
     with pytest.raises(ValueError):
-        twisted_convolution(r, sig)
+        convolution_algebra(r, sig)
 
 
 def test_sign_cocycles_on_pair2_positive_ones_are_trivial():
@@ -178,7 +178,7 @@ def test_sign_cocycles_on_pair2_positive_ones_are_trivial():
     assert bad
     for c in bad:
         with pytest.raises(ValueError):
-            twisted_convolution(r, c)
+            convolution_algebra(r, c)
 
 
 def test_coboundary_is_valid_cocycle():
@@ -269,15 +269,47 @@ def test_compression_rejects_noncommuting_projection():
         compression(ext, {m2.index("e11"): ONE})
 
 
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpus")
+
+
+def corpus_extensions():
+    """(file, extension) for each corpus document that is not a verify_*
+    instance and loads as an extension: algebras, sums and groupoids."""
+    for f in sorted(os.listdir(CORPUS)):
+        if f.endswith(".json") and not f.startswith("verify_"):
+            obj = load_path(os.path.join(CORPUS, f))
+            if not isinstance(obj, dict):       # a cocycle needs its relation
+                yield f, as_extension(obj)
+
+
+def test_fault_every_single_entry_corruption_of_the_expectation_is_caught():
+    # Extension.validate does not compare E with the orthogonal projection:
+    # identity on B, bimodularity and trace preservation imply it.  Adding
+    # 1 or i to any one entry of E must still break one of those checks.
+    missed, tried = [], 0
+    for f, ext in corpus_extensions():
+        for j in range(ext.alg.dim):
+            for r in range(ext.sub.dim):
+                for delta in (ONE, I_UNIT):
+                    col = dict(ext.expect.col[j])
+                    col[r] = col.get(r, ZERO) + delta
+                    cols = list(ext.expect.col)
+                    cols[j] = {k: x for k, x in col.items() if not x.is_zero()}
+                    bad = GMatrix.from_cols(ext.sub.dim, cols)
+                    tried += 1
+                    if Extension(ext.alg, ext.sub, ext.embed, bad).validate().ok:
+                        missed.append((f, j, r, str(delta)))
+    assert tried and not missed, missed
+
+
 def compression_instances():
-    corpus = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "corpus")
-    for f in sorted(os.listdir(corpus)):
+    for f in sorted(os.listdir(CORPUS)):
         if f.startswith("verify_compression_"):
-            path = os.path.join(corpus, f)
+            path = os.path.join(CORPUS, f)
             with open(path) as fh:
                 doc = json.load(fh)
-            ext = as_extension(load_path(os.path.join(corpus, doc["algebra"])))
+            ext = as_extension(load_path(os.path.join(CORPUS, doc["algebra"])))
             index = {l: k for k, l in enumerate(ext.alg.labels)}
             yield f, ext, _vec_from_pairs(doc["projection"], index, path)
 
@@ -343,7 +375,7 @@ def test_normalizer_span_rejects_non_normalizing():
 def test_twisted_and_untwisted_share_diagonal_data():
     r = pair_relation(uniform_space(3))
     sig = distinct_triple_sign_cocycle(r)
-    tw = twisted_convolution(r, sig)
+    tw = convolution_algebra(r, sig)
     un = convolution_algebra(r)
     assert tw.embed == un.embed
     assert tw.expect == un.expect

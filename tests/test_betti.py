@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2betti.algebras import (
-    conditional_expectation, convolution_algebra, diagonal_subalgebra_vectors,
-    distinct_triple_sign_cocycle, group_algebra, matrix_algebra,
-    trivial_extension,
+    TracialStarAlgebra, conditional_expectation, convolution_algebra,
+    diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
+    matrix_algebra, trivial_extension,
 )
 from l2betti.betti import (
     FiniteModule, betti_hochschild, betti_sauer, verify_compression,
@@ -105,8 +105,17 @@ def test_vn_dimension_isomorphism_invariance(a, b, c):
 
 def test_vn_dimension_rejects_non_generators():
     alg, mod = column_module(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^generators do not generate the module$"):
         vn_dimension(alg, mod, generators=[{}])
+
+
+def test_vn_dimension_rejects_a_degenerate_trace():
+    # C^2 with the trace (1, 0): the second minimal projection has norm 0
+    alg = TracialStarAlgebra(["p", "q"], [[{0: ONE}, {}], [{}, {1: ONE}]],
+                             [{0: ONE}, {1: ONE}], {0: ONE}, {0: ONE, 1: ONE})
+    with pytest.raises(ValueError, match="^trace form is degenerate: "
+                                         "algebra is not semisimple$"):
+        vn_dimension(alg, free_module(alg))
 
 
 def test_betti_hochschild_group_algebras():

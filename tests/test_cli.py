@@ -192,12 +192,12 @@ def corpus_copy(tmp_path_factory):
     return root
 
 
-def _validate(path):
-    """Exit code, stdout and stderr of ``validate path``; an exception that
+def _run(argv):
+    """Exit code, stdout and stderr of one command; an exception that
     escapes main fails the calling test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", path])
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -218,30 +218,34 @@ def _sites(node, path=()):
         yield from _sites(value, path + (key,))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.data())
-def test_mutated_documents_never_end_in_a_traceback(corpus_copy, data):
-    # delete a key, drop a list entry, or replace a value with a list, an
-    # object, a number or an unknown string, anywhere in a corpus document
-    name = data.draw(st.sampled_from(MUTABLE))
-    doc = json.loads(open(cpath(name)).read())
+def _mutate(doc, data):
+    """Delete a key, drop a list entry, or replace a value with a list, an
+    object, a number or an unknown string, anywhere in doc; returns the
+    mutated document, the site and the operation."""
     site = data.draw(st.sampled_from(list(_sites(doc))))
     ops = sorted(REPLACEMENTS) + (["delete"] if site else [])
     op = data.draw(st.sampled_from(ops))
     if not site:
-        doc = REPLACEMENTS[op]
+        return REPLACEMENTS[op], site, op
+    parent = doc
+    for key in site[:-1]:
+        parent = parent[key]
+    if op == "delete":
+        del parent[site[-1]]
     else:
-        parent = doc
-        for key in site[:-1]:
-            parent = parent[key]
-        if op == "delete":
-            del parent[site[-1]]
-        else:
-            parent[site[-1]] = REPLACEMENTS[op]
+        parent[site[-1]] = REPLACEMENTS[op]
+    return doc, site, op
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_documents_never_end_in_a_traceback(corpus_copy, data):
+    name = data.draw(st.sampled_from(MUTABLE))
+    doc, site, op = _mutate(json.loads(open(cpath(name)).read()), data)
     path = str(corpus_copy / "mutated.json")
     with open(path, "w") as f:
         json.dump(doc, f)
-    code, out, err = _validate(path)
+    code, out, err = _run(["validate", path])
     # the mutated document may still be valid (an optional name, mode or
     # unitary family, or structure constants that still define an algebra);
     # otherwise it is an input error or a failed validation, both exit 2
@@ -250,6 +254,50 @@ def test_mutated_documents_never_end_in_a_traceback(corpus_copy, data):
         assert err.startswith("input error: "), (name, site, op, err)
     elif code == 2:
         assert not json.loads(out)["results"][path]["ok"], (name, site, op)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_relations_of_a_twisted_residual_never_end_in_a_traceback(
+        corpus_copy, data):
+    # the relation of a residual document with a cocycle is read by the
+    # cocycle parser and the twisted algebra before any Betti number
+    rel, site, op = _mutate(json.loads(open(cpath("pair2.json")).read()), data)
+    (corpus_copy / "mutated_relation.json").write_text(json.dumps(rel))
+    path = corpus_copy / "mutated_residual.json"
+    path.write_text(json.dumps({
+        "kind": "verify_instance", "theorem": "residual", "N": 1,
+        "relation": "mutated_relation.json",
+        "cocycle": "cocycle_pair2_trivial.json"}))
+    code, out, err = _run(["verify", str(path)])
+    # a name may go or change; every other mutation is bad input
+    assert code in (0, 2), (site, op, code, err)
+    if code == 2:
+        assert err.startswith(("input error: ", "error: ")), (site, op, err)
+    else:
+        assert json.loads(out)["passed"], (site, op)
+
+
+@pytest.mark.parametrize("breakage", ["inverse", "compose"])
+def test_residual_with_cocycle_over_a_malformed_relation_exits_2(
+        tmp_path, capsys, breakage):
+    # pair(2) without the inverse of (x0, x1), or without its first compose
+    # row: the relation is validated before the cocycle or the twisted
+    # product reads it
+    with open(cpath("pair2.json")) as f:
+        rel = json.load(f)
+    if breakage == "inverse":
+        del rel["inverse"]["('x0', 'x1')"]
+    else:
+        rel["compose"] = rel["compose"][1:]
+    (tmp_path / "relation.json").write_text(json.dumps(rel))
+    shutil.copy(cpath("cocycle_pair2_trivial.json"), tmp_path / "cocycle.json")
+    path = tmp_path / "residual.json"
+    path.write_text(json.dumps({
+        "kind": "verify_instance", "theorem": "residual", "N": 1,
+        "relation": "relation.json", "cocycle": "cocycle.json"}))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid groupoid: ")
 
 
 def _verify_field_sites():
@@ -309,6 +357,14 @@ def test_betti_both_pipelines(capsys):
     rep = json.loads(out)
     assert rep["equal"]
     assert rep["sauer"] == rep["hochschild"] == ["1/2", "0", "0"]
+
+
+def test_betti_both_reports_its_seed(capsys):
+    code, out = run_cli(["betti", cpath("pair2.json"), "--both", "--N", "2",
+                         "--seed", "7"], capsys)
+    assert code == 0
+    meta = json.loads(out)["meta"]["hochschild"]
+    assert meta["generator_independence"] == {"seed": 7, "checked": True}
 
 
 def test_betti_algebra_input(capsys):
@@ -525,10 +581,34 @@ def test_verify_compression_reports_compression_precondition(
     assert capsys.readouterr().err.startswith("error: " + message)
 
 
+@pytest.mark.parametrize("flags, code", [([], 2), (["--extended-scope"], 1)],
+                         ids=["theorem-scope", "extended-scope"])
+def test_compression_outside_the_theorem_needs_the_extended_scope(
+        corpus_copy, capsys, flags, code):
+    # p = (g0 + g1)/2 in CC2/C is not in B = C and CC2 is not a factor; the
+    # extended scope runs the law anyway, and it fails: 1 against
+    # (1/2) / tr(E(p)^2) = (1/2) / (1/4) = 2
+    path = corpus_copy / "cc2_half.json"
+    path.write_text(json.dumps({
+        "kind": "verify_instance", "theorem": "compression", "N": 1,
+        "algebra": "cc2.json", "projection": [["g0", "1/2"], ["g1", "1/2"]]}))
+    assert main(["verify", str(path)] + flags) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("error: compression beyond a factor")
+    else:
+        rep = json.loads(captured.out)
+        assert (rep["lhs"], rep["rhs"]) == (["1"], ["2"])
+        assert rep["details"]["scope"] == "extended (remark)"
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "verify_equality_pair2.json", "--theorem", "groupoid_equality"],
     ["betti", "pair2.json", "--pipeline", "both"],
-], ids=["theorem", "pipeline-both"])
+    ["validate", "pair2.json", "--seed", "1"],
+    ["betti", "pair2.json", "--extended-scope"],
+], ids=["theorem", "pipeline-both", "seed-outside-betti",
+        "extended-scope-outside-verify"])
 def test_retired_options_are_usage_errors(capsys, args):
     with pytest.raises(SystemExit) as exc:
         main([args[0], cpath(args[1])] + args[2:])

@@ -10,7 +10,7 @@ import pytest
 from l2betti.algebras import (
     Extension, conditional_expectation, convolution_algebra,
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
-    matrix_algebra, normalizer_span, trivial_extension, twisted_convolution,
+    matrix_algebra, normalizer_span, trivial_extension,
 )
 from l2betti.complexes import (
     ChainComplex, ContractingHomotopy, PresimplicialModule, bar_complex,
@@ -485,7 +485,7 @@ def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
     # pair(3) takes the index path with sign lists, and so does the radical
     # path of its normalizing extension N/LinfX (verify_residual_pair3_twisted)
     g = pair_relation(uniform_space(3))
-    ext = twisted_convolution(g, distinct_triple_sign_cocycle(g))
+    ext = convolution_algebra(g, distinct_triple_sign_cocycle(g))
     nabla = normalizer_span(ext, ext.alg.unitary_family)
     assert ext.monomial().sign is not None and nabla.grading() is None
     for e in (ext, nabla):
@@ -618,7 +618,7 @@ def test_moved_homotopy_entry_is_caught_under_python_optimize():
 
 def test_fault_flipped_sign_in_a_signed_face_is_caught_by_presimplicial():
     g = pair_relation(uniform_space(3))
-    ext = twisted_convolution(g, distinct_triple_sign_cocycle(g))
+    ext = convolution_algebra(g, distinct_triple_sign_cocycle(g))
     p = l2_complex(fiber_square_of(ext)[0], 2)
     i = next(i for i in range(3) if p.face_map(2, i).sign is not None)
     m, low = p.face_map(2, i), p.face_map(1, 0)

@@ -7,7 +7,7 @@ import l2betti.tensor as tensor_mod
 from l2betti.algebras import (
     SpanBasis, conditional_expectation, convolution_algebra,
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
-    matrix_algebra, trivial_extension, twisted_convolution, weighted_sum,
+    matrix_algebra, trivial_extension, weighted_sum,
 )
 from l2betti.fibersquare import (
     balanced_tensor, canonical_pairs,
@@ -218,7 +218,7 @@ def test_groupoid_fiber_square_isotropy_case():
 def test_twisted_fiber_square_isomorphic_not_equal_subspace():
     r = pair_relation(uniform_space(3))
     sig = distinct_triple_sign_cocycle(r)
-    ext_t = twisted_convolution(r, sig)
+    ext_t = convolution_algebra(r, sig)
     ext_u = convolution_algebra(r)
     f_t, iso_t = groupoid_fiber_square(ext_t)
     f_u, iso_u = groupoid_fiber_square(ext_u)
