@@ -886,8 +886,9 @@ def normalizer_span(ext: Extension, unitaries) -> Extension:
     Returns the normalizing extension N/B.
     """
     A = ext.alg
+    sub = [ext.embed.column(k) for k in range(ext.sub.dim)]
     b_span = Echelon()
-    for c in ext.embed.col:
+    for c in sub:
         b_span.insert(c)
     gens = []
     for item in unitaries:
@@ -895,25 +896,25 @@ def normalizer_span(ext: Extension, unitaries) -> Extension:
         if not A.is_unitary(u):
             raise ValueError("generator %s is not unitary" % nm)
         us = A.star(u)
-        for k in range(ext.sub.dim):
-            bk = ext.embed.column(k)
-            conj = A.mul(u, A.mul(bk, us))
-            if not b_span.contains(conj):
+        for k, bk in enumerate(sub):
+            if not b_span.contains(A.mul(u, A.mul(bk, us))):
                 raise ValueError("generator %s does not normalize B: witness %s"
                                  % (nm, ext.sub.labels[k]))
         gens.append((nm, u))
 
     grow = SpanBasis()
-    seeds = [ext.embed.column(k) for k in range(ext.sub.dim)]
-    seeds += [u for _, u in gens] + [A.star(u) for _, u in gens]
+    seeds = sub + [u for _, u in gens] + [A.star(u) for _, u in gens]
     for v in seeds:
         grow.add(v)
     # B and the u, u* span a star-closed generating set containing 1
     close_under_products(grow.dim, lambda g, k: grow.add(
         A.mul(grow.vectors[g], grow.vectors[k])))
 
-    # re-basis along echelon rows: sparser vectors, deterministic order
-    span = canonicalized_span(grow.vectors)
+    # re-basis along echelon rows of the pieces b v b' (b, b' in the basis of
+    # B), which span N as 1 lies in B; over minimal projections each piece,
+    # hence each row, is homogeneous, so N/B takes the graded tensor path
+    span = canonicalized_span(A.mul(bl, A.mul(v, br))
+                              for v in grow.vectors for bl in sub for br in sub)
     vecs = span.vectors
     nalg = TracialStarAlgebra(
         ["n%d" % k for k in range(span.dim)],
@@ -924,8 +925,8 @@ def normalizer_span(ext: Extension, unitaries) -> Extension:
     unit = nalg.unit
     fam = [(nm, span.coords(u)) for nm, u in gens]
     fam.append(("1", dict(unit)))
-    for k in range(ext.sub.dim):
-        c = span.coords(ext.embed.column(k))
+    sub_in_n = [span.coords(bk) for bk in sub]
+    for k, c in enumerate(sub_in_n):
         if nalg.is_unitary(c):
             fam.append(("b%d" % k, c))
         elif nalg.is_projection(c):
@@ -940,7 +941,6 @@ def normalizer_span(ext: Extension, unitaries) -> Extension:
             if nalg.is_unitary(w):
                 fam.append(("w%d" % k, w))
     nalg.unitary_family = fam
-    sub_in_n = [span.coords(ext.embed.column(k)) for k in range(ext.sub.dim)]
     return conditional_expectation(nalg, sub_in_n,
                                    sub_labels=list(ext.sub.labels),
                                    name="N/%s" % ext.sub.name)

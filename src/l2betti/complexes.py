@@ -5,6 +5,9 @@ geometric families) and coinvariant quotients of balanced tensor powers
 (bar, Hochschild and the square-coefficient complex).  Homology is computed
 exactly, either by sparse elimination or, for large degrees of complexes
 carrying a verified contracting homotopy, through the split-certificate.
+The coinvariants, the check that each face descends to them and the
+descended maps come from `tensor` (Level.coinvariants,
+Level.check_descends, descend), which alone knows how a level was built.
 
 Each identity is verified once, where it is cheapest, and the others are
 read off it:
@@ -41,7 +44,7 @@ from .linalg import (
     index_trace, invert, kernel_basis, vec_add, vec_axpy, vec_dot, vec_eq,
 )
 from .scalars import MINUS_ONE, ONE, ZERO, gs
-from .tensor import Level, Quotient, Tower, algebra_tower
+from .tensor import Level, Quotient, Tower, algebra_tower, descend
 
 ELIMINATION_LIMIT = 2500
 
@@ -343,71 +346,6 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
 # algebraic complexes over a tower
 
 
-def _defect_cols(level: Level):
-    """Columns spanning the coinvariant relations of a radical level."""
-    return [c for d in level.central_defects() for c in d.col if c]
-
-
-def _coinv_quotient(level: Level) -> Quotient:
-    """The quotient by the span of lambda_b - rho_b.  On the graded path the
-    defects are diagonal, so it keeps the basis vectors with tl = sr."""
-    if level.sr is not None:
-        return Quotient(level.dim, level.central_coords())
-    return Quotient.of_span(level.dim, _defect_cols(level))
-
-
-def _check_descends(maps, level: Level, low_q: Quotient, n: int):
-    """Each map sends the coinvariant relations of level into those of the
-    level below, so it descends to the coinvariants.
-
-    On the graded path the relations are spanned by the coordinates with
-    tl != sr on both levels, so this is a support check: each such
-    coordinate goes to zero or to coordinates with tl != sr, which low_q
-    drops.  On the radical path each defect column is mapped and projected.
-    """
-    if level.sr is not None:
-        off = [q for q, (t, s) in enumerate(zip(level.tl, level.sr)) if t != s]
-        kept = low_q.pos
-        for m in maps:
-            if isinstance(m, IndexMap):
-                idx = m.idx
-                # None in a range would be a linear scan
-                holds = not any((r := idx[q]) is not None and r in kept for q in off)
-            else:
-                holds = not any(r in kept for q in off for r, x in m.col[q].items() if x)
-            if not holds:
-                break
-    else:
-        gens = _defect_cols(level)
-        holds = not any(low_q.project(m.apply(w)) for m in maps for w in gens)
-    if not holds:
-        raise AssertionError("face does not descend to coinvariants at degree %d" % n)
-
-
-def _descend(m, src_q: Quotient, dst_q: Quotient):
-    """m carried to the quotients; through two identities it is m itself,
-    shared with whatever cache holds it, and from a coordinate quotient
-    its columns are read at the kept coordinates, shared the same way.
-    IndexMaps stay IndexMaps between coordinate quotients, and IndexSums
-    descend term by term."""
-    if src_q.is_identity and dst_q.is_identity:
-        return m
-    if isinstance(m, IndexSum) and src_q.ech is None and dst_q.ech is None:
-        return IndexSum(dst_q.dim, src_q.dim,
-                        [(s, _descend(t, src_q, dst_q)) for s, t in m.terms])
-    if isinstance(m, IndexMap) and src_q.ech is None and dst_q.ech is None:
-        keep = src_q.keep
-        idx, sign = m.idx, m.sign
-        return IndexMap(dst_q.dim, dst_q.reindex([idx[k] for k in keep]),
-                        None if sign is None else [sign[k] for k in keep])
-    m = as_matrix(m)
-    if src_q.ech is None:
-        cols = [m.col[k] for k in src_q.keep]
-    else:
-        cols = [m.apply(src_q.section({q: ONE})) for q in range(src_q.dim)]
-    return GMatrix(dst_q.dim, src_q.dim, [dst_q.project(c) for c in cols])
-
-
 def _chain_gram(level: Level, coq: Quotient) -> GMatrix:
     """Transport of the level form to the coinvariants via the invariants."""
     if coq.is_identity:
@@ -428,7 +366,7 @@ def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
     the base through the left action."""
     tower = Tower(base_level)
     levels = [tower.level(n) for n in range(N + 1)]
-    coqs = [_coinv_quotient(l) for l in levels]
+    coqs = [l.coinvariants() for l in levels]
     dims = [q.dim for q in coqs]
 
     # the base may itself be an iterated tensor; its internal slots are
@@ -439,8 +377,8 @@ def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
     for n in range(1, N + 1):
         lvl = levels[n]
         row = [lvl.join(bd + i) for i in range(n)] + [lvl.wrap()]
-        _check_descends(row, lvl, coqs[n - 1], n)
-        faces.append([_descend(m, coqs[n], coqs[n - 1]) for m in row])
+        lvl.check_descends(row, coqs[n - 1], n)
+        faces.append([descend(m, coqs[n], coqs[n - 1]) for m in row])
 
     action = None
     if coeff_action is not None:
@@ -462,7 +400,7 @@ def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
             return ext_ops[(n, k)]
 
         def action(n, k):
-            return _descend(extended_op(n, k), coqs[n], coqs[n])
+            return descend(extended_op(n, k), coqs[n], coqs[n])
 
     def gram(n):
         return _chain_gram(levels[n], coqs[n])
@@ -494,10 +432,10 @@ def l2_complex(fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
 
     # the augmentation a (x) c -> c a onto A/[B, A] is the wrap of the
     # square; its section is a -> a (x) 1
-    ab_quot = _coinv_quotient(sq.prev)
-    aug = _descend(sq.wrap(), coqs[0], ab_quot)
+    ab_quot = sq.prev.coinvariants()
+    aug = descend(sq.wrap(), coqs[0], ab_quot)
     insert = sq.unit_insertion()
-    sec = _descend(insert, ab_quot, coqs[0])
+    sec = descend(insert, ab_quot, coqs[0])
 
     # a_0 (x) a_1 (x) ... -> a_0 (x) 1 (x) a_1 (x) ...: the unit is inserted
     # inside the square coefficient, pushing its second slot outward
@@ -506,7 +444,7 @@ def l2_complex(fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
     h = {}
     for n in range(0, N):
         ins = tower.insert_unit(n, base_insert)
-        h[n] = _descend(ins, coqs[n], coqs[n + 1])
+        h[n] = descend(ins, coqs[n], coqs[n + 1])
     homotopy = ContractingHomotopy(h, aug, sec)
     homotopy.verify(out.boundary(), max(N - 1, 0))
     out.homotopy = homotopy

@@ -12,7 +12,8 @@ The form.  balanced_tensor checks that the trace of A is tracial on basis
 pairs.  With E trace-preserving and B-bimodular (Extension.validate), that
 is exactly the agreement of the three expressions of the inner product on
 A (x)_B A (_check_tracial).  The form is then checked hermitian and
-positive definite on the quotient.
+positive semidefinite; append_level has already proved it nondegenerate
+on the quotient, so it is positive definite.
 
 The algebra is built by saturating the evaluations T(1 (x) 1), and the
 structure constants are read off through them.  That evaluation at
@@ -29,10 +30,11 @@ checks, not assumed:
    B-central v makes a (x) c -> a . v . c a well-defined bimodular map,
    which by 1 is the operator.
 3. Every admitted pair has a B-central evaluation xi = [u (x) v]:
-   b . xi = xi . b for each basis element b of B.  Since the balancing
-   relations span the radical (certified in tensor.append_level on either
-   path), the map a (x) c -> a . xi . c is then well defined and
-   bimodular, and it is the pair operator u * v.
+   b . xi = xi . b for each basis element b of B (Level.is_central).
+   Since the balancing relations span the radical (certified by
+   tensor.append_level, by construction on the graded path and by one rank
+   check on the radical path), the map a (x) c -> a . xi . c is then well
+   defined and bimodular, and it is the pair operator u * v.
 
 Hence a pair whose evaluation is dependent equals the combination of basis
 operators its evaluation names, T_i T_j = sum_k c_k T_k with c the
@@ -112,8 +114,9 @@ def balanced_tensor(ext: Extension) -> BalancedTensor:
     The trace of A is checked tracial on basis pairs (_check_tracial): with
     the trace-preserving, B-bimodular E that Extension.validate certifies,
     that is exactly the agreement of the three expressions of the inner
-    product.  The form is then checked hermitian and positive definite on
-    the quotient.
+    product.  The form is then checked hermitian and positive
+    semidefinite; append_level has proved its Gram nondegenerate on either
+    path, so it is positive definite.
     """
     _check_tracial(ext.alg)
     lvl = append_level(extension_base_level(ext), ext)
@@ -124,8 +127,6 @@ def balanced_tensor(ext: Extension) -> BalancedTensor:
         raise ValueError("balanced tensor form is not hermitian")
     if not is_positive_semidefinite(gram):
         raise ValueError("balanced tensor form is not positive semidefinite")
-    if kernel_basis(gram).cols != 0:
-        raise ValueError("balanced tensor form is degenerate on the quotient")
     return BalancedTensor(ext, lvl, one_one, gram)
 
 
@@ -159,16 +160,6 @@ def _operator(bt: BalancedTensor, xi: dict) -> GMatrix:
     return GMatrix(lvl.dim, lvl.dim, [lvl.left_act(i).apply(right[j]) for i, j in lvl.reps()])
 
 
-def _is_central(bt: BalancedTensor, xi: dict) -> bool:
-    """b . xi == xi . b for every basis element b of B.  On a graded level
-    p_x e_q - e_q p_x = ([tl[q] = x] - [sr[q] = x]) e_q, so xi is central
-    exactly when tl[q] = sr[q] on its support."""
-    lvl = bt.level
-    if lvl.sr is not None:
-        return all(lvl.tl[q] == lvl.sr[q] for q, x in xi.items() if x.a or x.b)
-    return not any(defect.apply(xi) for defect in lvl.central_defects())
-
-
 def _check_cyclic(bt: BalancedTensor):
     """The operator a (x) c -> a . (1 (x) 1) . c is the identity."""
     for q, col in enumerate(_operator(bt, bt.one_one).col):
@@ -187,7 +178,7 @@ def _check_bimodular(bt: BalancedTensor, op: GMatrix) -> dict:
     S(e_q) = a_i . xi . c_j, so op agrees with S on a basis and is S.
     """
     xi = op.apply(bt.one_one)
-    if not _is_central(bt, xi):
+    if not bt.level.is_central(xi):
         raise AssertionError(
             "operator does not commute with the actions of B: "
             "its evaluation at 1(x)1 is not B-central")
@@ -262,7 +253,7 @@ def _saturate(bt: BalancedTensor, pairs) -> SpanBasis:
                 continue
             seen_pairs.add(key)
             xi = bt.level.tensor_class(uu, vv)
-            if not _is_central(bt, xi):
+            if not bt.level.is_central(xi):
                 raise AssertionError(
                     "pair %s: evaluation at 1(x)1 is not B-central" % nm)
             if evals.dim < bound:
@@ -312,7 +303,7 @@ def fiber_square(ext: Extension, pairs, name=None, tensor=None) -> FiberSquareAl
     vecs = can.vectors
     ops = []
     for k, vec in enumerate(vecs):
-        if not _is_central(bt, vec):
+        if not bt.level.is_central(vec):
             raise AssertionError("basis vector %d is not B-central" % k)
         ops.append(_operator(bt, vec))
         if not vec_eq(ops[k].apply(bt.one_one), vec):
@@ -373,7 +364,9 @@ def canonical_pairs(ext: Extension):
     """Unitary pairs from the canonical family, matched by conjugation.
 
     For the condition u* x u = v x v*, u is grouped by its left signature
-    and v matched by its right signature.
+    and v matched by its right signature.  Over B = C every pair of the
+    family matches.  The one source of pairs for every fiber square; an
+    extension without a family is refused, not given the trivial square.
     """
     fam = ext.alg.unitary_family
     if not fam:
@@ -393,21 +386,6 @@ def canonical_pairs(ext: Extension):
     return out
 
 
-def scalar_base_pairs(ext: Extension):
-    """For B = scalars every (u, 1) and (1, v) qualifies; products fill in."""
-    if ext.sub.dim != 1:
-        raise AssertionError("scalar base pairs need B = scalars")
-    one = ("1", dict(ext.alg.unit))
-    fam = ext.alg.unitary_family
-    return [((nm, u), one) for nm, u in fam] + [(one, (nm, v)) for nm, v in fam]
-
-
-def default_pairs(ext: Extension):
-    if ext.sub.dim == 1:
-        return scalar_base_pairs(ext)
-    return canonical_pairs(ext)
-
-
 # ---------------------------------------------------------------------------
 # groupoid fiber squares and the enveloping identification
 
@@ -417,7 +395,7 @@ def fiber_square_of(ext: Extension):
     identification when ext comes from a groupoid (None otherwise)."""
     if ext.groupoid is not None:
         return groupoid_fiber_square(ext)
-    return fiber_square(ext, default_pairs(ext)), None
+    return fiber_square(ext, canonical_pairs(ext)), None
 
 
 @dataclass

@@ -16,10 +16,15 @@ A balanced product M (x)_B A is built on one of two paths.
   level keeps its form factored and expands it only when its Gram is asked
   for.  Over the scalars B = C1 is one minimal projection, so the graded
   path has one block and the quotient is the identity.
-- Radical: otherwise the level is the quotient of the plain tensor product
-  by the radical of the induced hermitian form; the balancing relations
-  (m.b) (x) a - m (x) (b.a) are checked to lie in the radical and to span
-  it, which certifies that the quotient is the algebraic balanced tensor.
+- Radical: for inputs that are not graded (a non-commutative B, or a basis
+  of B that is not its minimal projections) the level is the quotient of
+  the plain tensor product by the balancing relations
+  (m.b) (x) a - m (x) (b.a), certified once to be the radical of the
+  induced hermitian form (`_radical_level`).  No corpus input takes this
+  path; the tests keep it as the reference for the graded one.
+
+Which path a level took is read in this module only: `Level` answers for
+the B-action and `descend` carries maps to the quotients, on either path.
 
 Levels are built iteratively (append one factor at a time) and carry the
 B-valued inner product, the outer algebra actions, merge maps for adjacent
@@ -107,6 +112,30 @@ class Quotient:
         return [pos.get(k) for k in rows]
 
 
+def descend(m, src_q: Quotient, dst_q: Quotient):
+    """m carried to the quotients; through two identities it is m itself,
+    shared with whatever cache holds it, and from a coordinate quotient
+    its columns are read at the kept coordinates, shared the same way.
+    IndexMaps stay IndexMaps between coordinate quotients, and IndexSums
+    descend term by term."""
+    if src_q.is_identity and dst_q.is_identity:
+        return m
+    if isinstance(m, IndexSum) and src_q.ech is None and dst_q.ech is None:
+        return IndexSum(dst_q.dim, src_q.dim,
+                        [(s, descend(t, src_q, dst_q)) for s, t in m.terms])
+    if isinstance(m, IndexMap) and src_q.ech is None and dst_q.ech is None:
+        keep = src_q.keep
+        idx, sign = m.idx, m.sign
+        return IndexMap(dst_q.dim, dst_q.reindex([idx[k] for k in keep]),
+                        None if sign is None else [sign[k] for k in keep])
+    m = as_matrix(m)
+    if src_q.ech is None:
+        cols = [m.col[k] for k in src_q.keep]
+    else:
+        cols = [m.apply(src_q.section({q: ONE})) for q in range(src_q.dim)]
+    return GMatrix(dst_q.dim, src_q.dim, [dst_q.project(c) for c in cols])
+
+
 class Level:
     """One balanced tensor power A (x)_B ... (x)_B A, with its actions, forms
     and merge maps.
@@ -115,13 +144,13 @@ class Level:
     is A, each appended factor is A, and A acts on the outer factors from
     both sides.  An appended level is the quotient of prev (x) A; its basis
     vector q is the class of e_v (x) e_b for the q-th pair (v, b) of reps().
-    Every map between levels is built from three primitives: tensor_class
-    (the class of v (x) a), lift (carry a map of the previous level through
-    the last factor) and central_defects / invariants (lambda_b - rho_b and
-    their common kernel).  On the graded path tl and sr hold the left and
-    right support of each basis vector; on the radical path they are None.
-    On an index level (graded, with a monomial basis) the maps are
-    IndexMaps.
+    Every map between levels is built from two primitives: tensor_class
+    (the class of v (x) a) and lift (carry a map of the previous level
+    through the last factor).  The B-action (coinvariants, invariants,
+    is_central, check_descends) is read off tl and sr, the left and right
+    support of each basis vector, on the graded path, and off the defects
+    lambda_b - rho_b on the radical path, where tl and sr are None.  On an
+    index level (graded, with a monomial basis) the maps are IndexMaps.
     """
 
     def __init__(self, ext, dim, bgram, prev=None, quotient=None, tl=None, sr=None,
@@ -140,6 +169,7 @@ class Level:
         self._join = {}
         self._scalar = None
         self._defects = None
+        self._coinvariants = None
         self._invariants = None
 
     # -- the tower primitives
@@ -200,11 +230,12 @@ class Level:
             self.tensor_class(unit, {k: ONE}) if front else self.tensor_class({k: ONE}, unit)
             for k in range(cols)])
 
+    # -- the B-action: coinvariants, invariants and centrality
+
     def central_defects(self) -> list:
-        """lambda_b - rho_b for each basis element b of B.  A vector is
-        B-central when all of them kill it; their columns span the
-        relations of the B-coinvariants.  Graded levels read both off tl
-        and sr instead (central_coords)."""
+        """lambda_b - rho_b for each basis element b of B, on the radical
+        path.  A vector is B-central when all of them kill it; their
+        columns span the relations of the B-coinvariants."""
         if self._defects is None:
             self._defects = [
                 combination(self.dim, self.ext.embed.column(k), self.left_act).sub(
@@ -212,16 +243,25 @@ class Level:
                 for k in range(self.ext.sub.dim)]
         return self._defects
 
-    def central_coords(self) -> list:
-        """On the graded path, the basis vectors with tl = sr: they span the
-        invariants and represent the coinvariants."""
-        return [q for q, (t, s) in enumerate(zip(self.tl, self.sr)) if t == s]
+    def coinvariants(self) -> Quotient:
+        """The quotient by the span of lambda_b - rho_b.  On a graded level
+        p_x e_q - e_q p_x = ([tl[q] = x] - [sr[q] = x]) e_q, so it keeps the
+        basis vectors with tl = sr."""
+        if self._coinvariants is None:
+            if self.sr is not None:
+                self._coinvariants = Quotient(
+                    self.dim, [q for q, (t, s) in enumerate(zip(self.tl, self.sr)) if t == s])
+            else:
+                self._coinvariants = Quotient.of_span(
+                    self.dim, [c for d in self.central_defects() for c in d.col if c])
+        return self._coinvariants
 
     def invariants(self) -> GMatrix:
-        """Basis of the B-central vectors: the common kernel of the defects."""
+        """Basis of the B-central vectors: the common kernel of the defects,
+        on a graded level the basis vectors the coinvariants keep."""
         if self._invariants is None:
             if self.sr is not None:
-                keep = self.central_coords()
+                keep = self.coinvariants().keep
                 self._invariants = GMatrix(self.dim, len(keep), [{q: ONE} for q in keep])
             else:
                 stacked = GMatrix.zero(self.dim * self.ext.sub.dim, self.dim)
@@ -231,6 +271,39 @@ class Level:
                             stacked.col[j][i + k * self.dim] = x
                 self._invariants = kernel_basis(stacked)
         return self._invariants
+
+    def is_central(self, xi: dict) -> bool:
+        """b . xi == xi . b for every basis element b of B: on a graded
+        level, tl = sr on the support of xi."""
+        if self.sr is not None:
+            tl, sr = self.tl, self.sr
+            return all(tl[q] == sr[q] for q, x in xi.items() if x.a or x.b)
+        return not any(defect.apply(xi) for defect in self.central_defects())
+
+    def check_descends(self, maps, low_q: Quotient, n: int):
+        """Each map sends the coinvariant relations of this level into those
+        of the level below, whose coinvariants are low_q, so it descends.
+        On the graded path the relations are the coordinates with tl != sr
+        on both levels, so each such coordinate must go to zero or to
+        coordinates that low_q drops; on the radical path each echelon row
+        of the relations is mapped and projected."""
+        if self.sr is not None:
+            off = [q for q, (t, s) in enumerate(zip(self.tl, self.sr)) if t != s]
+            kept = low_q.pos
+            for m in maps:
+                if isinstance(m, IndexMap):
+                    idx = m.idx
+                    # None in a range would be a linear scan
+                    holds = not any((r := idx[q]) is not None and r in kept for q in off)
+                else:
+                    holds = not any(r in kept for q in off for r, x in m.col[q].items() if x)
+                if not holds:
+                    break
+        else:
+            rows = self.coinvariants().ech.pivots.values()
+            holds = not any(low_q.project(m.apply(w)) for m in maps for w in rows)
+        if not holds:
+            raise AssertionError("face does not descend to coinvariants at degree %d" % n)
 
     # -- actions
 
@@ -453,17 +526,44 @@ def _graded_level(prev: Level, t, s) -> Level:
                  index=prev.index, blocks=blocks)
 
 
-def _radical_level(prev: Level) -> Level:
-    """prev (x)_B A as the quotient of prev (x) A by the radical of its
-    form, certified to be the span of the balancing relations."""
+def _balancing_relations(prev: Level):
+    """The nonzero (v . b) (x) e_a - v (x) (b . e_a) over the basis vectors
+    v of prev, b of B and e_a of A, in the coordinates of prev (x) A."""
     ext = prev.ext
     A = ext.alg
     d2 = A.dim
-    amb = prev.dim * d2
-    dim_b = ext.sub.dim
+    sub = [ext.embed.column(k) for k in range(ext.sub.dim)]
+    right_b = [combination(prev.dim, b, prev.right_act) for b in sub]
+    left_b = [[A.mul(b, {a: ONE}) for a in range(d2)] for b in sub]
+    for v in range(prev.dim):
+        for right, left in zip(right_b, left_b):
+            moved = right.col[v]
+            for a in range(d2):
+                rel = {w * d2 + a: c for w, c in moved.items()}
+                for c2, coef in left[a].items():
+                    key = v * d2 + c2
+                    val = rel.get(key, ZERO) - coef
+                    if val.is_zero():
+                        rel.pop(key, None)
+                    else:
+                        rel[key] = val
+                if rel:
+                    yield rel
 
-    def pidx(v, a):
-        return v * d2 + a
+
+def _radical_level(prev: Level) -> Level:
+    """prev (x)_B A as the quotient of prev (x) A by the span R of the
+    balancing relations, certified to be the radical of its form.
+
+    Each relation is checked to lie in the radical.  The quotient keeps the
+    coordinates K off the pivots of R, so K (+) R is the whole space, and
+    the new level's scalar Gram, the form on K, is checked nondegenerate.
+    A radical vector k + r (k in K, r in R) then has k in the radical, so
+    k = 0: the radical is R, which the fiber square's certificate needs.
+    """
+    ext = prev.ext
+    d2 = ext.alg.dim
+    amb = prev.dim * d2
 
     # nonzero sandwich maps g -> E(e_a^* iota(g) e_b)
     sandwiches = {}
@@ -481,44 +581,17 @@ def _radical_level(prev: Level) -> Level:
                 out = s.apply(bv)
                 if not out:
                     continue
-                i, j = pidx(v, a), pidx(w, b)
+                i, j = v * d2 + a, w * d2 + b
                 amb_bgram.setdefault(i, {})[j] = out
                 tr = ext.sub_trace(out)
                 if not tr.is_zero():
                     gram.col[j][i] = tr
 
-    rad = kernel_basis(gram)
-    quot = Quotient.of_span(amb, rad.col)
-    # the fiber square's separating-vector certificate rests on this:
-    # the radical is exactly the span of the balancing relations
-    right_b = [combination(prev.dim, ext.embed.column(k), prev.right_act)
-               for k in range(dim_b)]
-    left_b = [[A.mul(ext.embed.column(k), {a: ONE}) for a in range(d2)]
-              for k in range(dim_b)]
-    bal = Echelon()
-    for v in range(prev.dim):
-        for k in range(dim_b):
-            moved = right_b[k].col[v]
-            for a in range(d2):
-                rel = {}
-                for w, c in moved.items():
-                    rel[pidx(w, a)] = c
-                for c2, coef in left_b[k][a].items():
-                    key = pidx(v, c2)
-                    val = rel.get(key, ZERO) - coef
-                    if val.is_zero():
-                        rel.pop(key, None)
-                    else:
-                        rel[key] = val
-                if not rel:
-                    continue
-                if gram.apply(rel):
-                    raise AssertionError("balancing relation escapes the radical")
-                bal.insert(rel)
-    if bal.rank != rad.cols:
-        raise AssertionError(
-            "balancing relations do not span the radical (%d vs %d)"
-            % (bal.rank, rad.cols))
+    rels = list(_balancing_relations(prev))
+    for rel in rels:
+        if gram.apply(rel):
+            raise AssertionError("balancing relation escapes the radical")
+    quot = Quotient.of_span(amb, rels)
 
     # descended B-valued gram on the chosen representatives
     bgram = {}
@@ -530,7 +603,12 @@ def _radical_level(prev: Level) -> Level:
             if j in pos:
                 bgram.setdefault(pos[i], {})[pos[j]] = bv
 
-    return Level(ext, quot.dim, bgram, prev=prev, quotient=quot)
+    lvl = Level(ext, quot.dim, bgram, prev=prev, quotient=quot)
+    if rank(lvl.scalar_gram()) != lvl.dim:
+        raise AssertionError(
+            "balancing relations do not span the radical: the form is "
+            "degenerate on the %d kept coordinates" % lvl.dim)
+    return lvl
 
 
 class Tower:

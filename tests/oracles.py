@@ -195,7 +195,7 @@ def pair_operator(bt, u: dict, v: dict) -> GMatrix:
     checking that its evaluation [u (x) v] is B-central, which makes the map
     well defined and bimodular (fibersquare module docstring)."""
     xi = bt.level.tensor_class(u, v)
-    if not fs._is_central(bt, xi):
+    if not bt.level.is_central(xi):
         raise AssertionError("pair operator: evaluation at 1(x)1 is not B-central")
     return fs._operator(bt, xi)
 

@@ -24,7 +24,7 @@ from l2betti.complexes import (
     bar_complex, geometric_complex, homology, l2_complex,
 )
 from l2betti.fibersquare import (
-    default_pairs, fiber_square, groupoid_fiber_square,
+    canonical_pairs, fiber_square, groupoid_fiber_square,
     projection_pair_trace_identity,
 )
 from l2betti.groupoids import (
@@ -311,7 +311,7 @@ def corpus_complexes():
     for label, ext in (("CC2/C", group_ext("C2")), ("CC3/C", group_ext("C3")),
                        ("M2/diag", m2_diag_ext())):
         out.append((label + " bar", bar_complex(ext, 4)))
-        fsq = fiber_square(ext, default_pairs(ext))
+        fsq = fiber_square(ext, canonical_pairs(ext))
         out.append((label + " square-coeff", l2_complex(fsq, 4)))
     ext = convolution_algebra(pair_relation(uniform_space(2)))
     fsq, _ = groupoid_fiber_square(ext)
@@ -414,7 +414,7 @@ def test_criterion_9_trace_identities():
         fsq, _ = groupoid_fiber_square(ext)
         squares.append((name, ext, fsq))
     for label, ext in (("M2/diag", m2_diag_ext()), ("CC2/C", group_ext("C2"))):
-        squares.append((label, ext, fiber_square(ext, default_pairs(ext))))
+        squares.append((label, ext, fiber_square(ext, canonical_pairs(ext))))
     for name, ext, fsq in squares:
         for i in range(fsq.dim):
             for j in range(fsq.dim):

@@ -344,6 +344,20 @@ def test_normalizer_span_reaches_m2():
     assert out.validate().ok
 
 
+@pytest.mark.parametrize("n, twisted", [(2, False), (3, True)],
+                         ids=["pair(2)", "pair(3) twisted"])
+def test_normalizer_span_of_a_relation_is_graded_and_monomial(n, twisted):
+    # the re-basis runs over the pieces p_x v p_y, so every basis vector of
+    # N is homogeneous for the minimal projections of B, and N/B takes the
+    # graded index path of the tower
+    g = pair_relation(uniform_space(n))
+    ext = convolution_algebra(g, distinct_triple_sign_cocycle(g) if twisted else None)
+    out = normalizer_span(ext, ext.alg.unitary_family)
+    assert out.alg.dim == n * n and out.validate().ok
+    assert out.grading() is not None and out.monomial() is not None
+    assert (out.monomial().sign is not None) == twisted
+
+
 def test_normalizer_span_no_generators_returns_b():
     g = pair_relation(uniform_space(2))
     ext = convolution_algebra(g)

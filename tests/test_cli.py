@@ -350,6 +350,18 @@ def test_non_unitary_family_entry_is_input_error(tmp_path, capsys, command):
     assert "algebra.unitary_family[%d]: " % k in err
 
 
+@pytest.mark.parametrize("name", ["cc2", "m2_diag"])
+def test_document_without_unitary_family_exits_2(tmp_path, capsys, name):
+    # every fiber square takes its pairs from the family; over B = C, pairs
+    # made up without one would give the trivial square and a wrong answer
+    doc = json.loads(open(cpath(name + ".json")).read())
+    del doc["unitary_family"]
+    p = tmp_path / (name + "_no_family.json")
+    p.write_text(json.dumps(doc))
+    assert main(["betti", str(p), "--N", "2"]) == 2
+    assert "extension has no canonical unitary family" in capsys.readouterr().err
+
+
 def test_betti_both_pipelines(capsys):
     code, out = run_cli(["betti", cpath("action_c2_swap.json"), "--both",
                          "--N", "3"], capsys)

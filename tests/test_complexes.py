@@ -17,7 +17,7 @@ from l2betti.complexes import (
     geometric_complex, homology, l2_complex,
 )
 from l2betti.fibersquare import (
-    default_pairs, fiber_square, fiber_square_of, groupoid_fiber_square,
+    canonical_pairs, fiber_square, fiber_square_of, groupoid_fiber_square,
 )
 from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import (
@@ -26,7 +26,7 @@ from l2betti.groupoids import (
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, IndexMap, IndexSum, as_matrix
 from l2betti.scalars import ONE
-from l2betti.tensor import Level
+from l2betti.tensor import Level, algebra_tower
 from oracles import (
     full_extension, geometric_comparison, plain_hochschild_complex, theta_iso,
 )
@@ -115,7 +115,7 @@ def test_l2_complex_m2_diag_dimensions():
     fsq, _ = groupoid_fiber_square(convolution_algebra(
         pair_relation(uniform_space(2))))
     # use the matrix-algebra extension directly with its own fiber square
-    pairs = default_pairs(ext)
+    pairs = canonical_pairs(ext)
     fsq2 = fiber_square(ext, pairs)
     l2 = l2_complex(fsq2, 3)
     # degree n is spanned by the cyclically composable (n+2)-tuples
@@ -127,7 +127,7 @@ def test_l2_complex_m2_diag_dimensions():
 
 def test_l2_complex_homology_degree_zero_m2_diag():
     ext = m2_diag_ext()
-    fsq = fiber_square(ext, default_pairs(ext))
+    fsq = fiber_square(ext, canonical_pairs(ext))
     l2 = l2_complex(fsq, 2)
     hm = homology(l2, 0)
     assert hm.dim == 2
@@ -137,7 +137,7 @@ def test_l2_complex_homology_degree_zero_m2_diag():
 
 def test_l2_complex_group_case_dimensions():
     ext = c2_ext()
-    fsq = fiber_square(ext, default_pairs(ext))
+    fsq = fiber_square(ext, canonical_pairs(ext))
     l2 = l2_complex(fsq, 3)
     assert l2.dims == [4, 8, 16, 32]
     hm = homology(l2, 0)
@@ -148,7 +148,7 @@ def test_l2_complex_is_freed_without_the_cycle_collector():
     # the complex, its levels and its cached coefficient operators are
     # released by reference counting alone once the complex is dropped
     ext = m2_diag_ext()
-    fsq = fiber_square(ext, default_pairs(ext))
+    fsq = fiber_square(ext, canonical_pairs(ext))
     gc.disable()
     try:
         l2 = l2_complex(fsq, 2)
@@ -300,7 +300,7 @@ def test_bar_and_square_complexes_carry_verified_homotopies():
     bar = bar_complex(ext, 3)
     assert bar.homotopy.verified_upto >= 2
     assert bar.homotopy.verified_chain is bar.boundary()
-    fsq = fiber_square(ext, default_pairs(ext))
+    fsq = fiber_square(ext, canonical_pairs(ext))
     sq = l2_complex(fsq, 3)
     assert sq.homotopy.verified_upto >= 2
     assert sq.homotopy.verified_chain is sq.boundary()
@@ -332,7 +332,7 @@ def test_fault_descended_face_entry_is_caught_by_presimplicial(monkeypatch):
     # boundary() skips d o d where the faces are verified, so a corrupt
     # face must be caught by verify_presimplicial itself
     import l2betti.complexes as cx
-    original = cx._descend
+    original = cx.descend
     calls = []
 
     def descend(m, src_q, dst_q):
@@ -346,7 +346,7 @@ def test_fault_descended_face_entry_is_caught_by_presimplicial(monkeypatch):
             out = IndexMap(out.rows, idx, out.sign)
         return out
 
-    monkeypatch.setattr(cx, "_descend", descend)
+    monkeypatch.setattr(cx, "descend", descend)
     with pytest.raises(AssertionError, match="presimplicial identity fails"):
         plain_hochschild_complex(m2_diag_ext(), 2)
 
@@ -482,12 +482,14 @@ def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
         l2_complex(fiber_square_of(ext)[0], 3)
     assert fallbacks == set()
     # cocycle signs put -1 entries into the faces: the twisted complex of
-    # pair(3) takes the index path with sign lists, and so does the radical
-    # path of its normalizing extension N/LinfX (verify_residual_pair3_twisted)
+    # pair(3) takes the index path with sign lists, and so does its
+    # normalizing extension N/LinfX (verify_residual_pair3_twisted), graded
+    # and monomial as well
     g = pair_relation(uniform_space(3))
     ext = convolution_algebra(g, distinct_triple_sign_cocycle(g))
     nabla = normalizer_span(ext, ext.alg.unitary_family)
-    assert ext.monomial().sign is not None and nabla.grading() is None
+    assert ext.monomial().sign is not None
+    assert nabla.grading() is not None and nabla.monomial() is not None
     for e in (ext, nabla):
         l2 = l2_complex(fiber_square_of(e)[0], 2)
         assert any(l2.face_map(n, i).sign is not None
@@ -652,3 +654,18 @@ def test_fault_face_entry_moved_onto_a_central_coordinate_fails_descent(monkeypa
     with pytest.raises(AssertionError,
                        match="face does not descend to coinvariants at degree 1"):
         plain_hochschild_complex(ext, 1)
+
+
+def test_fault_non_descending_map_is_caught_on_the_radical_path(monkeypatch):
+    # on the radical path the descent check maps the echelon rows of the
+    # relations: the wrap passes, and a map sending every basis vector to
+    # one kept coordinate of A/[B, A] does not
+    monkeypatch.setattr(Extension, "grading", lambda self: None)
+    lvl = algebra_tower(convolution_algebra(pair_relation(uniform_space(2)))).level(1)
+    low_q = lvl.prev.coinvariants()
+    assert lvl.sr is None and low_q.ech is not None
+    lvl.check_descends([lvl.wrap()], low_q, 1)
+    r = low_q.keep[0]
+    constant = GMatrix(lvl.prev.dim, lvl.dim, [{r: ONE} for _ in range(lvl.dim)])
+    with pytest.raises(AssertionError, match="face does not descend to coinvariants at degree 1"):
+        lvl.check_descends([constant], low_q, 1)

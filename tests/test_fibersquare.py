@@ -10,8 +10,7 @@ from l2betti.algebras import (
     matrix_algebra, trivial_extension, weighted_sum,
 )
 from l2betti.fibersquare import (
-    balanced_tensor, canonical_pairs,
-    check_invariants_faithful, default_pairs, fiber_square,
+    balanced_tensor, canonical_pairs, check_invariants_faithful, fiber_square,
     groupoid_fiber_square, projection_pair_trace_identity,
 )
 from l2betti.groupoids import (
@@ -75,7 +74,7 @@ def test_append_level_rejects_another_extension():
 def test_fiber_square_rejects_the_square_of_another_extension():
     ext = cgroup_ext(2)
     with pytest.raises(ValueError, match="not the square of this extension"):
-        fiber_square(ext, default_pairs(ext), tensor=balanced_tensor(cgroup_ext(2)))
+        fiber_square(ext, canonical_pairs(ext), tensor=balanced_tensor(cgroup_ext(2)))
 
 
 def test_fault_non_hermitian_balanced_form_is_caught(monkeypatch):
@@ -141,7 +140,7 @@ def test_fiber_square_group_algebra_full_tensor():
     for label, build in (("CC2/C", lambda: cgroup_ext(2)), ("CS3/C", cs3_ext),
                          ("M2/C", lambda: trivial_extension(matrix_algebra(2)))):
         ext = build()
-        fsq = fiber_square(ext, default_pairs(ext))
+        fsq = fiber_square(ext, canonical_pairs(ext))
         assert fsq.dim == ext.alg.dim ** 2, label
         # trace is phi(T) = <1(x)1 | T(1(x)1)>, faithful and tracial
         for i in range(fsq.dim):
@@ -282,7 +281,7 @@ def test_s_condition_variant_reading_differs():
         fiber_square(ext, alternative)
     bt = balanced_tensor(ext)
     central = [((nu, u), (nv, v)) for (nu, u), (nv, v) in alternative
-               if fs._is_central(bt, bt.level.tensor_class(u, v))]
+               if bt.level.is_central(bt.level.tensor_class(u, v))]
     assert 0 < len(central) < len(alternative)
     assert all(s_condition(ext, u, v) for (_, u), (_, v) in central)
     f1 = fiber_square(ext, printed)
@@ -333,7 +332,7 @@ def test_saturation_stopped_at_the_invariants_builds_the_same_basis(label):
         ext = convolution_algebra(pair_relation(uniform_space(4)))
     else:
         ext = ORACLE_CASES[label]()
-    pairs = default_pairs(ext)
+    pairs = canonical_pairs(ext)
     bt = balanced_tensor(ext)
     evals = fs._saturate(bt, pairs)
     assert evals.dim == bt.level.invariants().cols
@@ -360,7 +359,7 @@ def pair_operator_by_columns(bt, u, v):
 def test_identities_read_off_the_cyclic_vector_hold_entrywise(label):
     # the certificate replaces these comparisons; here they run in full
     ext = ORACLE_CASES[label]()
-    pairs = default_pairs(ext)
+    pairs = canonical_pairs(ext)
     fsq = fiber_square(ext, pairs)
     bt = fsq.tensor
     for i in range(fsq.dim):
@@ -382,10 +381,9 @@ def test_identities_read_off_the_cyclic_vector_hold_entrywise(label):
 @pytest.mark.parametrize("label", ["pair(4)", "CS3/C"])
 def test_operator_matrices_are_built_from_evaluations_only(monkeypatch, label):
     # fiber_square builds one operator for the cyclic check, one per basis
-    # vector and one per adjoint check; the saturation builds none on
-    # pair(4), whose pair evaluations alone reach the bound, and at most one
-    # per generator on CS3/C.  Building an operator per pair or per product
-    # would break these counts.
+    # vector and one per adjoint check; the saturation builds none, as the
+    # pair evaluations alone reach the bound on both.  Building an operator
+    # per pair or per product would break these counts.
     built, adjoints = [], []
     operator, check_bimodular = fs._operator, fs._check_bimodular
     monkeypatch.setattr(fs, "_operator",
@@ -397,18 +395,9 @@ def test_operator_matrices_are_built_from_evaluations_only(monkeypatch, label):
         fsq, _ = groupoid_fiber_square(ext)
     else:
         ext = cs3_ext()
-        fsq = fiber_square(ext, default_pairs(ext))
+        fsq = fiber_square(ext, canonical_pairs(ext))
     assert len(adjoints) == fsq.dim
-    basis_and_generators = len(built) - 1 - len(adjoints)
-    if label == "pair(4)":
-        assert basis_and_generators == fsq.dim
-    else:
-        bt = fsq.tensor
-        gens = SpanBasis()
-        for xi in [bt.one_one] + [bt.level.tensor_class(u, v)
-                                  for u, v in admitted_pairs(ext, default_pairs(ext))]:
-            gens.add(xi)
-        assert fsq.dim < basis_and_generators <= fsq.dim + gens.dim
+    assert len(built) - 1 - len(adjoints) == fsq.dim
 
 
 def bump_entry(op, skip_cols=()):
@@ -437,7 +426,7 @@ def test_fault_basis_operator_with_wrong_evaluation_is_caught(monkeypatch):
 
     monkeypatch.setattr(fs, "_operator", doubled)
     with pytest.raises(AssertionError, match="does not evaluate"):
-        fiber_square(ext, default_pairs(ext))
+        fiber_square(ext, canonical_pairs(ext))
 
 
 def test_fault_non_central_basis_vector_is_caught(monkeypatch):
@@ -456,7 +445,7 @@ def test_fault_non_central_basis_vector_is_caught(monkeypatch):
 
     monkeypatch.setattr(fs, "canonicalized_span", skewed)
     with pytest.raises(AssertionError, match="basis vector .* is not B-central"):
-        fiber_square(ext, default_pairs(ext), tensor=bt)
+        fiber_square(ext, canonical_pairs(ext), tensor=bt)
 
 
 def test_fault_adjoint_entry_is_caught(monkeypatch):
@@ -475,7 +464,7 @@ def test_fault_adjoint_entry_is_caught(monkeypatch):
 
     monkeypatch.setattr(fs, "adjoint_wrt", corrupted_adjoint)
     with pytest.raises(AssertionError, match="does not commute"):
-        fiber_square(ext, default_pairs(ext), tensor=bt)
+        fiber_square(ext, canonical_pairs(ext), tensor=bt)
 
 
 def test_fault_one_one_entry_is_caught():
@@ -486,14 +475,14 @@ def test_fault_one_one_entry_is_caught():
     bt.one_one = dict(bt.one_one)
     bt.one_one[q] = ONE
     with pytest.raises(AssertionError, match="not cyclic"):
-        fiber_square(ext, default_pairs(ext), tensor=bt)
+        fiber_square(ext, canonical_pairs(ext), tensor=bt)
 
 
 def test_fault_mismatched_pair_admitted_is_caught():
     ext = m2_diag_extension()
     swap = {ext.alg.index("e12"): ONE, ext.alg.index("e21"): ONE}
     unit = dict(ext.alg.unit)
-    pairs = default_pairs(ext) + [(("swap", swap), ("1", unit))]
+    pairs = canonical_pairs(ext) + [(("swap", swap), ("1", unit))]
     with pytest.raises(AssertionError, match="not B-central"):
         fiber_square(ext, pairs)
     with pytest.raises(AssertionError, match="not B-central"):
@@ -501,16 +490,29 @@ def test_fault_mismatched_pair_admitted_is_caught():
 
 
 def test_fault_radical_column_dropped_is_caught(monkeypatch):
-    original = tensor_mod.kernel_basis
-
-    def short_kernel(m):
-        k = original(m)
-        return GMatrix.from_cols(k.rows, k.col[:-1]) if k.cols else k
-
-    monkeypatch.setattr(tensor_mod, "kernel_basis", short_kernel)
+    # over the basis {1, h} of B every nonzero relation is +-2 e_v (x) e_a,
+    # one per pair, so without the first one its coordinate is kept although
+    # it lies in the radical: only the rank check on the kept coordinates
+    # sees it
+    relations = tensor_mod._balancing_relations
+    monkeypatch.setattr(tensor_mod, "_balancing_relations",
+                        lambda prev: list(relations(prev))[1:])
     ext = m2_diag_sign_basis_extension()
     assert ext.grading() is None
     with pytest.raises(AssertionError, match="do not span the radical"):
+        balanced_tensor(ext)
+
+
+def test_fault_relation_outside_the_radical_is_caught(monkeypatch):
+    # e11 (x) e11 has <e11 (x) e11, e11 (x) e11> = tr(E(e11) E(e11)) != 0;
+    # quotiented out as a relation it would pass the rank check, which only
+    # sees the coordinates kept
+    relations = tensor_mod._balancing_relations
+    ext = m2_diag_sign_basis_extension()
+    e11 = ext.alg.index("e11")
+    monkeypatch.setattr(tensor_mod, "_balancing_relations",
+                        lambda prev: list(relations(prev)) + [{e11 * ext.alg.dim + e11: ONE}])
+    with pytest.raises(AssertionError, match="escapes the radical"):
         balanced_tensor(ext)
 
 
@@ -525,7 +527,7 @@ def test_fault_operator_with_non_central_evaluation_is_caught():
     (q0,) = bt.one_one
     t = lvl.quotient.keep[q0] // d2
     xi = lvl.tensor_class({t: ONE}, ext.alg.unit)
-    assert not fs._is_central(bt, xi)
+    assert not lvl.is_central(xi)
     cols = []
     for k in lvl.quotient.keep:
         i, j = divmod(k, d2)

@@ -5,6 +5,7 @@ per graded-path check, the reindexing lift against the tensor_class lift,
 and the traced memory of one run."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import tracemalloc
@@ -20,7 +21,7 @@ from l2betti.algebras import (
 )
 from l2betti.betti import betti_hochschild
 from l2betti.cli import main
-from l2betti.complexes import ChainComplex, _coinv_quotient
+from l2betti.complexes import ChainComplex
 from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import FiniteGroupoid, pair_relation, uniform_space
 from l2betti.groups import cyclic_table, symmetric_table
@@ -28,8 +29,8 @@ from l2betti.linalg import GMatrix, IndexMap, as_matrix, kernel_basis
 from l2betti.scalars import ONE, ZERO, gs
 from l2betti.tensor import algebra_tower, append_level, extension_base_level
 
-CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "corpus")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = os.path.join(ROOT, "corpus")
 
 
 def corpus_extension_files():
@@ -218,7 +219,7 @@ def tower_data(ext, N):
     for k in range(N + 1):
         lvl = tower.level(k)
         out.append((None if lvl.quotient is None else lvl.quotient.keep, full_bgram(tower, k),
-                    _coinv_quotient(lvl).keep, lvl.invariants()))
+                    lvl.coinvariants().keep, lvl.invariants()))
     return out
 
 
@@ -244,10 +245,22 @@ def test_graded_path_equals_radical_path_on_corpus(name, monkeypatch):
     assert graded[1].meta == radical[1].meta
 
 
-def test_only_the_normalizer_takes_the_radical_path(monkeypatch):
-    # a silent fallback to the radical path shows up here: over the corpus
-    # verify instances and the groupoid Betti commands, only the
-    # normalizing extension N/LinfX is not graded
+def sweep_commands():
+    """The l2betti argument lists of scripts/corpus_sweep.py, with paths
+    relative to the checkout root."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus_sweep", os.path.join(ROOT, "scripts", "corpus_sweep.py"))
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep.commands()
+
+
+def test_no_corpus_command_takes_the_radical_path(monkeypatch):
+    # a silent fallback to the radical path shows up here: every command of
+    # the corpus sweep, which holds the benchmark's corpus_cli commands
+    # (the verify instances and `betti --both` on the groupoids), stays on
+    # the graded path, the normalizing extensions of the residual
+    # instances included
     for name in corpus_extension_files():
         assert corpus_extension(name).grading() is not None, name
     graded, radical = [], []
@@ -263,16 +276,41 @@ def test_only_the_normalizer_takes_the_radical_path(monkeypatch):
 
     monkeypatch.setattr(tensor_mod, "_graded_level", spy_graded)
     monkeypatch.setattr(tensor_mod, "_radical_level", spy_radical)
-    commands = [["verify", os.path.join(CORPUS, f)] for f in sorted(os.listdir(CORPUS))
-                if f.startswith("verify_")]
-    commands += [["betti", os.path.join(CORPUS, f), "--both", "--N", "3"]
-                 for f in corpus_extension_files()
-                 if isinstance(load_path(os.path.join(CORPUS, f)), FiniteGroupoid)]
-    for args in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(args) == 0, args
-    assert set(radical) == {"N/LinfX"}
-    assert len(set(graded)) >= 10
+    monkeypatch.chdir(ROOT)
+    for args in sweep_commands():
+        name = os.path.basename(args[1])
+        # a cocycle is no input of these commands, and `betti --both` needs
+        # a groupoid
+        refused = name.startswith("cocycle_") or (
+            args[0] == "betti" and not isinstance(load_path(args[1]), FiniteGroupoid))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(args) == (2 if refused else 0), args
+    assert radical == []
+    assert "N/LinfX" in graded and len(set(graded)) >= 10
+
+
+def test_only_tensor_reads_the_level_path():
+    # which path a level took (its supports tl and sr, its blocks and
+    # B-valued form, the echelon of its quotient, its defects) is read in
+    # tensor.py alone; every other module asks the Level or descend.  An
+    # attribute of these names read off anything but self elsewhere in
+    # src/l2betti fails here (SpanBasis and LinearSolver keep an echelon of
+    # their own as self.ech).
+    import ast
+    import glob
+    private = {"tl", "sr", "ech", "central_defects", "central_coords", "bgram", "blocks"}
+    reads = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "l2betti", "*.py"))):
+        if os.path.basename(path) == "tensor.py":
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        reads += ["%s:%d %s" % (os.path.basename(path), node.lineno, node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in private
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert not reads, "outside tensor.py: %s" % ", ".join(reads)
 
 
 def rebased_m2_diag():
