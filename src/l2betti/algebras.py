@@ -18,8 +18,8 @@ from .groupoids import (
     FiniteGroupoid, bisections, is_equivalence_relation, validate_groupoid,
 )
 from .linalg import (
-    Echelon, GMatrix, is_positive_semidefinite, kernel_basis, orth_projection,
-    rank, vec_axpy, vec_eq, vec_scale, vec_sub,
+    Echelon, GMatrix, LinearSolver, is_positive_semidefinite, kernel_basis,
+    orth_projection, rank, solve, vec_add, vec_axpy, vec_eq, vec_scale, vec_sub,
 )
 from .scalars import FOURTH_ROOTS, GScalar, MINUS_ONE, ONE, ZERO, gs
 
@@ -129,6 +129,7 @@ class TracialStarAlgebra:
         self.unitary_family = unitary_family or []
         self.operator_backed = operator_backed
         self._gram = None
+        self._casimir_inv = None
         self._index = {l: k for k, l in enumerate(self.labels)}
 
     @property
@@ -173,6 +174,29 @@ class TracialStarAlgebra:
                         g.col[j][i] = x
             self._gram = g
         return self._gram
+
+    def inverse_casimir(self) -> dict:
+        """c^{-1} for the Casimir element c = sum_b e_b* f_b of the trace
+        form, f the GNS-dual basis (<e_a | f_b> = delta_ab, so f_b is dual
+        to e_b* under (x, y) -> tr(xy)); computed once.  c is invertible
+        exactly when the algebra is semisimple (Higman); betti.vn_dimension
+        reads the dimension off it."""
+        if self._casimir_inv is None:
+            try:
+                solver = LinearSolver(self.gns_gram())
+            except ValueError:
+                raise ValueError(
+                    "trace form is degenerate: algebra is not semisimple") from None
+            c = {}
+            for b in range(self.dim):
+                c = vec_add(c, self.mul(self.star({b: ONE}), solver.solve({b: ONE})))
+            y = solve(GMatrix(self.dim, self.dim,
+                              [self.mul(c, {j: ONE}) for j in range(self.dim)]), self.unit)
+            if y is None:
+                raise ValueError(
+                    "Casimir element is not invertible: algebra is not semisimple")
+            self._casimir_inv = y
+        return self._casimir_inv
 
     def is_unitary(self, u: dict) -> bool:
         return (vec_eq(self.mul(self.star(u), u), self.unit)
@@ -670,6 +694,11 @@ def convolution_algebra(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extensio
     rep = validate_groupoid(g)
     if not rep.ok:
         raise ValueError("invalid groupoid: %s" % rep.violations[:3])
+    return build_convolution(g, sigma)
+
+
+def build_convolution(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extension:
+    """convolution_algebra of a groupoid that is already validated."""
     if sigma is not None:
         if not is_equivalence_relation(g):
             raise ValueError("twisted convolution needs an equivalence relation")

@@ -23,6 +23,21 @@ read off it:
   idempotent with image ker d_n = im d_{n+1}, and its trace pins every
   rank without elimination.
 
+Homology is the quotient ker d_n / im d_{n+1}, held as an echelon
+complement of the image in the kernel, and the coefficient algebra acts on
+it modulo the image.  That needs the chain action to be a unital
+representation commuting with d, which holds by certificates already run.
+On the L2-complex the action is the fiber square's basis operators, checked
+bimodular (fibersquare, check 2 and the adjoint check), whose products are
+read off the injective evaluation at 1 (x) 1, so they multiply as the
+algebra does with the identity as unit; lifted into the tower they commute
+with the joins (right linearity), the wrap (left linearity) and the
+B-coinvariant relations (B-bimodularity), and lifting is multiplicative.
+On the classifying complex the convolution algebra acts diagonally on
+tuples with a common target, which commutes with deleting an entry, and
+the groupoid axioms checked by convolution_algebra make it a unital
+representation.
+
 Faces, boundaries and homotopies of monomial complexes (the geometric
 families, and Hochschild complexes over index levels, see `tensor`) are
 IndexMaps and IndexSums, and every identity above is checked on them in
@@ -34,17 +49,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebras import Extension, convolution_algebra
+from .algebras import Extension, SpanBasis, convolution_algebra
 from .fibersquare import FiberSquareAlgebra
 from .groupoids import (
     FiniteGroupoid, geometric_carrier, geometric_face,
 )
 from .linalg import (
     Echelon, GMatrix, IndexMap, IndexSum, as_matrix, common_form, index_product,
-    index_trace, invert, kernel_basis, vec_add, vec_axpy, vec_dot, vec_eq,
+    index_trace, kernel_basis, vec_add, vec_axpy, vec_eq,
 )
 from .scalars import MINUS_ONE, ONE, ZERO, gs
-from .tensor import Level, Quotient, Tower, algebra_tower, descend
+from .tensor import Level, Tower, algebra_tower, descend
 
 ELIMINATION_LIMIT = 2500
 
@@ -132,13 +147,12 @@ class ContractingHomotopy:
 class PresimplicialModule:
     """Graded spaces with face maps pi_i pi_j = pi_{j-1} pi_i for i < j."""
 
-    def __init__(self, dims, faces, coeff=None, action=None, gram=None,
+    def __init__(self, dims, faces, coeff=None, action=None,
                  labels=None, homotopy=None, name="", meta=None):
         self.dims = dims                  # list, degrees 0..N
         self.faces = faces                # faces[n] = [GMatrix or IndexMap], n >= 1
         self.coeff = coeff                # acting tracial algebra, or None
         self._action = action             # callable (n, k) -> GMatrix
-        self._gram = gram                 # callable n -> GMatrix
         self.labels = labels
         self.homotopy = homotopy
         self.name = name
@@ -148,7 +162,6 @@ class PresimplicialModule:
         # below degree 2 there are none
         self.presimplicial_upto = 1
         self._action_cache = {}
-        self._gram_cache = {}
         self._face_maps = {}
 
     @property
@@ -178,11 +191,6 @@ class PresimplicialModule:
         if key not in self._action_cache:
             self._action_cache[key] = self._action(n, k)
         return self._action_cache[key]
-
-    def gram(self, n) -> GMatrix:
-        if n not in self._gram_cache:
-            self._gram_cache[n] = self._gram(n)
-        return self._gram_cache[n]
 
     def verify_presimplicial(self):
         for n in range(self.presimplicial_upto + 1, self.N + 1):
@@ -289,12 +297,6 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
                     m.col[j][_index[n][img]] = ONE
             return m
 
-    def gram(n, _carriers=carriers):
-        m = GMatrix.zero(dims[n], dims[n])
-        for j, t in enumerate(_carriers[n]):
-            m.col[j][j] = gs(g.base.weight[g.source[t[0]]])
-        return m
-
     # homotopies, augmentations and sections send tuples to tuples, so
     # they are index maps read off the carriers
     homotopy = None
@@ -335,7 +337,7 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
 
     out = PresimplicialModule(
         dims, faces, coeff=(ext.alg if ext is not None else None),
-        action=action, gram=gram, labels=carriers, homotopy=homotopy,
+        action=action, labels=carriers, homotopy=homotopy,
         name="%s-%s" % (g.name or "G", kind),
         meta={"kind": kind, "groupoid": g.name})
     out.verify_presimplicial()
@@ -344,19 +346,6 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
 
 # ---------------------------------------------------------------------------
 # algebraic complexes over a tower
-
-
-def _chain_gram(level: Level, coq: Quotient) -> GMatrix:
-    """Transport of the level form to the coinvariants via the invariants."""
-    if coq.is_identity:
-        return level.scalar_gram()
-    inv = level.invariants()
-    if inv.cols != coq.dim:
-        raise AssertionError("invariants do not match coinvariants")
-    psi = GMatrix.from_cols(coq.dim, [coq.project(c) for c in inv.col])
-    section = inv.mul(invert(psi))
-    g = level.scalar_gram()
-    return section.adjoint().mul(g.mul(section))
 
 
 def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
@@ -402,11 +391,7 @@ def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
         def action(n, k):
             return descend(extended_op(n, k), coqs[n], coqs[n])
 
-    def gram(n):
-        return _chain_gram(levels[n], coqs[n])
-
-    out = PresimplicialModule(dims, faces, coeff=coeff, action=action,
-                              gram=gram, name=name,
+    out = PresimplicialModule(dims, faces, coeff=coeff, action=action, name=name,
                               meta={"kind": "hochschild"})
     out.tower = tower
     out.coinv = coqs
@@ -471,11 +456,7 @@ def bar_complex(ext: Extension, N: int):
         h[n] = tower.prepend_unit(n + 1, bp)
     homotopy = ContractingHomotopy(h, aug, bp)
 
-    def gram(n):
-        return levels[n].scalar_gram()
-
-    out = PresimplicialModule(dims, faces, gram=gram,
-                              name="bar(%s)" % ext.name,
+    out = PresimplicialModule(dims, faces, name="bar(%s)" % ext.name,
                               homotopy=homotopy, meta={"kind": "bar"})
     out.tower = tower
     out.levels = levels
@@ -490,81 +471,52 @@ def bar_complex(ext: Extension, N: int):
 
 @dataclass
 class HomologyModule:
+    """H_n = ker d_n / im d_{n+1}.  Where it is nonzero, image is the
+    untracked echelon of im d_{n+1}, and cycles an echelon complement of it
+    in ker d_n whose vectors are reduced modulo image."""
+
     degree: int
     dim: int
-    basis: GMatrix            # chain-degree vectors, or None when zero
     rank_lower: int           # rank of d_n
     rank_upper: int           # rank of d_{n+1}
     method: str
     presimp: PresimplicialModule = field(repr=False, default=None)
+    image: Echelon = field(repr=False, default=None)
+    cycles: SpanBasis = field(repr=False, default=None)
 
-    def action_matrices(self):
-        """Coefficient action restricted to the homology subspace.
+    def action_matrices(self) -> dict:
+        """k -> action_matrix(k) for k in the support of c^{-1}, the only
+        matrices betti.vn_dimension reads."""
+        return {k: self.action_matrix(k) for k in self.presimp.coeff.inverse_casimir()}
 
-        Also asserts that the chain form is action invariant on the
-        subspace, <a x | y> = <x | a* y>, which is what makes the
-        orthogonal complement of the boundary image a submodule."""
-        if self.dim == 0 or self.presimp is None or self.presimp._action is None:
-            return []
-        p = self.presimp
-        n = self.degree
-        ech = Echelon(track=True)
-        for j in range(self.basis.cols):
-            piv, _ = ech.insert(self.basis.column(j))
-            if piv is None:
-                raise AssertionError("homology basis is linearly dependent")
-        gram = p.gram(n)
-        gb = [gram.apply(self.basis.column(j)) for j in range(self.basis.cols)]
-        out = []
-        for k in range(p.coeff.dim):
-            act = p.action(n, k)
-            cols = []
-            imgs = []
-            for j in range(self.basis.cols):
-                img = act.apply(self.basis.column(j))
-                imgs.append(img)
-                c = ech.coords(img)
-                if c is None:
-                    raise AssertionError(
-                        "coefficient action does not preserve homology")
-                cols.append(c)
-            star_k = p.coeff.star({k: ONE})
-            for i in range(self.basis.cols):
-                star_img = {}
-                for kk, cc in star_k.items():
-                    vec_axpy(star_img, cc,
-                             p.action(n, kk).apply(self.basis.column(i)))
-                g_star = gram.apply(star_img)
-                for j in range(self.basis.cols):
-                    lhs = vec_dot(imgs[j], gb[i])
-                    rhs = vec_dot(self.basis.column(j), g_star)
-                    if lhs != rhs:
-                        raise AssertionError(
-                            "chain form is not action invariant on homology")
-            out.append(GMatrix.from_cols(self.dim, cols))
-        return out
-
-
-def _image_basis(m: GMatrix) -> GMatrix:
-    ech = Echelon()
-    cols = []
-    for c in m.col:
-        piv, _ = ech.insert(c)
-        if piv is not None:
-            cols.append(dict(c))
-    return GMatrix.from_cols(m.rows, cols)
+    def action_matrix(self, k) -> GMatrix:
+        """The matrix of e_k on cycles.vectors modulo the image.  The chain
+        action acts on H_n by the certificates in the module docstring;
+        that each image of a basis cycle is a cycle is checked here."""
+        act = self.presimp.action(self.degree, k)
+        cols = []
+        for x in self.cycles.vectors:
+            c = self.cycles.coords(self.image.reduce(act.apply(x))[0])
+            if c is None:
+                raise AssertionError("coefficient action does not preserve "
+                                     "homology: an image leaves the cycles")
+            cols.append(c)
+        return GMatrix.from_cols(self.dim, cols)
 
 
 def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
-    """H_n as the subspace ker d_n orthogonal to im d_{n+1}.
+    """H_n = ker d_n / im d_{n+1}.
 
     method "elimination" computes kernels and images by sparse exact
-    elimination; "split" uses the verified contracting homotopy.  There
-    d h + h d = 1 is verified at degrees 0..n and d o d = 0 is implied by
-    the verified face identities (or checked by boundary()).  Together
-    they imply that e = d_{n+1} h_n is idempotent, with image exactly
-    ker d_n = im d_{n+1}, so tr(e) pins both ranks and H_n = 0; e e = e
-    is therefore not checked, and e is not even formed.
+    elimination; where H_n is nonzero, each kernel vector is reduced
+    modulo the image and the independent residues, cycles themselves, are
+    kept until there are dim H_n of them.  "split" uses the verified
+    contracting homotopy.  There d h + h d = 1 is verified at degrees
+    0..n and d o d = 0 is implied by the verified face identities (or
+    checked by boundary()).  Together they imply that e = d_{n+1} h_n is
+    idempotent, with image exactly ker d_n = im d_{n+1}, so tr(e) pins both
+    ranks and H_n = 0; e e = e is therefore not checked, and e is not even
+    formed.
     """
     if n + 1 > p.N:
         raise ValueError("homology at degree %d needs spaces up to %d" % (n, n + 1))
@@ -606,7 +558,7 @@ def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
         dim_h = ker_dim - r_hi
         if dim_h != 0:
             raise AssertionError("split certificate leaves homology")
-        return HomologyModule(n, 0, None, r_lo, r_hi, "split", p)
+        return HomologyModule(n, 0, r_lo, r_hi, "split", p)
 
     # elimination
     if n == 0:
@@ -615,17 +567,19 @@ def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
     else:
         ker = kernel_basis(as_matrix(d_lo))
         r_lo = p.dims[n] - ker.cols
-    im = _image_basis(as_matrix(d_hi))
-    r_hi = im.cols
+    image = Echelon()
+    for c in as_matrix(d_hi).col:
+        image.insert(c)
+    r_hi = image.rank
     dim_h = ker.cols - r_hi
     if dim_h == 0:
-        return HomologyModule(n, 0, None, r_lo, r_hi, "elimination", p)
-    g = p.gram(n)
-    gk = g.mul(ker)
-    m = im.adjoint().mul(gk)        # (im)^* G ker
-    sol = kernel_basis(m)
-    basis = ker.mul(sol)
-    if basis.cols != dim_h:
+        return HomologyModule(n, 0, r_lo, r_hi, "elimination", p)
+    cycles = SpanBasis()
+    for v in ker.col:
+        if cycles.dim == dim_h:
+            break
+        cycles.add(image.reduce(v)[0])
+    if cycles.dim != dim_h:
         raise AssertionError("homology basis has %d vectors, not %d"
-                             % (basis.cols, dim_h))
-    return HomologyModule(n, dim_h, basis, r_lo, r_hi, "elimination", p)
+                             % (cycles.dim, dim_h))
+    return HomologyModule(n, dim_h, r_lo, r_hi, "elimination", p, image, cycles)

@@ -258,7 +258,12 @@ class Level:
 
     def invariants(self) -> GMatrix:
         """Basis of the B-central vectors: the common kernel of the defects,
-        on a graded level the basis vectors the coinvariants keep."""
+        on a graded level the basis vectors the coinvariants keep, so there
+        the two match by construction.  On the radical path the kernel and
+        the quotient by the span of the defects are computed apart; the form
+        is nondegenerate and the adjoint of lambda_b - rho_b is
+        lambda_b* - rho_b*, so the kernel is the orthogonal complement of
+        that span, and its dimension is checked against the coinvariants."""
         if self._invariants is None:
             if self.sr is not None:
                 keep = self.coinvariants().keep
@@ -269,7 +274,10 @@ class Level:
                     for j, c in enumerate(d.col):
                         for i, x in c.items():
                             stacked.col[j][i + k * self.dim] = x
-                self._invariants = kernel_basis(stacked)
+                inv = kernel_basis(stacked)
+                if inv.cols != self.coinvariants().dim:
+                    raise AssertionError("invariants do not match coinvariants")
+                self._invariants = inv
         return self._invariants
 
     def is_central(self, xi: dict) -> bool:

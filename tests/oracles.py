@@ -4,7 +4,7 @@ Nothing in the l2betti package, its CLI, scripts or benchmark calls these.
 They are oracles for statements of the paper (the classifying-to-square
 isomorphism, the comparison of geometric and algebraic complexes, the
 operator spans of twisted and untwisted fiber squares) and small fixtures
-(free and direct-sum modules, sign cocycles, the Klein four-group).  The
+(free, trivial, column, direct-sum and conjugated modules, sign cocycles, the Klein four-group).  The
 test modules import them with ``from oracles import ...``; pytest does not
 collect this file.
 """
@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 from l2betti import fibersquare as fs
 from l2betti.algebras import (
-    TracialStarAlgebra, TwoCocycle, conditional_expectation, positivity_witness,
-    trivial_cocycle, validate_cocycle,
+    TracialStarAlgebra, TwoCocycle, conditional_expectation, matrix_algebra,
+    positivity_witness, trivial_cocycle, validate_cocycle,
 )
 from l2betti.betti import FiniteModule
 from l2betti.complexes import PresimplicialModule, _tuple_face_map, hochschild_complex
 from l2betti.groupoids import FiniteGroupoid, enveloping, geometric_carrier
-from l2betti.linalg import Echelon, GMatrix, as_matrix, combination, kernel_basis
+from l2betti.linalg import (
+    Echelon, GMatrix, as_matrix, combination, invert, kernel_basis,
+)
 from l2betti.scalars import MINUS_ONE, ONE, gs
 from l2betti.tensor import Tower, extension_base_level
 
@@ -178,6 +180,30 @@ def free_module(alg: TracialStarAlgebra, k: int = 1) -> FiniteModule:
                     m.col[blk * alg.dim + j][blk * alg.dim + i] = x
         acts.append(m)
     return FiniteModule(alg, alg.dim * k, acts)
+
+
+def trivial_module(alg: TracialStarAlgebra) -> FiniteModule:
+    """The one-dimensional module where every group element acts as 1: only
+    valid for group algebras (the augmentation)."""
+    return FiniteModule(alg, 1, [matrix_from_rows([[1]]) for _ in range(alg.dim)])
+
+
+def column_module(n: int):
+    """(M_n, C^n) with e_ij acting as the matrix unit."""
+    alg = matrix_algebra(n)
+    acts = []
+    for i in range(n):
+        for j in range(n):
+            m = GMatrix.zero(n, n)
+            m.col[j][i] = ONE
+            acts.append(m)
+    return alg, FiniteModule(alg, n, acts)
+
+
+def conjugate(m: FiniteModule, t: GMatrix) -> FiniteModule:
+    """The module with actions t a t^{-1}, isomorphic to m."""
+    tinv = invert(t)
+    return FiniteModule(m.algebra, m.dim, [t.mul(a).mul(tinv) for a in m.actions])
 
 
 # ---------------------------------------------------------------------------

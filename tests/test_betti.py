@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,30 @@ from l2betti.algebras import (
     matrix_algebra, trivial_extension,
 )
 from l2betti.betti import (
-    FiniteModule, betti_hochschild, betti_sauer, verify_compression,
-    verify_groupoid_equality, verify_residual, verify_weighted_sum,
-    vn_dimension,
+    FiniteModule, betti_hochschild, betti_sauer, cover_dimension,
+    generator_independence_check, verify_compression, verify_groupoid_equality,
+    verify_residual, verify_weighted_sum, vn_dimension,
 )
-from l2betti.complexes import geometric_complex, homology
+from l2betti.complexes import (
+    PresimplicialModule, geometric_complex, homology, l2_complex,
+)
+from l2betti.fibersquare import fiber_square_of
+from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import (
     group_groupoid, pair_relation, partition_relation,
     trivial_groupoid, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import GMatrix, as_matrix
-from l2betti.scalars import ONE
-from oracles import direct_sum, free_module, matrix_from_rows, validate_module
+from l2betti.linalg import GMatrix, as_matrix, solve
+from l2betti.scalars import ONE, gs
+from oracles import (
+    column_module, conjugate, direct_sum, free_module, matrix_from_rows,
+    trivial_module, validate_module,
+)
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "corpus")
 
 
 def cgroup_ext(n):
@@ -30,24 +42,9 @@ def cgroup_ext(n):
                                            name="CC%d" % n))
 
 
-def trivial_module(alg):
-    """One-dimensional module where the algebra acts by the trace of the
-    group-like character: only valid for group algebras (augmentation)."""
-    acts = []
-    for i in range(alg.dim):
-        acts.append(matrix_from_rows([[1]]))
-    return FiniteModule(alg, 1, acts)
-
-
-def column_module(n):
-    alg = matrix_algebra(n)
-    acts = []
-    for i in range(n):
-        for j in range(n):
-            m = GMatrix.zero(n, n)
-            m.col[j][i] = ONE
-            acts.append(m)
-    return alg, FiniteModule(alg, n, acts)
+def cs3_ext():
+    table, unit, els = symmetric_table(3)
+    return trivial_extension(group_algebra(table, unit, elements=els, name="CS3"))
 
 
 def test_vn_dimension_free_modules():
@@ -80,12 +77,16 @@ def test_vn_dimension_additive_and_generator_independent():
     alg, mod = column_module(2)
     both = direct_sum(mod, mod)
     assert vn_dimension(alg, both) == Fraction(1)
-    # duplicated and permuted generating sets give the same value
+    # the free cover behind the seeded cross-check: duplicated and permuted
+    # generating sets give the character's value
     gens = [{0: ONE}, {1: ONE}]
-    base = vn_dimension(alg, mod, generators=gens)
-    dup = vn_dimension(alg, mod, generators=gens + [{0: ONE, 1: ONE}])
-    perm = vn_dimension(alg, mod, generators=list(reversed(gens)))
-    assert base == dup == perm == Fraction(1, 2)
+    base = cover_dimension(alg, mod, gens)
+    dup = cover_dimension(alg, mod, gens + [{0: ONE, 1: ONE}])
+    perm = cover_dimension(alg, mod, list(reversed(gens)))
+    assert base == dup == perm == vn_dimension(alg, mod) == Fraction(1, 2)
+    assert all(generator_independence_check(alg, m, v, seed)
+               for m, v in ((mod, Fraction(1, 2)), (both, Fraction(1)))
+               for seed in range(3))
 
 
 @settings(max_examples=15, deadline=None)
@@ -96,17 +97,42 @@ def test_vn_dimension_isomorphism_invariance(a, b, c):
     t = matrix_from_rows([[1, a], [0, 1]]).mul(
         matrix_from_rows([[1, 0], [b, 1]])).mul(
         matrix_from_rows([[1, c], [0, 1]]))
-    from l2betti.linalg import invert
-    tinv = invert(t)
-    conj = FiniteModule(alg, 2, [t.mul(m).mul(tinv) for m in mod.actions])
+    conj = conjugate(mod, t)
     validate_module(conj)
     assert vn_dimension(alg, conj) == vn_dimension(alg, mod) == Fraction(1, 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["M2", "C3"]),
+       st.lists(st.integers(0, 1), min_size=1, max_size=3),
+       st.integers(-2, 2), st.integers(0, 2 ** 16))
+def test_character_equals_the_free_cover_on_generated_modules(which, kinds, shear, seed):
+    # direct sums of free and column (M2) or free and trivial (C[C3])
+    # modules, conjugated by a shear: the character and the free cover on a
+    # seeded generating set both give the additive value
+    if which == "M2":
+        alg, col = column_module(2)
+        parts = [(free_module(alg), 1) if k else (col, Fraction(1, 2)) for k in kinds]
+    else:
+        alg = cgroup_ext(3).alg
+        parts = [(free_module(alg), 1) if k else (trivial_module(alg), Fraction(1, 3))
+                 for k in kinds]
+    mod = parts[0][0]
+    for m, _ in parts[1:]:
+        mod = direct_sum(mod, m)
+    rows = [[int(i == j) for j in range(mod.dim)] for i in range(mod.dim)]
+    if mod.dim > 1:
+        rows[0][-1] = shear
+    mod = conjugate(mod, matrix_from_rows(rows))
+    value = vn_dimension(alg, mod)
+    assert value == sum(v for _, v in parts)
+    assert generator_independence_check(alg, mod, value, seed)
 
 
 def test_vn_dimension_rejects_non_generators():
     alg, mod = column_module(2)
     with pytest.raises(ValueError, match="^generators do not generate the module$"):
-        vn_dimension(alg, mod, generators=[{}])
+        cover_dimension(alg, mod, [{}])
 
 
 def test_vn_dimension_rejects_a_degenerate_trace():
@@ -114,6 +140,16 @@ def test_vn_dimension_rejects_a_degenerate_trace():
     alg = TracialStarAlgebra(["p", "q"], [[{0: ONE}, {}], [{}, {1: ONE}]],
                              [{0: ONE}, {1: ONE}], {0: ONE}, {0: ONE, 1: ONE})
     with pytest.raises(ValueError, match="^trace form is degenerate: "
+                                         "algebra is not semisimple$"):
+        vn_dimension(alg, free_module(alg))
+
+
+def test_vn_dimension_rejects_a_nilpotent_casimir():
+    # C[x]/x^2 with tr(1) = 0, tr(x) = 1: the trace form is nondegenerate,
+    # but c = 2x is nilpotent, as for every algebra that is not semisimple
+    alg = TracialStarAlgebra(["1", "x"], [[{0: ONE}, {1: ONE}], [{1: ONE}, {}]],
+                             [{0: ONE}, {1: ONE}], {1: ONE}, {0: ONE})
+    with pytest.raises(ValueError, match="^Casimir element is not invertible: "
                                          "algebra is not semisimple$"):
         vn_dimension(alg, free_module(alg))
 
@@ -283,22 +319,107 @@ def test_dimension_isomorphism_robustness():
                 m.col[dim + j][dim + i] = x
         return m
 
-    def gram(n):
-        base = cls.gram(n)
-        dim = (n0 if n == 0 else n1)
-        g = alg.gns_gram()
-        m = GMatrix.zero(dim + pad, dim + pad)
-        for j in range(dim):
-            for i, x in base.col[j].items():
-                m.col[j][i] = x
-        for j in range(pad):
-            for i, x in g.col[j].items():
-                m.col[dim + j][dim + i] = x
-        return m
-
     padded = PresimplicialModule([n0 + pad, n1 + pad], newfaces,
-                                 coeff=alg, action=action, gram=gram,
+                                 coeff=alg, action=action,
                                  name="padded")
     hm = homology(padded, 0)
     mod = FiniteModule(alg, hm.dim, hm.action_matrices())
     assert vn_dimension(alg, mod) == t.values[0]
+
+
+# ---------------------------------------------------------------------------
+# faults in what the character reads
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 3), Fraction(0)], ids=["moved", "zero"])
+def test_fault_corrupted_coefficient_trace(weight):
+    # one trace value of betti_sauer's coefficient algebra, read through its
+    # GNS Gram (dropped from the cache, as if the value were built wrong):
+    # another weight moves beta_0, a zero weight is a degenerate trace form
+    r = pair_relation(uniform_space(2))
+    good = betti_sauer(r, 2).values
+    ext = convolution_algebra(r)
+    k = next(iter(ext.alg.trace_table))
+    ext.alg.trace_table[k] = gs(weight)
+    ext.alg._gram = None
+    if weight:
+        assert betti_sauer(r, 2, ext=ext).values != good
+    else:
+        with pytest.raises(ValueError, match="^trace form is degenerate"):
+            betti_sauer(r, 2, ext=ext)
+
+
+def test_fault_corrupted_action_entry_moves_the_value():
+    # a diagonal entry of the built chain action of the unit, on the support
+    # of a basis cycle: the character moves from 1/6.  An entry in a column
+    # that no basis cycle reaches is never read, so it cannot move it.
+    fsq, _ = fiber_square_of(cs3_ext())
+    (k,) = fsq.inverse_casimir()
+    cx = l2_complex(fsq, 2)
+    hm = homology(cx, 0)
+    assert vn_dimension(fsq, FiniteModule(fsq, hm.dim, hm.action_matrices())) == \
+        Fraction(1, 6)
+    act = cx.action(0, k)
+    j = min(hm.cycles.vectors[0])
+    act.col[j][j] = act.col[j][j] + ONE
+    assert vn_dimension(fsq, FiniteModule(fsq, hm.dim, hm.action_matrices())) == \
+        Fraction(7, 36)
+
+
+def test_fault_action_leaving_the_cycles_is_caught():
+    # C_1 = A + A -> C_0 = A, (x, y) -> x, so H_1 = 0 + A is the free
+    # module; an action that sends (0, y) to (y, y) leaves the cycles
+    alg = cgroup_ext(2).alg
+    n = alg.dim
+    reg = free_module(alg).actions
+    proj = GMatrix(n, 2 * n, [{j: ONE} for j in range(n)] + [{} for _ in range(n)])
+    faces = [None, [proj, GMatrix.zero(n, 2 * n)], [GMatrix.zero(2 * n, 0)] * 3]
+
+    def complex_with(leak):
+        def action(deg, k):
+            if deg == 0:
+                return reg[k]
+            m = GMatrix.zero(2 * n, 2 * n)
+            for j in range(n):
+                m.col[j] = dict(reg[k].col[j])
+                m.col[n + j] = {n + i: x for i, x in reg[k].col[j].items()}
+                if leak:
+                    m.col[n + j].update(reg[k].col[j])
+            return m
+        return PresimplicialModule([n, 2 * n, 0], faces, coeff=alg, action=action)
+
+    hm = homology(complex_with(False), 1)
+    assert vn_dimension(alg, FiniteModule(alg, hm.dim, hm.action_matrices())) == 1
+    hm = homology(complex_with(True), 1)
+    with pytest.raises(AssertionError, match="an image leaves the cycles"):
+        vn_dimension(alg, FiniteModule(alg, hm.dim, hm.action_matrices()))
+
+
+def test_fault_corrupted_casimir_solve(monkeypatch):
+    # c y = 1 solved to 2 c^{-1}: the value doubles, and the seeded
+    # free-cover cross-check refuses it
+    import l2betti.algebras as algebras_mod
+
+    def doubled(m, rhs):
+        return {k: x + x for k, x in solve(m, rhs).items()}
+
+    monkeypatch.setattr(algebras_mod, "solve", doubled)
+    assert betti_hochschild(cs3_ext(), 2).values == [Fraction(1, 3), 0]
+    with pytest.raises(AssertionError, match="differs from the character"):
+        betti_hochschild(cs3_ext(), 2, seed=0)
+
+
+@pytest.mark.parametrize("name, terms", [("cs3.json", 1), ("sum_central_cc2_cc3.json", 14)])
+def test_unseeded_run_builds_actions_only_on_the_casimir_support(name, terms, monkeypatch):
+    built = []
+    original = PresimplicialModule.action
+
+    def spy(self, n, k):
+        built.append((self.coeff, k))
+        return original(self, n, k)
+
+    monkeypatch.setattr(PresimplicialModule, "action", spy)
+    betti_hochschild(as_extension(load_path(os.path.join(CORPUS, name))), 2)
+    (coeff,) = {c for c, _ in built}
+    assert {k for _, k in built} == set(coeff.inverse_casimir())
+    assert len(coeff.inverse_casimir()) == terms

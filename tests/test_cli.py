@@ -524,6 +524,8 @@ def test_console_entry_point():
     ["betti", "pair3.json", "--both", "--N", "3"],
     # compression checks its coinvariant coordinates and trace identity
     ["verify", "verify_compression_m2_diag.json"],
+    # c^{-1} has 14 terms here: the character reads 14 action matrices
+    ["betti", "sum_central_cc2_cc3.json", "--N", "2"],
 ], ids=lambda args: "-".join(args[:2]))
 def test_report_unchanged_under_python_optimize(args):
     # -O strips assert statements: no check or side effect may live in one
@@ -801,3 +803,23 @@ def test_every_library_name_is_reached_from_the_cli_scripts_or_benchmark():
     unreached = sorted(qual for name, entries in defs.items() for qual, _ in entries
                        if name not in reached and not dunder(name))
     assert not unreached, "only tests reach: %s" % ", ".join(unreached)
+
+
+@pytest.mark.parametrize("name", ["verify_residual_pair2.json",
+                                  "verify_residual_pair3_twisted.json"])
+def test_verify_residual_validates_the_relation_once(name, monkeypatch, capsys):
+    # the twisted instance builds its untwisted Sauer side from the relation
+    # convolution_algebra has already validated
+    import l2betti.algebras as algebras_mod
+    import l2betti.cli as cli_mod
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return validate_groupoid(g)
+
+    monkeypatch.setattr(algebras_mod, "validate_groupoid", spy)
+    monkeypatch.setattr(cli_mod, "validate_groupoid", spy)
+    code, out = run_cli(["verify", cpath(name)], capsys)
+    assert code == 0 and json.loads(out)["passed"]
+    assert len(calls) == 1

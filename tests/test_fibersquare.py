@@ -503,6 +503,24 @@ def test_fault_radical_column_dropped_is_caught(monkeypatch):
         balanced_tensor(ext)
 
 
+def test_fault_invariants_not_matching_coinvariants_is_caught(monkeypatch):
+    # on the radical path the invariants (the common kernel of the defects)
+    # and the coinvariants (the quotient by their span) are computed apart;
+    # a coinvariant quotient one coordinate short is caught where the fiber
+    # square reads the invariants
+    original = tensor_mod.Level.coinvariants
+
+    def short(self):
+        q = original(self)
+        return tensor_mod.Quotient(q.ambient_dim, list(q.keep)[1:], q.ech)
+
+    ext = m2_diag_sign_basis_extension()
+    assert fs.fiber_square_of(ext)[0].dim == 4
+    monkeypatch.setattr(tensor_mod.Level, "coinvariants", short)
+    with pytest.raises(AssertionError, match="^invariants do not match coinvariants$"):
+        fs.fiber_square_of(m2_diag_sign_basis_extension())
+
+
 def test_fault_relation_outside_the_radical_is_caught(monkeypatch):
     # e11 (x) e11 has <e11 (x) e11, e11 (x) e11> = tr(E(e11) E(e11)) != 0;
     # quotiented out as a relation it would pass the rank check, which only

@@ -431,3 +431,22 @@ def test_s3_hochschild_holds_no_level_gram():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 2 ** 20, "traced peak %.2f MiB" % (peak / 2 ** 20)
+
+
+@pytest.mark.parametrize("name, N", [("cs3.json", 3), ("pair4", 2)])
+def test_betti_expands_no_gram_above_the_balanced_square(name, N, monkeypatch):
+    # the homology is ker/im and its dimension a character: no level above
+    # the balanced square (depth 1) expands its scalar Gram
+    expanded = []
+    original = tensor_mod.Level.scalar_gram
+
+    def spy(self):
+        if self._scalar is None:
+            expanded.append(self.depth())
+        return original(self)
+
+    ext = convolution_algebra(pair_relation(uniform_space(4))) if name == "pair4" \
+        else corpus_extension(name)
+    monkeypatch.setattr(tensor_mod.Level, "scalar_gram", spy)
+    betti_hochschild(ext, N)
+    assert expanded and max(expanded) <= 1, expanded
