@@ -119,7 +119,7 @@ class TracialStarAlgebra:
     """*-algebra with structure constants, star, and a normalized trace."""
 
     def __init__(self, labels, mult, star, trace, unit, name="A",
-                 unitary_family=None, operator_backed=False):
+                 unitary_family=None):
         self.labels = list(labels)
         self.mult = mult                    # mult[i][j]: sparse product vector
         self.star_table = star              # star[i]: sparse vector
@@ -127,7 +127,6 @@ class TracialStarAlgebra:
         self.unit = unit                    # sparse vector
         self.name = name
         self.unitary_family = unitary_family or []
-        self.operator_backed = operator_backed
         self._gram = None
         self._casimir_inv = None
         self._index = {l: k for k, l in enumerate(self.labels)}
@@ -236,10 +235,9 @@ class AlgebraReport:
 def validate_algebra(a: TracialStarAlgebra) -> AlgebraReport:
     """Exact verification of the tracial *-algebra axioms.
 
-    Associativity is checked on all basis triples unless the algebra is
-    operator backed (where it holds by construction); all other axioms are
-    always checked.  Semisimplicity is certified by nondegeneracy of the
-    trace form.
+    Unit, associativity (on all basis triples), star, trace
+    (trace_violations) and the GNS form are checked.  Semisimplicity is
+    certified by nondegeneracy of the trace form.
     """
     bad = []
     n = a.dim
@@ -251,13 +249,12 @@ def validate_algebra(a: TracialStarAlgebra) -> AlgebraReport:
         if not vec_eq(a.mul(basis[i], a.unit), basis[i]):
             bad.append(("right_unit", a.labels[i]))
 
-    if not a.operator_backed:
-        for i in range(n):
-            for j in range(n):
-                ij = a.mul(basis[i], basis[j])
-                for k in range(n):
-                    if not vec_eq(a.mul(ij, basis[k]), a.mul(basis[i], a.mul(basis[j], basis[k]))):
-                        bad.append(("associativity", a.labels[i], a.labels[j], a.labels[k]))
+    for i in range(n):
+        for j in range(n):
+            ij = a.mul(basis[i], basis[j])
+            for k in range(n):
+                if not vec_eq(a.mul(ij, basis[k]), a.mul(basis[i], a.mul(basis[j], basis[k]))):
+                    bad.append(("associativity", a.labels[i], a.labels[j], a.labels[k]))
 
     for i in range(n):
         if not vec_eq(a.star(a.star(basis[i])), basis[i]):
@@ -269,12 +266,7 @@ def validate_algebra(a: TracialStarAlgebra) -> AlgebraReport:
             if not vec_eq(lhs, rhs):
                 bad.append(("star_antimultiplicative", a.labels[i], a.labels[j]))
 
-    if a.trace(a.unit) != ONE:
-        bad.append(("trace_normalization", str(a.trace(a.unit))))
-    for i in range(n):
-        for j in range(n):
-            if a.trace(a.mul(basis[i], basis[j])) != a.trace(a.mul(basis[j], basis[i])):
-                bad.append(("trace_not_tracial", a.labels[i], a.labels[j]))
+    bad += trace_violations(a)
 
     gram = a.gns_gram()
     if gram != gram.adjoint():
@@ -287,6 +279,19 @@ def validate_algebra(a: TracialStarAlgebra) -> AlgebraReport:
             bad.append(("gns_not_positive_definite", "psd=%s" % psd, "nondegenerate=%s" % nondeg))
         semisimple = nondeg
     return AlgebraReport(not bad, bad, semisimple)
+
+
+def trace_violations(a: TracialStarAlgebra) -> list:
+    """Violations of tr(1) = 1 and of tr(e_i e_j) = tr(e_j e_i) on every
+    ordered basis pair, as validate_algebra reports them."""
+    bad = []
+    if a.trace(a.unit) != ONE:
+        bad.append(("trace_normalization", str(a.trace(a.unit))))
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if a.trace(a.mul({i: ONE}, {j: ONE})) != a.trace(a.mul({j: ONE}, {i: ONE})):
+                bad.append(("trace_not_tracial", a.labels[i], a.labels[j]))
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,11 @@ def _emit(report: dict, args) -> None:
     text = (render_structured(report) if args.fmt == "structured"
             else render_plain(report))
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise InputError("cannot write the report (%s)" % e.strerror, args.out)
     else:
         sys.stdout.write(text)
 
@@ -188,8 +191,8 @@ def cmd_fiber_square(args) -> int:
     report["trace"] = [render_scalar(fsq.trace_table[k])
                        if k in fsq.trace_table else "0"
                        for k in range(fsq.dim)]
-    # fiber_square raises on any trace_not_tracial violation that
-    # validate_algebra finds, so a fiber square that got here is tracial
+    # fiber_square raises on any trace_not_tracial violation of its trace,
+    # so a fiber square that got here is tracial
     report["tracial"] = True
     _emit(report, args)
     return 0
@@ -281,8 +284,9 @@ def build_parser():
     common(sub.add_parser("validate", help="check input documents"))
     pb = sub.add_parser("betti", help="Betti numbers of an input")
     common(pb, npaths=1)
-    pb.add_argument("--pipeline", choices=("hochschild", "sauer"), default=None)
-    pb.add_argument("--both", action="store_true")
+    pipelines = pb.add_mutually_exclusive_group()
+    pipelines.add_argument("--pipeline", choices=("hochschild", "sauer"), default=None)
+    pipelines.add_argument("--both", action="store_true")
     pb.add_argument("--seed", type=int, default=0)
     ph = sub.add_parser("homology", help="per-degree dimensions and ranks")
     common(ph, npaths=1)

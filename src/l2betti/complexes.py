@@ -440,7 +440,8 @@ def l2_complex(fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
 def bar_complex(ext: Extension, N: int):
     """The two-sided bar resolution of A by balanced powers.
 
-    Returns (presimplicial module, augmentation K_0 -> A, homotopy).
+    Returns the presimplicial module.  Its contracting homotopy, which holds
+    the augmentation K_0 -> A, is verified and kept as .homotopy.
     """
     tower = algebra_tower(ext)
     levels = [tower.level(n + 1) for n in range(N + 1)]

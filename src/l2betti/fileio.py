@@ -314,11 +314,15 @@ def load_path(path: str):
     import os
     if not os.path.exists(path):
         raise InputError("no such file", path)
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InputError("invalid JSON (%s)" % e, path)
+    except OSError as e:
+        raise InputError("cannot read the file (%s)" % e.strerror, path)
+    except UnicodeDecodeError as e:
+        raise InputError("not UTF-8 (%s)" % e, path)
+    except json.JSONDecodeError as e:
+        raise InputError("invalid JSON (%s)" % e, path)
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object", path)
 

@@ -226,6 +226,16 @@ def pair_operator(bt, u: dict, v: dict) -> GMatrix:
     return fs._operator(bt, xi)
 
 
+def _flatten(op: GMatrix) -> dict:
+    """The entries of op as one vector, column after column."""
+    out = {}
+    n = op.rows
+    for j, c in enumerate(op.col):
+        for i, x in c.items():
+            out[j * n + i] = x
+    return out
+
+
 def operator_spans_equal(f1, f2) -> bool:
     """Whether two fiber squares coincide as operator subspaces.
 
@@ -237,13 +247,13 @@ def operator_spans_equal(f1, f2) -> bool:
         raise ValueError("balanced tensors are not canonically identified")
     e1 = Echelon()
     for op in f1.ops:
-        e1.insert(fs._flatten(op))
+        e1.insert(_flatten(op))
     both = Echelon()
     for op in f1.ops + f2.ops:
-        both.insert(fs._flatten(op))
+        both.insert(_flatten(op))
     e2 = Echelon()
     for op in f2.ops:
-        e2.insert(fs._flatten(op))
+        e2.insert(_flatten(op))
     return e1.rank == both.rank == e2.rank
 
 

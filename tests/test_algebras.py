@@ -400,3 +400,40 @@ def test_twisted_and_untwisted_share_diagonal_data():
         for l in range(tw.sub.dim):
             assert vec_eq(tw.sub.mul({k: ONE}, {l: ONE}),
                           un.sub.mul({k: ONE}, {l: ONE}))
+
+
+def test_validate_algebra_runs_only_on_documents_and_twisted_products():
+    # the general validator, with its dim^3 associativity loop, checks an
+    # algebra document (cli.cmd_validate) and a twisted product
+    # (algebras.build_convolution).  A fiber square checks only its trace
+    # (fibersquare module docstring, "The axioms"); any other reference to
+    # validate_algebra in src/l2betti fails here.
+    import ast
+    import glob
+    root = os.path.dirname(CORPUS)
+    refs = set()
+
+    class Refs(ast.NodeVisitor):
+        def __init__(self, mod):
+            self.scope = [mod]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id == "validate_algebra":
+                refs.add(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr == "validate_algebra":
+                refs.add(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(glob.glob(os.path.join(root, "src", "l2betti", "*.py"))):
+        with open(path) as f:
+            Refs(os.path.basename(path)[:-3]).visit(ast.parse(f.read()))
+    assert refs == {"cli.cmd_validate", "algebras.build_convolution"}

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -429,6 +430,24 @@ def test_fiber_square_with_non_tracial_trace_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["betti", "fiber-square"])
+@pytest.mark.parametrize("name", ["m2_scalars.json", "cs3.json"])
+def test_unnormalized_trace_exits_2_also_under_python_optimize(tmp_path, name, command):
+    # with every trace value doubled, tr(1) = 2: the fiber square checks its
+    # trace's normalization itself, since nothing it certifies implies it,
+    # and -O must not strip that check
+    with open(cpath(name)) as f:
+        doc = json.load(f)
+    doc["trace"] = [[label, str(2 * Fraction(value))] for label, value in doc["trace"]]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["-O"]):
+        r = subprocess.run([sys.executable] + flags + ["-m", "l2betti.cli", command,
+                            str(path), "--N", "1"], capture_output=True, cwd=ROOT)
+        assert r.returncode == 2, r.stderr
+        assert b"trace_normalization" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["betti", "fiber-square"])
 def test_non_tracial_algebra_document_exits_2(tmp_path, capsys, command):
     # M2 over its diagonal with the trace 2/3, 1/3 on e11, e22: E is still
     # trace-preserving and bimodular, so the extension validates, and the
@@ -627,6 +646,39 @@ def test_retired_options_are_usage_errors(capsys, args):
     with pytest.raises(SystemExit) as exc:
         main([args[0], cpath(args[1])] + args[2:])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("pipeline", ["sauer", "hochschild"])
+def test_both_and_pipeline_exclude_each_other(capsys, pipeline):
+    # --both used to be dropped silently in favour of --pipeline
+    for args in (["--both", "--pipeline", pipeline], ["--pipeline", pipeline, "--both"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", cpath("pair2.json")] + args)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_is_input_error(tmp_path, kind):
+    if kind == "directory":
+        path = CORPUS
+    else:
+        path = str(tmp_path / "bytes.json")
+        with open(path, "wb") as f:
+            f.write(b"\xff\xfe")
+    code, _, err = _run(["validate", path])
+    assert code == 2
+    assert path in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_is_input_error(tmp_path):
+    out = str(tmp_path / "missing" / "x.json")
+    code, stdout, err = _run(["betti", cpath("pair2.json"), "--N", "1", "--out", out])
+    assert code == 2
+    assert out in err
+    assert "Traceback" not in err
+    assert stdout == ""
 
 
 def test_readme_flags_name_every_cli_option():
