@@ -8,6 +8,7 @@ Exit codes: 0 success (or verified equality), 1 verification discrepancy,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -24,8 +25,24 @@ from .fileio import (
     InputError, _fields, _vec_from_pairs, as_extension, cocycle_from_doc, load_path,
     parse_document, render_plain, render_structured, summands_from_doc,
 )
-from .groupoids import FiniteGroupoid, validate_groupoid
+from .groupoids import GEOMETRIC_FAMILIES, FiniteGroupoid, validate_groupoid
 from .scalars import render_scalar
+
+
+def _check_out(path: str) -> None:
+    """Raise, before any computation, the InputError that writing the
+    report to path would raise, where the path alone shows it; _emit still
+    catches what only the write finds."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise InputError("cannot write the report (%s)" % os.strerror(code), path)
 
 
 def _emit(report: dict, args) -> None:
@@ -141,7 +158,7 @@ def cmd_homology(args) -> int:
     path = args.paths[0]
     obj = load_path(path)
     kind = args.kind
-    if kind in ("nerve", "bar", "cyclic", "acyclic", "classifying"):
+    if kind in GEOMETRIC_FAMILIES:
         if not isinstance(obj, FiniteGroupoid):
             raise InputError("geometric complexes need a groupoid input", path)
         if kind != "classifying":
@@ -291,8 +308,7 @@ def build_parser():
     ph = sub.add_parser("homology", help="per-degree dimensions and ranks")
     common(ph, npaths=1)
     ph.add_argument("--kind", default="l2",
-                    choices=("nerve", "bar", "cyclic", "acyclic",
-                             "classifying", "l2", "algebra-bar"))
+                    choices=(*GEOMETRIC_FAMILIES, "l2", "algebra-bar"))
     common(sub.add_parser("fiber-square", help="build and check the fiber square"),
            npaths=1)
     pv = sub.add_parser("verify", help="verify a theorem instance")
@@ -311,6 +327,8 @@ def run(args) -> int:
     try:
         if args.N < 1:
             raise InputError("degree cap N must be at least 1")
+        if args.out:
+            _check_out(args.out)
         return COMMANDS[args.command](args)
     except InputError as e:
         sys.stderr.write("input error: %s\n" % e)

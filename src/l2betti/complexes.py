@@ -42,7 +42,9 @@ Faces, boundaries and homotopies of monomial complexes (the geometric
 families, and Hochschild complexes over index levels, see `tensor`) are
 IndexMaps and IndexSums, and every identity above is checked on them in
 ints.  A GMatrix is built from them only where elimination or a
-comparison with a general matrix needs one.
+comparison with a general matrix needs one.  A face keeps the form its
+level (tensor.Level.index) or carrier (_tuple_face_map) built, and a
+degree with a face in another form is checked and summed column by column.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class PresimplicialModule:
     """Graded spaces with face maps pi_i pi_j = pi_{j-1} pi_i for i < j."""
 
     def __init__(self, dims, faces, coeff=None, action=None,
-                 labels=None, homotopy=None, name="", meta=None):
+                 labels=None, homotopy=None, name=""):
         self.dims = dims                  # list, degrees 0..N
         self.faces = faces                # faces[n] = [GMatrix or IndexMap], n >= 1
         self.coeff = coeff                # acting tracial algebra, or None
@@ -156,35 +158,24 @@ class PresimplicialModule:
         self.labels = labels
         self.homotopy = homotopy
         self.name = name
-        self.meta = meta or {}
         self._chain = None
         # the faces satisfy the presimplicial identities up to this degree;
         # below degree 2 there are none
         self.presimplicial_upto = 1
         self._action_cache = {}
-        self._face_maps = {}
+        # every face is checked dims[n-1] x dims[n] once, here, before any
+        # identity or the boundary reads it
+        for n in range(1, self.N + 1):
+            for i, f in enumerate(faces[n]):
+                width = f.cols if isinstance(f, IndexMap) else len(f.col)
+                if (f.rows, f.cols, width) != (dims[n - 1], dims[n], dims[n]):
+                    raise AssertionError(
+                        "face (%d,%d) is %dx%d, not %dx%d in %s"
+                        % (n, i, f.rows, width, dims[n - 1], dims[n], name))
 
     @property
     def N(self):
         return len(self.dims) - 1
-
-    def face_map(self, n, i):
-        """Face (n, i) as an IndexMap: the face itself, or a GMatrix face
-        read by GMatrix.index_map; None when a GMatrix face has a column
-        with another entry than one 1 or -1.  Computed once and shared by
-        the presimplicial check and the boundary.  The face must be
-        dims[n-1] x dims[n], so the maps of one degree have equal length."""
-        key = (n, i)
-        if key not in self._face_maps:
-            f = self.faces[n][i]
-            shape = (self.dims[n - 1], self.dims[n])
-            width = f.cols if isinstance(f, IndexMap) else len(f.col)
-            if (f.rows, f.cols) != shape or width != f.cols:
-                raise AssertionError(
-                    "face (%d,%d) is %dx%d, not %dx%d in %s"
-                    % (n, i, f.rows, width, shape[0], shape[1], self.name))
-            self._face_maps[key] = f if isinstance(f, IndexMap) else f.index_map()
-        return self._face_maps[key]
 
     def action(self, n, k) -> GMatrix:
         key = (n, k)
@@ -202,20 +193,20 @@ class PresimplicialModule:
                 raise AssertionError(
                     "degree %d has %d faces over %d, not %d over %d in %s"
                     % (n, len(fs), len(lower), n + 1, n, self.name))
+            indexed = all(isinstance(f, IndexMap) for f in fs + lower)
+            if not indexed:
+                fs = [as_matrix(f).col for f in fs]
+                lower = [as_matrix(f) for f in lower]
             for j in range(1, len(fs)):
                 for i in range(j):
-                    maps = (self.face_map(n - 1, i), self.face_map(n - 1, j - 1),
-                            self.face_map(n, i), self.face_map(n, j))
-                    if all(m is not None for m in maps):
+                    if indexed:
                         # pi_i pi_j and pi_{j-1} pi_i as composed index maps,
                         # signs included
-                        li, lj, mi, mj = maps
-                        holds = li.compose(mj) == lj.compose(mi)
+                        holds = lower[i].compose(fs[j]) == lower[j - 1].compose(fs[i])
                     else:
                         # column by column, so neither product is stored
-                        li, lj = as_matrix(lower[i]), as_matrix(lower[j - 1])
-                        fi, fj = as_matrix(fs[i]).col, as_matrix(fs[j]).col
-                        holds = all(vec_eq(li.apply(fj[c]), lj.apply(fi[c]))
+                        holds = all(vec_eq(lower[i].apply(fs[j][c]),
+                                           lower[j - 1].apply(fs[i][c]))
                                     for c in range(self.dims[n]))
                     if not holds:
                         raise AssertionError(
@@ -231,20 +222,20 @@ class PresimplicialModule:
         Where pi_i pi_j = pi_{j-1} pi_i holds at degree n + 1 (checked by
         verify_presimplicial on these same face matrices), the terms of
         d_n d_{n+1} cancel in pairs, so only degrees above that are
-        checked directly.  When every face of degree n has an index map,
-        d_n is their IndexSum: its columns are summed in ints where they
-        are read, and its GMatrix is built only for elimination.
+        checked directly.  When every face of degree n is an IndexMap, d_n
+        is their IndexSum: its columns are summed in ints where they are
+        read, and its GMatrix is built only for elimination.
         """
         if self._chain is None:
             d = {}
             for n in range(1, self.N + 1):
-                maps = [self.face_map(n, i) for i in range(len(self.faces[n]))]
-                if all(m is not None for m in maps):
+                fs = self.faces[n]
+                if all(isinstance(f, IndexMap) for f in fs):
                     d[n] = IndexSum(self.dims[n - 1], self.dims[n],
-                                    [(1 if i % 2 == 0 else -1, m) for i, m in enumerate(maps)])
+                                    [(1 if i % 2 == 0 else -1, f) for i, f in enumerate(fs)])
                     continue
                 acc = GMatrix.zero(self.dims[n - 1], self.dims[n])
-                for i, f in enumerate(self.faces[n]):
+                for i, f in enumerate(fs):
                     s = ONE if i % 2 == 0 else MINUS_ONE
                     f = as_matrix(f)
                     for j in range(self.dims[n]):
@@ -338,8 +329,7 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
     out = PresimplicialModule(
         dims, faces, coeff=(ext.alg if ext is not None else None),
         action=action, labels=carriers, homotopy=homotopy,
-        name="%s-%s" % (g.name or "G", kind),
-        meta={"kind": kind, "groupoid": g.name})
+        name="%s-%s" % (g.name or "G", kind))
     out.verify_presimplicial()
     return out
 
@@ -391,8 +381,7 @@ def hochschild_complex(base_level: Level, N: int, coeff=None, coeff_action=None,
         def action(n, k):
             return descend(extended_op(n, k), coqs[n], coqs[n])
 
-    out = PresimplicialModule(dims, faces, coeff=coeff, action=action, name=name,
-                              meta={"kind": "hochschild"})
+    out = PresimplicialModule(dims, faces, coeff=coeff, action=action, name=name)
     out.tower = tower
     out.coinv = coqs
     out.levels = levels
@@ -433,7 +422,6 @@ def l2_complex(fsq: FiberSquareAlgebra, N: int) -> PresimplicialModule:
     homotopy = ContractingHomotopy(h, aug, sec)
     homotopy.verify(out.boundary(), max(N - 1, 0))
     out.homotopy = homotopy
-    out.meta["coefficients"] = "balanced square; weak closure trivial at finite dimension"
     return out
 
 
@@ -458,7 +446,7 @@ def bar_complex(ext: Extension, N: int):
     homotopy = ContractingHomotopy(h, aug, bp)
 
     out = PresimplicialModule(dims, faces, name="bar(%s)" % ext.name,
-                              homotopy=homotopy, meta={"kind": "bar"})
+                              homotopy=homotopy)
     out.tower = tower
     out.levels = levels
     out.verify_presimplicial()

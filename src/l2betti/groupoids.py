@@ -327,22 +327,6 @@ def _target_tuples(g: FiniteGroupoid, n: int):
     return out
 
 
-def geometric_carrier(g: FiniteGroupoid, kind: str, n: int):
-    if kind == "nerve":
-        if n == 0:
-            return [(x,) for x in g.base.atoms]
-        return _chain_tuples(g, n)
-    if kind == "bar":
-        return _chain_tuples(g, n + 2)
-    if kind == "cyclic":
-        return _cyclic_tuples(g, n)
-    if kind == "acyclic":
-        return _cyclic_tuples(g, n + 1)
-    if kind == "classifying":
-        return _target_tuples(g, n)
-    raise ValueError("unknown kind %r" % kind)
-
-
 def _nerve_face(g, t, i):
     n = len(t)
     if n == 1:
@@ -362,24 +346,31 @@ def _cyclic_face(g, t, i):
     return (g.compose[(t[m], t[0])],) + t[1:m]
 
 
+def _nerve_carrier(g: FiniteGroupoid, n: int):
+    """The base in degree 0, composable n-tuples above."""
+    return [(x,) for x in g.base.atoms] if n == 0 else _chain_tuples(g, n)
+
+
+# kind -> (carrier(g, n), face(g, t, i)): the degree-n tuples, and the i-th
+# face of a degree-n tuple t, for 0 <= i <= n, landing in degree n-1
+GEOMETRIC_FAMILIES = {
+    "nerve": (_nerve_carrier, _nerve_face),
+    "bar": (lambda g, n: _chain_tuples(g, n + 2),
+            lambda g, t, i: _nerve_face(g, t, i + 1)),
+    "cyclic": (_cyclic_tuples, _cyclic_face),
+    "acyclic": (lambda g, n: _cyclic_tuples(g, n + 1),
+                lambda g, t, i: _cyclic_face(g, t, i + 1)),
+    "classifying": (_target_tuples, lambda g, t, i: t[:i] + t[i + 1:]),
+}
+
+
+def geometric_carrier(g: FiniteGroupoid, kind: str, n: int):
+    return GEOMETRIC_FAMILIES[kind][0](g, n)
+
+
 def geometric_face(g: FiniteGroupoid, kind: str, n: int, i: int, t):
     """The i-th face of the degree-n tuple t, landing in degree n-1."""
-    if kind == "nerve":
-        assert 0 <= i <= n
-        return _nerve_face(g, t, i)
-    if kind == "bar":
-        assert 0 <= i <= n
-        return _nerve_face(g, t, i + 1)
-    if kind == "cyclic":
-        assert 0 <= i <= n
-        return _cyclic_face(g, t, i)
-    if kind == "acyclic":
-        assert 0 <= i <= n
-        return _cyclic_face(g, t, i + 1)
-    if kind == "classifying":
-        assert 0 <= i <= n
-        return t[:i] + t[i + 1:]
-    raise ValueError("unknown kind %r" % kind)
+    return GEOMETRIC_FAMILIES[kind][1](g, t, i)
 
 
 # ---------------------------------------------------------------------------

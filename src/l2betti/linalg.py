@@ -139,23 +139,6 @@ class GMatrix:
     def is_zero(self):
         return all(not c for c in self.col)
 
-    def index_map(self):
-        """This matrix as an IndexMap when every column holds nothing or one
-        entry equal to 1 or -1, None otherwise; stored zeros count as
-        absent."""
-        idx, sign = [], []
-        for c in self.col:
-            row, s = None, 1
-            for i, x in c.items():
-                if not (x.a or x.b):
-                    continue
-                if row is not None or x.b or x.d != 1 or x.a not in (1, -1):
-                    return None
-                row, s = i, x.a
-            idx.append(row)
-            sign.append(s)
-        return IndexMap(self.rows, idx, sign if -1 in sign else None)
-
     def __eq__(self, other):
         if not isinstance(other, GMatrix):
             return NotImplemented

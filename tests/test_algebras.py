@@ -402,12 +402,13 @@ def test_twisted_and_untwisted_share_diagonal_data():
                           un.sub.mul({k: ONE}, {l: ONE}))
 
 
-def test_validate_algebra_runs_only_on_documents_and_twisted_products():
+def test_validate_algebra_runs_only_on_algebra_documents():
     # the general validator, with its dim^3 associativity loop, checks an
-    # algebra document (cli.cmd_validate) and a twisted product
-    # (algebras.build_convolution).  A fiber square checks only its trace
-    # (fibersquare module docstring, "The axioms"); any other reference to
-    # validate_algebra in src/l2betti fails here.
+    # algebra document (cli.cmd_validate) and nothing else.  A fiber square
+    # checks only its trace (fibersquare module docstring, "The axioms"), and
+    # a twisted product is certified by its groupoid and cocycle
+    # (build_convolution docstring); any other reference to validate_algebra
+    # in src/l2betti fails here.
     import ast
     import glob
     root = os.path.dirname(CORPUS)
@@ -436,4 +437,4 @@ def test_validate_algebra_runs_only_on_documents_and_twisted_products():
     for path in sorted(glob.glob(os.path.join(root, "src", "l2betti", "*.py"))):
         with open(path) as f:
             Refs(os.path.basename(path)[:-3]).visit(ast.parse(f.read()))
-    assert refs == {"cli.cmd_validate", "algebras.build_convolution"}
+    assert refs == {"cli.cmd_validate"}

@@ -278,6 +278,38 @@ def test_verify_residual_builds_the_relation_algebra_once(monkeypatch):
     assert len(built) == 1
 
 
+CAUGHT_TWIST = ("is not unitary", "balancing relation escapes the radical",
+                "operator does not commute with the outer actions")
+
+
+def test_fault_bumped_twisted_structure_constant_is_caught(monkeypatch):
+    # the twisted product is certified by its inputs (build_convolution),
+    # not by validate_algebra; negating any one of its 27 structure
+    # constants after the build is still caught, by the unitarity of the
+    # normalizer's generators, by the balancing relations of the tower, or
+    # by the bimodularity of a fiber-square operator
+    import l2betti.betti as betti_mod
+    r = pair_relation(uniform_space(3))
+    sig = distinct_triple_sign_cocycle(r)
+    mult = convolution_algebra(r, sig).alg.mult
+    constants = [(i, j) for i, row in enumerate(mult) for j, v in enumerate(row) if v]
+    assert len(constants) == 27
+    caught = set()
+    for i, j in constants:
+        def bumped(g, sigma=None, i=i, j=j):
+            ext = convolution_algebra(g, sigma)
+            if sigma is not None:
+                (k, x), = ext.alg.mult[i][j].items()
+                ext.alg.mult[i][j] = {k: -x}
+            return ext
+
+        monkeypatch.setattr(betti_mod, "convolution_algebra", bumped)
+        with pytest.raises((AssertionError, ValueError)) as e:
+            verify_residual(r, sig, 2)
+        caught.add(next(m for m in CAUGHT_TWIST if m in str(e.value)))
+    assert caught == set(CAUGHT_TWIST)
+
+
 def test_dimension_isomorphism_robustness():
     # padding a complex with a split free summand keeps every Betti number
     r = pair_relation(uniform_space(2))

@@ -510,6 +510,50 @@ def test_verify_residual_twisted(capsys):
     assert rep["details"]["twisted"] is True
 
 
+FOURTH_ROOTS = ("1", "i", "-1", "-i")
+
+
+def _coboundary_exponent(x, y, z):
+    # sigma = i^(b(x,y) + b(y,z) - b(x,z)) with b(x0, x1) = 1, else 0
+    def b(u, v):
+        return 1 if (u, v) == ("x0", "x1") else 0
+    return b(x, y) + b(y, z) - b(x, z)
+
+
+# sigma(x, y, z) = i^k on pair(3), each breaking one axiom of validate_cocycle
+BROKEN_COCYCLES = {
+    # -1 on (x0,x1,x2) and its reverse: skew symmetric and normalized, but
+    # sigma(x0,x1,x2) sigma(x0,x2,x0) != sigma(x1,x2,x0) sigma(x0,x1,x0)
+    "cocycle_identity": lambda x, y, z:
+        2 if (x, y, z) in (("x0", "x1", "x2"), ("x2", "x1", "x0")) else 0,
+    # a coboundary, so a normalized cocycle, with
+    # sigma(x0,x1,x2) sigma(x2,x1,x0) = i
+    "not_skew_symmetric": _coboundary_exponent,
+    # the constant -1: a skew-symmetric cocycle with sigma(x,x,x) = -1
+    "unit_not_normalized": lambda x, y, z: 2,
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_COCYCLES))
+def test_cocycle_breaking_one_axiom_is_refused(broken, corpus_copy):
+    # the twisted product is certified by its cocycle, not by
+    # validate_algebra, so each axiom of the cocycle must be enforced
+    exponent = BROKEN_COCYCLES[broken]
+    atoms = ("x0", "x1", "x2")
+    values = [[x, y, z, FOURTH_ROOTS[exponent(x, y, z) % 4]]
+              for x in atoms for y in atoms for z in atoms]
+    path = corpus_copy / ("residual_%s.json" % broken)
+    path.write_text(json.dumps({
+        "kind": "verify_instance", "theorem": "residual", "N": 1,
+        "relation": "pair3.json", "cocycle": {"kind": "cocycle", "values": values}}))
+    code, out, err = _run(["verify", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid cocycle: ")
+    kinds = set(re.findall(r"\('([a-z_]+)'", err))
+    assert kinds == {broken}, err
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -672,13 +716,21 @@ def test_unreadable_input_is_input_error(tmp_path, kind):
     assert "Traceback" not in err
 
 
-def test_unwritable_out_is_input_error(tmp_path):
-    out = str(tmp_path / "missing" / "x.json")
-    code, stdout, err = _run(["betti", cpath("pair2.json"), "--N", "1", "--out", out])
-    assert code == 2
-    assert out in err
-    assert "Traceback" not in err
-    assert stdout == ""
+def test_unwritable_out_is_input_error(tmp_path, monkeypatch):
+    import l2betti.cli as cli
+    # the path is checked before the document is read or any pipeline runs
+    ran = []
+    for name in ("load_path", "verify_groupoid_equality", "betti_sauer",
+                 "betti_hochschild"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
+    for out, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        code, stdout, err = _run(["betti", cpath("pair2.json"), "--N", "1",
+                                  "--out", str(out)])
+        assert code == 2
+        assert err == "input error: %s: cannot write the report (%s)\n" % (out, reason)
+        assert stdout == ""
+    assert ran == []
 
 
 def test_readme_flags_name_every_cli_option():

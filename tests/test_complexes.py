@@ -416,16 +416,15 @@ def test_homotopy_verify_reverifies_against_another_chain():
 
 def assert_index_path_agrees_with_column_loop(build, monkeypatch, force):
     """build() on the index path against build() with force applied, which
-    makes the faces GMatrix, and with GMatrix.index_map off, so that the
-    checks and the boundary take the column-by-column loop."""
+    makes the faces GMatrix, so that the checks and the boundary take the
+    column-by-column loop."""
     fast = build()
     with monkeypatch.context() as m:
         force(m)
-        m.setattr(GMatrix, "index_map", lambda self: None)
         slow = build()
-        assert isinstance(slow.faces[1][0], GMatrix)
-        assert slow.face_map(1, 0) is None
+        assert all(isinstance(f, GMatrix) for row in slow.faces[1:] for f in row)
         slow_d = slow.boundary().d
+        assert all(isinstance(d, GMatrix) for d in slow_d.values())
     assert all(isinstance(f, IndexMap) for row in fast.faces[1:] for f in row)
     assert fast.dims == slow.dims
     assert fast.presimplicial_upto == slow.presimplicial_upto == fast.N
@@ -465,22 +464,12 @@ def test_index_path_agrees_with_column_loop_on_geometric(kind, monkeypatch):
         lambda: geometric_complex(g, kind, 3), monkeypatch, force)
 
 
-def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
-    fallbacks = set()
-    original = PresimplicialModule.face_map
-
-    def face_map(self, n, i):
-        out = original(self, n, i)
-        if out is None:
-            fallbacks.add(self.name)
-        return out
-
-    monkeypatch.setattr(PresimplicialModule, "face_map", face_map)
+def test_corpus_hochschild_complexes_take_the_index_path():
     assert len(CORPUS_EXTENSIONS) == 17
     for name in CORPUS_EXTENSIONS:
         ext = as_extension(load_path(os.path.join(CORPUS, name)))
-        l2_complex(fiber_square_of(ext)[0], 3)
-    assert fallbacks == set()
+        l2 = l2_complex(fiber_square_of(ext)[0], 3)
+        assert all(isinstance(f, IndexMap) for row in l2.faces[1:] for f in row), name
     # cocycle signs put -1 entries into the faces: the twisted complex of
     # pair(3) takes the index path with sign lists, and so does its
     # normalizing extension N/LinfX (verify_residual_pair3_twisted), graded
@@ -492,9 +481,8 @@ def test_corpus_hochschild_complexes_take_the_index_path(monkeypatch):
     assert nabla.grading() is not None and nabla.monomial() is not None
     for e in (ext, nabla):
         l2 = l2_complex(fiber_square_of(e)[0], 2)
-        assert any(l2.face_map(n, i).sign is not None
-                   for n in (1, 2) for i in range(n + 1)), e.name
-    assert fallbacks == set()
+        assert all(isinstance(f, IndexMap) for row in l2.faces[1:] for f in row), e.name
+        assert any(f.sign is not None for row in l2.faces[1:] for f in row), e.name
 
 
 def with_faces(p, n, i, face, name):
@@ -509,8 +497,8 @@ def moved_entry_fault():
     of M2/diag to a row with another pi_0, and verify: pi_0 pi_1 = pi_0 pi_0
     fails in that column."""
     p = plain_hochschild_complex(m2_diag_ext(), 2)
-    low, m = p.face_map(1, 0), p.face_map(2, 1)
-    assert m is p.faces[2][1]
+    low, m = p.faces[1][0], p.faces[2][1]
+    assert isinstance(low, IndexMap) and isinstance(m, IndexMap)
     c = next(c for c, r in enumerate(m.idx) if r is not None)
     r = next(r for r in range(p.dims[1]) if low.idx[r] != low.idx[m.idx[c]])
     idx = list(m.idx)
@@ -540,17 +528,18 @@ def test_moved_face_entry_is_caught_under_python_optimize():
 
 
 def test_face_one_column_short_is_rejected():
-    # as an index map and as a GMatrix
+    # as an index map and as a GMatrix, when the module is built: before the
+    # presimplicial check or the boundary reads the face, and at degree 1,
+    # which no presimplicial identity reads as the upper face
     p = plain_hochschild_complex(m2_diag_ext(), 2)
-    f = p.faces[2][1]
-    g = as_matrix(f)
-    message = r"face \(2,1\) is %dx%d, not %dx%d in short" % (
-        p.dims[1], p.dims[2] - 1, p.dims[1], p.dims[2])
-    for short in (IndexMap(f.rows, f.idx[:-1]), GMatrix(g.rows, g.cols - 1, g.col[:-1])):
-        with pytest.raises(AssertionError, match=message):
-            with_faces(p, 2, 1, short, "short").verify_presimplicial()
-        with pytest.raises(AssertionError, match=message):
-            with_faces(p, 2, 1, short, "short").boundary()
+    for n, i in ((1, 0), (2, 1)):
+        f = p.faces[n][i]
+        g = as_matrix(f)
+        message = r"face \(%d,%d\) is %dx%d, not %dx%d in short" % (
+            n, i, p.dims[n - 1], p.dims[n] - 1, p.dims[n - 1], p.dims[n])
+        for short in (IndexMap(f.rows, f.idx[:-1]), GMatrix(g.rows, g.cols - 1, g.col[:-1])):
+            with pytest.raises(AssertionError, match=message):
+                with_faces(p, n, i, short, "short")
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +611,8 @@ def test_fault_flipped_sign_in_a_signed_face_is_caught_by_presimplicial():
     g = pair_relation(uniform_space(3))
     ext = convolution_algebra(g, distinct_triple_sign_cocycle(g))
     p = l2_complex(fiber_square_of(ext)[0], 2)
-    i = next(i for i in range(3) if p.face_map(2, i).sign is not None)
-    m, low = p.face_map(2, i), p.face_map(1, 0)
+    i = next(i for i in range(3) if p.faces[2][i].sign is not None)
+    m, low = p.faces[2][i], p.faces[1][0]
     # a column whose entry pi_0 keeps, so that one composite changes sign
     c = next(c for c, r in enumerate(m.idx) if r is not None and low.idx[r] is not None)
     sign = list(m.sign)
