@@ -19,7 +19,8 @@ from .groupoids import (
 )
 from .linalg import (
     Echelon, GMatrix, LinearSolver, is_positive_semidefinite, kernel_basis,
-    orth_projection, rank, solve, vec_add, vec_axpy, vec_eq, vec_scale, vec_sub,
+    projection_coordinates, rank, solve, vec_add, vec_axpy, vec_eq, vec_scale,
+    vec_sub,
 )
 from .scalars import FOURTH_ROOTS, GScalar, MINUS_ONE, ONE, ZERO, gs
 
@@ -287,11 +288,17 @@ def trace_violations(a: TracialStarAlgebra) -> list:
     bad = []
     if a.trace(a.unit) != ONE:
         bad.append(("trace_normalization", str(a.trace(a.unit))))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if a.trace(a.mul({i: ONE}, {j: ONE})) != a.trace(a.mul({j: ONE}, {i: ONE})):
-                bad.append(("trace_not_tracial", a.labels[i], a.labels[j]))
-    return bad
+    ordered = sorted(p for i, j in trace_defects(a) for p in ((i, j), (j, i)))
+    return bad + [("trace_not_tracial", a.labels[i], a.labels[j]) for i, j in ordered]
+
+
+def trace_defects(a: TracialStarAlgebra):
+    """The basis pairs (i, j), j < i, with tr(e_i e_j) != tr(e_j e_i), i
+    ascending and then j: each unordered pair compared once, which by
+    bilinearity is traciality."""
+    mult, tr = a.mult, a.trace
+    return ((i, j) for i in range(a.dim) for j in range(i)
+            if tr(mult[i][j]) != tr(mult[j][i]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +500,9 @@ def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
                             sub_labels=None, name="A/B", groupoid=None) -> Extension:
     """Extension with E = trace-orthogonal projection onto span(sub_vectors).
 
-    The span must be a unital *-subalgebra; violations raise ValueError.
+    E's coordinates over the span's basis are read straight from the Gram
+    solve (linalg.projection_coordinates).  The span must be a unital
+    *-subalgebra; violations raise ValueError.
     """
     span = SpanBasis()
     for v in sub_vectors:
@@ -508,12 +517,7 @@ def conditional_expectation(alg: TracialStarAlgebra, sub_vectors,
     sub = TracialStarAlgebra(labels, *structure, name=name.split("/")[-1])
 
     embed = GMatrix.from_cols(alg.dim, span.vectors)
-    gram = alg.gns_gram()
-    proj = orth_projection(gram, embed)
-    expect_cols = [span.coords(proj.column(j)) for j in range(alg.dim)]
-    if any(c is None for c in expect_cols):
-        raise AssertionError("orthogonal projection leaves the subalgebra")
-    expect = GMatrix.from_cols(dim_b, expect_cols)
+    expect = projection_coordinates(alg.gns_gram(), embed)
     ext = Extension(alg, sub, embed, expect, name=name, groupoid=groupoid)
     rep = ext.validate()
     if not rep.ok:
@@ -680,35 +684,29 @@ def positivity_witness(sigma: TwoCocycle):
 # groupoid convolution algebras
 
 
-def convolution_algebra(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extension:
-    """The convolution *-algebra of a finite measured groupoid over L^inf(X),
-    with its product twisted by the 2-cocycle sigma when one is given.
+def convolution_star_algebra(g: FiniteGroupoid,
+                             sigma: TwoCocycle = None) -> TracialStarAlgebra:
+    """The convolution *-algebra C[G] of a groupoid that is already
+    validated, with its product twisted by the 2-cocycle sigma when one is
+    given.
 
     Basis the arrows, product from composition, star from inversion, trace
-    the weighted sum over the units; the expectation is restriction to the
-    units.  The groupoid is validated first.  A twisted product picks up
-    sigma(x,y,z) on (x,y)(y,z) of an equivalence relation; star, trace and
-    expectation stay untwisted, and the result must still be a tracial
-    *-algebra.  Since tr(d_(x,y)* d_(x,y)) = sigma(y,x,y) w(y), a cocycle
-    with sigma(x,y,x) != 1 on a composable triple breaks positivity of the
-    trace form; it is rejected with a ValueError naming the first such
-    triple, before the product is built.  The unitary family is the
-    sign-dressed bisections, keeping only those that stay unitary under the
-    twisted product.
-    """
-    rep = validate_groupoid(g)
-    if not rep.ok:
-        raise ValueError("invalid groupoid: %s" % rep.violations[:3])
-    return build_convolution(g, sigma)
+    the weighted sum over the units.  A twisted product picks up
+    sigma(x,y,z) on (x,y)(y,z) of an equivalence relation; star and trace
+    stay untwisted.  Since tr(d_(x,y)* d_(x,y)) = sigma(y,x,y) w(y), a
+    cocycle with sigma(x,y,x) != 1 on a composable triple breaks positivity
+    of the trace form; it is rejected with a ValueError naming the first
+    such triple, before the product is built.
 
-
-def build_convolution(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extension:
-    """convolution_algebra of a groupoid that is already validated.
-
-    A twisted product is certified by its inputs, not by validate_algebra.
-    Write d_xy for the arrow x <- y (one per pair: is_equivalence_relation),
-    so d_xy d_yz = sigma(x,y,z) d_xz and other basis products are 0.
-    validate_groupoid gives weights w > 0 of sum 1, equal along arrows;
+    The algebra is certified by its inputs, not by validate_algebra.
+    validate_groupoid gives weights w > 0 of sum 1, equal along arrows, and
+    the groupoid axioms.  Untwisted, the unit sum_x e_(u_x) is a unit as
+    u_t(a) a = a = a u_s(a), composition is associative, (e_a e_b)* =
+    e_(b^-1 a^-1) = e_b* e_a*, tr(1) = sum_x w(x) = 1, tr(e_a e_b) is
+    w(t(a)) = w(s(a)) = tr(e_b e_a) when b = a^-1 and 0 otherwise, and the
+    Gram is diagonal with tr(e_a* e_a) = w(s(a)) > 0.  Twisted, write d_xy
+    for the arrow x <- y (one per pair: is_equivalence_relation), so
+    d_xy d_yz = sigma(x,y,z) d_xz and other basis products are 0;
     validate_cocycle gives fourth roots with sigma(x,x,x) = 1, skew symmetry
     sigma(x,y,z) sigma(z,y,x) = 1 and the cocycle identity sigma(x,y,z)
     sigma(x,z,t) = sigma(y,z,t) sigma(x,y,t); positivity_witness gives
@@ -745,26 +743,39 @@ def build_convolution(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extension:
     star = [{idx[g.inverse[a]]: ONE} for a in els]
     trace = {idx[g.units[x]]: gs(g.base.weight[x]) for x in g.base.atoms}
     unit = {idx[g.units[x]]: ONE for x in g.base.atoms}
-
     name = "C[%s%s]" % (g.name or "G", "" if sigma is None else ";twisted")
-    alg = TracialStarAlgebra([repr(a) for a in els], mult, star, trace, unit,
-                             name=name)
+    return TracialStarAlgebra([repr(a) for a in els], mult, star, trace, unit,
+                              name=name)
+
+
+def convolution_algebra(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extension:
+    """The extension C[G] over L^inf(X) of a finite measured groupoid, its
+    product twisted by sigma when one is given (convolution_star_algebra).
+
+    The groupoid is validated first, once.  The expectation is restriction
+    to the units, and the unitary family is the sign-dressed bisections,
+    keeping only those that stay unitary under the twisted product.
+    """
+    rep = validate_groupoid(g)
+    if not rep.ok:
+        raise ValueError("invalid groupoid: %s" % rep.violations[:3])
+    alg = convolution_star_algebra(g, sigma)
     # 1 and the single-atom sign flips 1 - 2*1_{x}: they span the diagonal
     signs = [("w", None)] + [("w" + str(x), x) for x in g.base.atoms]
-    fam = []
+    idx = {a: k for k, a in enumerate(g.elements)}
     for b in bisections(g):
         barrows = sorted(b, key=repr)
         for wname, flip in signs:
             v = {idx[a]: MINUS_ONE if g.target[a] == flip else ONE
                  for a in barrows}
             if sigma is None or alg.is_unitary(v):
-                fam.append(("%s.%s" % (wname, ",".join(map(repr, barrows))), v))
-    alg.unitary_family = fam
+                alg.unitary_family.append(
+                    ("%s.%s" % (wname, ",".join(map(repr, barrows))), v))
 
     sub_vectors = [{idx[g.units[x]]: ONE} for x in g.base.atoms]
     return conditional_expectation(alg, sub_vectors,
                                    sub_labels=[str(x) for x in g.base.atoms],
-                                   name=name + "/LinfX", groupoid=g)
+                                   name=alg.name + "/LinfX", groupoid=g)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import (
-    Extension, TracialStarAlgebra, build_convolution, compression,
-    convolution_algebra, normalizer_span, weighted_sum,
+    Extension, TracialStarAlgebra, compression, convolution_algebra,
+    convolution_star_algebra, normalizer_span, weighted_sum,
 )
 from .complexes import geometric_complex, homology, l2_complex
 from .fibersquare import fiber_square_of, projection_pair_trace_identity
@@ -190,13 +190,14 @@ def betti_hochschild(ext: Extension, N: int, seed: int = None) -> BettiTable:
     return BettiTable(values, meta)
 
 
-def betti_sauer(g: FiniteGroupoid, N: int, ext: Extension = None) -> BettiTable:
+def betti_sauer(g: FiniteGroupoid, N: int,
+                alg: TracialStarAlgebra = None) -> BettiTable:
     """Betti numbers through the classifying complex over the convolution
-    algebra; at finite scale the enveloping von Neumann algebra is the
-    algebra itself, so Tor is computed against the algebra."""
-    ext = ext or convolution_algebra(g)
-    cls = geometric_complex(g, "classifying", N, coeff_ext=ext)
-    values, methods, _ = _homology_dimensions(cls, ext.alg, N)
+    *-algebra alg of g, built by geometric_complex when none is given; at
+    finite scale the enveloping von Neumann algebra is the algebra itself,
+    so Tor is computed against the algebra."""
+    cls = geometric_complex(g, "classifying", N, coeff=alg)
+    values, methods, _ = _homology_dimensions(cls, cls.coeff, N)
     return BettiTable(values, {
         "weak_closure": "finite dimensional: NG = CG",
         "resolution": "classifying complex",
@@ -288,7 +289,7 @@ def verify_groupoid_equality(g: FiniteGroupoid, N: int,
     of the convolution algebra; a seed adds the generator-independence check
     to the Hochschild side."""
     ext = convolution_algebra(g)
-    sau = betti_sauer(g, N, ext=ext)
+    sau = betti_sauer(g, N, alg=ext.alg)
     hoch = betti_hochschild(ext, N, seed=seed)
     details = {"groupoid": g.name, "sauer_meta": sau.meta,
                "hochschild_meta": hoch.meta}
@@ -304,9 +305,10 @@ def verify_residual(r: FiniteGroupoid, sigma, N: int) -> TheoremReport:
     ext = convolution_algebra(r, sigma)
     nabla_ext = normalizer_span(ext, ext.alg.unitary_family)
     nabla = betti_hochschild(nabla_ext, N)
-    # the Sauer side is untwisted: it reuses ext only when ext is untwisted,
-    # and r is validated once, by convolution_algebra above
-    sau = betti_sauer(r, N, ext=ext if sigma is None else build_convolution(r))
+    # the Sauer side is untwisted: it reuses ext.alg only when ext is
+    # untwisted, and r is validated once, by convolution_algebra above
+    sau = betti_sauer(r, N, alg=ext.alg if sigma is None
+                      else convolution_star_algebra(r))
     details = {
         "twisted": sigma is not None,
         "note": "finite-scale instance of the proof mechanism; no diffuse "

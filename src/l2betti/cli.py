@@ -161,12 +161,7 @@ def cmd_homology(args) -> int:
     if kind in GEOMETRIC_FAMILIES:
         if not isinstance(obj, FiniteGroupoid):
             raise InputError("geometric complexes need a groupoid input", path)
-        if kind != "classifying":
-            # the classifying complex validates through its convolution algebra
-            rep = validate_groupoid(obj)
-            if not rep.ok:
-                raise ValueError("invalid groupoid: %s" % rep.violations[:3])
-        p = geometric_complex(obj, kind, args.N)
+        p = geometric_complex(obj, kind, args.N)          # validates obj
     elif kind == "l2":
         ext = as_extension(obj)
         p = l2_complex(fiber_square_of(ext)[0], args.N)

@@ -35,7 +35,7 @@ with the joins (right linearity), the wrap (left linearity) and the
 B-coinvariant relations (B-bimodularity), and lifting is multiplicative.
 On the classifying complex the convolution algebra acts diagonally on
 tuples with a common target, which commutes with deleting an entry, and
-the groupoid axioms checked by convolution_algebra make it a unital
+the groupoid axioms checked by validate_groupoid make it a unital
 representation.
 
 Faces, boundaries and homotopies of monomial complexes (the geometric
@@ -51,10 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebras import Extension, SpanBasis, convolution_algebra
+from .algebras import (
+    Extension, SpanBasis, TracialStarAlgebra, convolution_star_algebra,
+)
 from .fibersquare import FiberSquareAlgebra
 from .groupoids import (
-    FiniteGroupoid, geometric_carrier, geometric_face,
+    FiniteGroupoid, geometric_carrier, geometric_face, validate_groupoid,
 )
 from .linalg import (
     Echelon, GMatrix, IndexMap, IndexSum, as_matrix, common_form, index_product,
@@ -256,18 +258,22 @@ def _tuple_face_map(g, kind, n, i, carrier, lower_index) -> IndexMap:
 
 
 def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
-                      coeff_ext: Extension = None) -> PresimplicialModule:
+                      coeff: TracialStarAlgebra = None) -> PresimplicialModule:
     """Function complex of one of the five tuple-space families.
 
-    For the classifying family the convolution algebra acts diagonally and
-    a contracting homotopy (append a unit arrow, with alternating signs) is
-    installed; its augmentation is the target-class map onto functions on
-    the base.  Its convolution algebra, which validates g, is built before
-    any tuple.
+    For the classifying family the convolution *-algebra coeff of g acts
+    diagonally and a contracting homotopy (append a unit arrow, with
+    alternating signs) is installed; its augmentation is the target-class
+    map onto functions on the base.  Without coeff, g is validated before
+    any tuple, for every kind, and the classifying family builds its
+    convolution *-algebra.
     """
-    ext = coeff_ext
-    if ext is None and kind == "classifying":
-        ext = convolution_algebra(g)
+    if coeff is None:
+        rep = validate_groupoid(g)
+        if not rep.ok:
+            raise ValueError("invalid groupoid: %s" % rep.violations[:3])
+        if kind == "classifying":
+            coeff = convolution_star_algebra(g)
 
     carriers = [list(geometric_carrier(g, kind, n)) for n in range(N + 1)]
     index = [{t: k for k, t in enumerate(c)} for c in carriers]
@@ -278,7 +284,7 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
                       for i in range(n + 1)])
 
     action = None
-    if kind == "classifying" and ext is not None:
+    if kind == "classifying":
         def action(n, k, _carriers=carriers, _index=index):
             alpha = g.elements[k]
             m = GMatrix.zero(dims[n], dims[n])
@@ -327,9 +333,8 @@ def geometric_complex(g: FiniteGroupoid, kind: str, N: int,
         homotopy = ContractingHomotopy(h, aug, sec)
 
     out = PresimplicialModule(
-        dims, faces, coeff=(ext.alg if ext is not None else None),
-        action=action, labels=carriers, homotopy=homotopy,
-        name="%s-%s" % (g.name or "G", kind))
+        dims, faces, coeff=coeff, action=action, labels=carriers,
+        homotopy=homotopy, name="%s-%s" % (g.name or "G", kind))
     out.verify_presimplicial()
     return out
 

@@ -9,11 +9,16 @@ object here is over one extension A/B, held once by the balanced square
 as BalancedTensor.ext.
 
 The form.  balanced_tensor checks that the trace of A is tracial on basis
-pairs.  With E trace-preserving and B-bimodular (Extension.validate), that
-is exactly the agreement of the three expressions of the inner product on
-A (x)_B A (_check_tracial).  The form is then checked hermitian and
-positive semidefinite; append_level has already proved it nondegenerate
-on the quotient, so it is positive definite.
+pairs c < a (algebras.trace_defects).  That is what makes the three
+expressions of the inner product on A (x)_B A agree,
+tr_B(E(d b*) E(a* c)) = tr_A(b* E(a* c) d) = tr_A(c E(d b*) a*).  With E
+trace-preserving and B-bimodular (Extension.validate),
+tr_B(E(d b*) x) = tr_A(d b* x) and tr_B(y E(a* c)) = tr_A(y a* c) for x, y
+in B, so the identities read tr_A(d w) = tr_A(w d) with w = b* x and
+tr_A(z c) = tr_A(c z) with z = y a*; at x = y = 1 these w and z run over
+all of A.  They hold exactly when tr_A is tracial.  The form is then checked
+hermitian and positive semidefinite; append_level has already proved it
+nondegenerate on the quotient, so it is positive definite.
 
 The algebra is built by saturating the evaluations T(1 (x) 1), and the
 structure constants are read off through them.  That evaluation at
@@ -84,7 +89,23 @@ automorphism of B, so their inverses x -> u x u* and x -> v* x v agree.
 The identification.  groupoid_fiber_square maps the fiber square to C[G^e]
 by phi, the coordinates of each v_k in the enveloping vectors
 [delta_a (x) delta_b], and checks phi multiplicative, star- and
-trace-preserving.  Three facts of its report are implied, not recomputed:
+trace-preserving.  C[G^e] is read as a *-algebra alone
+(algebras.convolution_star_algebra): G^e of a validated G is a groupoid
+(groupoids.enveloping has the proof), so it is not validated again, and
+neither its bisections nor an expectation onto L^inf(X) are built.  Two
+checks on the enveloping vectors are implied by the ones that run:
+
+- A vector that dies.  A zero enveloping vector is dependent, so
+  SpanBasis.add refuses it and "enveloping vectors are dependent" raises.
+- Invariants in the enveloping span.  The |G^e| enveloping vectors are
+  checked independent, and so are the v_k, which are |G^e| many
+  (fsq.dim == |G^e| raises otherwise).  Each v_k is B-central (check 2)
+  and has coordinates in the enveloping span ("escapes" raises
+  otherwise), so the v_k span the enveloping span.  The B-central vectors
+  are the invariants (tensor.Level.invariants), whose dimension is checked
+  to be |G^e|, so the v_k span the invariants too: the two spans are equal.
+
+Three facts of its report are implied, not recomputed:
 
 - Bijective.  phi is square, or fsq.dim == |G^e| raises, and its columns
   are coordinates of independent evaluations in an independent basis.
@@ -108,8 +129,8 @@ from dataclasses import dataclass
 
 from .algebras import (
     Extension, SpanBasis, TracialStarAlgebra, canonicalized_span,
-    close_under_products, convolution_algebra, span_structure,
-    trace_violations,
+    close_under_products, convolution_star_algebra, span_structure,
+    trace_defects, trace_violations,
 )
 from .groupoids import FiniteGroupoid, enveloping
 from .linalg import (
@@ -139,16 +160,13 @@ class BalancedTensor:
 
 
 def balanced_tensor(ext: Extension) -> BalancedTensor:
-    """The balanced square A (x)_B A of an extension A/B.
-
-    The trace of A is checked tracial on basis pairs (_check_tracial): with
-    the trace-preserving, B-bimodular E that Extension.validate certifies,
-    that is exactly the agreement of the three expressions of the inner
-    product.  The form is then checked hermitian and positive
-    semidefinite; append_level has proved its Gram nondegenerate on either
-    path, so it is positive definite.
-    """
-    _check_tracial(ext.alg)
+    """The balanced square A (x)_B A of an extension A/B, its trace and
+    form checked as the module docstring ("The form") says."""
+    A = ext.alg
+    defect = next(trace_defects(A), None)
+    if defect is not None:
+        raise ValueError("trace of %s is not tracial at basis pair (%s, %s)"
+                         % (A.name, *(A.labels[k] for k in defect)))
     lvl = append_level(extension_base_level(ext), ext)
     unit = ext.alg.unit
     one_one = lvl.tensor_class(unit, unit)
@@ -158,27 +176,6 @@ def balanced_tensor(ext: Extension) -> BalancedTensor:
     if not is_positive_semidefinite(gram):
         raise ValueError("balanced tensor form is not positive semidefinite")
     return BalancedTensor(ext, lvl, one_one, gram)
-
-
-def _check_tracial(A: TracialStarAlgebra):
-    """tr(e_a e_c) = tr(e_c e_a) on every basis pair c < a.
-
-    This is what makes the three expressions of the inner product on
-    A (x)_B A agree, tr_B(E(d b*) E(a* c)) = tr_A(b* E(a* c) d) =
-    tr_A(c E(d b*) a*).  With E trace-preserving and B-bimodular (both
-    checked by Extension.validate), tr_B(E(d b*) x) = tr_A(d b* x) and
-    tr_B(y E(a* c)) = tr_A(y a* c) for x, y in B.  The identities then read
-    tr_A(d w) = tr_A(w d) with w = b* x, and tr_A(z c) = tr_A(c z) with
-    z = y a*; at x = y = 1 these w and z run over all of A.  So they hold
-    exactly when tr_A is tracial, which by bilinearity is this check on
-    basis pairs: dim_A (dim_A - 1) / 2 comparisons.
-    """
-    mult, tr = A.mult, A.trace
-    for a in range(A.dim):
-        for c in range(a):
-            if tr(mult[a][c]) != tr(mult[c][a]):
-                raise ValueError("trace of %s is not tracial at basis pair (%s, %s)"
-                                 % (A.name, A.labels[a], A.labels[c]))
 
 
 def _operator(bt: BalancedTensor, xi: dict) -> GMatrix:
@@ -399,7 +396,7 @@ def fiber_square_of(ext: Extension):
 class EnvelopingIso:
     groupoid: FiniteGroupoid
     env: FiniteGroupoid
-    env_ext: Extension
+    env_alg: TracialStarAlgebra  # C[G^e]
     matrix: GMatrix              # fiber square basis -> C[G^e] coordinates
     checks: dict
 
@@ -413,61 +410,48 @@ def groupoid_fiber_square(ext: Extension):
     pairs = canonical_pairs(ext)
     fsq = fiber_square(ext, pairs, name="C[%s]^sq" % (g.name or "G"))
     env = enveloping(g)
-    env_ext = convolution_algebra(env)
+    envalg = convolution_star_algebra(env)
     lvl = fsq.tensor.level
+    n = len(env.elements)
 
     gi = {a: k for k, a in enumerate(g.elements)}
     env_span = SpanBasis()
     for (a, b) in env.elements:
-        vec = lvl.tensor_class({gi[a]: ONE}, {gi[b]: ONE})
-        if not vec:
-            raise AssertionError("enveloping basis vector dies in the balanced tensor")
-        if not env_span.add(vec):
+        if not env_span.add(lvl.tensor_class({gi[a]: ONE}, {gi[b]: ONE})):
             raise AssertionError("enveloping vectors are dependent")
-
-    inv = lvl.invariants()
-    for j in range(inv.cols):
-        if not env_span.contains(inv.column(j)):
-            raise AssertionError("invariant vector outside the enveloping span")
-    if inv.cols != len(env.elements):
+    inv_dim = lvl.invariants().cols
+    if inv_dim != n:
         raise AssertionError("invariant subspace has dimension %d, not |G^e| = %d"
-                             % (inv.cols, len(env.elements)))
+                             % (inv_dim, n))
 
-    if fsq.dim != len(env.elements):
+    if fsq.dim != n:
         raise ValueError(
             "evaluation map not surjective onto C[G^e]: fiber square has "
-            "dimension %d, missing %d" % (fsq.dim, len(env.elements) - fsq.dim))
+            "dimension %d, missing %d" % (fsq.dim, n - fsq.dim))
 
-    phi_cols = []
-    for k in range(fsq.dim):
-        c = env_span.coords(fsq.evals[k])
-        if c is None:
-            raise AssertionError("evaluation escapes C[G^e]")
-        phi_cols.append(c)
-    phi = GMatrix.from_cols(len(env.elements), phi_cols)
+    phi_cols = [env_span.coords(v) for v in fsq.evals]
+    if any(c is None for c in phi_cols):
+        raise AssertionError("evaluation escapes C[G^e]")
+    phi = GMatrix.from_cols(n, phi_cols)
 
-    envalg = env_ext.alg
-    checks = {}
-    ok_mult = True
-    for i in range(fsq.dim):
-        for j in range(fsq.dim):
-            lhs = phi.apply(fsq.mul({i: ONE}, {j: ONE}))
-            rhs = envalg.mul(phi.column(i), phi.column(j))
-            if not vec_eq(lhs, rhs):
-                ok_mult = False
-    checks["algebra_morphism"] = ok_mult
-    checks["star_morphism"] = all(
-        vec_eq(phi.apply(fsq.star({i: ONE})), envalg.star(phi.column(i)))
-        for i in range(fsq.dim))
-    checks["trace_preserving"] = all(
-        fsq.trace({i: ONE}) == envalg.trace(phi.column(i))
-        for i in range(fsq.dim))
-    # implied by the checks above (module docstring, "The identification")
-    checks.update(bijective=True, fixes_diagonal=True, invariants_faithful=True)
+    basis = range(fsq.dim)
+    checks = {
+        "algebra_morphism": all(
+            vec_eq(phi.apply(fsq.mul({i: ONE}, {j: ONE})),
+                   envalg.mul(phi.column(i), phi.column(j)))
+            for i in basis for j in basis),
+        "star_morphism": all(
+            vec_eq(phi.apply(fsq.star({i: ONE})), envalg.star(phi.column(i)))
+            for i in basis),
+        "trace_preserving": all(
+            fsq.trace({i: ONE}) == envalg.trace(phi.column(i)) for i in basis),
+        # implied by the checks above (module docstring, "The identification")
+        "bijective": True, "fixes_diagonal": True, "invariants_faithful": True,
+    }
 
     if not all(checks.values()):
         raise AssertionError("enveloping identification failed: %s" % checks)
-    return fsq, EnvelopingIso(g, env, env_ext, phi, checks)
+    return fsq, EnvelopingIso(g, env, envalg, phi, checks)
 
 
 def projection_pair_trace_identity(ext: Extension, p: dict):

@@ -32,9 +32,6 @@ class FiniteMeasuredSpace:
     def is_probability(self) -> bool:
         return self.total_mass == 1
 
-    def index(self, atom):
-        return self.atoms.index(atom)
-
 
 def uniform_space(n: int) -> FiniteMeasuredSpace:
     atoms = tuple("x%d" % i for i in range(n))
@@ -55,16 +52,6 @@ class FiniteGroupoid:
 
     def is_unit(self, a):
         return self.units[self.target[a]] == a
-
-    def mul(self, a, b):
-        return self.compose[(a, b)]
-
-    def weight(self, a) -> Fraction:
-        """Canonical carrier measure: the weight of the source atom."""
-        return self.base.weight[self.source[a]]
-
-    def index(self, a):
-        return self.elements.index(a)
 
     def arrows(self, tgt):
         """The arrows with target tgt, in element order."""
@@ -274,6 +261,18 @@ def enveloping(g: FiniteGroupoid) -> FiniteGroupoid:
     Source and target of (a, b) are those of the second component; the
     diagonal embedding a -> (inverse(a), a) is a groupoid morphism, and an
     isomorphism when g is an equivalence relation.
+
+    When g passes validate_groupoid, so does G^e, which groupoid_fiber_square
+    therefore does not validate again.  The base is g's; (u_x, u_x) is a pair
+    from x to x, and (a^-1, b^-1) a pair from t(b) to s(b), as
+    s(a^-1) = t(a) = s(b) = t(b^-1) and likewise t(a^-1) = s(b^-1).
+    (a, b)(a', b') is defined exactly when s(b) = t(b'), and then
+    s(a') = t(b') = s(b) = t(a), so (a'a, bb') is a pair from s(b') to t(b).
+    Both components are associative, the unit and inverse laws hold in each
+    (e.g. (a, b)(a^-1, b^-1) = (u_s(a), u_t(b)) is the unit at t(b) = s(a)),
+    and s(b), t(b) have equal weights in g.
+    tests/test_groupoids.py validates G^e of pair(3) and C2
+    (test_enveloping_of_*).
     """
     els = tuple((a, b) for a in g.elements for b in g.elements
                 if g.source[a] == g.target[b] and g.target[a] == g.source[b])

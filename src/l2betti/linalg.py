@@ -636,24 +636,22 @@ def is_positive_semidefinite(gram: GMatrix) -> bool:
     return True
 
 
-def orth_projection(gram: GMatrix, S: GMatrix) -> GMatrix:
-    """Projection onto span(S), orthogonal for the hermitian form
-    <u|v> = adjoint(u) gram v.
+def projection_coordinates(gram: GMatrix, S: GMatrix) -> GMatrix:
+    """Coordinates over the columns of S of the projection onto span(S)
+    orthogonal for the hermitian form <u|v> = adjoint(u) gram v:
+    X = (S* G S)^-1 S* G, so that P = S X is the projection.
 
     Requires the columns of S independent and the form nondegenerate on
-    span(S); the result P satisfies P^2 = P, im P = span(S) and
+    span(S).  Then X S = 1, so P^2 = P and im P = span(S), and
     gram @ P == adjoint(P) @ gram.
     """
     if rank(S) != S.cols:
         raise ValueError("projection target columns are dependent")
-    GS = gram.mul(S)
-    small = S.adjoint().mul(GS)          # S^* G S
     try:
-        small_inv = invert(small)
+        small_inv = invert(S.adjoint().mul(gram.mul(S)))      # (S* G S)^-1
     except ValueError:
         raise ValueError("form is degenerate on the projection target")
-    X = small_inv.mul(S.adjoint().mul(gram))
-    return S.mul(X)
+    return small_inv.mul(S.adjoint().mul(gram))
 
 
 def adjoint_wrt(gram: GMatrix, M: GMatrix, gram_inv: GMatrix) -> GMatrix:

@@ -248,7 +248,7 @@ def test_criterion_5b_cocycle_forgetting_pair2_as_stated():
             problems.append("fiber square dimension %d" % f_t.dim)
         if not all(iso.checks.values()):
             problems.append("isomorphism checks %s" % iso.checks)
-        env = iso.env_ext.alg
+        env = iso.env_alg
         if any(f_t.trace({i: ONE}) != env.trace(iso.matrix.column(i))
                for i in range(f_t.dim)):
             problems.append("traces differ from the enveloping trace")
@@ -286,7 +286,7 @@ def test_criterion_5b_cocycle_forgetting_content():
     f_t, iso_t = groupoid_fiber_square(ext_t)
     f_u, iso_u = groupoid_fiber_square(ext_u)
     ok = f_t.dim == f_u.dim == 9
-    env = iso_t.env_ext.alg
+    env = iso_t.env_alg
     for i in range(f_t.dim):
         if f_t.trace({i: ONE}) != env.trace(iso_t.matrix.column(i)):
             ok = False

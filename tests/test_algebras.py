@@ -7,8 +7,9 @@ import pytest
 from l2betti.algebras import (
     Extension, SpanBasis, compression, conditional_expectation, convolution_algebra,
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
-    matrix_algebra, normalizer_span, trivial_cocycle, trivial_extension,
-    validate_algebra, validate_cocycle, weighted_sum,
+    matrix_algebra, normalizer_span, trace_defects, trace_violations,
+    trivial_cocycle, trivial_extension, validate_algebra, validate_cocycle,
+    weighted_sum,
 )
 from l2betti.fileio import _vec_from_pairs, as_extension, load_path
 from l2betti.groupoids import (
@@ -407,8 +408,8 @@ def test_validate_algebra_runs_only_on_algebra_documents():
     # algebra document (cli.cmd_validate) and nothing else.  A fiber square
     # checks only its trace (fibersquare module docstring, "The axioms"), and
     # a twisted product is certified by its groupoid and cocycle
-    # (build_convolution docstring); any other reference to validate_algebra
-    # in src/l2betti fails here.
+    # (convolution_star_algebra docstring); any other reference to
+    # validate_algebra in src/l2betti fails here.
     import ast
     import glob
     root = os.path.dirname(CORPUS)
@@ -438,3 +439,16 @@ def test_validate_algebra_runs_only_on_algebra_documents():
         with open(path) as f:
             Refs(os.path.basename(path)[:-3]).visit(ast.parse(f.read()))
     assert refs == {"cli.cmd_validate"}
+
+
+def test_trace_violations_list_each_defect_in_both_orders():
+    # one comparison per unordered pair (trace_defects) still reports every
+    # ordered pair, in basis order, as validate_algebra always has
+    m3 = matrix_algebra(3)
+    m3.trace_table = {m3.index("e11"): ONE}
+    assert list(trace_defects(m3)) == [(m3.index("e21"), m3.index("e12")),
+                                       (m3.index("e31"), m3.index("e13"))]
+    assert trace_violations(m3) == [("trace_not_tracial", "e12", "e21"),
+                                    ("trace_not_tracial", "e13", "e31"),
+                                    ("trace_not_tracial", "e21", "e12"),
+                                    ("trace_not_tracial", "e31", "e13")]

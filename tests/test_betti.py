@@ -283,11 +283,11 @@ CAUGHT_TWIST = ("is not unitary", "balancing relation escapes the radical",
 
 
 def test_fault_bumped_twisted_structure_constant_is_caught(monkeypatch):
-    # the twisted product is certified by its inputs (build_convolution),
-    # not by validate_algebra; negating any one of its 27 structure
-    # constants after the build is still caught, by the unitarity of the
-    # normalizer's generators, by the balancing relations of the tower, or
-    # by the bimodularity of a fiber-square operator
+    # the twisted product is certified by its inputs
+    # (convolution_star_algebra), not by validate_algebra; negating any one
+    # of its 27 structure constants after the build is still caught, by the
+    # unitarity of the normalizer's generators, by the balancing relations
+    # of the tower, or by the bimodularity of a fiber-square operator
     import l2betti.betti as betti_mod
     r = pair_relation(uniform_space(3))
     sig = distinct_triple_sign_cocycle(r)
@@ -314,8 +314,8 @@ def test_dimension_isomorphism_robustness():
     # padding a complex with a split free summand keeps every Betti number
     r = pair_relation(uniform_space(2))
     ext = convolution_algebra(r)
-    t = betti_sauer(r, 2, ext=ext)
-    cls = geometric_complex(r, "classifying", 2, coeff_ext=ext)
+    t = betti_sauer(r, 2, alg=ext.alg)
+    cls = geometric_complex(r, "classifying", 2, coeff=ext.alg)
     alg = ext.alg
     n0, n1 = cls.dims[0], cls.dims[1]
     pad = alg.dim
@@ -375,10 +375,10 @@ def test_fault_corrupted_coefficient_trace(weight):
     ext.alg.trace_table[k] = gs(weight)
     ext.alg._gram = None
     if weight:
-        assert betti_sauer(r, 2, ext=ext).values != good
+        assert betti_sauer(r, 2, alg=ext.alg).values != good
     else:
         with pytest.raises(ValueError, match="^trace form is degenerate"):
-            betti_sauer(r, 2, ext=ext)
+            betti_sauer(r, 2, alg=ext.alg)
 
 
 def test_fault_corrupted_action_entry_moves_the_value():

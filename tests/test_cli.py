@@ -791,6 +791,8 @@ def test_every_tracer_span_target_resolves():
         cls = getattr(importlib.import_module("l2betti." + modname), cls_name)
         for meth in meths:
             assert callable(vars(cls).get(meth)), (cls_name, meth)
+    # and its probes are keyed by targets; one keyed otherwise never fires
+    assert set(tracer.Tracer()._probes()) <= set(targets)
 
 
 def test_tracer_probes_read_a_traced_run():
@@ -909,21 +911,51 @@ def test_every_library_name_is_reached_from_the_cli_scripts_or_benchmark():
     assert not unreached, "only tests reach: %s" % ", ".join(unreached)
 
 
+def spy_everywhere(monkeypatch, module, name):
+    """Calls of module.name, however an l2betti module imported it: every
+    module binding of the function is replaced by one counting spy."""
+    original = getattr(module, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("l2betti"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["verify_residual_pair2.json",
                                   "verify_residual_pair3_twisted.json"])
 def test_verify_residual_validates_the_relation_once(name, monkeypatch, capsys):
     # the twisted instance builds its untwisted Sauer side from the relation
     # convolution_algebra has already validated
-    import l2betti.algebras as algebras_mod
-    import l2betti.cli as cli_mod
-    calls = []
-
-    def spy(g):
-        calls.append(g)
-        return validate_groupoid(g)
-
-    monkeypatch.setattr(algebras_mod, "validate_groupoid", spy)
-    monkeypatch.setattr(cli_mod, "validate_groupoid", spy)
+    import l2betti.groupoids as groupoids_mod
+    calls = spy_everywhere(monkeypatch, groupoids_mod, "validate_groupoid")
     code, out = run_cli(["verify", cpath(name)], capsys)
     assert code == 0 and json.loads(out)["passed"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args, counts", [
+    # the extension C[G] over L^inf(X) is built once and read by both
+    # pipelines; C[G^e] of the identification is a *-algebra alone
+    (["betti", "pair3.json", "--both", "--N", "2"], (1, 1, 1)),
+    # the Sauer side reads only the convolution *-algebra
+    (["betti", "pair3.json", "--pipeline", "sauer", "--N", "2"], (1, 0, 0)),
+    (["homology", "pair3.json", "--kind", "classifying", "--N", "2"], (1, 0, 0)),
+])
+def test_convolution_extension_is_built_only_where_it_is_read(
+        args, counts, monkeypatch, capsys):
+    import l2betti.algebras as algebras_mod
+    import l2betti.groupoids as groupoids_mod
+    spies = [spy_everywhere(monkeypatch, groupoids_mod, "validate_groupoid"),
+             spy_everywhere(monkeypatch, groupoids_mod, "bisections"),
+             spy_everywhere(monkeypatch, algebras_mod, "conditional_expectation")]
+    code, _ = run_cli([args[0], cpath(args[1])] + args[2:], capsys)
+    assert code == 0
+    assert tuple(len(calls) for calls in spies) == counts

@@ -226,7 +226,7 @@ def test_twisted_fiber_square_isomorphic_not_equal_subspace():
     f_u, iso_u = groupoid_fiber_square(ext_u)
     # both are C[R^e] with the same trace vector through the identification
     assert f_t.dim == f_u.dim == 9
-    envalg = iso_t.env_ext.alg
+    envalg = iso_t.env_alg
     for i in range(f_t.dim):
         assert f_t.trace({i: ONE}) == envalg.trace(iso_t.matrix.column(i))
     # as operator subspaces of End(A (x)_B A) they genuinely differ: the
@@ -627,3 +627,52 @@ def test_fault_duplicated_phi_column_is_caught(monkeypatch, n):
     monkeypatch.setattr(fs, "GMatrix", Duplicating)
     with pytest.raises(AssertionError, match="'algebra_morphism': False"):
         groupoid_fiber_square(ext)
+
+
+def test_fault_enveloping_vector_forced_to_zero_is_caught(monkeypatch):
+    # a vector that dies in the balanced tensor is dependent: SpanBasis.add
+    # refuses it (fibersquare module docstring, "The identification")
+    ext = convolution_algebra(pair_relation(uniform_space(2)))
+    original_env, original_class = fs.enveloping, tensor_mod.Level.tensor_class
+    zero_next = []
+
+    def enveloping_then_zero(g):
+        zero_next.append(True)
+        return original_env(g)
+
+    def tensor_class(self, v, a):
+        if zero_next and zero_next.pop():
+            return {}
+        return original_class(self, v, a)
+
+    monkeypatch.setattr(fs, "enveloping", enveloping_then_zero)
+    monkeypatch.setattr(tensor_mod.Level, "tensor_class", tensor_class)
+    with pytest.raises(AssertionError, match="^enveloping vectors are dependent$"):
+        groupoid_fiber_square(ext)
+
+
+@pytest.mark.parametrize("name", ["pair(2)", "C2"])
+def test_fault_negated_enveloping_structure_constant_is_caught(monkeypatch, name):
+    # C[G^e] is built by convolution_star_algebra without validate_algebra;
+    # negating any one of its structure constants after the build breaks
+    # the multiplicativity of phi, which still runs
+    if name == "C2":
+        table, unit, _ = cyclic_table(2)
+        g = group_groupoid(table, unit, name="C2")
+    else:
+        g = pair_relation(uniform_space(2))
+    ext = convolution_algebra(g)
+    mult = fs.convolution_star_algebra(enveloping(g)).mult
+    constants = [(i, j) for i, row in enumerate(mult) for j, v in enumerate(row) if v]
+    assert constants
+    original = fs.convolution_star_algebra
+    for i, j in constants:
+        def negated(env, i=i, j=j):
+            alg = original(env)
+            (k, x), = alg.mult[i][j].items()
+            alg.mult[i][j] = {k: -x}
+            return alg
+
+        monkeypatch.setattr(fs, "convolution_star_algebra", negated)
+        with pytest.raises(AssertionError, match="'algebra_morphism': False"):
+            groupoid_fiber_square(ext)

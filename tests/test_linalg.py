@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from l2betti.linalg import (
     Echelon, GMatrix, adjoint_wrt, as_matrix, invert, is_positive_semidefinite,
-    kernel_basis, orth_projection, rank, solve, vec_dot, vec_eq,
+    kernel_basis, projection_coordinates, rank, solve, vec_dot, vec_eq,
 )
 from l2betti.scalars import GScalar, ONE, ZERO, gs, parse_scalar
 from oracles import matrix_from_rows
@@ -125,7 +125,7 @@ def test_psd_checks():
 def test_orth_projection_symmetric_line():
     gram = GMatrix.identity(2)
     s = GMatrix.from_cols(2, [{0: ONE, 1: ONE}])
-    p = orth_projection(gram, s)
+    p = s.mul(projection_coordinates(gram, s))
     half = gs(Fraction(1, 2))
     expected = matrix_from_rows([[half, half], [half, half]])
     assert p == expected
@@ -135,14 +135,15 @@ def test_orth_projection_symmetric_line():
 
 
 def test_orth_projection_whole_space_is_identity():
-    p = orth_projection(matrix_from_rows([[2, 0], [0, 3]]), GMatrix.identity(2))
+    s = GMatrix.identity(2)
+    p = s.mul(projection_coordinates(matrix_from_rows([[2, 0], [0, 3]]), s))
     assert p == GMatrix.identity(2)
 
 
 def test_orth_projection_rejects_degenerate_span():
     s = GMatrix.from_cols(2, [{0: ONE, 1: gs(-1)}])
     with pytest.raises(ValueError):
-        orth_projection(matrix_from_rows([[1, 1], [1, 1]]), s)
+        projection_coordinates(matrix_from_rows([[1, 1], [1, 1]]), s)
 
 
 def test_adjoint_wrt_weighted_form():
@@ -218,7 +219,7 @@ def test_orth_projection_diagonal_extraction():
     m2 = matrix_algebra(2)
     gram = m2.gns_gram()
     s = GMatrix.from_cols(4, [{m2.index("e11"): ONE}, {m2.index("e22"): ONE}])
-    p = orth_projection(gram, s)
+    p = s.mul(projection_coordinates(gram, s))
     for lbl in ("e11", "e22"):
         j = m2.index(lbl)
         assert p.apply({j: ONE}) == {j: ONE}
