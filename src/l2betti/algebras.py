@@ -753,24 +753,35 @@ def convolution_algebra(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extensio
     product twisted by sigma when one is given (convolution_star_algebra).
 
     The groupoid is validated first, once.  The expectation is restriction
-    to the units, and the unitary family is the sign-dressed bisections,
-    keeping only those that stay unitary under the twisted product.
+    to the units.  The unitary family is 1 and the single-atom sign flips
+    w = 1 - 2*1_{x}, then every other bisection unsigned, in bisections()
+    order.  Three facts make it enough:
+
+    - Same algebra as every bisection under each sign.  The fiber square
+      closes its pairs under products, T_{b,b'} T_{w,1} = T_{wb,b'} and
+      T_{1,w'} T_{wb,b'} = T_{wb,w'b'}; (w, 1) and (1, w') match as w
+      commutes with L^inf(X), and a diagonal sign changes no conjugation
+      signature.
+    - Unitary when twisted.  v = sum_a +-d_a over a bisection, arrows
+      x <- y, has v* v = sum sigma(y,x,y) d_(u_y) = 1 (positivity_witness),
+      and v v* = 1 likewise.
+    - Trace.  The first n+1 pairs (w, 1) span the diagonal coordinates
+      [u_x (x) u_x].  <1 (x) 1 | .> vanishes off them, since E kills
+      non-units, and every later echelon row is reduced to zero there, so
+      the order of the other bisections moves no trace.
     """
     rep = validate_groupoid(g)
     if not rep.ok:
         raise ValueError("invalid groupoid: %s" % rep.violations[:3])
     alg = convolution_star_algebra(g, sigma)
-    # 1 and the single-atom sign flips 1 - 2*1_{x}: they span the diagonal
-    signs = [("w", None)] + [("w" + str(x), x) for x in g.base.atoms]
     idx = {a: k for k, a in enumerate(g.elements)}
-    for b in bisections(g):
+    units = frozenset(g.units[x] for x in g.base.atoms)
+    signed = [("w", units, None)] + [("w" + str(x), units, x) for x in g.base.atoms]
+    for wname, b, flip in signed + [("w", b, None) for b in bisections(g) if b != units]:
         barrows = sorted(b, key=repr)
-        for wname, flip in signs:
-            v = {idx[a]: MINUS_ONE if g.target[a] == flip else ONE
-                 for a in barrows}
-            if sigma is None or alg.is_unitary(v):
-                alg.unitary_family.append(
-                    ("%s.%s" % (wname, ",".join(map(repr, barrows))), v))
+        alg.unitary_family.append(
+            ("%s.%s" % (wname, ",".join(map(repr, barrows))),
+             {idx[a]: MINUS_ONE if g.target[a] == flip else ONE for a in barrows}))
 
     sub_vectors = [{idx[g.units[x]]: ONE} for x in g.base.atoms]
     return conditional_expectation(alg, sub_vectors,
@@ -919,13 +930,9 @@ def compression(ext: Extension, p: dict) -> Extension:
         fam.append((str(root), vec_scale(root, comp_alg.unit)))
     comp_alg.unitary_family = fam
 
-    sub_vecs = []
-    for k in range(ext.sub.dim):
-        c = span.coords(A.mul(p, A.mul(ext.embed.column(k), p)))
-        if c is None:
-            raise AssertionError("pBp leaves the compressed algebra at %s"
-                                 % ext.sub.labels[k])
-        sub_vecs.append(c)
+    sub_vecs = [span.coords(A.mul(p, A.mul(ext.embed.column(k), p)))
+                for k in range(ext.sub.dim)]
+    # never None: p b p = sum_j c_j p e_j p, and the span holds every p e_j p
     # tr_{A_p}(pxp) tr_A(p) = tr_A(pxp) for every x needs no check:
     # span_structure gives basis vector k the trace tr_A(vecs[k]) / tr_A(p),
     # span.coords is exact (pxp = sum_k c_k vecs[k] on the nose), and both
@@ -942,7 +949,8 @@ def normalizer_span(ext: Extension, unitaries) -> Extension:
     """Smallest *-subalgebra containing B and the given normalizing unitaries.
 
     Each u must be unitary with u B u* = B; a witness is reported otherwise.
-    Returns the normalizing extension N/B.
+    Returns the normalizing extension N/B, whose unitary family is the
+    given generators in N-coordinates.
     """
     A = ext.alg
     sub = [ext.embed.column(k) for k in range(ext.sub.dim)]
@@ -981,25 +989,8 @@ def normalizer_span(ext: Extension, unitaries) -> Extension:
                         lambda i: A.star(vecs[i]), lambda i: A.trace(vecs[i]),
                         A.unit),
         name="N(%s)" % ext.name)
-    unit = nalg.unit
-    fam = [(nm, span.coords(u)) for nm, u in gens]
-    fam.append(("1", dict(unit)))
+    nalg.unitary_family = [(nm, span.coords(u)) for nm, u in gens]
     sub_in_n = [span.coords(bk) for bk in sub]
-    for k, c in enumerate(sub_in_n):
-        if nalg.is_unitary(c):
-            fam.append(("b%d" % k, c))
-        elif nalg.is_projection(c):
-            # sign unitary 1 - 2p attached to each subalgebra projection
-            w = dict(unit)
-            for i, x in c.items():
-                val = w.get(i, ZERO) - (x + x)
-                if val.is_zero():
-                    w.pop(i, None)
-                else:
-                    w[i] = val
-            if nalg.is_unitary(w):
-                fam.append(("w%d" % k, w))
-    nalg.unitary_family = fam
     return conditional_expectation(nalg, sub_in_n,
                                    sub_labels=list(ext.sub.labels),
                                    name="N/%s" % ext.sub.name)

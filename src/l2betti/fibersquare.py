@@ -85,6 +85,8 @@ E(u* x u) and v x v*, so u* x u lies in B and equals v x v*.  A mismatched
 pair therefore fails check 3 and raises.  The starred pair (u*, v*) of a
 matching pair matches too: x -> u* x u and x -> v x v* are the same
 automorphism of B, so their inverses x -> u x u* and x -> v* x v agree.
+A groupoid's family signs only its identity bisection; "The closure"
+forms the other signed pairs.
 
 The identification.  groupoid_fiber_square maps the fiber square to C[G^e]
 by phi, the coordinates of each v_k in the enveloping vectors
@@ -120,7 +122,10 @@ star-closed set of generators (T_{u,v}* = T_{u*,v*}, and both pairs are
 admitted) whose span contains 1.  Every word in them is a generator times
 a shorter word, so the span is closed under products once it is closed
 under left multiplication by the generators, and only vectors new in the
-last round need multiplying (algebras.close_under_products).
+last round need multiplying (algebras.close_under_products).  A
+groupoid's family lists its bisections unsigned, and the closure forms the
+signed pairs as T_{1,w'} T_{b,b'} T_{w,1} (algebras.convolution_algebra):
+at pair(4) the pairs span 13 of the 16 dimensions, the products the rest.
 """
 
 from __future__ import annotations
@@ -249,8 +254,9 @@ def _saturate(bt: BalancedTensor, pairs) -> SpanBasis:
     evaluation is checked B-central, which for unitaries is the same
     (module docstring), so a mismatched pair raises.
 
-    Every evaluation of a bimodular operator is B-central, so the span
-    cannot outgrow the invariants; once it fills them, every later
+    The pairs alone need not fill the invariants (module docstring, "The
+    closure").  Every evaluation of a bimodular operator is B-central, so
+    the span cannot outgrow the invariants; once it fills them, every later
     candidate is dependent and is neither reduced nor multiplied.
     """
     A = bt.ext.alg
@@ -305,10 +311,9 @@ def fiber_square(ext: Extension, pairs, name=None, tensor=None) -> FiberSquareAl
     evals = _saturate(bt, pairs)
 
     # canonical re-basis along the echelon rows of the evaluations: the
-    # operators become sparser and coordinate extraction much cheaper
+    # operators become sparser and coordinate extraction much cheaper.  The
+    # evaluations are independent, so their pivot rows are evals.dim many.
     can = canonicalized_span(evals.vectors)
-    if can.dim != evals.dim:
-        raise AssertionError("canonical re-basis changed the dimension")
     vecs = can.vectors
     ops = []
     for k, vec in enumerate(vecs):

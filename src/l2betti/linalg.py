@@ -643,10 +643,8 @@ def projection_coordinates(gram: GMatrix, S: GMatrix) -> GMatrix:
 
     Requires the columns of S independent and the form nondegenerate on
     span(S).  Then X S = 1, so P^2 = P and im P = span(S), and
-    gram @ P == adjoint(P) @ gram.
+    gram @ P == adjoint(P) @ gram.  Dependent columns make S* G S singular.
     """
-    if rank(S) != S.cols:
-        raise ValueError("projection target columns are dependent")
     try:
         small_inv = invert(S.adjoint().mul(gram.mul(S)))      # (S* G S)^-1
     except ValueError:

@@ -3,7 +3,9 @@
 Nothing in the l2betti package, its CLI, scripts or benchmark calls these.
 They are oracles for statements of the paper (the classifying-to-square
 isomorphism, the comparison of geometric and algebraic complexes, the
-operator spans of twisted and untwisted fiber squares) and small fixtures
+operator spans of twisted and untwisted fiber squares, the closed-form
+Betti numbers of a finite measured groupoid, the fully signed bisection
+family), generated groupoids (Hypothesis strategies) and small fixtures
 (free, trivial, column, direct-sum and conjugated modules, sign cocycles, the Klein four-group).  The
 test modules import them with ``from oracles import ...``; pytest does not
 collect this file.
@@ -12,7 +14,11 @@ collect this file.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
+from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from l2betti import fibersquare as fs
 from l2betti.algebras import (
@@ -21,7 +27,11 @@ from l2betti.algebras import (
 )
 from l2betti.betti import FiniteModule
 from l2betti.complexes import PresimplicialModule, _tuple_face_map, hochschild_complex
-from l2betti.groupoids import FiniteGroupoid, enveloping, geometric_carrier
+from l2betti.groupoids import (
+    FiniteGroupoid, FiniteMeasuredSpace, action_groupoid, bisections,
+    enveloping, geometric_carrier, partition_relation,
+)
+from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import (
     Echelon, GMatrix, as_matrix, combination, invert, kernel_basis,
 )
@@ -83,6 +93,123 @@ class GroupoidMorphism:
             if self.cod.compose[(m[a], m[b])] != m[c]:
                 raise AssertionError("composition broken at (%r,%r)" % (a, b))
         return True
+
+
+GROUPS = {"C%d" % n: cyclic_table(n) for n in range(1, 5)}
+GROUPS["C2xC2"] = klein_table()
+GROUPS["S3"] = symmetric_table(3)
+
+
+def subgroups(table, unit, els):
+    """Every subgroup of a finite group, as a frozenset of its elements."""
+    out = []
+    for k in range(1, len(els) + 1):
+        for sub in itertools.combinations(els, k):
+            s = frozenset(sub)
+            if unit in s and all(table[(g, h)] in s for g in s for h in s):
+                out.append(s)
+    return out
+
+
+def _space(blocks, weights):
+    """Atoms in blocks, block i's atoms weighted proportionally to
+    weights[i]: block-constant weights, normalized to mass 1."""
+    total = sum(w * len(b) for b, w in zip(blocks, weights))
+    return FiniteMeasuredSpace(
+        tuple(x for b in blocks for x in b),
+        {x: Fraction(w, total) for b, w in zip(blocks, weights) for x in b})
+
+
+def coset_action(group, stabilizers, weights):
+    """The action groupoid of GROUPS[group] on the disjoint union of its
+    coset spaces G/H, one orbit per stabilizer H, with orbit-constant
+    weights (an invariant measure)."""
+    table, unit, els = GROUPS[group]
+    orbits, action = [], {}
+    for i, h in enumerate(stabilizers):
+        cosets = []
+        for g in els:
+            c = frozenset(table[(g, x)] for x in h)
+            if c not in cosets:
+                cosets.append(c)
+        name = {c: "o%dc%d" % (i, j) for j, c in enumerate(cosets)}
+        for g in els:
+            for c in cosets:
+                action[(g, name[c])] = name[frozenset(table[(g, x)] for x in c)]
+        orbits.append([name[c] for c in cosets])
+    return action_groupoid(table, unit, action, _space(orbits, weights),
+                           name="%s/%d" % (group, len(stabilizers)))
+
+
+@st.composite
+def partition_relations(draw, max_arrows=8):
+    """Partition relations with blocks of 1 to 3 atoms, non-uniform
+    block-constant weights, and at most max_arrows arrows."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+        lambda s: sum(k * k for k in s) <= max_arrows))
+    starts = list(itertools.accumulate([0] + sizes))
+    blocks = [["x%d" % x for x in range(a, b)] for a, b in zip(starts, starts[1:])]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(blocks),
+                            max_size=len(blocks)))
+    return partition_relation(_space(blocks, weights), blocks)
+
+
+@st.composite
+def coset_actions(draw, max_arrows=8):
+    """Actions of C1-C4, C2xC2 and S3 on disjoint unions of coset spaces,
+    with non-uniform orbit-constant weights and at most max_arrows arrows."""
+    group = draw(st.sampled_from(sorted(g for g in GROUPS
+                                        if len(GROUPS[g][2]) <= max_arrows)))
+    table, unit, els = GROUPS[group]
+    stabilizers = draw(st.lists(
+        st.sampled_from(subgroups(table, unit, els)), min_size=1, max_size=3).filter(
+        lambda hs: sum(len(els) // len(h) for h in hs) * len(els) <= max_arrows))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(stabilizers),
+                            max_size=len(stabilizers)))
+    return coset_action(group, stabilizers, weights)
+
+
+def measured_groupoids(max_arrows=8):
+    """Partition relations and coset actions with at most max_arrows arrows."""
+    return st.one_of(partition_relations(max_arrows), coset_actions(max_arrows))
+
+
+def closed_form_betti(g: FiniteGroupoid, N: int):
+    """beta_0 = sum_x mu(x) / |t^-1(x)| and beta_n = 0 for 1 <= n < N, the
+    L2-Betti numbers of a finite measured groupoid (Gaboriau, Publ. IHES
+    2002, for relations)."""
+    b0 = sum((g.base.weight[x] / len(g.arrows(tgt=x)) for x in g.base.atoms),
+             Fraction(0))
+    return [b0] + [Fraction(0)] * (N - 1)
+
+
+def shuffled(g: FiniteGroupoid, seed: int) -> FiniteGroupoid:
+    """g with its arrows and atoms listed in a seeded random order, as a
+    document may list them; bisections() follows that order."""
+    rng = random.Random(seed)
+    elements, atoms = list(g.elements), list(g.base.atoms)
+    rng.shuffle(elements)
+    rng.shuffle(atoms)
+    return FiniteGroupoid(FiniteMeasuredSpace(tuple(atoms), g.base.weight),
+                          tuple(elements), g.source, g.target, g.inverse,
+                          g.compose, g.units, name=g.name)
+
+
+def signed_bisection_family(ext):
+    """Every bisection of ext.groupoid times 1 and times each single-atom
+    sign flip 1 - 2*1_{x}, kept where unitary in ext's product: the family
+    whose fiber square convolution_algebra's family, the signed identity
+    and the unsigned bisections, must reach through products."""
+    g, A = ext.groupoid, ext.alg
+    idx = {a: k for k, a in enumerate(g.elements)}
+    fam = []
+    for b in bisections(g):
+        barrows = sorted(b, key=repr)
+        for wname, flip in [("w", None)] + [("w" + str(x), x) for x in g.base.atoms]:
+            v = {idx[a]: MINUS_ONE if g.target[a] == flip else ONE for a in barrows}
+            if A.is_unitary(v):
+                fam.append(("%s.%s" % (wname, ",".join(map(repr, barrows))), v))
+    return fam
 
 
 # ---------------------------------------------------------------------------

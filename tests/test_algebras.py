@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -357,6 +358,42 @@ def test_normalizer_span_of_a_relation_is_graded_and_monomial(n, twisted):
     assert out.alg.dim == n * n and out.validate().ok
     assert out.grading() is not None and out.monomial() is not None
     assert (out.monomial().sign is not None) == twisted
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_family_is_the_signed_identity_and_the_unsigned_bisections(n):
+    # 1 and the n single-atom sign flips, then the n! - 1 other bisections
+    g = pair_relation(uniform_space(n))
+    fam = convolution_algebra(g).alg.unitary_family
+    assert len(fam) == math.factorial(n) + n
+    units = [(x, x) for x in g.base.atoms]
+    diagonal = [v for _, v in fam[:n + 1]]
+    idx = {a: k for k, a in enumerate(g.elements)}
+    assert diagonal[0] == {idx[u]: ONE for u in units}
+    for x, v in zip(g.base.atoms, diagonal[1:]):
+        assert v == {idx[u]: MINUS_ONE if u == (x, x) else ONE for u in units}
+    assert all(set(v.values()) == {ONE} for _, v in fam[n + 1:])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_twisted_pair_family_is_unitary(n):
+    # v* v = sum sigma(y,x,y) d_(u_y) = 1 over a bisection's arrows x <- y
+    # (convolution_algebra docstring): no member needs a unitarity filter
+    g = pair_relation(uniform_space(n))
+    alg = convolution_algebra(g, distinct_triple_sign_cocycle(g)).alg
+    assert len(alg.unitary_family) == math.factorial(n) + n
+    assert all(alg.is_unitary(v) for _, v in alg.unitary_family)
+
+
+@pytest.mark.parametrize("n, twisted", [(2, False), (3, True)],
+                         ids=["pair(2)", "pair(3) twisted"])
+def test_normalizer_span_family_is_its_generators(n, twisted):
+    g = pair_relation(uniform_space(n))
+    ext = convolution_algebra(g, distinct_triple_sign_cocycle(g) if twisted else None)
+    fam = ext.alg.unitary_family
+    out = normalizer_span(ext, fam)
+    assert [nm for nm, _ in out.alg.unitary_family] == [nm for nm, _ in fam]
+    assert all(out.alg.is_unitary(v) for _, v in out.alg.unitary_family)
 
 
 def test_normalizer_span_no_generators_returns_b():

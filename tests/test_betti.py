@@ -27,8 +27,9 @@ from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, as_matrix, solve
 from l2betti.scalars import ONE, gs
 from oracles import (
-    column_module, conjugate, direct_sum, free_module, matrix_from_rows,
-    trivial_module, validate_module,
+    closed_form_betti, column_module, conjugate, direct_sum, free_module,
+    matrix_from_rows, measured_groupoids, partition_relations, trivial_module,
+    validate_module,
 )
 
 
@@ -261,6 +262,24 @@ def test_residual_theorem_untwisted_and_twisted():
     rep_u = verify_residual(r3, None, 2)
     assert rep_t.passed and rep_u.passed
     assert rep_t.lhs == rep_u.lhs  # the cocycle is forgotten
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(measured_groupoids(max_arrows=10))
+def test_groupoid_equality_meets_the_closed_form_on_generated_groupoids(g):
+    # beta_0 = sum_x mu(x) / |t^-1(x)| and beta_1 = 0, on the Sauer side and
+    # on the Hochschild side
+    rep = verify_groupoid_equality(g, 2)
+    assert rep.passed
+    assert rep.lhs == rep.rhs == closed_form_betti(g, 2)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(partition_relations(max_arrows=14))
+def test_twisted_residual_meets_the_closed_form_on_generated_relations(r):
+    rep = verify_residual(r, distinct_triple_sign_cocycle(r), 2)
+    assert rep.passed
+    assert rep.lhs == rep.rhs == closed_form_betti(r, 2)
 
 
 def test_verify_residual_builds_the_relation_algebra_once(monkeypatch):

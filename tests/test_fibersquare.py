@@ -2,6 +2,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import l2betti.fibersquare as fs
 import l2betti.tensor as tensor_mod
@@ -17,13 +18,17 @@ from l2betti.fibersquare import (
 )
 from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import (
-    action_groupoid, enveloping, group_groupoid, pair_relation, uniform_space,
+    action_groupoid, bisections, enveloping, group_groupoid, pair_relation,
+    uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import Echelon, GMatrix, combination, vec_add, vec_eq
 from l2betti.scalars import ONE, gs
 from l2betti.tensor import append_level, extension_base_level
-from oracles import full_extension, operator_spans_equal, pair_operator, s_condition
+from oracles import (
+    full_extension, measured_groupoids, operator_spans_equal, pair_operator,
+    s_condition, shuffled, signed_bisection_family,
+)
 
 
 def m2_diag_extension():
@@ -299,6 +304,41 @@ def test_s_condition_variant_reading_differs():
     assert f1.dim == f2.dim == 9
 
 
+def fiber_square_of_family(ext, bt, fam):
+    """The fiber square of ext on the canonical pairs of the family fam."""
+    kept = ext.alg.unitary_family
+    ext.alg.unitary_family = fam
+    try:
+        pairs = canonical_pairs(ext)
+    finally:
+        ext.alg.unitary_family = kept
+    return fiber_square(ext, pairs, tensor=bt)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(measured_groupoids(max_arrows=8), st.booleans(), st.integers(0, 2 ** 16))
+def test_unsigned_bisections_reach_the_signed_fiber_square(g, shuffle, seed):
+    # the closure forms every sign-dressed pair from the signed identity and
+    # the unsigned bisections (convolution_algebra docstring, "Same
+    # algebra"), so both families give the same span of evaluations.  In
+    # the order partition_relation and action_groupoid list a groupoid, the
+    # trace list matches too; a shuffled document may list other traces.
+    if shuffle:
+        g = shuffled(g, seed)
+    ext = convolution_algebra(g)
+    assert len(ext.alg.unitary_family) == len(bisections(g)) + len(g.base.atoms)
+    bt = balanced_tensor(ext)
+    fsq = fiber_square(ext, canonical_pairs(ext), tensor=bt)
+    signed = fiber_square_of_family(ext, bt, signed_bisection_family(ext))
+    assert fsq.dim == signed.dim == len(enveloping(g).elements)
+    span = Echelon()
+    for v in signed.evals:
+        span.insert(v)
+    assert all(span.contains(v) for v in fsq.evals)
+    if not shuffle:
+        assert fsq.trace_table == signed.trace_table
+
+
 # ---------------------------------------------------------------------------
 # the separating-vector certificate: oracle and fault injection
 
@@ -391,15 +431,25 @@ def test_identities_read_off_the_cyclic_vector_hold_entrywise(label):
 @pytest.mark.parametrize("label", ["pair(4)", "CS3/C"])
 def test_operator_matrices_are_built_from_evaluations_only(monkeypatch, label):
     # fiber_square builds one operator for the cyclic check, one per basis
-    # vector and one per adjoint check; the saturation builds none, as the
-    # pair evaluations alone reach the bound on both.  Building an operator
-    # per pair or per product would break these counts.
-    built, adjoints = [], []
-    operator, check_bimodular = fs._operator, fs._check_bimodular
+    # vector and one per adjoint check.  The saturation builds none on
+    # CS3/C, where the pair evaluations alone reach the bound.  On pair(4)
+    # the unsigned bisections need products with the sign flips, and the
+    # saturation builds each generator's operator at most once.  Building
+    # an operator per pair or per product would break these counts.
+    built, adjoints, saturation = [], [], []
+    operator, check_bimodular, saturate = fs._operator, fs._check_bimodular, fs._saturate
     monkeypatch.setattr(fs, "_operator",
                         lambda bt, xi: built.append(xi) or operator(bt, xi))
     monkeypatch.setattr(fs, "_check_bimodular",
                         lambda bt, op: adjoints.append(op) or check_bimodular(bt, op))
+
+    def spied(bt, pairs):
+        start = len(built)
+        evals = saturate(bt, pairs)
+        saturation.extend(built[start:])
+        return evals
+
+    monkeypatch.setattr(fs, "_saturate", spied)
     if label == "pair(4)":
         ext = convolution_algebra(pair_relation(uniform_space(4)))
         fsq, _ = groupoid_fiber_square(ext)
@@ -407,7 +457,14 @@ def test_operator_matrices_are_built_from_evaluations_only(monkeypatch, label):
         ext = cs3_ext()
         fsq = fiber_square(ext, canonical_pairs(ext))
     assert len(adjoints) == fsq.dim
-    assert len(built) - 1 - len(adjoints) == fsq.dim
+    if label == "CS3/C":
+        assert len(built) - 1 - len(adjoints) == fsq.dim
+        return
+    assert len(built) - 1 - len(adjoints) - len(saturation) == fsq.dim
+    # generator 0 is the identity and is never built
+    assert 0 < len(saturation) < fsq.dim
+    assert len({frozenset(xi.items()) for xi in saturation}) == len(saturation)
+    assert len(saturation) < len(canonical_pairs(ext))
 
 
 def bump_entry(op, skip_cols=()):
