@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groupoids import (
-    FiniteGroupoid, bisections, is_equivalence_relation, validate_groupoid,
+    FiniteGroupoid, elementary_bisections, is_equivalence_relation, validate_groupoid,
 )
 from .linalg import (
     Echelon, GMatrix, LinearSolver, is_positive_semidefinite, kernel_basis,
@@ -754,21 +754,24 @@ def convolution_algebra(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extensio
 
     The groupoid is validated first, once.  The expectation is restriction
     to the units.  The unitary family is 1 and the single-atom sign flips
-    w = 1 - 2*1_{x}, then every other bisection unsigned, in bisections()
-    order.  Three facts make it enough:
+    w = 1 - 2*1_{x}, then the elementary bisections unsigned: 1 + n +
+    n(n-1)/2 members for pair(n), not n! + n.  T_{u,v} T_{u',v'} =
+    T_{u'u,vv'}, and the fiber square closes its pairs under products:
 
-    - Same algebra as every bisection under each sign.  The fiber square
-      closes its pairs under products, T_{b,b'} T_{w,1} = T_{wb,b'} and
-      T_{1,w'} T_{wb,b'} = T_{wb,w'b'}; (w, 1) and (1, w') match as w
-      commutes with L^inf(X), and a diagonal sign changes no conjugation
-      signature.
-    - Unitary when twisted.  v = sum_a +-d_a over a bisection, arrows
-      x <- y, has v* v = sum sigma(y,x,y) d_(u_y) = 1 (positivity_witness),
-      and v v* = 1 likewise.
-    - Trace.  The first n+1 pairs (w, 1) span the diagonal coordinates
-      [u_x (x) u_x].  <1 (x) 1 | .> vanishes off them, since E kills
-      non-units, and every later echelon row is reduced to zero there, so
-      the order of the other bisections moves no trace.
+    - Generation.  They generate the group of bisections: swaps along arrows
+      realise a bisection's atom permutation, and the rest is isotropy.
+    - Matching pairs.  For (b, b') matching, write b = u_1 ... u_k with u_i
+      elementary.  A swap matches itself, an isotropy bisection 1: so the
+      family gives (b, c), and b' = delta c with delta fixing every atom, a
+      product of isotropy bisections and a phase; (1, delta) matches.
+    - Signed pairs.  T_{u,v} is linear in u and v, and 1_{x} = (1 - w)/2,
+      so the pairs of 1 and the sign flips span every T_{d,d'} with d, d'
+      diagonal; a diagonal phase changes no conjugation signature.
+    - Unitary when twisted.  v = sum +-d_a over a bisection, arrows x <- y,
+      has v* v = sum sigma(y,x,y) d_(u_y) = 1 (positivity_witness) = v v*.
+    - Trace.  The first n+1 pairs (w, 1) span [u_x (x) u_x], off which
+      <1 (x) 1 | .> vanishes (E kills non-units), and later echelon rows are
+      reduced to zero there: the order of the bisections moves no trace.
     """
     rep = validate_groupoid(g)
     if not rep.ok:
@@ -777,7 +780,7 @@ def convolution_algebra(g: FiniteGroupoid, sigma: TwoCocycle = None) -> Extensio
     idx = {a: k for k, a in enumerate(g.elements)}
     units = frozenset(g.units[x] for x in g.base.atoms)
     signed = [("w", units, None)] + [("w" + str(x), units, x) for x in g.base.atoms]
-    for wname, b, flip in signed + [("w", b, None) for b in bisections(g) if b != units]:
+    for wname, b, flip in signed + [("w", b, None) for b in elementary_bisections(g)]:
         barrows = sorted(b, key=repr)
         alg.unitary_family.append(
             ("%s.%s" % (wname, ",".join(map(repr, barrows))),

@@ -2,7 +2,7 @@
 verification suites, emit deterministic reports.
 
 Exit codes: 0 success (or verified equality), 1 verification discrepancy,
-2 malformed input or precondition failure.
+2 malformed input or precondition failure, 3 internal fault.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .betti import (
     verify_groupoid_equality, verify_residual, verify_weighted_sum,
 )
 from .complexes import geometric_complex, homology, l2_complex, bar_complex
-from .fibersquare import fiber_square_of
+from .fibersquare import InternalError, fiber_square_of
 from .fileio import (
     InputError, _fields, _vec_from_pairs, as_extension, cocycle_from_doc, load_path,
     parse_document, render_plain, render_structured, summands_from_doc,
@@ -328,6 +328,9 @@ def run(args) -> int:
     except InputError as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
+    except InternalError as e:
+        sys.stderr.write("internal error: %s\n" % e)
+        return 3
     except (ValueError, AssertionError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2

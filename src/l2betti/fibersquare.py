@@ -85,8 +85,8 @@ E(u* x u) and v x v*, so u* x u lies in B and equals v x v*.  A mismatched
 pair therefore fails check 3 and raises.  The starred pair (u*, v*) of a
 matching pair matches too: x -> u* x u and x -> v x v* are the same
 automorphism of B, so their inverses x -> u x u* and x -> v* x v agree.
-A groupoid's family signs only its identity bisection; "The closure"
-forms the other signed pairs.
+A groupoid's family signs only 1 and lists only elementary bisections;
+"The closure" forms the other pairs.
 
 The identification.  groupoid_fiber_square maps the fiber square to C[G^e]
 by phi, the coordinates of each v_k in the enveloping vectors
@@ -123,9 +123,9 @@ admitted) whose span contains 1.  Every word in them is a generator times
 a shorter word, so the span is closed under products once it is closed
 under left multiplication by the generators, and only vectors new in the
 last round need multiplying (algebras.close_under_products).  A
-groupoid's family lists its bisections unsigned, and the closure forms the
-signed pairs as T_{1,w'} T_{b,b'} T_{w,1} (algebras.convolution_algebra):
-at pair(4) the pairs span 13 of the 16 dimensions, the products the rest.
+groupoid's family lists only elementary bisections, and the closure forms
+every other pair from theirs (algebras.convolution_algebra): at pair(4)
+the pairs span 10 of the 16 dimensions, the products the rest.
 """
 
 from __future__ import annotations
@@ -143,6 +143,10 @@ from .linalg import (
 )
 from .scalars import ONE
 from .tensor import Level, append_level, extension_base_level
+
+
+class InternalError(AssertionError):
+    """An invariant broke on a valid input: a program fault (CLI exit 3)."""
 
 
 @dataclass
@@ -423,20 +427,20 @@ def groupoid_fiber_square(ext: Extension):
     env_span = SpanBasis()
     for (a, b) in env.elements:
         if not env_span.add(lvl.tensor_class({gi[a]: ONE}, {gi[b]: ONE})):
-            raise AssertionError("enveloping vectors are dependent")
+            raise InternalError("enveloping vectors are dependent")
     inv_dim = lvl.invariants().cols
     if inv_dim != n:
         raise AssertionError("invariant subspace has dimension %d, not |G^e| = %d"
                              % (inv_dim, n))
 
     if fsq.dim != n:
-        raise ValueError(
+        raise InternalError(
             "evaluation map not surjective onto C[G^e]: fiber square has "
             "dimension %d, missing %d" % (fsq.dim, n - fsq.dim))
 
     phi_cols = [env_span.coords(v) for v in fsq.evals]
     if any(c is None for c in phi_cols):
-        raise AssertionError("evaluation escapes C[G^e]")
+        raise InternalError("evaluation escapes C[G^e]")
     phi = GMatrix.from_cols(n, phi_cols)
 
     basis = range(fsq.dim)

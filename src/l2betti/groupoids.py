@@ -376,26 +376,15 @@ def geometric_face(g: FiniteGroupoid, kind: str, n: int, i: int, t):
 # bisections
 
 
-def bisections(g: FiniteGroupoid):
-    """All subsets on which source and target are bijections onto the atoms.
-
-    Exhaustive backtracking over target fibers; exponential but fine at desk
-    scale.  The search is depth first with an explicit stack, children
-    pushed in reverse so they pop in fiber order: the result keeps the order
-    of the recursive search, and no self-referencing closure is left for the
-    cycle collector.
-    """
-    atoms = list(g.base.atoms)
-    fibers = [g.arrows(tgt=x) for x in atoms]
-    out = []
-    stack = [(0, frozenset(), ())]
-    while stack:
-        k, used_sources, chosen = stack.pop()
-        if k == len(atoms):
-            out.append(frozenset(chosen))
-            continue
-        for a in reversed(fibers[k]):
-            s = g.source[a]
-            if s not in used_sources:
-                stack.append((k + 1, used_sources | {s}, chosen + (a,)))
+def elementary_bisections(g: FiniteGroupoid):
+    """The swaps {a, a^-1} along arrows between distinct atoms and the {a} of
+    non-unit isotropy arrows, each completed by the units at the other atoms,
+    in element order.  They generate the bisections (convolution_algebra)."""
+    out, seen = [], set()
+    for a in g.elements:
+        ends = {g.source[a], g.target[a]}
+        arrows = frozenset({a, g.inverse[a]} if len(ends) == 2 else {a})
+        if not g.is_unit(a) and arrows not in seen:
+            seen.add(arrows)
+            out.append(arrows.union(g.units[x] for x in g.base.atoms if x not in ends))
     return out

@@ -4,11 +4,12 @@ Nothing in the l2betti package, its CLI, scripts or benchmark calls these.
 They are oracles for statements of the paper (the classifying-to-square
 isomorphism, the comparison of geometric and algebraic complexes, the
 operator spans of twisted and untwisted fiber squares, the closed-form
-Betti numbers of a finite measured groupoid, the fully signed bisection
-family), generated groupoids (Hypothesis strategies) and small fixtures
-(free, trivial, column, direct-sum and conjugated modules, sign cocycles, the Klein four-group).  The
-test modules import them with ``from oracles import ...``; pytest does not
-collect this file.
+Betti numbers of a finite measured groupoid, every bisection of a groupoid
+and the fully signed bisection family), generated groupoids (Hypothesis
+strategies) and small fixtures (free, trivial, column, direct-sum and
+conjugated modules, sign cocycles, the Klein four-group).  The test modules
+import them with ``from oracles import ...``; pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from l2betti.algebras import (
 from l2betti.betti import FiniteModule
 from l2betti.complexes import PresimplicialModule, _tuple_face_map, hochschild_complex
 from l2betti.groupoids import (
-    FiniteGroupoid, FiniteMeasuredSpace, action_groupoid, bisections,
-    enveloping, geometric_carrier, partition_relation,
+    FiniteGroupoid, FiniteMeasuredSpace, action_groupoid, enveloping,
+    geometric_carrier, partition_relation,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import (
@@ -185,7 +186,8 @@ def closed_form_betti(g: FiniteGroupoid, N: int):
 
 def shuffled(g: FiniteGroupoid, seed: int) -> FiniteGroupoid:
     """g with its arrows and atoms listed in a seeded random order, as a
-    document may list them; bisections() follows that order."""
+    document may list them; elementary_bisections() and bisections()
+    follow that order."""
     rng = random.Random(seed)
     elements, atoms = list(g.elements), list(g.base.atoms)
     rng.shuffle(elements)
@@ -195,11 +197,36 @@ def shuffled(g: FiniteGroupoid, seed: int) -> FiniteGroupoid:
                           g.compose, g.units, name=g.name)
 
 
+def bisections(g: FiniteGroupoid):
+    """All subsets on which source and target are bijections onto the atoms.
+
+    Exhaustive backtracking over target fibers; exponential but fine at desk
+    scale.  The search is depth first with an explicit stack, children
+    pushed in reverse so they pop in fiber order: the result keeps the order
+    of the recursive search, and no self-referencing closure is left for the
+    cycle collector.
+    """
+    atoms = list(g.base.atoms)
+    fibers = [g.arrows(tgt=x) for x in atoms]
+    out = []
+    stack = [(0, frozenset(), ())]
+    while stack:
+        k, used_sources, chosen = stack.pop()
+        if k == len(atoms):
+            out.append(frozenset(chosen))
+            continue
+        for a in reversed(fibers[k]):
+            s = g.source[a]
+            if s not in used_sources:
+                stack.append((k + 1, used_sources | {s}, chosen + (a,)))
+    return out
+
+
 def signed_bisection_family(ext):
     """Every bisection of ext.groupoid times 1 and times each single-atom
     sign flip 1 - 2*1_{x}, kept where unitary in ext's product: the family
     whose fiber square convolution_algebra's family, the signed identity
-    and the unsigned bisections, must reach through products."""
+    and the unsigned elementary bisections, must reach through products."""
     g, A = ext.groupoid, ext.alg
     idx = {a: k for k, a in enumerate(g.elements)}
     fam = []

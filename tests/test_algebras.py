@@ -1,5 +1,5 @@
+import itertools
 import json
-import math
 import os
 from fractions import Fraction
 
@@ -362,10 +362,11 @@ def test_normalizer_span_of_a_relation_is_graded_and_monomial(n, twisted):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pair_family_is_the_signed_identity_and_the_unsigned_bisections(n):
-    # 1 and the n single-atom sign flips, then the n! - 1 other bisections
+    # 1 and the n single-atom sign flips, then the swaps of two atoms, the
+    # elementary bisections of pair(n), each pair once
     g = pair_relation(uniform_space(n))
     fam = convolution_algebra(g).alg.unitary_family
-    assert len(fam) == math.factorial(n) + n
+    assert len(fam) == 1 + n + n * (n - 1) // 2
     units = [(x, x) for x in g.base.atoms]
     diagonal = [v for _, v in fam[:n + 1]]
     idx = {a: k for k, a in enumerate(g.elements)}
@@ -373,6 +374,8 @@ def test_pair_family_is_the_signed_identity_and_the_unsigned_bisections(n):
     for x, v in zip(g.base.atoms, diagonal[1:]):
         assert v == {idx[u]: MINUS_ONE if u == (x, x) else ONE for u in units}
     assert all(set(v.values()) == {ONE} for _, v in fam[n + 1:])
+    swaps = [{g.elements[k] for k in v} - set(units) for _, v in fam[n + 1:]]
+    assert swaps == [{(x, y), (y, x)} for x, y in itertools.combinations(g.base.atoms, 2)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -381,7 +384,7 @@ def test_twisted_pair_family_is_unitary(n):
     # (convolution_algebra docstring): no member needs a unitarity filter
     g = pair_relation(uniform_space(n))
     alg = convolution_algebra(g, distinct_triple_sign_cocycle(g)).alg
-    assert len(alg.unitary_family) == math.factorial(n) + n
+    assert len(alg.unitary_family) == 1 + n + n * (n - 1) // 2
     assert all(alg.is_unitary(v) for _, v in alg.unitary_family)
 
 

@@ -929,6 +929,22 @@ def spy_everywhere(monkeypatch, module, name):
     return calls
 
 
+def test_fiber_square_that_does_not_fill_exits_3(monkeypatch, capsys):
+    # without its isotropy bisections, C3's family reaches too little of
+    # C[G^e]: the document is valid, so the fault is internal, not bad input
+    import l2betti.algebras as algebras_mod
+    elementary = algebras_mod.elementary_bisections
+
+    def swaps_only(g):
+        return [b for b in elementary(g)
+                if any(g.source[a] != g.target[a] for a in b)]
+
+    monkeypatch.setattr(algebras_mod, "elementary_bisections", swaps_only)
+    assert main(["betti", cpath("group_c3.json"), "--both"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal error: evaluation map not surjective onto C[G^e]")
+
+
 @pytest.mark.parametrize("name", ["verify_residual_pair2.json",
                                   "verify_residual_pair3_twisted.json"])
 def test_verify_residual_validates_the_relation_once(name, monkeypatch, capsys):
@@ -954,7 +970,7 @@ def test_convolution_extension_is_built_only_where_it_is_read(
     import l2betti.algebras as algebras_mod
     import l2betti.groupoids as groupoids_mod
     spies = [spy_everywhere(monkeypatch, groupoids_mod, "validate_groupoid"),
-             spy_everywhere(monkeypatch, groupoids_mod, "bisections"),
+             spy_everywhere(monkeypatch, groupoids_mod, "elementary_bisections"),
              spy_everywhere(monkeypatch, algebras_mod, "conditional_expectation")]
     code, _ = run_cli([args[0], cpath(args[1])] + args[2:], capsys)
     assert code == 0

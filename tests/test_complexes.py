@@ -20,15 +20,14 @@ from l2betti.fibersquare import (
     canonical_pairs, fiber_square, fiber_square_of, groupoid_fiber_square,
 )
 from l2betti.fileio import as_extension, load_path
-from l2betti.groupoids import (
-    bisections, group_groupoid, pair_relation, uniform_space,
-)
+from l2betti.groupoids import group_groupoid, pair_relation, uniform_space
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, IndexMap, IndexSum, as_matrix
 from l2betti.scalars import ONE
 from l2betti.tensor import Level, algebra_tower
 from oracles import (
-    full_extension, geometric_comparison, plain_hochschild_complex, theta_iso,
+    bisections, full_extension, geometric_comparison, plain_hochschild_complex,
+    theta_iso,
 )
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -161,9 +160,9 @@ def test_l2_complex_is_freed_without_the_cycle_collector():
 
 
 def test_bisections_free_the_groupoid_without_the_cycle_collector():
-    # the search keeps the lexicographic order over the target fibers (it
-    # fixes the unitary family order), and it leaves no reference cycle, so
-    # the groupoid is released by reference counting alone
+    # the oracle's search keeps the lexicographic order over the target
+    # fibers, and it leaves no reference cycle, so the groupoid is released
+    # by reference counting alone
     g = pair_relation(uniform_space(3))
     fibers = [g.arrows(tgt=x) for x in g.base.atoms]
     expected = [frozenset(c) for c in itertools.product(*fibers)

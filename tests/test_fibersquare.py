@@ -18,8 +18,8 @@ from l2betti.fibersquare import (
 )
 from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import (
-    action_groupoid, bisections, enveloping, group_groupoid, pair_relation,
-    uniform_space,
+    action_groupoid, elementary_bisections, enveloping, group_groupoid,
+    pair_relation, uniform_space,
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import Echelon, GMatrix, combination, vec_add, vec_eq
@@ -276,8 +276,11 @@ def test_s_condition_variant_reading_differs():
     # with itself.  On pair(3) the two pair sets genuinely differ.  The
     # alternative set holds pairs whose evaluation is not B-central, which
     # fiber_square refuses; its central pairs are matching pairs after all
-    # and generate the same fiber square.
+    # and generate the same fiber square.  The family holds every bisection
+    # (signed_bisection_family): every elementary bisection's permutation is
+    # an involution, and on those alone the two readings coincide.
     ext = convolution_algebra(pair_relation(uniform_space(3)))
+    ext.alg.unitary_family = signed_bisection_family(ext)
     printed = canonical_pairs(ext)
     fam = ext.alg.unitary_family
     by_right_sig = {}
@@ -326,7 +329,8 @@ def test_unsigned_bisections_reach_the_signed_fiber_square(g, shuffle, seed):
     if shuffle:
         g = shuffled(g, seed)
     ext = convolution_algebra(g)
-    assert len(ext.alg.unitary_family) == len(bisections(g)) + len(g.base.atoms)
+    assert len(ext.alg.unitary_family) == \
+        1 + len(g.base.atoms) + len(elementary_bisections(g))
     bt = balanced_tensor(ext)
     fsq = fiber_square(ext, canonical_pairs(ext), tensor=bt)
     signed = fiber_square_of_family(ext, bt, signed_bisection_family(ext))

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2betti.groupoids import (
-    FiniteGroupoid, FiniteMeasuredSpace, action_groupoid, bisections, enveloping,
-    geometric_carrier, geometric_face, group_groupoid, is_equivalence_relation,
-    pair_relation, partition_relation, trivial_groupoid, uniform_space,
-    validate_groupoid,
+    FiniteGroupoid, FiniteMeasuredSpace, action_groupoid, elementary_bisections,
+    enveloping, geometric_carrier, geometric_face, group_groupoid,
+    is_equivalence_relation, pair_relation, partition_relation,
+    trivial_groupoid, uniform_space, validate_groupoid,
 )
 from l2betti.groups import cyclic_table, symmetric_table
-from oracles import GroupoidMorphism, diagonal_embedding
+from oracles import (
+    GroupoidMorphism, bisections, diagonal_embedding, measured_groupoids, shuffled,
+)
 
 
 def c2_groupoid():
@@ -191,6 +193,30 @@ def test_bisections_counts():
     assert len(bs) == 1 and bs[0] == frozenset(t.units.values())
     for b in bisections(pair_relation(uniform_space(2))):
         assert is_bisection(pair_relation(uniform_space(2)), b)
+
+
+def bisection_product(g, b, c):
+    """The bisection bc: each arrow of c, then the arrow of b from its target."""
+    from_source = {g.source[a]: a for a in b}
+    return frozenset(g.compose[(from_source[g.target[a]], a)] for a in c)
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["built", "shuffled"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(g=measured_groupoids(max_arrows=10), seed=st.integers(0, 2 ** 16))
+def test_elementary_bisections_generate_every_bisection(shuffle, g, seed):
+    # the generation argument of convolution_algebra's family: closing the
+    # elementary bisections under products gives every bisection
+    if shuffle:
+        g = shuffled(g, seed)
+    gens = elementary_bisections(g)
+    assert all(is_bisection(g, b) for b in gens)
+    group = {frozenset(g.units.values())}
+    frontier = group
+    while frontier:
+        frontier = {bisection_product(g, b, c) for b in gens for c in frontier} - group
+        group |= frontier
+    assert group == set(bisections(g))
 
 
 def test_invariant_measure_required():
