@@ -16,6 +16,9 @@ read off it:
   matrices.  The boundary d_n = sum_i (-1)^i pi_i is summed from those
   same matrices, so d_n d_{n+1} = 0 cancels term by term; boundary()
   checks d o d directly only above the verified degree.
+- The same d o d = 0 puts im d_{n+1} inside ker d_n, so homology's
+  elimination stops inserting columns of d_{n+1} once the image's rank
+  reaches dim ker d_n: the rank is then exact and H_n = 0.
 - ContractingHomotopy.verify checks d h + h d = 1 and remembers the degrees
   it proved against which boundary; it re-proves nothing for that boundary.
 - In the split certificate, d h + h d = 1 at degree n and d o d = 0 give
@@ -504,7 +507,14 @@ def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
     method "elimination" computes kernels and images by sparse exact
     elimination; where H_n is nonzero, each kernel vector is reduced
     modulo the image and the independent residues, cycles themselves, are
-    kept until there are dim H_n of them.  "split" uses the verified
+    kept until there are dim H_n of them.  Columns of d_{n+1} stop entering
+    the image's echelon once its rank reaches dim ker d_n.  That stop is
+    exact: boundary(), called first, certified d_n d_{n+1} = 0 (face
+    identities verified, or d o d checked directly), so im d_{n+1} lies in
+    ker d_n and its rank cannot exceed dim ker d_n; at equality it is
+    rank d_{n+1} and H_n = 0.  The stop can fire only where H_n = 0, so
+    wherever H_n is nonzero the image holds all of im d_{n+1}, which
+    action_matrix reduces by.  "split" uses the verified
     contracting homotopy.  There d h + h d = 1 is verified at degrees
     0..n and d o d = 0 is implied by the verified face identities (or
     checked by boundary()).  Together they imply that e = d_{n+1} h_n is
@@ -561,8 +571,11 @@ def homology(p: PresimplicialModule, n: int, method="auto") -> HomologyModule:
     else:
         ker = kernel_basis(as_matrix(d_lo))
         r_lo = p.dims[n] - ker.cols
+    # d o d = 0 (certified by boundary()) caps the image at dim ker d_n
     image = Echelon()
     for c in as_matrix(d_hi).col:
+        if image.rank == ker.cols:
+            break
         image.insert(c)
     r_hi = image.rank
     dim_h = ker.cols - r_hi

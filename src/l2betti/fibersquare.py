@@ -430,8 +430,8 @@ def groupoid_fiber_square(ext: Extension):
             raise InternalError("enveloping vectors are dependent")
     inv_dim = lvl.invariants().cols
     if inv_dim != n:
-        raise AssertionError("invariant subspace has dimension %d, not |G^e| = %d"
-                             % (inv_dim, n))
+        raise InternalError("invariant subspace has dimension %d, not |G^e| = %d"
+                            % (inv_dim, n))
 
     if fsq.dim != n:
         raise InternalError(
@@ -459,7 +459,7 @@ def groupoid_fiber_square(ext: Extension):
     }
 
     if not all(checks.values()):
-        raise AssertionError("enveloping identification failed: %s" % checks)
+        raise InternalError("enveloping identification failed: %s" % checks)
     return fsq, EnvelopingIso(g, env, envalg, phi, checks)
 
 

@@ -4,9 +4,10 @@ Nothing in the l2betti package, its CLI, scripts or benchmark calls these.
 They are oracles for statements of the paper (the classifying-to-square
 isomorphism, the comparison of geometric and algebraic complexes, the
 operator spans of twisted and untwisted fiber squares, the closed-form
-Betti numbers of a finite measured groupoid, every bisection of a groupoid
-and the fully signed bisection family), generated groupoids (Hypothesis
-strategies) and small fixtures (free, trivial, column, direct-sum and
+Betti numbers of a finite measured groupoid and of a weighted sum of matrix
+algebras, homology ranks over every boundary column, every bisection of a
+groupoid and the fully signed bisection family), generated groupoids
+(Hypothesis strategies) and small fixtures (free, trivial, column, direct-sum and
 conjugated modules, sign cocycles, the Klein four-group).  The test modules
 import them with ``from oracles import ...``; pytest does not collect this
 file.
@@ -34,7 +35,7 @@ from l2betti.groupoids import (
 )
 from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import (
-    Echelon, GMatrix, as_matrix, combination, invert, kernel_basis,
+    Echelon, GMatrix, as_matrix, combination, invert, kernel_basis, rank,
 )
 from l2betti.scalars import MINUS_ONE, ONE, gs
 from l2betti.tensor import Tower, extension_base_level
@@ -181,6 +182,16 @@ def closed_form_betti(g: FiniteGroupoid, N: int):
     2002, for relations)."""
     b0 = sum((g.base.weight[x] / len(g.arrows(tgt=x)) for x in g.base.atoms),
              Fraction(0))
+    return [b0] + [Fraction(0)] * (N - 1)
+
+
+def closed_form_matrix_sum_betti(blocks, weights, N: int):
+    """beta_0 = sum_i (w_i / n_i)^2 and beta_n = 0 for 1 <= n < N, the
+    L2-Betti numbers of A = (+)_i M_{n_i} over C with the trace
+    sum_i w_i tr_{n_i} (normalized traces).  H_0 has one line per block,
+    the simple module of M_{n_i} (x) M_{n_i}^op, whose trace there is
+    w_i^2 tr (x) tr: a minimal projection, of trace (w_i / n_i)^2."""
+    b0 = sum((Fraction(w) / n) ** 2 for n, w in zip(blocks, weights))
     return [b0] + [Fraction(0)] * (N - 1)
 
 
@@ -418,6 +429,15 @@ def operator_spans_equal(f1, f2) -> bool:
 def plain_hochschild_complex(ext, N: int) -> PresimplicialModule:
     """C_n(A/B) with coefficients in A itself."""
     return hochschild_complex(extension_base_level(ext), N, name="HH(%s)" % ext.name)
+
+
+def full_homology_ranks(p: PresimplicialModule, n: int):
+    """(rank d_n, rank d_{n+1}, dim H_n) by linalg.rank over every column
+    of both boundaries, with no early stop."""
+    d = p.boundary().d
+    r_lo = rank(as_matrix(d[n])) if n else 0
+    r_hi = rank(as_matrix(d[n + 1]))
+    return r_lo, r_hi, p.dims[n] - r_lo - r_hi
 
 
 def _fold_tuple_class(tower: Tower, t):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from l2betti.algebras import (
     TracialStarAlgebra, conditional_expectation, convolution_algebra,
     diagonal_subalgebra_vectors, distinct_triple_sign_cocycle, group_algebra,
-    matrix_algebra, trivial_extension,
+    matrix_algebra, trivial_extension, weighted_sum_algebras,
 )
 from l2betti.betti import (
     FiniteModule, betti_hochschild, betti_sauer, cover_dimension,
@@ -27,9 +27,9 @@ from l2betti.groups import cyclic_table, symmetric_table
 from l2betti.linalg import GMatrix, as_matrix, solve
 from l2betti.scalars import ONE, gs
 from oracles import (
-    closed_form_betti, column_module, conjugate, direct_sum, free_module,
-    matrix_from_rows, measured_groupoids, partition_relations, trivial_module,
-    validate_module,
+    closed_form_betti, closed_form_matrix_sum_betti, column_module, conjugate,
+    direct_sum, free_module, matrix_from_rows, measured_groupoids,
+    partition_relations, trivial_module, validate_module,
 )
 
 
@@ -398,6 +398,23 @@ def test_fault_corrupted_coefficient_trace(weight):
     else:
         with pytest.raises(ValueError, match="^trace form is degenerate"):
             betti_sauer(r, 2, alg=ext.alg)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=3)
+       .filter(lambda ns: ns.count(2) <= 1),
+       st.lists(st.integers(1, 4), min_size=3, max_size=3))
+def test_weighted_matrix_sums_match_the_closed_form(blocks, parts):
+    # A = (+)_i M_{n_i} over C.  With at most one M_2 block both degrees
+    # take elimination (two M_2 blocks put d_2 past ELIMINATION_LIMIT):
+    # H_0 != 0 keeps every column of d_1, and H_1 = 0 stops d_2 once its
+    # image fills ker d_1
+    parts = parts[:len(blocks)]
+    weights = [Fraction(k, sum(parts)) for k in parts]
+    alg = weighted_sum_algebras([matrix_algebra(n) for n in blocks], weights)
+    table = betti_hochschild(trivial_extension(alg), 2)
+    assert table.values == closed_form_matrix_sum_betti(blocks, weights, 2)
+    assert table.meta["rank_methods"] == ["elimination", "elimination"]
 
 
 def test_fault_corrupted_action_entry_moves_the_value():

@@ -759,6 +759,47 @@ def test_corpus_sweep_covers_every_corpus_document():
     assert all(os.path.exists(os.path.join(ROOT, p)) for p in named)
 
 
+FAKE_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+wall = %r + seed / 1000
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {
+    "wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": 0.05, "unit": "s"},
+    "peak_rss_mib": {"value": 26.0, "unit": "MiB"}}}))
+"""
+
+
+def test_bench_pairs_record_merges_workloads(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for side, wall in (("parent", 0.05), ("change", 0.04)):
+        os.makedirs(tmp_path / side / "benchmark")
+        (tmp_path / side / "benchmark" / "run.py").write_text(FAKE_RUN % wall)
+    out = str(tmp_path / "BENCH.json")
+    dirs = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert bench.main(dirs + ["--workload", "a", "--seeds", "1-4", "--out", out,
+                              "--parent-commit", "abc1234", "--change", "faster"]) == 0
+    assert bench.main(dirs + ["--workload", "b", "--seeds", "5", "--out", out]) == 0
+    capsys.readouterr()
+    with open(out) as fh:
+        record = json.load(fh)
+    assert (record["change"], record["parent_commit"]) == ("faster", "abc1234")
+    assert sorted(record["workloads"]) == ["a", "b"]
+    a = record["workloads"]["a"]
+    assert a["metrics"]["wall_s"] == {
+        "parent_median": 0.0525, "parent_q1": 0.0513, "parent_q3": 0.0538,
+        "change_median": 0.0425, "change_q1": 0.0413, "change_q3": 0.0438,
+        "change_pct": -19.0, "change_wins": 4, "pairs": 4,
+        "gain_exceeds_parent_iqr": True}
+    assert a["failed_ops"] == {"parent": [0, 16], "change": [0, 16]}
+    assert [r["seed"] for r in a["runs"]] == [1, 2, 3, 4]
+    # alternating order: the second pair ran the change first
+    assert list(a["runs"][1]) == ["seed", "change", "parent"]
+    assert a["bench_pairs_summary"][0] == "a, 4 pairs, seeds 1,2,3,4"
+    assert len(record["workloads"]["b"]["runs"]) == 1
+
+
 def load_tracer():
     """benchmark/tracer.py as a module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
@@ -943,6 +984,26 @@ def test_fiber_square_that_does_not_fill_exits_3(monkeypatch, capsys):
     assert main(["betti", cpath("group_c3.json"), "--both"]) == 3
     assert capsys.readouterr().err.startswith(
         "internal error: evaluation map not surjective onto C[G^e]")
+
+
+def test_enveloping_identification_that_fails_exits_3(monkeypatch, capsys):
+    # one structure constant of C[G^e] negated: pair2.json is a valid
+    # groupoid, so the failed identification is a program fault
+    import l2betti.fibersquare as fs
+    convolution = fs.convolution_star_algebra
+
+    def negated(g):
+        alg = convolution(g)
+        row = next(r for r in alg.mult if any(r))
+        prod = next(p for p in row if p)
+        k = next(iter(prod))
+        prod[k] = -prod[k]
+        return alg
+
+    monkeypatch.setattr(fs, "convolution_star_algebra", negated)
+    assert main(["betti", cpath("pair2.json"), "--both", "--N", "2"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal error: enveloping identification failed")
 
 
 @pytest.mark.parametrize("name", ["verify_residual_pair2.json",

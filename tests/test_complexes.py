@@ -22,12 +22,12 @@ from l2betti.fibersquare import (
 from l2betti.fileio import as_extension, load_path
 from l2betti.groupoids import group_groupoid, pair_relation, uniform_space
 from l2betti.groups import cyclic_table, symmetric_table
-from l2betti.linalg import GMatrix, IndexMap, IndexSum, as_matrix
+from l2betti.linalg import Echelon, GMatrix, IndexMap, IndexSum, as_matrix
 from l2betti.scalars import ONE
 from l2betti.tensor import Level, algebra_tower
 from oracles import (
-    bisections, full_extension, geometric_comparison, plain_hochschild_complex,
-    theta_iso,
+    bisections, full_extension, full_homology_ranks, geometric_comparison,
+    plain_hochschild_complex, theta_iso,
 )
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -37,6 +37,11 @@ CORPUS = os.path.join(ROOT, "corpus")
 CORPUS_EXTENSIONS = sorted(
     f for f in os.listdir(CORPUS)
     if f.endswith(".json") and not f.startswith(("verify_", "cocycle_")))
+
+
+def cs3_ext():
+    table, unit, els = symmetric_table(3)
+    return trivial_extension(group_algebra(table, unit, elements=els, name="CS3"))
 
 
 def c2_ext():
@@ -350,16 +355,78 @@ def test_fault_descended_face_entry_is_caught_by_presimplicial(monkeypatch):
         plain_hochschild_complex(m2_diag_ext(), 2)
 
 
-def test_fault_unverified_faces_breaking_d_squared_are_caught():
-    from l2betti.complexes import PresimplicialModule
+def broken_module():
     one = GMatrix.identity(1)
     zero = GMatrix.zero(1, 1)
     # d_1 = 1 and d_2 = 1: the faces were never verified, so boundary()
     # checks d o d itself
-    p = PresimplicialModule([1, 1, 1], [None, [one, zero], [one, zero, zero]],
-                            name="broken")
+    return PresimplicialModule([1, 1, 1], [None, [one, zero], [one, zero, zero]],
+                               name="broken")
+
+
+def test_fault_unverified_faces_breaking_d_squared_are_caught():
     with pytest.raises(AssertionError, match="d o d != 0 at degree 2"):
-        p.boundary()
+        broken_module().boundary()
+
+
+def spy_image_inserts(monkeypatch):
+    """Vectors inserted into untracked echelons: in homology, the columns
+    of d_{n+1} entering the image (kernels and cycles are tracked)."""
+    inserted = []
+    original = Echelon.insert
+
+    def spy(self, v):
+        if not self.track:
+            inserted.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(Echelon, "insert", spy)
+    return inserted
+
+
+def test_fault_d_squared_is_caught_before_homology_reports_a_rank(monkeypatch):
+    # the elimination stop reads rank d_2 <= dim ker d_1 off d o d = 0.
+    # Here ker d_1 = 0, so without that check the stop would report
+    # rank d_2 = 0 at once; boundary() must refuse the module first
+    inserted = spy_image_inserts(monkeypatch)
+    with pytest.raises(AssertionError, match="d o d != 0 at degree 2"):
+        homology(broken_module(), 1)
+    assert inserted == []
+
+
+ELIMINATION_CASES = {
+    "CS3/C": lambda: l2_complex(fiber_square_of(cs3_ext())[0], 3),
+    "pair(3)": lambda: l2_complex(fiber_square_of(
+        convolution_algebra(pair_relation(uniform_space(3))))[0], 2),
+    "bar(CC2/C)": lambda: bar_complex(c2_ext(), 3),
+}
+
+
+@pytest.mark.parametrize("name, n", [("CS3/C", 1), ("pair(3)", 0), ("pair(3)", 1),
+                                     ("bar(CC2/C)", 0), ("bar(CC2/C)", 1),
+                                     ("bar(CC2/C)", 2)])
+def test_elimination_ranks_match_ranks_over_every_column(name, n):
+    p = ELIMINATION_CASES[name]()
+    hm = homology(p, n, method="elimination")
+    assert hm.method == "elimination"
+    assert (hm.rank_lower, hm.rank_upper, hm.dim) == full_homology_ranks(p, n)
+
+
+@pytest.mark.parametrize("name, n, stops", [("CS3/C", 1, True), ("pair(3)", 0, False)])
+def test_elimination_stops_only_once_the_image_fills_the_kernel(name, n, stops,
+                                                                monkeypatch):
+    # CS3/C degree 1: the image reaches dim ker d_1 = 186 well before the
+    # last of d_2's 1296 columns.  pair(3) degree 0: H_0 != 0, so every
+    # column enters the image that action_matrix reduces by
+    p = ELIMINATION_CASES[name]()
+    cols = p.boundary().d[n + 1].cols
+    inserted = spy_image_inserts(monkeypatch)
+    hm = homology(p, n, method="elimination")
+    assert (hm.dim == 0) == stops
+    if stops:
+        assert hm.rank_upper < len(inserted) < cols
+    else:
+        assert len(inserted) == cols
 
 
 def test_verified_faces_of_the_wrong_count_are_rejected():
@@ -547,8 +614,7 @@ def test_face_one_column_short_is_rejected():
 
 def scalar_l2_complex(which, N):
     if which == "CS3":
-        table, unit, els = symmetric_table(3)
-        ext = trivial_extension(group_algebra(table, unit, elements=els, name="CS3"))
+        ext = cs3_ext()
     else:
         ext = trivial_extension(matrix_algebra(3), name="M3/C")
     return l2_complex(fiber_square_of(ext)[0], N)
